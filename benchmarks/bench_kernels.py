@@ -5,13 +5,18 @@ paths run in one process. Shapes mirror a real desk run (batch 128, an
 8-32-32-3 scratch net, a 16-32-16-3 embedding net, 900-sample GMM fits).
 
 Usage:
-    python benchmarks/bench_kernels.py [--repeats 2000]
+    python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
+
+--json writes {"backend", "numpy", "python", "cases": {case: {"jit_us",
+"python_us"}}} to PATH as well as printing the table.
 
 Run with COFORGET_DISABLE_NUMBA=1 to confirm the fallback is the only path;
 the two columns then match.
 """
 
 import argparse
+import json
+import platform
 import time
 
 import numpy as np
@@ -28,18 +33,20 @@ def timeit(fn, args, repeats):
     return (time.perf_counter() - start) / repeats
 
 
-def bench_case(name, fn, args, repeats):
+def bench_case(results, name, fn, args, repeats):
     fast = timeit(fn, args, repeats)
     slow = timeit(fn.py_func, args, max(repeats // 20, 5))
     ratio = slow / fast if fast > 0 else float("inf")
     print(f"{name:<38} {fast * 1e6:>10.1f} {slow * 1e6:>10.1f} {ratio:>8.1f}x")
-    return fast, slow
+    results[name] = {"jit_us": fast * 1e6, "python_us": slow * 1e6}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=2000)
+    parser.add_argument("--json", metavar="PATH", help="also write the timings as JSON")
     args = parser.parse_args()
+    results = {}
 
     rng = np.random.default_rng(0)
     print(f"backend: {kernels.BACKEND}")
@@ -53,17 +60,21 @@ def main():
         theta = init_params(arch, 0)
         x = rng.normal(size=(batch, widths[0]))
         w = arch.widths_array()
-        bench_case(label, kernels.mlp_forward, (theta, w, kernels.ACT_RELU, x), args.repeats)
+        bench_case(
+            results, label, kernels.mlp_forward, (theta, w, kernels.ACT_RELU, x), args.repeats
+        )
 
         logits, acts = kernels.mlp_forward_acts(theta, w, kernels.ACT_RELU, x)
         dlogits = rng.normal(size=logits.shape)
         bench_case(
+            results,
             label.replace("fwd", "fwd+acts"),
             kernels.mlp_forward_acts,
             (theta, w, kernels.ACT_RELU, x),
             args.repeats,
         )
         bench_case(
+            results,
             label.replace("fwd", "backward"),
             kernels.mlp_backward,
             (theta, w, kernels.ACT_RELU, acts, dlogits),
@@ -81,7 +92,20 @@ def main():
         1e-6,
         1e-4,
     )
-    bench_case("gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20))
+    bench_case(
+        results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
+    )
+
+    if args.json:
+        doc = {
+            "backend": kernels.BACKEND,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "cases": results,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

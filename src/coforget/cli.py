@@ -123,13 +123,9 @@ def cmd_report(args) -> int:
     )
     width = max(len(r) for r in summary)
     print(f"{'run':<{width}}  best_scr  last_scr  best_emb  last_emb  best_ens  last_ens")
-    for run_id, bl in summary.items():
-        print(
-            f"{run_id:<{width}}  "
-            f"{bl['best_acc_scratch']:.4f}    {bl['last_acc_scratch']:.4f}    "
-            f"{bl['best_acc_embed']:.4f}    {bl['last_acc_embed']:.4f}    "
-            f"{bl['best_acc_ens']:.4f}    {bl['last_acc_ens']:.4f}"
-        )
+    for run_id, (best, last) in summary.items():
+        cells = "    ".join(f"{best[key]:.4f}    {last[key]:.4f}" for key in driver.ACC_KEYS)
+        print(f"{run_id:<{width}}  {cells}")
     print(f"report files under {args.out}")
     return 0
 

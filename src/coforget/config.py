@@ -7,6 +7,7 @@ its own seed.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -203,6 +204,15 @@ def build_config(data: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    # NaN compares false with every bound below, so non-finite values are
+    # rejected first
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        for f in dataclasses.fields(obj):
+            val = getattr(obj, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigurationError(f"{section}.{f.name} must be finite, got {val}")
+
     ds, noise, oracle = cfg.dataset, cfg.noise, cfg.oracle
     sched, method, optim = cfg.schedule, cfg.method, cfg.optim
 

@@ -228,8 +228,6 @@ class CoteachResult:
     w_embed: np.ndarray
     labeled_for_scratch: np.ndarray  # bool masks aligned to pool_ids
     labeled_for_embed: np.ndarray
-    eval_loss_scratch: float
-    eval_loss_embed: float
     skipped_scratch: bool
     skipped_embed: bool
 
@@ -333,7 +331,5 @@ def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids,
         w_scratch=w_scratch, w_embed=w_embed,
         labeled_for_scratch=w_embed >= params.tau_w,
         labeled_for_embed=w_scratch >= params.tau_w,
-        eval_loss_scratch=float(eval_scratch.mean()),
-        eval_loss_embed=float(eval_embed.mean()),
         skipped_scratch=skipped_scratch, skipped_embed=skipped_embed,
     )

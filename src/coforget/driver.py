@@ -28,8 +28,13 @@ METRICS_HEADER = (
     "n_forget_scratch,n_forget_embed,n_pool,hn,ln,cs"
 )
 CODIVIDE_HEADER = "epoch,id,w_scratch,w_embed,labeled_scratch,labeled_embed,observed,true"
+CODIVIDE_DTYPE = np.dtype([
+    ("id", np.int64), ("w_scratch", np.float64), ("w_embed", np.float64),
+    ("labeled_scratch", np.bool_), ("labeled_embed", np.bool_),
+])
 CLEAN_JUDGE_THRESHOLD = 0.5  # selection-quality accounting, independent of tau_w
 LAST_WINDOW = 10
+ACC_KEYS = ("acc_scratch", "acc_embed", "acc_ens")
 
 
 def gate_selection(k: int, e_start: int, e_up: int) -> bool:
@@ -94,10 +99,19 @@ class RunResult:
 
 
 def best_last(metrics) -> tuple:
-    """Best = max over epochs; Last = mean over the final 10 epochs."""
+    """Best and Last accuracies of a list of EpochMetrics."""
+    return best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
+
+
+def best_last_columns(columns) -> tuple:
+    """Best = max over epochs; Last = mean over the final LAST_WINDOW epochs.
+
+    columns maps each name in ACC_KEYS to its per-epoch accuracies; an
+    all-NaN column (an arm without that network) gives NaN for both.
+    """
     best, last = {}, {}
-    for key in ("acc_scratch", "acc_embed", "acc_ens"):
-        vals = np.array([getattr(m, key) for m in metrics], dtype=np.float64)
+    for key in ACC_KEYS:
+        vals = np.asarray(columns[key], dtype=np.float64)
         if np.all(np.isnan(vals)):
             best[key], last[key] = float("nan"), float("nan")
         else:
@@ -276,6 +290,26 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     return RunResult(metrics, best, last, arch, theta, None, None, [], out_path)
 
 
+def _write_codivide_audit(path, epochs, rows, ds: data.Dataset) -> None:
+    """One row per (epoch, pool sample), one write per epoch. epochs holds
+    (epoch, pool size) per co-teaching epoch and rows the matching
+    CODIVIDE_DTYPE rows. Floats are written as repr of a Python float, which
+    is what fmt_float produces."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(CODIVIDE_HEADER + "\n")
+        for (k, size), row in zip(epochs, rows):
+            row = row[:size]
+            ids = row["id"]
+            fh.write("".join(
+                f"{k},{i},{ws!r},{we!r},{ls:d},{le:d},{obs},{true}\n"
+                for i, ws, we, ls, le, obs, true in zip(
+                    ids.tolist(), row["w_scratch"].tolist(), row["w_embed"].tolist(),
+                    row["labeled_scratch"].tolist(), row["labeled_embed"].tolist(),
+                    ds.observed_labels[ids].tolist(), ds.true_labels[ids].tolist(),
+                )
+            ))
+
+
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     seed = cfg.run.seed
     sched, method = cfg.schedule, cfg.method
@@ -335,7 +369,14 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     snapshot = None
     metrics = []
     forget_rows = []
-    codivide_rows = []
+    codivide_epochs = []
+    # audit rows of every co-teaching epoch in one block, kept only for a run
+    # directory: per-epoch arrays kept instead stay scattered over the heap
+    # and raise the memory peak of whatever runs next
+    codivide_rows = (
+        np.empty((max(sched.max_epoch - sched.warmup, 0), n_train), CODIVIDE_DTYPE)
+        if out_path is not None else None
+    )
 
     def record_losses(key):
         store.record("scratch", key, net.per_sample_ce(
@@ -417,12 +458,15 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
             hn = int(np.sum(noisy_pool & judged_clean))
             ln = int(np.sum(noisy_pool)) - hn
             cs = int(np.sum(~noisy_pool))
-            for j, sample_id in enumerate(current_pool):
-                codivide_rows.append(
-                    f"{k},{sample_id},{fmt_float(res.w_scratch[j])},{fmt_float(res.w_embed[j])},"
-                    f"{int(res.labeled_for_scratch[j])},{int(res.labeled_for_embed[j])},"
-                    f"{ds.observed_labels[sample_id]},{ds.true_labels[sample_id]}"
-                )
+            if out_path is not None:
+                size = current_pool.shape[0]
+                row = codivide_rows[len(codivide_epochs), :size]
+                row["id"] = current_pool
+                row["w_scratch"] = res.w_scratch
+                row["w_embed"] = res.w_embed
+                row["labeled_scratch"] = res.labeled_for_scratch
+                row["labeled_embed"] = res.labeled_for_embed
+                codivide_epochs.append((k, size))
         _check_finite(k, theta_scratch=theta_scratch, theta_embed=theta_embed)
         p_scratch = net.predict_proba(arch_scratch, theta_scratch, ds.features[test_ids])
         p_embed = net.predict_proba(arch_embed, theta_embed, emb[test_ids])
@@ -447,11 +491,7 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     if out_path is not None:
         net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", arch_scratch, theta_scratch)
         net.save_checkpoint(out_path / "checkpoint_embed.ckpt", arch_embed, theta_embed)
-        with open(out_path / "codivide_audit.csv", "w", newline="\n") as fh:
-            fh.write(CODIVIDE_HEADER + "\n")
-            fh.write("\n".join(codivide_rows))
-            if codivide_rows:
-                fh.write("\n")
+        _write_codivide_audit(out_path / "codivide_audit.csv", codivide_epochs, codivide_rows, ds)
         with open(out_path / "forgetting_log.csv", "w", newline="\n") as fh:
             fh.write(forget.KL_LOG_HEADER + "\n")
             for epoch, tag, n, before, after in forget_rows:

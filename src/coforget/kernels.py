@@ -143,22 +143,26 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     components stay well defined. Returns (pi, mu, var, resp0, ll, n_iter)
     where resp0 is the posterior of component 0 per sample and ll holds the
     post-update log-likelihood of each completed iteration.
+
+    The per-component log-densities computed after each M-step for the
+    log-likelihood are, by the same expression on the same parameters, the
+    next iteration's E-step inputs and, after the last iteration, the inputs
+    of the returned responsibilities; they are computed once and reused.
     """
     n = values.shape[0]
     pi = pi0.copy()
     mu = mu0.copy()
     var = var0.copy()
     lls = np.empty(max_iter)
-    resp0 = np.full(n, 0.5)
     n_iter = 0
     log2pi = np.log(2.0 * np.pi)
+    lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
+    lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
     for it in range(max_iter):
         prev_pi0, prev_pi1 = pi[0], pi[1]
         prev_mu0, prev_mu1 = mu[0], mu[1]
         prev_sd0, prev_sd1 = np.sqrt(var[0]), np.sqrt(var[1])
         # E-step via log-odds
-        lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
-        lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
         resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
         resp1 = 1.0 - resp0
         # M-step
@@ -171,13 +175,16 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
         pi[1] = n1 / n
         mu[0] = (resp0 * values).sum() / n0
         mu[1] = (resp1 * values).sum() / n1
-        var[0] = max((resp0 * (values - mu[0]) ** 2).sum() / n0, var_floor)
-        var[1] = max((resp1 * (values - mu[1]) ** 2).sum() / n1, var_floor)
-        # log-likelihood under updated parameters
-        lq0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
-        lq1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
-        hi = np.maximum(lq0, lq1)
-        lls[it] = (hi + np.log(np.exp(lq0 - hi) + np.exp(lq1 - hi))).sum()
+        sq0 = (values - mu[0]) ** 2
+        sq1 = (values - mu[1]) ** 2
+        var[0] = max((resp0 * sq0).sum() / n0, var_floor)
+        var[1] = max((resp1 * sq1).sum() / n1, var_floor)
+        # log-densities under the updated parameters: this iteration's
+        # log-likelihood and the next E-step
+        lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - sq0 / (2.0 * var[0])
+        lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - sq1 / (2.0 * var[1])
+        hi = np.maximum(lp0, lp1)
+        lls[it] = (hi + np.log(np.exp(lp0 - hi) + np.exp(lp1 - hi))).sum()
         n_iter = it + 1
         dp = np.sqrt(
             (pi[0] - prev_pi0) ** 2
@@ -189,8 +196,6 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
         )
         if dp < tol:
             break
-    # final responsibilities under converged parameters
-    lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
-    lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
+    # final responsibilities under the returned parameters
     resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
     return pi, mu, var, resp0, lls[:n_iter], n_iter

@@ -122,6 +122,8 @@ def load_oracle_file(path, expected_ids=None) -> OracleTable:
             raise IngestionError(f"{path}:{lineno}: {exc}") from None
         if idx in rows:
             raise IngestionError(f"{path}:{lineno}: duplicate sample id {idx}")
+        if not np.all(np.isfinite(p)):
+            raise IngestionError(f"{path}:{lineno}: probabilities must be finite")
         if np.any(p < 0) or abs(p.sum() - 1.0) > _ROW_TOL:
             raise IngestionError(
                 f"{path}:{lineno}: probabilities must be non-negative and sum to 1 "

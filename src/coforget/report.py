@@ -11,12 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import driver
 from .errors import IngestionError
 from .util import fmt_float
 
 logger = logging.getLogger("coforget")
-
-LAST_WINDOW = 10
 
 
 @dataclass
@@ -63,19 +62,6 @@ def load_run(run_dir) -> RunData:
     return RunData(path.name, manifest, metrics, codivide, path)
 
 
-def best_last_from_metrics(metrics: dict) -> dict:
-    out = {}
-    for key in ("acc_scratch", "acc_embed", "acc_ens"):
-        vals = metrics[key]
-        if np.all(np.isnan(vals)):
-            out[f"best_{key}"] = float("nan")
-            out[f"last_{key}"] = float("nan")
-        else:
-            out[f"best_{key}"] = float(np.nanmax(vals))
-            out[f"last_{key}"] = float(np.nanmean(vals[-LAST_WINDOW:]))
-    return out
-
-
 def selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
     """Count noisy samples judged clean by both networks at least once in the
     epoch window, versus noisy samples never so judged, plus clean samples.
@@ -104,7 +90,7 @@ def default_window(manifest: dict) -> tuple:
 def write_report(run_dirs, out_dir, window=None) -> dict:
     """Emit curves.csv, summary.csv and selection_quality.csv for the given
     runs; incomplete run directories are skipped with a warning. Returns the
-    summary rows keyed by run id."""
+    (best, last) accuracy dicts of driver.best_last_columns keyed by run id."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     runs = []
@@ -130,13 +116,10 @@ def write_report(run_dirs, out_dir, window=None) -> dict:
     with open(out_path / "summary.csv", "w", newline="\n") as fh:
         fh.write("run_id,best_acc_scratch,last_acc_scratch,best_acc_embed,last_acc_embed,best_acc_ens,last_acc_ens\n")
         for run in runs:
-            bl = best_last_from_metrics(run.metrics)
-            summary[run.run_id] = bl
-            fh.write(
-                f"{run.run_id},{fmt_float(bl['best_acc_scratch'])},{fmt_float(bl['last_acc_scratch'])},"
-                f"{fmt_float(bl['best_acc_embed'])},{fmt_float(bl['last_acc_embed'])},"
-                f"{fmt_float(bl['best_acc_ens'])},{fmt_float(bl['last_acc_ens'])}\n"
-            )
+            best, last = driver.best_last_columns(run.metrics)
+            summary[run.run_id] = (best, last)
+            cells = (f"{fmt_float(best[key])},{fmt_float(last[key])}" for key in driver.ACC_KEYS)
+            fh.write(f"{run.run_id},{','.join(cells)}\n")
 
     with open(out_path / "selection_quality.csv", "w", newline="\n") as fh:
         fh.write("run_id,window_start,window_end,hn,ln,cs\n")

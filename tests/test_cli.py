@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from coforget import cli, data, oracle
-from coforget.config import build_config, load_config
+from coforget.config import build_config, load_config, validate_config
 from coforget.errors import ConfigurationError
 
 SMALL_CONFIG = {
@@ -81,6 +81,21 @@ class TestConfig:
         path = write_config(tmp_path, {"schedule.max_epoch": "many"})
         with pytest.raises(ConfigurationError, match="schedule.max_epoch"):
             load_config(path)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "field", ["method.t_unl", "method.lambda_u", "optim.lr_scratch", "dataset.spread"]
+    )
+    def test_non_finite_float_rejected_with_field(self, tmp_path, field, value):
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigurationError, match=field.replace(".", r"\.")):
+            load_config(path, overrides=[f"{field}={value}"])
+
+    def test_non_finite_float_rejected_on_direct_validation(self):
+        cfg = build_config(yaml.safe_load(yaml.safe_dump(SMALL_CONFIG)))
+        cfg.noise.eta = float("nan")
+        with pytest.raises(ConfigurationError, match=r"noise\.eta"):
+            validate_config(cfg)
 
     def test_schedule_invariants(self):
         bad = yaml.safe_load(yaml.safe_dump(SMALL_CONFIG))

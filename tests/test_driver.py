@@ -1,11 +1,17 @@
 """Schedule gates, warmup contract, determinism, ablation bisimulation."""
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from coforget import data, driver, net, oracle
-from coforget.config import RunConfig
+from coforget import coteach, data, driver, net, oracle
+from coforget.config import RunConfig, load_config
 from coforget.errors import ConfigurationError
+from coforget.util import fmt_float
+
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
 
 
 def small_cfg(**overrides) -> RunConfig:
@@ -209,3 +215,57 @@ class TestDeterminismFiles:
         driver.run(small_cfg(), d2)
         assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
         assert (d1 / "codivide_audit.csv").read_bytes() == (d2 / "codivide_audit.csv").read_bytes()
+
+
+class TestCodivideAudit:
+    """codivide_audit.csv against the row-by-row formatter it replaced."""
+
+    @staticmethod
+    def _reference_audit(cfg, epochs) -> bytes:
+        ds = driver.build_dataset(cfg)
+        rows = []
+        for k, pool_ids, res in epochs:
+            for j, sample_id in enumerate(pool_ids):
+                rows.append(
+                    f"{k},{sample_id},{fmt_float(res.w_scratch[j])},{fmt_float(res.w_embed[j])},"
+                    f"{int(res.labeled_for_scratch[j])},{int(res.labeled_for_embed[j])},"
+                    f"{ds.observed_labels[sample_id]},{ds.true_labels[sample_id]}"
+                )
+        text = driver.CODIVIDE_HEADER + "\n" + "\n".join(rows) + ("\n" if rows else "")
+        return text.encode()
+
+    @staticmethod
+    def _run_capturing(monkeypatch, cfg, out_dir):
+        epochs = []
+        original = coteach.coteach_epoch
+        signature = inspect.signature(original)
+
+        def capture(*args, **kwargs):
+            res = original(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            epochs.append((bound.arguments["epoch"], bound.arguments["pool_ids"], res))
+            return res
+
+        monkeypatch.setattr(coteach, "coteach_epoch", capture)
+        return driver.run(cfg, out_dir), epochs
+
+    @pytest.mark.parametrize("unlearning", [True, False])
+    def test_matches_row_by_row_formatter(self, tmp_path, monkeypatch, unlearning):
+        cfg = load_config(QUICK, [f"method.unlearning={str(unlearning).lower()}"])
+        _, epochs = self._run_capturing(monkeypatch, cfg, tmp_path / "run")
+        assert len(epochs) == cfg.schedule.max_epoch - cfg.schedule.warmup
+        written = (tmp_path / "run" / "codivide_audit.csv").read_bytes()
+        assert written == self._reference_audit(cfg, epochs)
+
+    def test_warmup_only_run_writes_header_line(self, tmp_path, monkeypatch):
+        cfg = load_config(QUICK, ["schedule.max_epoch=3", "schedule.encoder_unfreeze=3"])
+        assert cfg.schedule.max_epoch <= cfg.schedule.warmup
+        _, epochs = self._run_capturing(monkeypatch, cfg, tmp_path / "run")
+        assert epochs == []
+        written = (tmp_path / "run" / "codivide_audit.csv").read_bytes()
+        assert written == (driver.CODIVIDE_HEADER + "\n").encode()
+        assert written == self._reference_audit(cfg, epochs)
+
+    def test_out_dir_does_not_change_metrics(self, tmp_path):
+        cfg = load_config(QUICK)
+        assert driver.run(cfg, tmp_path / "run").metrics == driver.run(cfg).metrics

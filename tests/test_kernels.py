@@ -80,3 +80,87 @@ def test_gmm_kernel_swapped_init_swaps_components():
     pi2, mu2, var2, r2, _, _ = kernels.gmm_em_1d(values, *swapped, 100, 1e-6, 1e-4)
     np.testing.assert_allclose(mu1, mu2[::-1], atol=1e-8)
     np.testing.assert_allclose(r1, 1.0 - r2, atol=1e-8)
+
+
+def _gmm_em_1d_reference(values, pi0, mu0, var0, max_iter, tol, var_floor):
+    """The EM loop as first written: log-densities recomputed for every
+    E-step, every log-likelihood and the final responsibilities."""
+    n = values.shape[0]
+    pi = pi0.copy()
+    mu = mu0.copy()
+    var = var0.copy()
+    lls = np.empty(max_iter)
+    resp0 = np.full(n, 0.5)
+    n_iter = 0
+    log2pi = np.log(2.0 * np.pi)
+    for it in range(max_iter):
+        prev_pi0, prev_pi1 = pi[0], pi[1]
+        prev_mu0, prev_mu1 = mu[0], mu[1]
+        prev_sd0, prev_sd1 = np.sqrt(var[0]), np.sqrt(var[1])
+        lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
+        lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
+        resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
+        resp1 = 1.0 - resp0
+        n0 = resp0.sum()
+        n1 = resp1.sum()
+        if n0 <= 0.0 or n1 <= 0.0:
+            n_iter = it
+            break
+        pi[0] = n0 / n
+        pi[1] = n1 / n
+        mu[0] = (resp0 * values).sum() / n0
+        mu[1] = (resp1 * values).sum() / n1
+        var[0] = max((resp0 * (values - mu[0]) ** 2).sum() / n0, var_floor)
+        var[1] = max((resp1 * (values - mu[1]) ** 2).sum() / n1, var_floor)
+        lq0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
+        lq1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
+        hi = np.maximum(lq0, lq1)
+        lls[it] = (hi + np.log(np.exp(lq0 - hi) + np.exp(lq1 - hi))).sum()
+        n_iter = it + 1
+        dp = np.sqrt(
+            (pi[0] - prev_pi0) ** 2
+            + (pi[1] - prev_pi1) ** 2
+            + (mu[0] - prev_mu0) ** 2
+            + (mu[1] - prev_mu1) ** 2
+            + (np.sqrt(var[0]) - prev_sd0) ** 2
+            + (np.sqrt(var[1]) - prev_sd1) ** 2
+        )
+        if dp < tol:
+            break
+    lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
+    lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
+    resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
+    return pi, mu, var, resp0, lls[:n_iter], n_iter
+
+
+def _two_clusters(seed, n0=80, n1=40):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0.1, 0.02, n0), rng.normal(0.8, 0.05, n1)])
+
+
+@pytest.mark.parametrize(
+    "values, init, max_iter, tol, expect",
+    [
+        # converges well before max_iter
+        (_two_clusters(5), ([0.5, 0.5], [0.1, 0.9], [0.05, 0.05]), 100, 1e-6, "converged"),
+        # tol 0 never converges, so the loop stops at max_iter
+        (_two_clusters(6), ([0.5, 0.5], [0.3, 0.6], [0.2, 0.2]), 7, 0.0, "max_iter"),
+        # every lp1 - lp0 is below -37, so resp1 rounds to exactly 0 and the
+        # first M-step is skipped
+        (np.linspace(0.0, 0.1, 50), ([0.5, 0.5], [0.0, 10.0], [0.01, 0.01]), 100, 1e-6,
+         "early_break"),
+    ],
+    ids=["converged", "max_iter", "early_break"],
+)
+def test_gmm_kernel_bit_identical_to_reference(values, init, max_iter, tol, expect):
+    args = (values, *(np.array(a) for a in init), max_iter, tol, 1e-4)
+    ref = _gmm_em_1d_reference(*args)
+    # .py_func is the numpy path on either backend; the numba build is held
+    # to it by test_gmm_kernel_matches_pyfunc
+    out = kernels.gmm_em_1d.py_func(*args)
+    n_iter = out[5]
+    assert n_iter == ref[5]
+    assert {"converged": 0 < n_iter < max_iter, "max_iter": n_iter == max_iter,
+            "early_break": n_iter == 0}[expect]
+    for a, b in zip(out[:5], ref[:5]):
+        assert np.array_equal(a, b)

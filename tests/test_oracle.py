@@ -111,6 +111,16 @@ class TestOracleFile:
         with pytest.raises(IngestionError, match=":4"):
             oracle.load_oracle_file(path)
 
+    @pytest.mark.parametrize("row", ["1,nan,nan", "1,0.5,nan", "1,inf,0.5"])
+    def test_non_finite_row_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "oracle.csv"
+        path.write_text(
+            "# coforget oracle v1: line2 = C; rows = id,p0..p{C-1}\n"
+            f"2\n0,0.5,0.5\n{row}\n"
+        )
+        with pytest.raises(IngestionError, match=r"oracle\.csv:4: .*finite"):
+            oracle.load_oracle_file(path)
+
     def test_missing_ids_listed(self, tmp_path):
         path = tmp_path / "oracle.csv"
         rows = "".join(f"{i},0.6,0.4\n" for i in range(10) if i != 7)
