@@ -234,6 +234,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"noise.eta must be in [0, 1), got {noise.eta}")
     if noise.kind == "asymmetric" and noise.pair_map is None:
         raise ConfigurationError("noise.pair_map is required for asymmetric noise")
+    for i, target in enumerate(noise.pair_map or ()):
+        if isinstance(target, bool) or not isinstance(target, int):
+            raise ConfigurationError(f"noise.pair_map[{i}] must be a class index, got {target!r}")
 
     if oracle.kind not in ORACLE_KINDS:
         raise ConfigurationError(f"oracle.kind must be one of {ORACLE_KINDS}, got {oracle.kind!r}")
@@ -289,6 +292,8 @@ def validate_config(cfg: RunConfig) -> None:
 
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply 'section.key=value' strings (bare 'seed' means run.seed)."""
+    if overrides and not isinstance(data, dict):
+        raise ConfigurationError("config root must be a mapping of sections")
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} must look like section.key=value")
@@ -301,9 +306,10 @@ def apply_overrides(data: dict, overrides) -> dict:
             raise ConfigurationError(f"override key {key!r} must be section.key")
         section, name = parts
         value = yaml.safe_load(raw)
-        data.setdefault(section, {})
-        if data[section] is None:
+        if data.get(section) is None:
             data[section] = {}
+        elif not isinstance(data[section], dict):
+            raise ConfigurationError(f"section {section!r} must be a mapping")
         data[section][name] = value
     return data
 

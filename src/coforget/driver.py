@@ -295,19 +295,23 @@ def _write_codivide_audit(path, epochs, rows, ds: data.Dataset) -> None:
     (epoch, pool size) per co-teaching epoch and rows the matching
     CODIVIDE_DTYPE rows. Floats are written as repr of a Python float, which
     is what fmt_float produces."""
+    flag = ("0", "1").__getitem__
     with open(path, "w", newline="\n") as fh:
         fh.write(CODIVIDE_HEADER + "\n")
         for (k, size), row in zip(epochs, rows):
             row = row[:size]
             ids = row["id"]
-            fh.write("".join(
-                f"{k},{i},{ws!r},{we!r},{ls:d},{le:d},{obs},{true}\n"
-                for i, ws, we, ls, le, obs, true in zip(
-                    ids.tolist(), row["w_scratch"].tolist(), row["w_embed"].tolist(),
-                    row["labeled_scratch"].tolist(), row["labeled_embed"].tolist(),
-                    ds.observed_labels[ids].tolist(), ds.true_labels[ids].tolist(),
-                )
-            ))
+            cells = zip(
+                map(str, ids.tolist()),
+                map(repr, row["w_scratch"].tolist()), map(repr, row["w_embed"].tolist()),
+                map(flag, row["labeled_scratch"].tolist()), map(flag, row["labeled_embed"].tolist()),
+                map(str, ds.observed_labels[ids].tolist()), map(str, ds.true_labels[ids].tolist()),
+            )
+            # three writes: concatenating around the chunk would copy it twice
+            prefix = f"{k},"
+            fh.write(prefix)
+            fh.write(("\n" + prefix).join(map(",".join, cells)))
+            fh.write("\n")
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:

@@ -28,25 +28,49 @@ class RunData:
 
 
 def _read_csv_columns(path: Path) -> dict:
+    """Header names mapped to float64 columns, parsed in one numpy call.
+
+    A header-only file gives zero-length columns. A ragged row or a cell that
+    is not a number raises IngestionError naming path:line.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise IngestionError(f"{path}: empty file")
-    names = lines[0].split(",")
-    cols = {n: [] for n in names}
-    for row in lines[1:]:
-        parts = row.split(",")
-        if len(parts) != len(names):
-            raise IngestionError(f"{path}: ragged row {row!r}")
-        for n, v in zip(names, parts):
-            cols[n].append(v)
-    out = {}
-    for n, vals in cols.items():
+        header = fh.readline()
+        if not header:
+            raise IngestionError(f"{path}: empty file")
+        names = header.rstrip("\n").split(",")
+        body = fh.tell()
+        if not fh.read(1):
+            return {n: np.empty(0) for n in names}
+        fh.seek(body)
         try:
-            out[n] = np.array([float(v) for v in vals])
-        except ValueError:
-            out[n] = np.array(vals)
-    return out
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            if table.shape[1] == len(names):
+                return dict(zip(names, table.T))
+            reason = "column count differs from the header"
+        fh.seek(body)
+        raise _bad_line(path, fh, len(names), reason)
+
+
+def _bad_line(path: Path, lines, width: int, reason: str) -> IngestionError:
+    """IngestionError naming the first data line (the header is line 1) that
+    is ragged or holds a cell float() rejects. np.loadtxt's own message counts
+    rows from 0 or 1 depending on the fault and skips blank lines, so it is
+    only the fallback."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != width:
+            return IngestionError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return IngestionError(f"{path}:{lineno}: not a number: {cell!r}")
+    return IngestionError(f"{path}: {reason}")
 
 
 def load_run(run_dir) -> RunData:
@@ -71,14 +95,15 @@ def selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
     ids = codivide["id"][in_window].astype(np.int64)
     noisy = codivide["observed"][in_window] != codivide["true"][in_window]
     judged = (codivide["w_scratch"][in_window] >= threshold) & (codivide["w_embed"][in_window] >= threshold)
-    seen = {}
-    flagged = {}
-    for sample_id, is_noisy, is_judged in zip(ids.tolist(), noisy.tolist(), judged.tolist()):
-        seen[sample_id] = is_noisy
-        flagged[sample_id] = flagged.get(sample_id, False) or is_judged
-    hn = sum(1 for i, is_noisy in seen.items() if is_noisy and flagged[i])
-    ln = sum(1 for i, is_noisy in seen.items() if is_noisy and not flagged[i])
-    cs = sum(1 for is_noisy in seen.values() if not is_noisy)
+    # per distinct sample id: noisy as of its last row in the window, and
+    # judged clean if both networks judged it so in any epoch of the window
+    sample_ids, last_row, row_sample = np.unique(
+        ids[::-1], return_index=True, return_inverse=True)
+    noisy_sample = noisy[::-1][last_row]
+    flagged = np.bincount(row_sample[judged[::-1]], minlength=sample_ids.shape[0]) > 0
+    hn = int(np.sum(noisy_sample & flagged))
+    ln = int(np.sum(noisy_sample & ~flagged))
+    cs = int(np.sum(~noisy_sample))
     return {"hn": hn, "ln": ln, "cs": cs, "window": (int(lo), int(hi))}
 
 

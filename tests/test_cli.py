@@ -97,6 +97,36 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"noise\.eta"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("pair_map, index", [
+        ([1, "x", 0], 1), ([1.5, 2, 0], 0), ([1, 2, True], 2), ([1, None, 0], 1),
+        ([1, [2], 0], 1),
+    ])
+    def test_pair_map_elements_must_be_ints(self, tmp_path, pair_map, index):
+        path = write_config(tmp_path, {"noise.kind": "asymmetric", "noise.pair_map": pair_map})
+        with pytest.raises(ConfigurationError, match=rf"noise\.pair_map\[{index}\]"):
+            load_config(path)
+
+    def test_pair_map_of_ints_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"noise.kind": "asymmetric", "noise.pair_map": [1, 2, 0]})
+        assert load_config(path).noise.pair_map == [1, 2, 0]
+
+    @pytest.mark.parametrize("section, override", [
+        ("run", "seed=2"), ("run", "run.outdir=x"), ("method", "method.t_unl=0.1"),
+    ])
+    def test_override_into_non_mapping_section(self, tmp_path, section, override):
+        cfg = yaml.safe_load(yaml.safe_dump(SMALL_CONFIG))
+        cfg[section] = 5
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigurationError, match=f"section '{section}' must be a mapping"):
+            load_config(path, overrides=[override])
+
+    def test_override_into_non_mapping_root(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ConfigurationError, match="config root must be a mapping"):
+            load_config(path, overrides=["seed=2"])
+
     def test_schedule_invariants(self):
         bad = yaml.safe_load(yaml.safe_dump(SMALL_CONFIG))
         bad["schedule"]["warmup"] = 7  # >= start_unlearn
@@ -228,6 +258,23 @@ class TestTrainAndReport:
         du_a = header.index("n_forget_scratch")
         du_v = header.index("n_forget_embed")
         assert all(r.split(",")[du_a] == "0" and r.split(",")[du_v] == "0" for r in rows)
+
+    def test_override_into_non_mapping_section_exits_2(self, tmp_path, capsys):
+        cfg = yaml.safe_load(yaml.safe_dump(SMALL_CONFIG))
+        cfg["run"] = 5
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run"),
+                       "--override", "seed=2"])
+        assert rc == 2
+        assert "section 'run' must be a mapping" in capsys.readouterr().err
+
+    def test_non_int_pair_map_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"noise.kind": "asymmetric", "noise.pair_map": [1, "x", 0]})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "noise.pair_map[1]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_outdir_falls_back_to_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.RUNS_DIR_ENV, str(tmp_path / "root"))

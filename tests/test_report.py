@@ -1,11 +1,61 @@
-"""Reporting: hand-tallied selection-quality counts and multi-run curves."""
+"""Reporting: hand-tallied selection-quality counts, multi-run curves, and
+the run-directory reader against the row-by-row parser and dict tally it
+replaced."""
+
+import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from coforget import cli, report
+from coforget import cli, driver, report
+from coforget.config import load_config
 from coforget.errors import IngestionError
+
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
+
+
+def _reference_read_csv_columns(path) -> dict:
+    """The row-by-row float() parser report._read_csv_columns replaced."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise IngestionError(f"{path}: empty file")
+    names = lines[0].split(",")
+    cols = {n: [] for n in names}
+    for row in lines[1:]:
+        parts = row.split(",")
+        if len(parts) != len(names):
+            raise IngestionError(f"{path}: ragged row {row!r}")
+        for n, v in zip(names, parts):
+            cols[n].append(v)
+    out = {}
+    for n, vals in cols.items():
+        try:
+            out[n] = np.array([float(v) for v in vals])
+        except ValueError:
+            out[n] = np.array(vals)
+    return out
+
+
+def _reference_selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
+    """The per-row dict tally report.selection_quality replaced."""
+    lo, hi = window
+    in_window = (codivide["epoch"] >= lo) & (codivide["epoch"] <= hi)
+    ids = codivide["id"][in_window].astype(np.int64)
+    noisy = codivide["observed"][in_window] != codivide["true"][in_window]
+    judged = (codivide["w_scratch"][in_window] >= threshold) & (codivide["w_embed"][in_window] >= threshold)
+    seen = {}
+    flagged = {}
+    for sample_id, is_noisy, is_judged in zip(ids.tolist(), noisy.tolist(), judged.tolist()):
+        seen[sample_id] = is_noisy
+        flagged[sample_id] = flagged.get(sample_id, False) or is_judged
+    hn = sum(1 for i, is_noisy in seen.items() if is_noisy and flagged[i])
+    ln = sum(1 for i, is_noisy in seen.items() if is_noisy and not flagged[i])
+    cs = sum(1 for is_noisy in seen.values() if not is_noisy)
+    return {"hn": hn, "ln": ln, "cs": cs, "window": (int(lo), int(hi))}
 
 
 def _audit_from_rows(rows):
@@ -52,6 +102,169 @@ class TestSelectionQuality:
         rows = [(1, 0, 0.5, 0.5, 1, 0)]
         q = report.selection_quality(_audit_from_rows(rows), (1, 1))
         assert q["hn"] == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dict_tally_on_random_audits(self, seed):
+        rng = np.random.default_rng(seed)
+        n, epochs = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        true = rng.integers(0, 3, n)
+        observed = np.where(rng.random(n) < 0.4, rng.integers(0, 3, n), true)
+        rows = []
+        for k in range(1, epochs + 1):
+            pool = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            # a grid of weights lands on the 0.5 threshold often
+            w = rng.integers(0, 9, (2, pool.shape[0])) / 8.0
+            rows += [(k, i, a, v, observed[i], true[i]) for i, a, v in zip(pool, *w)]
+        audit = _audit_from_rows(rows)
+        lo = int(rng.integers(0, epochs + 1))
+        for window in ((lo, int(rng.integers(lo, epochs + 2))), (1, epochs), (epochs + 1, epochs + 5)):
+            assert report.selection_quality(audit, window) == _reference_selection_quality(audit, window)
+
+    def test_matches_dict_tally_when_labels_disagree_across_rows(self):
+        # a sample's last row in the window sets whether it counts as noisy
+        rows = [(1, 0, 0.9, 0.9, 1, 0), (2, 0, 0.9, 0.9, 1, 1), (3, 0, 0.1, 0.1, 1, 0)]
+        audit = _audit_from_rows(rows)
+        for window in ((1, 2), (1, 3), (2, 3)):
+            assert report.selection_quality(audit, window) == _reference_selection_quality(audit, window)
+
+
+@pytest.fixture(scope="module")
+def quick_runs(tmp_path_factory):
+    """Run dirs of configs/quick.yaml: unlearning on and off, a naive-ce arm
+    and a warmup-only run (header-only codivide_audit.csv)."""
+    root = tmp_path_factory.mktemp("runs")
+    arms = {
+        "unl-on": ["method.unlearning=true"],
+        "unl-off": ["method.unlearning=false"],
+        "naive": ["method.kind=naive-ce"],
+        "warmup-only": ["schedule.max_epoch=3", "schedule.encoder_unfreeze=3"],
+    }
+    for name, overrides in arms.items():
+        driver.run(load_config(QUICK, overrides), root / name)
+    return {name: root / name for name in arms}
+
+
+class TestReadRunDir:
+    def test_columns_equal_row_by_row_parser(self, quick_runs):
+        for name, run_dir in quick_runs.items():
+            run = report.load_run(run_dir)
+            for file_name, columns in (("metrics.csv", run.metrics),
+                                       ("codivide_audit.csv", run.codivide)):
+                if not (run_dir / file_name).exists():
+                    assert name == "naive" and columns is None
+                    continue
+                reference = _reference_read_csv_columns(run_dir / file_name)
+                assert list(columns) == list(reference)
+                for col, values in reference.items():
+                    assert values.dtype == columns[col].dtype == np.float64
+                    assert np.array_equal(columns[col], values, equal_nan=True), (name, col)
+
+    def test_header_only_file_gives_empty_columns(self, quick_runs):
+        codivide = report.load_run(quick_runs["warmup-only"]).codivide
+        assert list(codivide) == driver.CODIVIDE_HEADER.split(",")
+        assert all(col.shape == (0,) and col.dtype == np.float64 for col in codivide.values())
+
+    def test_naive_arm_nan_column_round_trips(self, quick_runs):
+        run = report.load_run(quick_runs["naive"])
+        assert run.codivide is None
+        assert run.metrics["acc_embed"].shape[0] == load_config(QUICK).schedule.max_epoch
+        assert np.all(np.isnan(run.metrics["acc_embed"]))
+        assert np.all(np.isfinite(run.metrics["acc_scratch"]))
+
+    def test_report_files_equal_old_read_path(self, quick_runs, tmp_path, monkeypatch):
+        dirs = list(quick_runs.values())
+        report.write_report(dirs, tmp_path / "new")
+        monkeypatch.setattr(report, "_read_csv_columns", _reference_read_csv_columns)
+        monkeypatch.setattr(report, "selection_quality", _reference_selection_quality)
+        report.write_report(dirs, tmp_path / "old")
+        for name in ("curves.csv", "summary.csv", "selection_quality.csv"):
+            new = (tmp_path / "new" / name).read_bytes()
+            assert new == (tmp_path / "old" / name).read_bytes(), name
+        assert len((tmp_path / "new" / "selection_quality.csv").read_text().splitlines()) == 3
+
+
+def _copy_run(src, dst):
+    dst.mkdir()
+    for name in ("manifest.json", "metrics.csv", "codivide_audit.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+
+
+def _damage(run_dir, file_name, line_no, transform):
+    path = run_dir / file_name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = transform(lines[line_no - 1])
+    path.write_text("".join(lines))
+    return path
+
+
+def _set_cell(column, value):
+    def transform(line):
+        cells = line.rstrip("\n").split(",")
+        cells[column] = value
+        return ",".join(cells) + "\n"
+    return transform
+
+
+def _drop_last_cell(line):
+    return line.rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
+DAMAGES = {
+    "non-numeric": _set_cell(2, "abc"),
+    "empty-cell": _set_cell(1, ""),
+    "ragged": _drop_last_cell,
+}
+
+
+class TestBadRunFiles:
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    @pytest.mark.parametrize("file_name, line_no", [
+        ("metrics.csv", 2), ("metrics.csv", 7), ("codivide_audit.csv", 2),
+        ("codivide_audit.csv", 1000),
+    ])
+    def test_bad_cell_names_path_and_line(self, quick_runs, tmp_path, file_name, line_no, damage):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        path = _damage(run_dir, file_name, line_no, DAMAGES[damage])
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:{line_no}: "):
+            report.load_run(run_dir)
+
+    def test_ragged_header_width_names_first_data_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("a,b,c\n1,2\n3,4\n")
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:2: 2 cells, expected 3"):
+            report._read_csv_columns(path)
+
+    def test_blank_lines_count_toward_line_number(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("a,b\n1,2\n\n3,x\n")
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:4: not a number: 'x'"):
+            report._read_csv_columns(path)
+
+    def test_empty_file_is_an_error(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("")
+        with pytest.raises(IngestionError, match="empty file"):
+            report._read_csv_columns(path)
+
+    def test_report_skips_damaged_dir_with_warning(self, quick_runs, tmp_path, caplog):
+        bad = tmp_path / "bad"
+        _copy_run(quick_runs["unl-on"], bad)
+        _damage(bad, "codivide_audit.csv", 50, _set_cell(2, "abc"))
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            report.write_report([bad, quick_runs["unl-off"]], tmp_path / "rep")
+        assert any("skipping" in r.getMessage() and "codivide_audit.csv:50" in r.getMessage()
+                   for r in caplog.records)
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
+
+    @pytest.mark.parametrize("file_name", ["metrics.csv", "codivide_audit.csv"])
+    def test_cli_exits_2_when_no_dir_is_left(self, quick_runs, tmp_path, capsys, file_name):
+        bad = tmp_path / "bad"
+        _copy_run(quick_runs["unl-on"], bad)
+        _damage(bad, file_name, 3, _set_cell(2, "abc"))
+        assert cli.main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        assert "no completed run directories" in capsys.readouterr().err
 
 
 class TestMultiRunReport:
