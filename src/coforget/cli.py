@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, driver, oracle
+from . import __version__, data, driver, oracle, report
 from .config import load_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
 from .util import fmt_float
@@ -118,7 +118,7 @@ def _parse_window(text):
 
 
 def cmd_report(args) -> int:
-    summary = report_module().write_report(
+    summary = report.write_report(
         args.run_dirs, args.out, window=_parse_window(args.window)
     )
     width = max(len(r) for r in summary)
@@ -128,12 +128,6 @@ def cmd_report(args) -> int:
         print(f"{run_id:<{width}}  {cells}")
     print(f"report files under {args.out}")
     return 0
-
-
-def report_module():
-    from . import report
-
-    return report
 
 
 def cmd_sweep(args) -> int:

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 import yaml
@@ -135,43 +136,32 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# field type -> (what a message says is expected, the YAML types it accepts);
+# bools are ints to isinstance, so only a bool field takes one
+_COERCE = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    bool: ("true/false", bool),
+    str: ("a string", str),
+    list: ("a list", list),
+}
+
+
 def _coerce(section: str, key: str, value, annotation):
-    origin = annotation
-    if annotation in (int, "int"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{section}.{key}: expected an integer, got {value!r}")
-        return int(value)
-    if annotation in (float, "float"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{section}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if annotation in (bool, "bool"):
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{section}.{key}: expected true/false, got {value!r}")
-        return value
-    if annotation in (str, "str"):
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{section}.{key}: expected a string, got {value!r}")
-        return value
-    if "int | None" in str(origin) or "Optional" in str(origin):
+    """Check one YAML value against its field type; `X | None` also takes null."""
+    args = typing.get_args(annotation)
+    optional = type(None) in args
+    if optional:
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{section}.{key}: expected an integer or null, got {value!r}")
-        return int(value)
-    if "float | None" in str(origin):
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{section}.{key}: expected a number or null, got {value!r}")
-        return float(value)
-    if "list" in str(origin):
-        if value is None and "None" in str(origin):
-            return None
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{section}.{key}: expected a list, got {value!r}")
-        return list(value)
-    raise ConfigurationError(f"{section}.{key}: unsupported config field type {annotation}")
+        (annotation,) = (a for a in args if a is not type(None))
+    if annotation not in _COERCE:
+        raise ConfigurationError(f"{section}.{key}: unsupported config field type {annotation}")
+    what, accepted = _COERCE[annotation]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and annotation is not bool):
+        null = " or null" if optional else ""
+        raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {value!r}")
+    return annotation(value)
 
 
 def _apply_section(cfg_obj, section: str, data: dict):

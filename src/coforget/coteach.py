@@ -180,27 +180,6 @@ def mixup(x_i, y_i, x_j, y_j, alpha, rng):
     return x_hat, y_hat, lam
 
 
-def loss_labeled(y_hat, p) -> float:
-    """Batch-mean soft-target cross-entropy."""
-    y_rows, _ = _rows(y_hat)
-    p_rows, _ = _rows(p)
-    return float(-np.sum(y_rows * np.log(np.maximum(p_rows, net.EPS))) / y_rows.shape[0])
-
-
-def loss_unlabeled(y_hat, p) -> float:
-    """Batch-mean squared Euclidean distance."""
-    y_rows, _ = _rows(y_hat)
-    p_rows, _ = _rows(p)
-    return float(np.sum((y_rows - p_rows) ** 2) / y_rows.shape[0])
-
-
-def loss_reg(p_mean) -> float:
-    """Uniform-prior penalty on the batch-mean prediction."""
-    p_mean = np.asarray(p_mean, dtype=np.float64)
-    prior = 1.0 / p_mean.shape[-1]
-    return float(np.sum(prior * np.log(prior / np.maximum(p_mean, net.EPS))))
-
-
 # ---------------------------------------------------------------------------
 # one co-teaching epoch
 # ---------------------------------------------------------------------------
@@ -244,9 +223,7 @@ def _train_one_net(arch, theta, opt, inputs, targets_onehot, labeled_ids, labele
     n_unl = unlabeled_ids.shape[0]
     unl_ids = unlabeled_ids[rng.permutation(n_unl)] if n_unl else unlabeled_ids
     b = params.batch_size
-    n_batches = (lab_ids.shape[0] + b - 1) // b
-    total = 0.0
-    for i in range(n_batches):
+    for i in range((lab_ids.shape[0] + b - 1) // b):
         ids_x = lab_ids[i * b:(i + 1) * b]
         w_x = lab_w[i * b:(i + 1) * b]
         x_lab = inputs[ids_x]
@@ -265,12 +242,11 @@ def _train_one_net(arch, theta, opt, inputs, targets_onehot, labeled_ids, labele
         mixed_x, mixed_y, _ = mixup(
             pool_x, pool_y, pool_x[perm], pool_y[perm], params.mixup_alpha, rng
         )
-        loss, grad = net.semi_value_grad(
+        _, grad = net.semi_value_grad(
             arch, theta, mixed_x, mixed_y, ids_x.shape[0], params.lambda_u, params.reg_coef
         )
         theta, opt = net.sgd_step(theta, grad, opt, epoch, frozen_prefix)
-        total += loss
-    return theta, opt, total / max(n_batches, 1)
+    return theta, opt
 
 
 def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids,
@@ -301,7 +277,7 @@ def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids,
     if skipped_scratch:
         logger.warning("epoch %d: no labeled samples for scratch net, skipping its update", epoch)
     else:
-        theta_scratch, opt_scratch, _ = _train_one_net(
+        theta_scratch, opt_scratch = _train_one_net(
             arch_scratch, theta_scratch, opt_scratch, inputs_scratch, onehot,
             div.scratch_labeled_ids, div.scratch_labeled_w, div.scratch_unlabeled_ids,
             predict_scratch, lambda ids: predict_embed(theta_embed_pre, ids),
@@ -318,7 +294,7 @@ def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids,
         else:
             embed_unlabeled = pool_ids[w_scratch < params.tau_w]
         theta_scratch_now = theta_scratch
-        theta_embed, opt_embed, _ = _train_one_net(
+        theta_embed, opt_embed = _train_one_net(
             arch_embed, theta_embed, opt_embed, inputs_embed, onehot,
             div.embed_labeled_ids, div.embed_labeled_w, embed_unlabeled,
             predict_embed, lambda ids: predict_scratch(theta_scratch_now, ids),

@@ -43,10 +43,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
-
     def train_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.is_test).astype(np.int64)
 
@@ -241,6 +237,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a file written by save_dataset. A malformed header or row, a
+    label outside [0, C), a noisy test label or a non-finite feature raises
+    IngestionError at path:line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# coforget dataset v1"):
@@ -249,6 +248,8 @@ def load_dataset(path) -> Dataset:
         n_classes, dim, n = (int(v) for v in lines[1].split(","))
     except (IndexError, ValueError) as exc:
         raise IngestionError(f"{path}: line 2 must be 'C,dim,N' ({exc})") from None
+    if n_classes < 1 or dim < 1 or n < 0:
+        raise IngestionError(f"{path}:2: need C >= 1, dim >= 1 and N >= 0, got {lines[1]!r}")
     records = lines[2:]
     if len(records) != n:
         raise IngestionError(f"{path}: header promises {n} records, found {len(records)}")
@@ -266,10 +267,16 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"ids must be contiguous, got {idx}")
             if parts[1] not in ("train", "test"):
                 raise ValueError(f"bad split tag {parts[1]!r}")
+            true, obs = int(parts[2]), int(parts[3])
+            if not (0 <= true < n_classes and 0 <= obs < n_classes):
+                raise ValueError(f"labels {true},{obs} must lie in [0, {n_classes})")
+            if parts[1] == "test" and true != obs:
+                raise ValueError("test rows must carry no label noise")
             is_test[idx] = parts[1] == "test"
-            true_labels[idx] = int(parts[2])
-            observed[idx] = int(parts[3])
+            true_labels[idx], observed[idx] = true, obs
             features[idx] = [float(v) for v in parts[4:]]
+            if not np.all(np.isfinite(features[idx])):
+                raise ValueError(f"features must be finite, got {','.join(parts[4:])}")
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from None
     return Dataset(features, true_labels, observed, is_test, n_classes)

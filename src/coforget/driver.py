@@ -175,43 +175,31 @@ def _accuracy(arch, theta, x, labels) -> float:
     return float((probs.argmax(axis=1) == labels).mean())
 
 
-def _batched(ids, batch_size):
-    for i in range(0, ids.shape[0], batch_size):
-        yield ids[i:i + batch_size]
+def _ce_epoch(arch, theta, opt, inputs, targets, order, epoch, batch_size, frozen_prefix=0):
+    """One pass of batch-mean soft-target CE steps over the ids in order,
+    batch_size at a time; the first frozen_prefix parameters stay put."""
+    for i in range(0, order.shape[0], batch_size):
+        ids = order[i:i + batch_size]
+        _, grad = net.ce_value_grad(arch, theta, inputs[ids], targets[ids])
+        theta, opt = net.sgd_step(theta, grad, opt, epoch, frozen_prefix)
+    return theta, opt
 
 
 def warmup_epoch(feats, emb, onehot_obs, soft_targets, train_ids,
                  arch_scratch, theta_scratch, opt_scratch,
                  arch_embed, theta_embed, opt_embed, epoch, batch_size, rng):
     """One warmup epoch: the scratch net learns the observed labels, the
-    embed net's head learns oracle/label-blend soft targets."""
+    embed net learns oracle/label-blend soft targets with its first layer
+    (the adapter) frozen."""
     order = train_ids[rng.permutation(train_ids.shape[0])]
-    for ids in _batched(order, batch_size):
-        _, grad = net.ce_value_grad(arch_scratch, theta_scratch, feats[ids], onehot_obs[ids])
-        theta_scratch, opt_scratch = net.sgd_step(theta_scratch, grad, opt_scratch, epoch)
+    theta_scratch, opt_scratch = _ce_epoch(
+        arch_scratch, theta_scratch, opt_scratch, feats, onehot_obs, order, epoch, batch_size
+    )
     order = train_ids[rng.permutation(train_ids.shape[0])]
-    head_only = arch_embed.first_layer_params()
-    for ids in _batched(order, batch_size):
-        _, grad = net.ce_value_grad(arch_embed, theta_embed, emb[ids], soft_targets[ids])
-        theta_embed, opt_embed = net.sgd_step(
-            theta_embed, grad, opt_embed, epoch, frozen_prefix=head_only
-        )
-    return theta_scratch, opt_scratch, theta_embed, opt_embed
-
-
-def warmup(ds, emb, oracle_table, arch_scratch, theta_scratch, opt_scratch,
-           arch_embed, theta_embed, opt_embed, n_epochs, batch_size, seed):
-    """Run the whole warmup period; a zero-epoch warmup is a no-op."""
-    train_ids = ds.train_ids()
-    onehot = np.eye(ds.n_classes)[ds.observed_labels]
-    soft_targets = 0.5 * oracle_table.probs + 0.5 * onehot
-    for k in range(1, n_epochs + 1):
-        theta_scratch, opt_scratch, theta_embed, opt_embed = warmup_epoch(
-            ds.features, emb, onehot, soft_targets, train_ids,
-            arch_scratch, theta_scratch, opt_scratch,
-            arch_embed, theta_embed, opt_embed,
-            k, batch_size, rng_for(seed, f"warmup/{k}"),
-        )
+    theta_embed, opt_embed = _ce_epoch(
+        arch_embed, theta_embed, opt_embed, emb, soft_targets, order, epoch, batch_size,
+        frozen_prefix=arch_embed.first_layer_params(),
+    )
     return theta_scratch, opt_scratch, theta_embed, opt_embed
 
 
@@ -270,9 +258,7 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     for k in range(1, cfg.schedule.max_epoch + 1):
         rng = rng_for(seed, f"naive/{k}")
         order = train_ids[rng.permutation(train_ids.shape[0])]
-        for ids in _batched(order, cfg.optim.batch_size):
-            _, grad = net.ce_value_grad(arch, theta, ds.features[ids], onehot[ids])
-            theta, opt = net.sgd_step(theta, grad, opt, k)
+        theta, opt = _ce_epoch(arch, theta, opt, ds.features, onehot, order, k, cfg.optim.batch_size)
         _check_finite(k, theta=theta)
         acc = _accuracy(arch, theta, ds.features[test_ids], ds.true_labels[test_ids])
         loss = float(

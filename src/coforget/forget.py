@@ -1,10 +1,11 @@
 """Selective forgetting: push the current network's predictions away from a
 frozen reference snapshot on the targeted samples.
 
-The objective is the negative, temperature-scaled KL divergence from the
-reference distribution summed over a mini-batch, so one SGD step on it
-ascends the divergence. The reference receives no gradient; updates share
-the network's main optimizer state.
+The objective (``net.unlearn_value_grad``) is the negative,
+temperature-scaled KL divergence from the reference distribution summed
+over a mini-batch, so one SGD step on it ascends the divergence. The
+reference receives no gradient; updates share the network's main optimizer
+state.
 """
 
 from dataclasses import dataclass
@@ -15,17 +16,6 @@ from . import net
 from .errors import InputError
 
 KL_LOG_HEADER = "epoch,network,n_du,kl_before,kl_after"
-
-
-def unlearning_loss(p_ref, p_cur, t_unl: float) -> float:
-    """-t_unl^2 * sum over the batch of KL(reference || current); always <= 0."""
-    if t_unl <= 0:
-        raise InputError(f"t_unl must be > 0, got {t_unl}")
-    p_ref = np.atleast_2d(np.asarray(p_ref, dtype=np.float64))
-    p_cur = np.atleast_2d(np.asarray(p_cur, dtype=np.float64))
-    if p_ref.shape != p_cur.shape:
-        raise InputError(f"batch shapes differ: {p_ref.shape} vs {p_cur.shape}")
-    return -float(t_unl) ** 2 * float(np.sum(net.kl_rows(p_ref, p_cur)))
 
 
 @dataclass(frozen=True)

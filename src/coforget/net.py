@@ -1,10 +1,15 @@
-"""Minimal MLP core: forward, per-sample losses, hand-derived gradients, SGD.
+"""Minimal MLP core: forward pass, training objectives, SGD, checkpoints.
 
 Parameters live in a single flat float64 vector (layout documented in
-``kernels``); gradients come from one shared backward pass fed by
-per-objective d(loss)/d(probabilities) formulas pushed through the softmax
-Jacobian. Probabilities are clamped to ``EPS`` before any log, and the
-gradients match that clamped loss exactly so finite differences agree.
+``kernels``). The pipeline trains with three objectives, each a batch
+value-and-gradient: ``ce_value_grad`` (warmup, the naive arm),
+``semi_value_grad`` (co-teaching: CE on labeled rows, weighted squared
+distance on unlabeled rows, a uniform-prior penalty) and
+``unlearn_value_grad`` (forgetting: negative temperature-scaled KL from a
+frozen reference). Each pushes its d(loss)/d(probabilities) through the
+softmax Jacobian into one shared backward pass. Probabilities are clamped to
+``EPS`` before any log, and the gradients match that clamped loss exactly so
+finite differences agree.
 """
 
 import json
@@ -71,19 +76,19 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _as_batch(x) -> np.ndarray:
+def _as_batch(arch: Architecture, x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    return x
-
-
-def forward(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
-    x = _as_batch(x)
     if x.shape[1] != arch.in_width:
         raise ConfigurationError(
             f"batch width {x.shape[1]} does not match network input width {arch.in_width}"
         )
+    return x
+
+
+def forward(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
+    x = _as_batch(arch, x)
     if theta.shape[0] != arch.n_params:
         raise ConfigurationError(
             f"parameter vector has {theta.shape[0]} entries, architecture needs {arch.n_params}"
@@ -101,21 +106,6 @@ def softmax(logits) -> np.ndarray:
 
 def predict_proba(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
     return softmax(forward(arch, theta, x))
-
-
-def cross_entropy(prob, label: int) -> float:
-    prob = np.asarray(prob, dtype=np.float64)
-    if not (0 <= int(label) < prob.shape[-1]):
-        raise InputError(f"label {label} out of range for {prob.shape[-1]} classes")
-    return float(-np.log(max(prob[int(label)], EPS)))
-
-
-def kl_divergence(p, q) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise InputError(f"distribution lengths differ: {p.shape} vs {q.shape}")
-    return float(np.sum(p * np.log(np.maximum(p, EPS) / np.maximum(q, EPS))))
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -138,19 +128,17 @@ def per_sample_ce(arch: Architecture, theta: np.ndarray, x, labels) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _softmax_vjp(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Pull d(loss)/d(probs) back to d(loss)/d(logits), row-wise."""
-    return p * (dp - np.sum(dp * p, axis=1, keepdims=True))
-
-
 def _forward_probs(arch, theta, x):
-    x = _as_batch(x)
-    if x.shape[1] != arch.in_width:
-        raise ConfigurationError(
-            f"batch width {x.shape[1]} does not match network input width {arch.in_width}"
-        )
+    x = _as_batch(arch, x)
     logits, acts = kernels.mlp_forward_acts(theta, arch.widths_array(), arch.act_id, x)
     return softmax(logits), acts
+
+
+def _backward(arch, theta, acts, p, dp):
+    """Gradient w.r.t. theta of a loss with d(loss)/d(probs) = dp: the
+    row-wise softmax Jacobian, then the shared MLP backward pass."""
+    dz = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
+    return kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
 
 
 def _ce_terms(p, targets, n_ref):
@@ -166,21 +154,7 @@ def ce_value_grad(arch, theta, x, targets):
     targets = np.asarray(targets, dtype=np.float64)
     p, acts = _forward_probs(arch, theta, x)
     loss, dp = _ce_terms(p, targets, p.shape[0])
-    dz = _softmax_vjp(p, dp)
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss, grad
-
-
-def mse_value_grad(arch, theta, x, targets):
-    """Batch-mean squared Euclidean distance between targets and probabilities."""
-    targets = np.asarray(targets, dtype=np.float64)
-    p, acts = _forward_probs(arch, theta, x)
-    n = p.shape[0]
-    loss = float(np.sum((targets - p) ** 2) / n)
-    dp = 2.0 * (p - targets) / n
-    dz = _softmax_vjp(p, dp)
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss, grad
+    return loss, _backward(arch, theta, acts, p, dp)
 
 
 def _reg_terms(p, coef):
@@ -193,14 +167,6 @@ def _reg_terms(p, coef):
     d_mean = np.where(p_mean > EPS, -coef * prior / np.maximum(p_mean, EPS), 0.0)
     dp = np.broadcast_to(d_mean / n, p.shape)
     return loss, dp
-
-
-def reg_value_grad(arch, theta, x, coef=1.0):
-    p, acts = _forward_probs(arch, theta, x)
-    loss, dp = _reg_terms(p, coef)
-    dz = _softmax_vjp(p, dp)
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss, grad
 
 
 def semi_value_grad(arch, theta, x, targets, n_labeled, lambda_u, reg_coef=1.0):
@@ -227,21 +193,7 @@ def semi_value_grad(arch, theta, x, targets, n_labeled, lambda_u, reg_coef=1.0):
         dp[n_labeled:] += lambda_u * 2.0 * (pu - tu) / n_unl
     loss_r, dp_r = _reg_terms(p, reg_coef)
     dp += dp_r
-    dz = _softmax_vjp(p, dp)
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss_x + lambda_u * loss_u + loss_r, grad
-
-
-def mse_logits_value_grad(arch, theta, x, targets):
-    """Batch-mean squared error directly on the logits (no softmax)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    x = _as_batch(x)
-    logits, acts = kernels.mlp_forward_acts(theta, arch.widths_array(), arch.act_id, x)
-    n = logits.shape[0]
-    loss = float(np.sum((logits - targets) ** 2) / n)
-    dz = 2.0 * (logits - targets) / n
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss, grad
+    return loss_x + lambda_u * loss_u + loss_r, _backward(arch, theta, acts, p, dp)
 
 
 def unlearn_value_grad(arch, theta, x, p_ref, t_unl):
@@ -255,30 +207,7 @@ def unlearn_value_grad(arch, theta, x, p_ref, t_unl):
     t2 = float(t_unl) ** 2
     loss = -t2 * float(np.sum(kl_rows(p_ref, p)))
     dp = np.where(p > EPS, t2 * p_ref / np.maximum(p, EPS), 0.0)
-    dz = _softmax_vjp(p, dp)
-    grad = kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
-    return loss, grad
-
-
-_OBJECTIVES = {
-    "ce": ce_value_grad,
-    "mse": mse_value_grad,
-    "mse_logits": mse_logits_value_grad,
-    "reg": reg_value_grad,
-    "semi": semi_value_grad,
-    "unlearn": unlearn_value_grad,
-}
-
-
-def objective_value_grad(arch, theta, x, kind, **kwargs):
-    """Dispatch to a supported loss composition; unknown kinds are rejected."""
-    try:
-        fn = _OBJECTIVES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unsupported objective {kind!r}; known: {sorted(_OBJECTIVES)}"
-        ) from None
-    return fn(arch, theta, x, **kwargs)
+    return loss, _backward(arch, theta, acts, p, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +275,28 @@ def save_checkpoint(path, arch: Architecture, theta: np.ndarray) -> None:
 
 
 def load_checkpoint(path):
+    """Read a checkpoint written by save_checkpoint. A bad magic line or
+    header, a cut or padded payload, or a non-finite parameter raises
+    IngestionError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != _CKPT_MAGIC:
             raise IngestionError(f"{path}: not a parameter checkpoint (bad magic {magic!r})")
-        meta = json.loads(fh.readline().decode("ascii"))
-        theta = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    arch = Architecture(tuple(meta["widths"]), meta["activation"])
-    if theta.shape[0] != arch.n_params:
-        raise IngestionError(
-            f"{path}: payload holds {theta.shape[0]} parameters, header implies {arch.n_params}"
-        )
+        header = fh.readline()
+        payload = fh.read()
+    try:
+        meta = json.loads(header.decode("ascii"))
+        widths = meta["widths"]
+        if not isinstance(widths, list) or any(type(w) is not int for w in widths):
+            raise TypeError(f"widths must be a list of integers, got {widths!r}")
+        arch = Architecture(tuple(widths), meta["activation"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IngestionError(f"{path}: bad checkpoint header ({type(exc).__name__}: {exc})") from None
+    if len(payload) != 8 * arch.n_params:
+        raise IngestionError(f"{path}: payload holds {len(payload)} bytes, header implies "
+                             f"{arch.n_params} float64 parameters")
+    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(theta)):
+        bad = int(np.flatnonzero(~np.isfinite(theta))[0])
+        raise IngestionError(f"{path}: parameter {bad} is {theta[bad]}, not finite")
     return arch, theta

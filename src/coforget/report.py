@@ -79,11 +79,32 @@ def load_run(run_dir) -> RunData:
     metrics_path = path / "metrics.csv"
     if not manifest_path.exists() or not metrics_path.exists():
         raise IngestionError(f"{path}: not a completed run directory (need manifest.json and metrics.csv)")
-    manifest = json.loads(manifest_path.read_text())
-    metrics = _read_csv_columns(metrics_path)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        default_window(manifest)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IngestionError(
+            f"{manifest_path}: not a run manifest, need a JSON object with integer "
+            f"config.schedule.warmup and config.schedule.start_unlearn "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    metrics = _read_columns(metrics_path, ("epoch", *driver.ACC_KEYS))
     codivide_path = path / "codivide_audit.csv"
-    codivide = _read_csv_columns(codivide_path) if codivide_path.exists() else None
+    codivide = (
+        _read_columns(codivide_path, driver.CODIVIDE_HEADER.split(","))
+        if codivide_path.exists() else None
+    )
     return RunData(path.name, manifest, metrics, codivide, path)
+
+
+def _read_columns(path: Path, required) -> dict:
+    """_read_csv_columns, and an IngestionError naming path if any of the
+    required columns is missing."""
+    columns = _read_csv_columns(path)
+    missing = [name for name in required if name not in columns]
+    if missing:
+        raise IngestionError(f"{path}: missing columns {','.join(missing)}")
+    return columns
 
 
 def selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
@@ -109,7 +130,10 @@ def selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
 
 def default_window(manifest: dict) -> tuple:
     sched = manifest["config"]["schedule"]
-    return (sched["warmup"] + 1, sched["start_unlearn"])
+    warmup, start = sched["warmup"], sched["start_unlearn"]
+    if type(warmup) is not int or type(start) is not int:
+        raise TypeError(f"schedule epochs must be integers, got {warmup!r}, {start!r}")
+    return (warmup + 1, start)
 
 
 def write_report(run_dirs, out_dir, window=None) -> dict:

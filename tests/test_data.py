@@ -1,5 +1,7 @@
 """Dataset generation, noise models, injection statistics, file round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -219,4 +221,36 @@ class TestDatasetFile:
         lines[3] = "1,train,0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestionError, match=":4"):
+            data.load_dataset(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        ds = data.make_blobs(3, 4, 2, 1.0, 0, test_per_class=2)
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("line_no, row", [
+        (4, "1,train,7,0,0.5,0.5"),
+        (4, "1,train,0,-1,0.5,0.5"),
+        (5, "2,train,0,3,0.5,0.5"),
+        (14, "11,test,1,2,0.5,0.5"),
+        (4, "1,train,0,0,nan,0.5"),
+        (6, "3,train,0,0,0.5,inf"),
+        (9, "6,train,0,0,-inf,0.5"),
+        (4, "1,train,99999999999999999999999,0,0.5,0.5"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, line_no, row):
+        path, lines = self._saved(tmp_path)
+        lines[line_no - 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:{line_no}: "):
+            data.load_dataset(path)
+
+    @pytest.mark.parametrize("header", ["3,0,14", "3,2,-1", "0,2,14"])
+    def test_bad_sizes_name_line_two(self, tmp_path, header):
+        path, lines = self._saved(tmp_path)
+        lines[1] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:2: "):
             data.load_dataset(path)

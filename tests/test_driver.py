@@ -9,7 +9,7 @@ import pytest
 from coforget import coteach, data, driver, net, oracle
 from coforget.config import RunConfig, load_config
 from coforget.errors import ConfigurationError
-from coforget.util import fmt_float
+from coforget.util import fmt_float, rng_for
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
 
@@ -61,33 +61,48 @@ class TestGates:
         assert not any(driver.gate_forgetting(k, 60, 10, 5) for k in range(1, 60))
 
 
-class TestWarmup:
-    def _setup(self, seed=0):
-        ds = data.make_blobs(3, 40, 4, 1.5, seed, test_per_class=10)
-        ds = data.inject_noise(ds, data.symmetric_matrix(3, 0.2), seed + 1)
-        table = oracle.synthetic_oracle(ds, 0.8, 0.7, seed + 2)
-        emb = oracle.oracle_embeddings(ds, table, 6, seed + 3)
-        arch_s = net.Architecture((4, 8, 3))
-        arch_e = net.Architecture((6, 8, 3))
-        return ds, table, emb, arch_s, net.init_params(arch_s, 1), arch_e, net.init_params(arch_e, 2)
+def _warmup(ds, emb, table, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e,
+            n_epochs, batch_size, seed):
+    """The whole warmup period as the pipeline runs it; zero epochs is a no-op."""
+    onehot = np.eye(ds.n_classes)[ds.observed_labels]
+    soft_targets = 0.5 * table.probs + 0.5 * onehot
+    for k in range(1, n_epochs + 1):
+        theta_s, opt_s, theta_e, opt_e = driver.warmup_epoch(
+            ds.features, emb, onehot, soft_targets, ds.train_ids(),
+            arch_s, theta_s, opt_s, arch_e, theta_e, opt_e,
+            k, batch_size, rng_for(seed, f"warmup/{k}"),
+        )
+    return theta_s, opt_s, theta_e, opt_e
 
+
+def _warmup_fixture(seed=0):
+    ds = data.make_blobs(3, 40, 4, 1.5, seed, test_per_class=10)
+    ds = data.inject_noise(ds, data.symmetric_matrix(3, 0.2), seed + 1)
+    table = oracle.synthetic_oracle(ds, 0.8, 0.7, seed + 2)
+    emb = oracle.oracle_embeddings(ds, table, 6, seed + 3)
+    arch_s = net.Architecture((4, 8, 3))
+    arch_e = net.Architecture((6, 8, 3))
+    return ds, table, emb, arch_s, net.init_params(arch_s, 1), arch_e, net.init_params(arch_e, 2)
+
+
+class TestWarmup:
     def test_zero_epochs_is_noop(self):
-        ds, table, emb, arch_s, theta_s, arch_e, theta_e = self._setup()
+        ds, table, emb, arch_s, theta_s, arch_e, theta_e = _warmup_fixture()
         opt_s = net.make_optimizer(arch_s, 0.02, 0.9, 0.0, 100)
         opt_e = net.make_optimizer(arch_e, 0.02, 0.9, 0.0, 100)
-        out_s, _, out_e, _ = driver.warmup(
+        out_s, _, out_e, _ = _warmup(
             ds, emb, table, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e, 0, 32, 7
         )
         np.testing.assert_array_equal(out_s, theta_s)
         np.testing.assert_array_equal(out_e, theta_e)
 
     def test_deterministic(self):
-        ds, table, emb, arch_s, theta_s, arch_e, theta_e = self._setup()
+        ds, table, emb, arch_s, theta_s, arch_e, theta_e = _warmup_fixture()
         outs = []
         for _ in range(2):
             opt_s = net.make_optimizer(arch_s, 0.02, 0.9, 0.0, 100)
             opt_e = net.make_optimizer(arch_e, 0.02, 0.9, 0.0, 100)
-            out_s, _, out_e, _ = driver.warmup(
+            out_s, _, out_e, _ = _warmup(
                 ds, emb, table, arch_s, theta_s.copy(), opt_s, arch_e, theta_e.copy(), opt_e,
                 3, 32, 7,
             )
@@ -96,10 +111,10 @@ class TestWarmup:
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
     def test_scratch_net_beats_chance_after_warmup(self):
-        ds, table, emb, arch_s, theta_s, arch_e, theta_e = self._setup()
+        ds, table, emb, arch_s, theta_s, arch_e, theta_e = _warmup_fixture()
         opt_s = net.make_optimizer(arch_s, 0.02, 0.9, 0.0, 100)
         opt_e = net.make_optimizer(arch_e, 0.02, 0.9, 0.0, 100)
-        out_s, _, out_e, _ = driver.warmup(
+        out_s, _, out_e, _ = _warmup(
             ds, emb, table, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e, 5, 32, 7
         )
         tr = ds.train_ids()
@@ -108,14 +123,112 @@ class TestWarmup:
         assert acc > 0.5
 
     def test_v_adapter_untouched_by_warmup(self):
-        ds, table, emb, arch_s, theta_s, arch_e, theta_e = self._setup()
+        ds, table, emb, arch_s, theta_s, arch_e, theta_e = _warmup_fixture()
         opt_s = net.make_optimizer(arch_s, 0.02, 0.9, 0.0, 100)
         opt_e = net.make_optimizer(arch_e, 0.02, 0.9, 0.0, 100)
-        _, _, out_e, _ = driver.warmup(
+        _, _, out_e, _ = _warmup(
             ds, emb, table, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e, 3, 32, 7
         )
         n_frozen = arch_e.first_layer_params()
         np.testing.assert_array_equal(out_e[:n_frozen], theta_e[:n_frozen])
+
+
+# Frozen copies of the CE loops that driver._ce_epoch replaced: the body of
+# warmup_epoch with its two loops written out, and the naive-ce arm's epoch
+# loop. The fold must reproduce their parameters and velocities bit for bit.
+
+def _batched(ids, batch_size):
+    for i in range(0, ids.shape[0], batch_size):
+        yield ids[i:i + batch_size]
+
+
+def _frozen_warmup_epoch(feats, emb, onehot_obs, soft_targets, train_ids,
+                         arch_scratch, theta_scratch, opt_scratch,
+                         arch_embed, theta_embed, opt_embed, epoch, batch_size, rng):
+    order = train_ids[rng.permutation(train_ids.shape[0])]
+    for ids in _batched(order, batch_size):
+        _, grad = net.ce_value_grad(arch_scratch, theta_scratch, feats[ids], onehot_obs[ids])
+        theta_scratch, opt_scratch = net.sgd_step(theta_scratch, grad, opt_scratch, epoch)
+    order = train_ids[rng.permutation(train_ids.shape[0])]
+    head_only = arch_embed.first_layer_params()
+    for ids in _batched(order, batch_size):
+        _, grad = net.ce_value_grad(arch_embed, theta_embed, emb[ids], soft_targets[ids])
+        theta_embed, opt_embed = net.sgd_step(
+            theta_embed, grad, opt_embed, epoch, frozen_prefix=head_only
+        )
+    return theta_scratch, opt_scratch, theta_embed, opt_embed
+
+
+def _frozen_naive_epochs(ds, arch, theta, opt, seed, n_epochs, batch_size):
+    train_ids = ds.train_ids()
+    onehot = np.eye(ds.n_classes)[ds.observed_labels]
+    for k in range(1, n_epochs + 1):
+        rng = rng_for(seed, f"naive/{k}")
+        order = train_ids[rng.permutation(train_ids.shape[0])]
+        for ids in _batched(order, batch_size):
+            _, grad = net.ce_value_grad(arch, theta, ds.features[ids], onehot[ids])
+            theta, opt = net.sgd_step(theta, grad, opt, k)
+    return theta, opt
+
+
+class TestCeEpochFold:
+    """driver._ce_epoch against the loops it replaced, under np.array_equal."""
+
+    @pytest.mark.parametrize("batch_size", [7, 32, 200])
+    def test_warmup_epoch_equals_frozen_loops(self, batch_size):
+        ds, table, emb, arch_s, theta_s, arch_e, theta_e = _warmup_fixture(4)
+        onehot = np.eye(ds.n_classes)[ds.observed_labels]
+        soft_targets = 0.5 * table.probs + 0.5 * onehot
+        sides = []
+        for step in (driver.warmup_epoch, _frozen_warmup_epoch):
+            state = (
+                theta_s, net.make_optimizer(arch_s, 0.02, 0.9, 5e-4, 3),
+                theta_e, net.make_optimizer(arch_e, 0.03, 0.9, 5e-4, 3),
+            )
+            for k in range(1, 6):  # crosses the learning-rate decay at epoch 3
+                s_theta, s_opt, e_theta, e_opt = state
+                state = step(
+                    ds.features, emb, onehot, soft_targets, ds.train_ids(),
+                    arch_s, s_theta, s_opt, arch_e, e_theta, e_opt,
+                    k, batch_size, rng_for(9, f"warmup/{k}"),
+                )
+            sides.append(state)
+        (new_ts, new_os, new_te, new_oe), (old_ts, old_os, old_te, old_oe) = sides
+        assert np.array_equal(new_ts, old_ts) and np.array_equal(new_te, old_te)
+        assert np.array_equal(new_os.velocity, old_os.velocity)
+        assert np.array_equal(new_oe.velocity, old_oe.velocity)
+
+    @pytest.mark.parametrize("batch_size", [7, 32, 200])
+    def test_naive_epochs_equal_frozen_loop(self, batch_size):
+        cfg = small_cfg()
+        ds = driver.build_dataset(cfg)
+        arch = net.Architecture((ds.dim, 8, ds.n_classes))
+        theta0 = net.init_params(arch, 3)
+        opt0 = net.make_optimizer(arch, 0.02, 0.9, 5e-4, 3)
+        old_theta, old_opt = _frozen_naive_epochs(ds, arch, theta0, opt0, 5, 6, batch_size)
+        train_ids = ds.train_ids()
+        onehot = np.eye(ds.n_classes)[ds.observed_labels]
+        theta, opt = theta0, opt0
+        for k in range(1, 7):
+            order = train_ids[rng_for(5, f"naive/{k}").permutation(train_ids.shape[0])]
+            theta, opt = driver._ce_epoch(arch, theta, opt, ds.features, onehot, order, k,
+                                          batch_size)
+        assert np.array_equal(theta, old_theta)
+        assert np.array_equal(opt.velocity, old_opt.velocity)
+
+    def test_naive_run_equals_frozen_loop(self):
+        cfg = small_cfg(method__kind="naive-ce")
+        res = driver.run(cfg)
+        ds = driver.build_dataset(cfg)
+        theta0 = net.init_params(res.arch_scratch, driver._section_seed(None, 1, "init/scratch"))
+        opt0 = net.make_optimizer(
+            res.arch_scratch, cfg.optim.lr_scratch, cfg.optim.momentum, cfg.optim.weight_decay,
+            cfg.optim.decay_epoch, cfg.optim.decay_factor,
+        )
+        old_theta, _ = _frozen_naive_epochs(
+            ds, res.arch_scratch, theta0, opt0, 1, cfg.schedule.max_epoch, cfg.optim.batch_size
+        )
+        assert np.array_equal(res.theta_scratch, old_theta)
 
 
 class TestRun:

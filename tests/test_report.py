@@ -267,6 +267,90 @@ class TestBadRunFiles:
         assert "no completed run directories" in capsys.readouterr().err
 
 
+def _keep_columns(names):
+    """Cut a CSV file down to the named columns, in the given order."""
+    def transform(path):
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        keep = [header.index(n) for n in names]
+        path.write_text("".join(",".join(line.split(",")[i] for i in keep) + "\n"
+                                for line in lines))
+    return transform
+
+
+MANIFEST_DAMAGES = {
+    "not-json": "{",
+    "empty-object": "{}",
+    "not-an-object": "[1, 2]",
+    "no-schedule": '{"config": {"method": {}}}',
+    "schedule-not-mapping": '{"config": {"schedule": [3, 12]}}',
+    "no-start-unlearn": '{"config": {"schedule": {"warmup": 3}}}',
+    "non-integer-warmup": '{"config": {"schedule": {"warmup": "3", "start_unlearn": 12}}}',
+    "not-utf8": b"\xff\xfe{",
+}
+
+COLUMN_DAMAGES = {
+    "metrics-first-three": ("metrics.csv", ["epoch", "acc_scratch", "acc_embed"]),
+    "metrics-no-epoch": ("metrics.csv", ["acc_scratch", "acc_embed", "acc_ens"]),
+    "codivide-no-true": ("codivide_audit.csv", driver.CODIVIDE_HEADER.split(",")[:-1]),
+    "codivide-no-weights": ("codivide_audit.csv", ["epoch", "id", "observed", "true"]),
+}
+
+
+class TestBadManifestAndColumns:
+    """A manifest that is not a run manifest, or a run file without the columns
+    report reads, is an IngestionError naming the file, so the dir is skipped."""
+
+    @pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGES))
+    def test_bad_manifest_names_file(self, quick_runs, tmp_path, damage):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        text = MANIFEST_DAMAGES[damage]
+        path = run_dir / "manifest.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: not a run manifest"):
+            report.load_run(run_dir)
+
+    @pytest.mark.parametrize("damage", sorted(COLUMN_DAMAGES))
+    def test_missing_columns_name_file(self, quick_runs, tmp_path, damage):
+        file_name, keep = COLUMN_DAMAGES[damage]
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        _keep_columns(keep)(run_dir / file_name)
+        pattern = rf"{re.escape(str(run_dir / file_name))}: missing columns "
+        with pytest.raises(IngestionError, match=pattern):
+            report.load_run(run_dir)
+
+    def test_report_skips_each_damaged_dir(self, quick_runs, tmp_path, caplog):
+        bad = []
+        for name in ("not-json", "empty-object"):
+            bad.append(tmp_path / name)
+            _copy_run(quick_runs["unl-on"], bad[-1])
+            (bad[-1] / "manifest.json").write_text(MANIFEST_DAMAGES[name])
+        for name, (file_name, keep) in COLUMN_DAMAGES.items():
+            bad.append(tmp_path / name)
+            _copy_run(quick_runs["unl-on"], bad[-1])
+            _keep_columns(keep)(bad[-1] / file_name)
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            report.write_report([*bad, quick_runs["unl-off"]], tmp_path / "rep")
+        skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert len(skipped) == len(bad)
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
+
+    @pytest.mark.parametrize("damage", ["not-json", "empty-object", "metrics-first-three"])
+    def test_cli_exits_2(self, quick_runs, tmp_path, capsys, damage):
+        bad = tmp_path / "bad"
+        _copy_run(quick_runs["unl-on"], bad)
+        if damage in MANIFEST_DAMAGES:
+            (bad / "manifest.json").write_text(MANIFEST_DAMAGES[damage])
+        else:
+            file_name, keep = COLUMN_DAMAGES[damage]
+            _keep_columns(keep)(bad / file_name)
+        assert cli.main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        assert "no completed run directories" in capsys.readouterr().err
+
+
 class TestMultiRunReport:
     def test_paired_ablation_runs_share_curves_file(self, tmp_path):
         cfg = {
