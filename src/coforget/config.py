@@ -295,7 +295,10 @@ def apply_overrides(data: dict, overrides) -> dict:
         if len(parts) != 2:
             raise ConfigurationError(f"override key {key!r} must be section.key")
         section, name = parts
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"override {item!r}: value is not valid YAML ({exc})") from None
         if data.get(section) is None:
             data[section] = {}
         elif not isinstance(data[section], dict):
@@ -305,7 +308,14 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    """Read a YAML config file, apply overrides, and validate. A file that
+    cannot be read or parsed raises ConfigurationError naming it."""
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh) or {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read config ({exc})") from None
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{path}: config is not valid YAML ({exc})") from None
     data = apply_overrides(data, overrides)
     return build_config(data)

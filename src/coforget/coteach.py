@@ -28,20 +28,45 @@ class GmmFit:
     """Two-component fit over min-max normalized losses.
 
     clean_posterior is the per-sample probability of the smaller-mean
-    component; means/variances live in normalized loss space.
+    component; means/variances live in normalized loss space. normalized
+    holds the losses the EM ran on (all zero when every loss is equal) and
+    row i of iterates the (pi0, pi1, mu0, mu1, var0, var1) after the M-step
+    of EM iteration i.
     """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     clean_posterior: np.ndarray
-    log_likelihoods: np.ndarray
+    normalized: np.ndarray
+    iterates: np.ndarray
     n_iter: int
     loss_min: float
     loss_max: float
 
     def means_raw(self) -> np.ndarray:
         return self.loss_min + self.means * (self.loss_max - self.loss_min)
+
+    @property
+    def log_likelihoods(self) -> np.ndarray:
+        """Post-update log-likelihood of each completed EM iteration,
+        computed on access from iterates; the EM loop itself never needs it."""
+        return gmm_log_likelihoods(self.normalized, self.iterates)
+
+
+def gmm_log_likelihoods(values, iterates) -> np.ndarray:
+    """Log-likelihood of values under each parameter row (pi0, pi1, mu0, mu1,
+    var0, var1) of iterates. This is the expression the EM loop once
+    evaluated after every M-step, applied to the same floats, so the results
+    are the loop's values bit for bit."""
+    log2pi = np.log(2.0 * np.pi)
+    out = np.empty(iterates.shape[0])
+    for i, (p0, p1, m0, m1, v0, v1) in enumerate(iterates):
+        lp0 = np.log(p0) - 0.5 * (log2pi + np.log(v0)) - (values - m0) ** 2 / (2.0 * v0)
+        lp1 = np.log(p1) - 0.5 * (log2pi + np.log(v1)) - (values - m1) ** 2 / (2.0 * v1)
+        hi = np.maximum(lp0, lp1)
+        out[i] = (hi + np.log(np.exp(lp0 - hi) + np.exp(lp1 - hi))).sum()
+    return out
 
 
 def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLOOR) -> GmmFit:
@@ -63,7 +88,8 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
             means=np.zeros(2),
             variances=np.full(2, var_floor),
             clean_posterior=np.full(n, 0.5),
-            log_likelihoods=np.empty(0),
+            normalized=np.zeros(n),
+            iterates=np.empty((0, 6)),
             n_iter=0,
             loss_min=lo,
             loss_max=hi,
@@ -74,7 +100,7 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
         mu0 = np.array([0.0, 1.0])
     var0 = np.full(2, max(float(norm.var()), var_floor))
     pi0 = np.array([0.5, 0.5])
-    pi, mu, var, resp0, lls, n_iter = kernels.gmm_em_1d(
+    pi, mu, var, resp0, iterates, n_iter = kernels.gmm_em_1d(
         norm, pi0, mu0, var0, max_iter, tol, var_floor
     )
     if mu[0] == mu[1]:
@@ -88,7 +114,8 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
         means=mu,
         variances=var,
         clean_posterior=clean_post,
-        log_likelihoods=lls,
+        normalized=norm,
+        iterates=iterates,
         n_iter=int(n_iter),
         loss_min=lo,
         loss_max=hi,
@@ -249,19 +276,23 @@ def _train_one_net(arch, theta, opt, inputs, targets_onehot, labeled_ids, labele
     return theta, opt
 
 
-def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids,
+def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids, loss_scratch, loss_embed,
                   arch_scratch, theta_scratch, opt_scratch,
                   arch_embed, theta_embed, opt_embed, epoch,
                   params: CoteachParams, rng) -> CoteachResult:
-    """One epoch of cross-network training on the current pool."""
+    """One epoch of cross-network training on the current pool.
+
+    loss_scratch and loss_embed are each network's per-sample cross-entropy
+    of the observed labels of pool_ids under the parameters passed in; the
+    GMM co-divide runs on them.
+    """
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
     if pool_ids.shape[0] == 0:
         raise InputError("training pool is empty")
-    y_pool = observed[pool_ids]
-    eval_scratch = net.per_sample_ce(arch_scratch, theta_scratch, inputs_scratch[pool_ids], y_pool)
-    eval_embed = net.per_sample_ce(arch_embed, theta_embed, inputs_embed[pool_ids], y_pool)
-    w_scratch = fit_gmm_1d(eval_scratch).clean_posterior
-    w_embed = fit_gmm_1d(eval_embed).clean_posterior
+    if not (np.shape(loss_scratch) == np.shape(loss_embed) == pool_ids.shape):
+        raise InputError("both pool-loss arrays must align with the pool ids")
+    w_scratch = fit_gmm_1d(loss_scratch).clean_posterior
+    w_embed = fit_gmm_1d(loss_embed).clean_posterior
     div = co_divide(pool_ids, w_scratch, w_embed, params.tau_w)
 
     onehot = np.eye(arch_scratch.n_classes)[observed]

@@ -240,8 +240,11 @@ def load_dataset(path) -> Dataset:
     """Read a file written by save_dataset. A malformed header or row, a
     label outside [0, C), a noisy test label or a non-finite feature raises
     IngestionError at path:line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"{path}: cannot read dataset file ({exc})") from None
     if not lines or not lines[0].startswith("# coforget dataset v1"):
         raise IngestionError(f"{path}: missing dataset header line")
     try:

@@ -203,6 +203,33 @@ def warmup_epoch(feats, emb, onehot_obs, soft_targets, train_ids,
     return theta_scratch, opt_scratch, theta_embed, opt_embed
 
 
+class PoolLosses:
+    """Per-sample cross-entropy of each network's observed labels on a set
+    of ids, for the metrics, the co-divide and the selection trajectory.
+
+    The last result per network is kept and returned again while its
+    parameters and ids are equal by value: the end-of-epoch metric losses
+    on the pool are the next co-teaching epoch's co-divide inputs whenever
+    no selection or forgetting step ran in between. Returned arrays are
+    read-only, because every caller shares them.
+    """
+
+    def __init__(self, labels, nets):
+        self._labels = labels
+        self._nets = nets  # network name -> (arch, inputs)
+        self._last = {}
+
+    def __call__(self, name, theta, ids):
+        last = self._last.get(name)
+        if last is not None and np.array_equal(last[0], theta) and np.array_equal(last[1], ids):
+            return last[2]
+        arch, inputs = self._nets[name]
+        losses = net.per_sample_ce(arch, theta, inputs[ids], self._labels[ids])
+        losses.flags.writeable = False
+        self._last[name] = (theta.copy(), ids.copy(), losses)
+        return losses
+
+
 def _check_finite(epoch, **arrays):
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -216,6 +243,10 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     ds = build_dataset(cfg)
     if ds.test_ids().shape[0] == 0:
         raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
+    # every input file is read before the run directory is made, so a bad
+    # one leaves no directory behind
+    naive = cfg.method.kind == "naive-ce"
+    oracle_table = None if naive else build_oracle(cfg, ds)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -229,10 +260,10 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         }
         (out_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    if cfg.method.kind == "naive-ce":
+    if naive:
         result = _run_naive(cfg, ds, out_path)
     else:
-        result = _run_pipeline(cfg, ds, out_path)
+        result = _run_pipeline(cfg, ds, oracle_table, out_path)
 
     if out_path is not None:
         with open(out_path / "metrics.csv", "w", newline="\n") as fh:
@@ -300,7 +331,8 @@ def _write_codivide_audit(path, epochs, rows, ds: data.Dataset) -> None:
             fh.write("\n")
 
 
-def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
+def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
+                  out_path) -> RunResult:
     seed = cfg.run.seed
     sched, method = cfg.schedule, cfg.method
     train_ids, test_ids = ds.train_ids(), ds.test_ids()
@@ -308,7 +340,6 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     if not np.array_equal(train_ids, np.arange(n_train)):
         raise StateError("train samples must occupy ids 0..n_train-1")
 
-    oracle_table = build_oracle(cfg, ds)
     emb = oracle.oracle_embeddings(
         ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, seed, "embeddings")
     )
@@ -368,11 +399,13 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
         if out_path is not None else None
     )
 
+    pool_losses = PoolLosses(
+        ds.observed_labels, {"scratch": (arch_scratch, ds.features), "embed": (arch_embed, emb)}
+    )
+
     def record_losses(key):
-        store.record("scratch", key, net.per_sample_ce(
-            arch_scratch, theta_scratch, ds.features[train_ids], ds.observed_labels[train_ids]))
-        store.record("embed", key, net.per_sample_ce(
-            arch_embed, theta_embed, emb[train_ids], ds.observed_labels[train_ids]))
+        store.record("scratch", key, pool_losses("scratch", theta_scratch, train_ids))
+        store.record("embed", key, pool_losses("embed", theta_embed, train_ids))
 
     for k in range(1, sched.max_epoch + 1):
         hn = ln = cs = 0
@@ -435,6 +468,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
                 forget_rows.append((k, "embed", stats_e.n_targets, stats_e.kl_before, stats_e.kl_after))
             res = coteach.coteach_epoch(
                 ds.features, emb, ds.observed_labels, current_pool,
+                pool_losses("scratch", theta_scratch, current_pool),
+                pool_losses("embed", theta_embed, current_pool),
                 arch_scratch, theta_scratch, opt_scratch,
                 arch_embed, theta_embed, opt_embed,
                 k, params, rng_for(seed, f"coteach/{k}"),
@@ -464,12 +499,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
         acc_scratch = float((p_scratch.argmax(axis=1) == y_test).mean())
         acc_embed = float((p_embed.argmax(axis=1) == y_test).mean())
         acc_ens = float((((p_scratch + p_embed) / 2.0).argmax(axis=1) == y_test).mean())
-        loss_scratch = float(net.per_sample_ce(
-            arch_scratch, theta_scratch, ds.features[current_pool],
-            ds.observed_labels[current_pool]).mean())
-        loss_embed = float(net.per_sample_ce(
-            arch_embed, theta_embed, emb[current_pool],
-            ds.observed_labels[current_pool]).mean())
+        loss_scratch = float(pool_losses("scratch", theta_scratch, current_pool).mean())
+        loss_embed = float(pool_losses("embed", theta_embed, current_pool).mean())
         n_forget_scratch = len(sets.targets_scratch) if sets is not None else 0
         n_forget_embed = len(sets.targets_embed) if sets is not None else 0
         metrics.append(EpochMetrics(

@@ -64,10 +64,11 @@ def apply_unlearning(arch, theta, opt, snapshot_theta, plan: UnlearnBatchPlan,
     if all_ids.shape[0] == 0:
         return theta, opt, ForgettingStats(0, 0.0, 0.0)
 
+    x_all = inputs[all_ids]
+    p_ref_all = net.predict_proba(arch, snapshot_theta, x_all)
+
     def mean_kl(current_theta):
-        p_ref = net.predict_proba(arch, snapshot_theta, inputs[all_ids])
-        p_cur = net.predict_proba(arch, current_theta, inputs[all_ids])
-        return float(net.kl_rows(p_ref, p_cur).mean())
+        return float(net.kl_rows(p_ref_all, net.predict_proba(arch, current_theta, x_all)).mean())
 
     kl_before = mean_kl(theta)
     for batch_ids in plan.batches:

@@ -16,6 +16,7 @@ Parameter/activation layout for the MLP kernels:
            which is why pre-activations are never stored.
 """
 
+import math
 import os
 
 import numpy as np
@@ -60,12 +61,16 @@ def mlp_forward(theta, widths, act_id, x):
         off += fi * fo
         b = theta[off:off + fo]
         off += fo
-        z = np.dot(np.ascontiguousarray(h), w) + b
+        # bias and tanh in place, so fewer (n, fo) temporaries are alive at
+        # once; relu allocates, because numpy 2.4 deprecates np.maximum's
+        # positional out and numba takes no out= keyword
+        z = np.dot(np.ascontiguousarray(h), w)
+        z += b
         if l < n_layers - 1:
             if act_id == ACT_RELU:
                 h = np.maximum(z, 0.0)
             else:
-                h = np.tanh(z)
+                h = np.tanh(z, z)
         else:
             h = z
     return h
@@ -136,66 +141,107 @@ def mlp_backward(theta, widths, act_id, acts, dlogits):
 
 
 @njit(cache=True)
+def _log_density(out, sq, pi, var, log2pi):
+    """out = log(pi) - (log(2 pi) + log(var)) / 2 - sq / (2 var), where sq
+    holds the squared deviations from the component mean."""
+    np.divide(sq, 2.0 * var, out)
+    np.subtract(np.log(pi) - 0.5 * (log2pi + np.log(var)), out, out)
+
+
+@njit(cache=True)
+def _posterior0(out, lp0, lp1, tmp):
+    """out = 1 / (1 + exp(min(lp1 - lp0, 700))): component 0's posterior
+    from the log-odds, finite for points far from both components."""
+    np.subtract(lp1, lp0, tmp)
+    np.exp(np.minimum(tmp, 700.0), tmp)
+    np.add(tmp, 1.0, tmp)
+    np.divide(1.0, tmp, out)
+
+
+@njit(cache=True)
+def _squared_deviation(out, values, mu):
+    np.subtract(values, mu, out)
+    np.multiply(out, out, out)
+
+
+@njit(cache=True)
 def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     """EM for a two-component 1-D Gaussian mixture.
 
     Responsibilities are computed in log space so points far from both
-    components stay well defined. Returns (pi, mu, var, resp0, ll, n_iter)
-    where resp0 is the posterior of component 0 per sample and ll holds the
-    post-update log-likelihood of each completed iteration.
+    components stay well defined. Returns (pi, mu, var, resp0, iterates,
+    n_iter): resp0 is the posterior of component 0 per sample under the
+    returned parameters, and row i of the (n_iter, 6) array iterates holds
+    (pi0, pi1, mu0, mu1, var0, var1) after the M-step of iteration i.
 
-    The per-component log-densities computed after each M-step for the
-    log-likelihood are, by the same expression on the same parameters, the
-    next iteration's E-step inputs and, after the last iteration, the inputs
-    of the returned responsibilities; they are computed once and reused.
+    The loop computes no log-likelihood, which nothing in the pipeline
+    reads; ``coteach.gmm_log_likelihoods`` recomputes it from iterates with
+    the same expression on the same floats. The two-component state is kept
+    in Python floats and the per-sample arrays in buffers allocated once per
+    fit. The log-densities computed after each M-step are the next E-step's
+    inputs and, after the last iteration, those of the returned
+    responsibilities.
     """
     n = values.shape[0]
-    pi = pi0.copy()
-    mu = mu0.copy()
-    var = var0.copy()
-    lls = np.empty(max_iter)
+    p0, p1 = float(pi0[0]), float(pi0[1])
+    m0, m1 = float(mu0[0]), float(mu0[1])
+    v0, v1 = float(var0[0]), float(var0[1])
+    iterates = np.empty((max_iter, 6))
     n_iter = 0
     log2pi = np.log(2.0 * np.pi)
-    lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - (values - mu[0]) ** 2 / (2.0 * var[0])
-    lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - (values - mu[1]) ** 2 / (2.0 * var[1])
+    sq0, sq1 = np.empty(n), np.empty(n)
+    lp0, lp1 = np.empty(n), np.empty(n)
+    resp0, resp1, tmp = np.empty(n), np.empty(n), np.empty(n)
+    _squared_deviation(sq0, values, m0)
+    _squared_deviation(sq1, values, m1)
+    _log_density(lp0, sq0, p0, v0, log2pi)
+    _log_density(lp1, sq1, p1, v1, log2pi)
     for it in range(max_iter):
-        prev_pi0, prev_pi1 = pi[0], pi[1]
-        prev_mu0, prev_mu1 = mu[0], mu[1]
-        prev_sd0, prev_sd1 = np.sqrt(var[0]), np.sqrt(var[1])
-        # E-step via log-odds
-        resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
-        resp1 = 1.0 - resp0
+        prev_p0, prev_p1 = p0, p1
+        prev_m0, prev_m1 = m0, m1
+        prev_sd0, prev_sd1 = math.sqrt(v0), math.sqrt(v1)
+        # E-step
+        _posterior0(resp0, lp0, lp1, tmp)
+        np.subtract(1.0, resp0, resp1)
         # M-step
-        n0 = resp0.sum()
-        n1 = resp1.sum()
+        n0 = float(resp0.sum())
+        n1 = float(resp1.sum())
         if n0 <= 0.0 or n1 <= 0.0:
             n_iter = it
             break
-        pi[0] = n0 / n
-        pi[1] = n1 / n
-        mu[0] = (resp0 * values).sum() / n0
-        mu[1] = (resp1 * values).sum() / n1
-        sq0 = (values - mu[0]) ** 2
-        sq1 = (values - mu[1]) ** 2
-        var[0] = max((resp0 * sq0).sum() / n0, var_floor)
-        var[1] = max((resp1 * sq1).sum() / n1, var_floor)
-        # log-densities under the updated parameters: this iteration's
-        # log-likelihood and the next E-step
-        lp0 = np.log(pi[0]) - 0.5 * (log2pi + np.log(var[0])) - sq0 / (2.0 * var[0])
-        lp1 = np.log(pi[1]) - 0.5 * (log2pi + np.log(var[1])) - sq1 / (2.0 * var[1])
-        hi = np.maximum(lp0, lp1)
-        lls[it] = (hi + np.log(np.exp(lp0 - hi) + np.exp(lp1 - hi))).sum()
+        p0 = n0 / n
+        p1 = n1 / n
+        np.multiply(resp0, values, tmp)
+        m0 = float(tmp.sum()) / n0
+        np.multiply(resp1, values, tmp)
+        m1 = float(tmp.sum()) / n1
+        _squared_deviation(sq0, values, m0)
+        _squared_deviation(sq1, values, m1)
+        np.multiply(resp0, sq0, tmp)
+        v0 = max(float(tmp.sum()) / n0, var_floor)
+        np.multiply(resp1, sq1, tmp)
+        v1 = max(float(tmp.sum()) / n1, var_floor)
+        iterates[it, 0] = p0
+        iterates[it, 1] = p1
+        iterates[it, 2] = m0
+        iterates[it, 3] = m1
+        iterates[it, 4] = v0
+        iterates[it, 5] = v1
+        # log-densities under the updated parameters, for the next E-step
+        _log_density(lp0, sq0, p0, v0, log2pi)
+        _log_density(lp1, sq1, p1, v1, log2pi)
         n_iter = it + 1
-        dp = np.sqrt(
-            (pi[0] - prev_pi0) ** 2
-            + (pi[1] - prev_pi1) ** 2
-            + (mu[0] - prev_mu0) ** 2
-            + (mu[1] - prev_mu1) ** 2
-            + (np.sqrt(var[0]) - prev_sd0) ** 2
-            + (np.sqrt(var[1]) - prev_sd1) ** 2
+        dp = math.sqrt(
+            (p0 - prev_p0) ** 2
+            + (p1 - prev_p1) ** 2
+            + (m0 - prev_m0) ** 2
+            + (m1 - prev_m1) ** 2
+            + (math.sqrt(v0) - prev_sd0) ** 2
+            + (math.sqrt(v1) - prev_sd1) ** 2
         )
         if dp < tol:
             break
     # final responsibilities under the returned parameters
-    resp0 = 1.0 / (1.0 + np.exp(np.minimum(lp1 - lp0, 700.0)))
-    return pi, mu, var, resp0, lls[:n_iter], n_iter
+    _posterior0(resp0, lp0, lp1, tmp)
+    return (np.array([p0, p1]), np.array([m0, m1]), np.array([v0, v1]), resp0,
+            iterates[:n_iter], n_iter)

@@ -100,8 +100,11 @@ def load_oracle_file(path, expected_ids=None) -> OracleTable:
 
     When expected_ids is given, the table must cover exactly those ids.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"{path}: cannot read oracle file ({exc})") from None
     if not lines or not lines[0].startswith("# coforget oracle v1"):
         raise IngestionError(f"{path}: missing oracle header line")
     try:
@@ -130,6 +133,8 @@ def load_oracle_file(path, expected_ids=None) -> OracleTable:
                 f"(got sum {p.sum():.6f})"
             )
         rows[idx] = p
+    if not rows:
+        raise IngestionError(f"{path}: no sample rows")
     if expected_ids is not None:
         missing = sorted(set(int(i) for i in expected_ids) - set(rows))
         if missing:

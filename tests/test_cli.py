@@ -308,6 +308,44 @@ class TestTrainAndReport:
         assert "noise.pair_map[1]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.yaml"
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{path}: cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_yaml_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("dataset: [\n")
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{path}: config is not valid YAML" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_override_value_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run"),
+                       "--override", "dataset.seed=["])
+        assert rc == 2
+        assert "override 'dataset.seed=['" in capsys.readouterr().err
+
+    def test_missing_dataset_file_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(missing)})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{missing}: cannot read dataset file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_oracle_file_exits_2_and_leaves_no_run_dir(self, tmp_path, capsys):
+        missing = tmp_path / "absent_oracle.csv"
+        path = write_config(tmp_path, {"oracle.kind": "file", "oracle.path": str(missing)})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{missing}: cannot read oracle file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_outdir_falls_back_to_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.RUNS_DIR_ENV, str(tmp_path / "root"))
         cfg_path = write_config(tmp_path)

@@ -217,8 +217,12 @@ class TestCoteachEpoch:
     def _run(self, epoch, params, seed=0):
         ds, emb, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e = _epoch_fixture(seed)
         rng = np.random.default_rng(seed + 10)
+        pool = ds.train_ids()
+        y_pool = ds.observed_labels[pool]
         return coteach.coteach_epoch(
-            ds.features, emb, ds.observed_labels, ds.train_ids(),
+            ds.features, emb, ds.observed_labels, pool,
+            net.per_sample_ce(arch_s, theta_s, ds.features[pool], y_pool),
+            net.per_sample_ce(arch_e, theta_e, emb[pool], y_pool),
             arch_s, theta_s, opt_s, arch_e, theta_e, opt_e, epoch, params, rng,
         ), theta_s, theta_e, arch_e
 

@@ -4,11 +4,47 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coforget import data
+from coforget import data, errors
 from coforget.errors import IngestionError, InputError
 
 TOL = 1e-6
+PACKAGE_ERRORS = (errors.ConfigurationError, errors.InputError, errors.StateError,
+                  errors.IngestionError)
+BAD_CELLS = ("nan", "-nan", "inf", "-inf", "1e999", "", " ", "x", "-1", "1.5", "0x1")
+
+
+def damaged(draw, lines):
+    """The text of a file's lines after one to four random faults: a line
+    dropped, the file cut inside a line, two cells swapped (within a row or
+    across rows), or a cell overwritten with a bad value."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4), label="n_faults")):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1), label="line")
+        kind = draw(st.sampled_from(["drop", "cut", "swap", "bad"]), label="kind")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])), label="keep")]
+            del lines[i + 1:]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1), label="other_line")
+            rows = {i: lines[i].split(","), j: lines[j].split(",")}
+            a = draw(st.integers(0, len(rows[i]) - 1), label="cell")
+            b = draw(st.integers(0, len(rows[j]) - 1), label="other_cell")
+            rows[i][a], rows[j][b] = rows[j][b], rows[i][a]
+            for k, cells in rows.items():
+                lines[k] = ",".join(cells)
+        else:
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1), label="cell")] = draw(
+                st.sampled_from(BAD_CELLS), label="value")
+            lines[i] = ",".join(cells)
+    return "".join(line + "\n" for line in lines)
 
 
 class TestMakeBlobs:
@@ -254,3 +290,18 @@ class TestDatasetFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:2: "):
             data.load_dataset(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_damaged_file_raises_only_package_errors(self, tmp_path, draw):
+        path, lines = self._saved(tmp_path)
+        path.write_text(damaged(draw.draw, lines))
+        try:
+            ds = data.load_dataset(path)
+        except PACKAGE_ERRORS:
+            return
+        assert np.all(np.isfinite(ds.features))
+        for labels in (ds.true_labels, ds.observed_labels):
+            assert np.all((labels >= 0) & (labels < ds.n_classes))
+        assert np.array_equal(ds.true_labels[ds.is_test], ds.observed_labels[ds.is_test])

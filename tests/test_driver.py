@@ -382,3 +382,94 @@ class TestCodivideAudit:
     def test_out_dir_does_not_change_metrics(self, tmp_path):
         cfg = load_config(QUICK)
         assert driver.run(cfg, tmp_path / "run").metrics == driver.run(cfg).metrics
+
+
+class _Recompute:
+    """PoolLosses without reuse: every request evaluates the network, which
+    is the call pattern the pipeline had before PoolLosses existed."""
+
+    def __init__(self, labels, nets):
+        self.labels, self.nets = labels, nets
+
+    def __call__(self, name, theta, ids):
+        arch, inputs = self.nets[name]
+        return net.per_sample_ce(arch, theta, inputs[ids], self.labels[ids])
+
+
+class TestPoolLosses:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        original = net.per_sample_ce
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(net, "per_sample_ce", counted)
+        return calls
+
+    @staticmethod
+    def _nets(seed=0):
+        ds = data.make_blobs(3, 20, 4, 1.5, seed, test_per_class=5)
+        arch_s, arch_e = net.Architecture((4, 8, 3)), net.Architecture((6, 8, 3))
+        emb = np.random.default_rng(seed).normal(size=(ds.n, 6))
+        losses = driver.PoolLosses(ds.observed_labels, {"scratch": (arch_s, ds.features),
+                                                        "embed": (arch_e, emb)})
+        return ds, losses, net.init_params(arch_s, seed), net.init_params(arch_e, seed + 1)
+
+    def test_equal_parameters_and_ids_reuse_the_result(self, monkeypatch):
+        ds, losses, theta_s, _ = self._nets()
+        calls = self._counting(monkeypatch)
+        ids = ds.train_ids()
+        first = losses("scratch", theta_s, ids)
+        assert losses("scratch", theta_s.copy(), ids.copy()) is first
+        assert len(calls) == 1
+        arch_s = net.Architecture((4, 8, 3))
+        np.testing.assert_array_equal(
+            first, net.per_sample_ce(arch_s, theta_s, ds.features[ids], ds.observed_labels[ids])
+        )
+
+    def test_changed_parameters_or_pool_recompute(self, monkeypatch):
+        ds, losses, theta_s, theta_e = self._nets()
+        calls = self._counting(monkeypatch)
+        ids = ds.train_ids()
+        losses("scratch", theta_s, ids)
+        losses("embed", theta_e, ids)
+        assert len(calls) == 2
+        nudged = theta_s.copy()
+        nudged[-1] = np.nextafter(nudged[-1], 1.0)
+        losses("scratch", nudged, ids)
+        assert len(calls) == 3
+        losses("scratch", nudged, ids[1:])
+        assert len(calls) == 4
+        losses("scratch", nudged, ids[::-1])
+        assert len(calls) == 5
+        losses("embed", theta_e, ids)  # the other net's entry is its own
+        assert len(calls) == 5
+
+    def test_results_are_read_only(self):
+        ds, losses, theta_s, _ = self._nets()
+        out = losses("scratch", theta_s, ds.train_ids())
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+
+    @pytest.mark.parametrize("config", ["quick", "desk"])
+    def test_fewer_evaluations_same_bytes(self, tmp_path, monkeypatch, config):
+        cfg = load_config(QUICK.parent / f"{config}.yaml")
+        out = tmp_path / "reuse" if config == "quick" else None
+        calls = self._counting(monkeypatch)
+        reused = driver.run(cfg, out)
+        n_reused = len(calls)
+        monkeypatch.setattr(driver, "PoolLosses", _Recompute)
+        calls.clear()
+        fresh = driver.run(cfg, None if out is None else tmp_path / "fresh")
+        assert n_reused < len(calls)
+        assert [m.csv_row() for m in reused.metrics] == [m.csv_row() for m in fresh.metrics]
+        assert np.array_equal(reused.theta_scratch, fresh.theta_scratch)
+        assert np.array_equal(reused.theta_embed, fresh.theta_embed)
+        if out is not None:
+            names = sorted(p.name for p in out.iterdir())
+            assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+            for name in names:
+                assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name

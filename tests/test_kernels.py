@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coforget import kernels
+from coforget import coteach, kernels
 from coforget.net import Architecture, init_params
 
 
@@ -50,6 +50,30 @@ def test_forward_acts_agrees_with_plain_forward():
     # activation stack starts with the input batch itself
     n = x.shape[0]
     np.testing.assert_allclose(acts[: n * arch.widths[0]].reshape(n, -1), x)
+
+
+def _mlp_forward_reference(theta, widths, act_id, x):
+    """mlp_forward as first written: bias added and activation applied out
+    of place."""
+    h, off = x, 0
+    for l in range(widths.shape[0] - 1):
+        fi, fo = widths[l], widths[l + 1]
+        w = theta[off:off + fi * fo].reshape(fi, fo)
+        b = theta[off + fi * fo:off + fi * fo + fo]
+        off += fi * fo + fo
+        z = np.dot(h, w) + b
+        if l < widths.shape[0] - 2:
+            z = np.maximum(z, 0.0) if act_id == kernels.ACT_RELU else np.tanh(z)
+        h = z
+    return h
+
+
+@pytest.mark.parametrize("act_id", [kernels.ACT_RELU, kernels.ACT_TANH])
+def test_forward_bit_identical_to_reference(act_id):
+    arch, theta, x, _ = _random_case(5, widths=(8, 32, 32, 3), n=900)
+    w = arch.widths_array()
+    out = kernels.mlp_forward.py_func(theta, w, act_id, x)
+    assert np.array_equal(out, _mlp_forward_reference(theta, w, act_id, x))
 
 
 def test_gmm_kernel_matches_pyfunc():
@@ -162,5 +186,37 @@ def test_gmm_kernel_bit_identical_to_reference(values, init, max_iter, tol, expe
     assert n_iter == ref[5]
     assert {"converged": 0 < n_iter < max_iter, "max_iter": n_iter == max_iter,
             "early_break": n_iter == 0}[expect]
-    for a, b in zip(out[:5], ref[:5]):
+    _assert_matches_reference(values, out, ref)
+
+
+def _assert_matches_reference(values, out, ref):
+    """Parameters, responsibilities and n_iter equal the reference bit for
+    bit, and the log-likelihoods recomputed from the recorded iterates equal
+    the ones the reference loop computed."""
+    for a, b in zip(out[:4], ref[:4]):
         assert np.array_equal(a, b)
+    assert out[5] == ref[5]
+    iterates = out[4]
+    assert iterates.shape == (out[5], 6)
+    if out[5]:
+        assert np.array_equal(iterates[-1], np.concatenate(out[:3]))
+    assert np.array_equal(coteach.gmm_log_likelihoods(values, iterates), ref[4])
+
+
+def test_gmm_kernel_bit_identical_to_reference_on_random_fits():
+    # normalized loss-like samples: a tight clean mode plus a broad noisy one
+    rng = np.random.default_rng(900)
+    outcomes = []
+    for _ in range(20):
+        n_clean = int(rng.integers(450, 850))
+        losses = np.concatenate([
+            rng.gamma(rng.uniform(0.5, 3.0), rng.uniform(0.05, 0.5), n_clean),
+            rng.normal(rng.uniform(1.0, 4.0), rng.uniform(0.2, 2.0), 900 - n_clean),
+        ])
+        values = (losses - losses.min()) / (losses.max() - losses.min())
+        args = (values, np.array([0.5, 0.5]), np.percentile(values, [10.0, 90.0]),
+                np.full(2, max(values.var(), 1e-4)), 100, 1e-6, 1e-4)
+        out = kernels.gmm_em_1d.py_func(*args)
+        _assert_matches_reference(values, out, _gmm_em_1d_reference(*args))
+        outcomes.append(out[5] == 100)
+    assert any(outcomes) and not all(outcomes)  # some fits converge, some hit max_iter

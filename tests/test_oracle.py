@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coforget import data, net, oracle
 from coforget.errors import IngestionError, InputError
+from test_data import PACKAGE_ERRORS, damaged
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,12 @@ class TestOracleFile:
         with pytest.raises(IngestionError, match=r"\[7\]"):
             oracle.load_oracle_file(path, expected_ids=range(10))
 
+    def test_file_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "oracle.csv"
+        path.write_text("# coforget oracle v1: line2 = C; rows = id,p0..p{C-1}\n2\n")
+        with pytest.raises(IngestionError, match=r"oracle\.csv: no sample rows"):
+            oracle.load_oracle_file(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "oracle.csv"
         path.write_text(
@@ -136,3 +145,19 @@ class TestOracleFile:
         )
         with pytest.raises(IngestionError, match="duplicate"):
             oracle.load_oracle_file(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_damaged_file_raises_only_package_errors(self, tmp_path, draw):
+        ds = data.make_blobs(3, 4, 2, 1.0, 0, test_per_class=2)
+        path = tmp_path / "oracle.csv"
+        oracle.save_oracle_file(oracle.synthetic_oracle(ds, 0.7, 0.6, 1), path)
+        path.write_text(damaged(draw.draw, path.read_text().splitlines()))
+        expected = draw.draw(st.sampled_from([None, range(ds.n)]), label="expected_ids")
+        try:
+            table = oracle.load_oracle_file(path, expected_ids=expected)
+        except PACKAGE_ERRORS:
+            return
+        assert table.n > 0 and np.all(np.isfinite(table.probs)) and np.all(table.probs >= 0)
+        np.testing.assert_allclose(table.probs.sum(axis=1), 1.0, atol=1e-6)
