@@ -112,9 +112,11 @@ def _parse_window(text):
         return None
     try:
         lo, hi = (int(v) for v in text.split(":"))
-        return lo, hi
     except ValueError:
         raise ConfigurationError(f"--window must look like START:END, got {text!r}") from None
+    if not 1 <= lo <= hi:
+        raise ConfigurationError(f"--window needs 1 <= START <= END, got {text!r}")
+    return lo, hi
 
 
 def cmd_report(args) -> int:

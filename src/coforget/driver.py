@@ -7,6 +7,12 @@ co-teaching epoch on the current retained pool (the full train set before
 the first selection). The two networks are the "scratch" net (an MLP on raw
 features) and the "embed" net (adapter plus head over the fixed oracle
 embeddings).
+
+Each network's pool losses (per-sample CE of the observed labels on the
+current pool) stay valid until warmup, a forgetting pass with targets, an
+unskipped co-teaching update or a selection that leaves fewer than all train
+ids sets them to None; whatever is None is evaluated when next needed, so
+one epoch's metric losses are the next epoch's co-divide input.
 """
 
 import json
@@ -19,7 +25,7 @@ import numpy as np
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
 from .config import RunConfig, validate_config
 from .errors import ConfigurationError, StateError
-from .util import fmt_float, rng_for
+from .util import fmt_float, output_dir, rng_for
 
 logger = logging.getLogger("coforget")
 
@@ -203,33 +209,6 @@ def warmup_epoch(feats, emb, onehot_obs, soft_targets, train_ids,
     return theta_scratch, opt_scratch, theta_embed, opt_embed
 
 
-class PoolLosses:
-    """Per-sample cross-entropy of each network's observed labels on a set
-    of ids, for the metrics, the co-divide and the selection trajectory.
-
-    The last result per network is kept and returned again while its
-    parameters and ids are equal by value: the end-of-epoch metric losses
-    on the pool are the next co-teaching epoch's co-divide inputs whenever
-    no selection or forgetting step ran in between. Returned arrays are
-    read-only, because every caller shares them.
-    """
-
-    def __init__(self, labels, nets):
-        self._labels = labels
-        self._nets = nets  # network name -> (arch, inputs)
-        self._last = {}
-
-    def __call__(self, name, theta, ids):
-        last = self._last.get(name)
-        if last is not None and np.array_equal(last[0], theta) and np.array_equal(last[1], ids):
-            return last[2]
-        arch, inputs = self._nets[name]
-        losses = net.per_sample_ce(arch, theta, inputs[ids], self._labels[ids])
-        losses.flags.writeable = False
-        self._last[name] = (theta.copy(), ids.copy(), losses)
-        return losses
-
-
 def _check_finite(epoch, **arrays):
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -240,6 +219,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     """Execute one full run; writes metrics/audit/checkpoint files when
     out_dir is given and returns everything in memory either way."""
     validate_config(cfg)
+    out_path = output_dir(out_dir) if out_dir is not None else None
     ds = build_dataset(cfg)
     if ds.test_ids().shape[0] == 0:
         raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
@@ -248,7 +228,6 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     naive = cfg.method.kind == "naive-ce"
     oracle_table = None if naive else build_oracle(cfg, ds)
 
-    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -382,10 +361,11 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     soft_targets = 0.5 * oracle_table.probs + 0.5 * onehot
     noisy_train = ds.observed_labels[train_ids] != ds.true_labels[train_ids]
 
-    store = selection.TrajectoryStore(n_train)
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
     unlearning_on = method.unlearning
     current_pool = train_ids
+    losses = (None, None)  # see the module docstring
+    prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
     sets = None
     snapshot = None
     metrics = []
@@ -399,13 +379,17 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         if out_path is not None else None
     )
 
-    pool_losses = PoolLosses(
-        ds.observed_labels, {"scratch": (arch_scratch, ds.features), "embed": (arch_embed, emb)}
-    )
-
-    def record_losses(key):
-        store.record("scratch", key, pool_losses("scratch", theta_scratch, train_ids))
-        store.record("embed", key, pool_losses("embed", theta_embed, train_ids))
+    def evaluate(losses, ids):
+        """losses, with each None entry replaced by that network's per-sample
+        CE of the observed labels of ids under its current parameters."""
+        scratch, embed = losses
+        if scratch is None:
+            scratch = net.per_sample_ce(
+                arch_scratch, theta_scratch, ds.features[ids], ds.observed_labels[ids]
+            )
+        if embed is None:
+            embed = net.per_sample_ce(arch_embed, theta_embed, emb[ids], ds.observed_labels[ids])
+        return scratch, embed
 
     for k in range(1, sched.max_epoch + 1):
         hn = ln = cs = 0
@@ -416,22 +400,29 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                 arch_embed, theta_embed, opt_embed,
                 k, cfg.optim.batch_size, rng_for(seed, f"warmup/{k}"),
             )
+            losses = (None, None)
         else:
-            if unlearning_on and k == bootstrap_epoch:
-                # when the bootstrap coincides with the first selection epoch,
-                # key it one earlier so that selection sees a prior checkpoint
-                # (same parameters, so the loss drop degenerates to zero)
-                key = k if k < sched.start_unlearn else k - 1
-                if not store.has("scratch", key):
-                    record_losses(key)
-            if unlearning_on and gate_selection(k, sched.start_unlearn, sched.unlearn_period):
-                if not store.has("scratch", k):
-                    record_losses(k)
+            selecting = unlearning_on and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
+            if selecting or (unlearning_on and k == bootstrap_epoch):
+                # checkpoints cover every train id; the pool is a sorted subset
+                # of train_ids, so a pool of n_train ids is train_ids
+                if current_pool.shape[0] < n_train:
+                    losses = (None, None)
+                losses = evaluate(losses, train_ids)
+                if k == bootstrap_epoch:
+                    prev_losses = losses
+            if selecting:
+                # on a bootstrap epoch the previous checkpoint is this one,
+                # which makes every loss drop zero
                 sets, snapshot, audit = selection.unlearning_setup(
                     train_ids, ds.observed_labels[train_ids], theta_scratch, theta_embed,
-                    store, oracle_argmax_train, k, method.p_low, method.p_drop, toggles,
+                    (losses[0], prev_losses[0]), (losses[1], prev_losses[1]),
+                    oracle_argmax_train, k, method.p_low, method.p_drop, toggles,
                 )
+                prev_losses = losses
                 current_pool = sets.retained
+                if current_pool.shape[0] < n_train:
+                    losses = (None, None)
                 logger.info(
                     "epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
                     k, len(sets.targets_scratch), len(sets.targets_embed), current_pool.shape[0],
@@ -466,16 +457,20 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                 )
                 forget_rows.append((k, "scratch", stats_s.n_targets, stats_s.kl_before, stats_s.kl_after))
                 forget_rows.append((k, "embed", stats_e.n_targets, stats_e.kl_before, stats_e.kl_after))
+                # an empty plan leaves the parameters as they were
+                losses = (None if stats_s.n_targets else losses[0],
+                          None if stats_e.n_targets else losses[1])
+            losses = evaluate(losses, current_pool)
             res = coteach.coteach_epoch(
-                ds.features, emb, ds.observed_labels, current_pool,
-                pool_losses("scratch", theta_scratch, current_pool),
-                pool_losses("embed", theta_embed, current_pool),
+                ds.features, emb, ds.observed_labels, current_pool, losses[0], losses[1],
                 arch_scratch, theta_scratch, opt_scratch,
                 arch_embed, theta_embed, opt_embed,
                 k, params, rng_for(seed, f"coteach/{k}"),
             )
             theta_scratch, opt_scratch = res.theta_scratch, res.opt_scratch
             theta_embed, opt_embed = res.theta_embed, res.opt_embed
+            losses = (losses[0] if res.skipped_scratch else None,
+                      losses[1] if res.skipped_embed else None)
             judged_clean = (
                 (res.w_scratch >= CLEAN_JUDGE_THRESHOLD) & (res.w_embed >= CLEAN_JUDGE_THRESHOLD)
             )
@@ -499,8 +494,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         acc_scratch = float((p_scratch.argmax(axis=1) == y_test).mean())
         acc_embed = float((p_embed.argmax(axis=1) == y_test).mean())
         acc_ens = float((((p_scratch + p_embed) / 2.0).argmax(axis=1) == y_test).mean())
-        loss_scratch = float(pool_losses("scratch", theta_scratch, current_pool).mean())
-        loss_embed = float(pool_losses("embed", theta_embed, current_pool).mean())
+        losses = evaluate(losses, current_pool)
+        loss_scratch, loss_embed = float(losses[0].mean()), float(losses[1].mean())
         n_forget_scratch = len(sets.targets_scratch) if sets is not None else 0
         n_forget_embed = len(sets.targets_embed) if sets is not None else 0
         metrics.append(EpochMetrics(

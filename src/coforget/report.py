@@ -13,7 +13,7 @@ import numpy as np
 
 from . import driver
 from .errors import IngestionError
-from .util import fmt_float
+from .util import fmt_float, output_dir
 
 logger = logging.getLogger("coforget")
 
@@ -140,7 +140,7 @@ def write_report(run_dirs, out_dir, window=None) -> dict:
     """Emit curves.csv, summary.csv and selection_quality.csv for the given
     runs; incomplete run directories are skipped with a warning. Returns the
     (best, last) accuracy dicts of driver.best_last_columns keyed by run id."""
-    out_path = Path(out_dir)
+    out_path = output_dir(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     runs = []
     for d in run_dirs:

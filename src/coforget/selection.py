@@ -1,5 +1,5 @@
-"""Unlearning-target selection: loss-trajectory bookkeeping plus the
-three-condition rule that picks which samples each network must forget.
+"""Unlearning-target selection: the three-condition rule that picks which
+samples each network must forget from its loss trajectory.
 
 A sample becomes a forgetting target for a network when it has a very low
 loss or a strong recent loss drop (the memorization signals), unless the
@@ -13,45 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
-
-
-class TrajectoryStore:
-    """Per-network, per-checkpoint-epoch arrays of per-sample losses."""
-
-    def __init__(self, n_samples: int):
-        self.n_samples = int(n_samples)
-        self._data: dict = {}
-
-    def record(self, network: str, epoch: int, losses) -> None:
-        losses = np.asarray(losses, dtype=np.float64)
-        if losses.shape != (self.n_samples,):
-            raise InputError(
-                f"expected {self.n_samples} losses, got shape {losses.shape}"
-            )
-        if not np.all(np.isfinite(losses)):
-            raise InputError("losses must be finite")
-        key = (network, int(epoch))
-        if key in self._data:
-            raise StateError(f"losses for net {network} at epoch {epoch} already recorded")
-        self._data[key] = losses.copy()
-
-    def get(self, network: str, epoch: int) -> np.ndarray:
-        try:
-            return self._data[(network, int(epoch))]
-        except KeyError:
-            raise StateError(f"no losses recorded for net {network} at epoch {epoch}") from None
-
-    def has(self, network: str, epoch: int) -> bool:
-        return (network, int(epoch)) in self._data
-
-    def epochs(self, network: str):
-        return sorted(e for (n, e) in self._data if n == network)
-
-    def latest_before(self, network: str, epoch: int) -> int:
-        earlier = [e for e in self.epochs(network) if e < epoch]
-        if not earlier:
-            raise StateError(f"no checkpoint for net {network} before epoch {epoch}")
-        return earlier[-1]
 
 
 @dataclass(frozen=True)
@@ -156,56 +117,55 @@ class SelectionAudit:
     consistent: set
 
 
+def _checked_losses(losses, n: int) -> np.ndarray:
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.shape != (n,):
+        raise InputError(f"expected {n} losses, got shape {losses.shape}")
+    if not np.all(np.isfinite(losses)):
+        raise InputError("losses must be finite")
+    return losses
+
+
 def unlearning_setup(train_ids, observed_labels, theta_scratch, theta_embed,
-                     store: TrajectoryStore, oracle_argmax, epoch: int,
+                     losses_scratch, losses_embed, oracle_argmax, epoch: int,
                      p_low: float, p_drop: float,
                      toggles: ConditionToggles = ConditionToggles()):
     """Run selection for both networks at this epoch and snapshot parameters.
 
-    The previous checkpoint is the latest one recorded before this epoch
-    (normally epoch - E_UP; the bootstrap checkpoint on the first pass).
-    Returns (SelectionSets, ReferenceSnapshot, SelectionAudit).
+    losses_scratch and losses_embed are each a (losses_now, losses_prev)
+    pair of that network's per-sample losses on train_ids, now and at the
+    previous checkpoint (the previous selection epoch; the bootstrap
+    checkpoint on the first pass). Misaligned or non-finite losses raise
+    InputError. Returns (SelectionSets, ReferenceSnapshot, SelectionAudit).
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
-    per_net = {}
-    conds = {}
-    for tag in ("scratch", "embed"):
-        now = store.get(tag, epoch)
-        prev = store.get(tag, store.latest_before(tag, epoch))
-        targets, low, drop, consistent = unlearning_ss(
-            now, prev, oracle_argmax, observed_labels, p_low, p_drop, toggles
-        )
-        per_net[tag] = targets
-        conds[tag] = (low, drop, consistent)
-    union = per_net["scratch"] | per_net["embed"]
-    retained = np.asarray(sorted(set(train_ids.tolist()) - union), dtype=np.int64)
-    sets = SelectionSets(
-        targets_scratch=frozenset(per_net["scratch"]),
-        targets_embed=frozenset(per_net["embed"]),
-        retained=retained,
-        epoch=int(epoch),
+    n = train_ids.shape[0]
+    t_scratch, low_scratch, drop_scratch, consistent = unlearning_ss(
+        *(_checked_losses(x, n) for x in losses_scratch),
+        oracle_argmax, observed_labels, p_low, p_drop, toggles,
     )
+    t_embed, low_embed, drop_embed, _ = unlearning_ss(
+        *(_checked_losses(x, n) for x in losses_embed),
+        oracle_argmax, observed_labels, p_low, p_drop, toggles,
+    )
+    retained = np.asarray(sorted(set(train_ids.tolist()) - t_scratch - t_embed), dtype=np.int64)
+    sets = SelectionSets(frozenset(t_scratch), frozenset(t_embed), retained, int(epoch))
     snapshot = ReferenceSnapshot(theta_scratch.copy(), theta_embed.copy(), int(epoch))
-    audit = SelectionAudit(
-        low_scratch=conds["scratch"][0], drop_scratch=conds["scratch"][1],
-        low_embed=conds["embed"][0], drop_embed=conds["embed"][1],
-        consistent=conds["scratch"][2],
-    )
+    audit = SelectionAudit(low_scratch, drop_scratch, low_embed, drop_embed, consistent)
     return sets, snapshot, audit
 
 
 def write_selection_audit(path, train_ids, sets: SelectionSets, audit: SelectionAudit) -> None:
     """One row per train sample: membership in each condition and target set."""
+    train_ids = np.asarray(train_ids, dtype=np.int64)
+    members = (audit.low_scratch, audit.drop_scratch, audit.low_embed, audit.drop_embed,
+               audit.consistent, sets.targets_scratch, sets.targets_embed)
+    table = np.column_stack([train_ids] + [
+        np.isin(train_ids, np.fromiter(ids, np.int64, len(ids))) for ids in members
+    ])
     with open(path, "w", newline="\n") as fh:
         fh.write(
             "id,low_loss_scratch,loss_drop_scratch,low_loss_embed,loss_drop_embed,"
             "oracle_consistent,target_scratch,target_embed\n"
         )
-        for i in np.asarray(train_ids, dtype=np.int64):
-            i = int(i)
-            fh.write(
-                f"{i},{int(i in audit.low_scratch)},{int(i in audit.drop_scratch)},"
-                f"{int(i in audit.low_embed)},{int(i in audit.drop_embed)},"
-                f"{int(i in audit.consistent)},"
-                f"{int(i in sets.targets_scratch)},{int(i in sets.targets_embed)}\n"
-            )
+        np.savetxt(fh, table, fmt="%d", delimiter=",")

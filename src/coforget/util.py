@@ -1,8 +1,12 @@
-"""Small shared helpers: seeded RNG streams and CSV float formatting."""
+"""Small shared helpers: seeded RNG streams, CSV float formatting and
+output-directory checks."""
 
 import zlib
+from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
@@ -17,3 +21,16 @@ def rng_for(seed: int, tag: str) -> np.random.Generator:
 def fmt_float(x) -> str:
     """Shortest round-trip decimal form, locale independent."""
     return repr(float(x))
+
+
+def output_dir(path) -> Path:
+    """Path(path), after checking that a directory can be made there: the
+    path and its nearest existing ancestor must not be files. Raises
+    ConfigurationError naming the path otherwise."""
+    path = Path(path)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigurationError(f"output directory {path}: {p} is not a directory")
+            break
+    return path

@@ -1,6 +1,9 @@
-"""Smoke check of benchmarks/bench_kernels.py: a tiny run still imports what
-it needs from the package and writes the documented JSON shape."""
+"""Smoke checks of the benchmark scripts: benchmarks/bench_kernels.py still
+imports what it needs from the package and writes the documented JSON shape,
+and every boundary perfbench/tracer.py wraps still exists."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,3 +30,19 @@ def test_bench_kernels_json(tmp_path):
     for name, case in doc["cases"].items():
         assert set(case) == {"jit_us", "python_us"}, name
         assert case["jit_us"] > 0 and case["python_us"] > 0, name
+
+
+def test_perfbench_tracer_targets_exist():
+    """The tracer wraps package attributes by name; a refactor that renames
+    or removes one would silently drop that layer from the traced counts."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pkg = {name: importlib.import_module(f"coforget.{name}") for name in (
+        "cli", "config", "coteach", "data", "driver", "forget", "kernels", "net", "oracle",
+        "report", "selection",
+    )}
+    targets = tracer.targets(pkg)
+    assert targets
+    for owner, attr, span, _, _ in targets:
+        assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coforget import cli, data, oracle
+from coforget import cli, data, driver, oracle, report
 from coforget.config import build_config, load_config, validate_config
 from coforget.errors import ConfigurationError
 
@@ -366,6 +366,36 @@ class TestTrainAndReport:
         assert rc == 0
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert len(summary) == 2  # header + the good run only
+
+    def test_outdir_onto_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a run\n")
+        built = []
+        monkeypatch.setattr(driver, "build_dataset", lambda cfg: built.append(cfg))
+        rc = cli.main(["train", "--config", str(cfg_path), "--outdir", str(taken)])
+        assert rc == 2
+        assert f"output directory {taken}" in capsys.readouterr().err
+        assert built == []
+        assert taken.read_text() == "not a run\n"
+
+    def test_report_out_under_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        loaded = []
+        monkeypatch.setattr(report, "load_run", loaded.append)
+        rc = cli.main(["report", str(tmp_path / "run"), "--out", str(taken / "rep")])
+        assert rc == 2
+        assert f"output directory {taken / 'rep'}: {taken} is not a directory" in capsys.readouterr().err
+        assert loaded == []
+
+    @pytest.mark.parametrize("window", ["9:3", "0:5", "0:0"])
+    def test_report_rejects_reversed_or_non_positive_window(self, tmp_path, capsys, window):
+        rc = cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "rep"),
+                       "--window", window])
+        assert rc == 2
+        assert f"--window needs 1 <= START <= END, got {window!r}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestSweep:

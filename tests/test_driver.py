@@ -1,12 +1,13 @@
 """Schedule gates, warmup contract, determinism, ablation bisimulation."""
 
+import dataclasses
 import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coforget import coteach, data, driver, net, oracle
+from coforget import coteach, data, driver, net, oracle, selection
 from coforget.config import RunConfig, load_config
 from coforget.errors import ConfigurationError
 from coforget.util import fmt_float, rng_for
@@ -384,92 +385,122 @@ class TestCodivideAudit:
         assert driver.run(cfg, tmp_path / "run").metrics == driver.run(cfg).metrics
 
 
-class _Recompute:
-    """PoolLosses without reuse: every request evaluates the network, which
-    is the call pattern the pipeline had before PoolLosses existed."""
+class _LossWatch:
+    """Counts net.per_sample_ce calls during a run, checks each pair of loss
+    arrays coteach_epoch receives against a fresh evaluation at that call's
+    parameters and pool, and keeps what unlearning_setup receives for
+    check_selections."""
 
-    def __init__(self, labels, nets):
-        self.labels, self.nets = labels, nets
+    def __init__(self, monkeypatch):
+        self.evaluations = 0
+        self.coteach = {}      # epoch -> (loss_scratch, loss_embed)
+        self.selections = []   # (epoch, ids, theta per net, (now, prev) per net)
+        self.nets = None       # ((arch, inputs) per net, observed labels)
+        self._ce, self._coteach, self._select = (
+            net.per_sample_ce, coteach.coteach_epoch, selection.unlearning_setup)
+        monkeypatch.setattr(net, "per_sample_ce", self.per_sample_ce)
+        monkeypatch.setattr(coteach, "coteach_epoch", self.coteach_epoch)
+        monkeypatch.setattr(selection, "unlearning_setup", self.unlearning_setup)
 
-    def __call__(self, name, theta, ids):
-        arch, inputs = self.nets[name]
-        return net.per_sample_ce(arch, theta, inputs[ids], self.labels[ids])
+    def fresh(self, arch, theta, inputs, ids):
+        observed = self.nets[1]
+        return self._ce(arch, theta, inputs[ids], observed[ids])
+
+    def per_sample_ce(self, *args, **kwargs):
+        self.evaluations += 1
+        return self._ce(*args, **kwargs)
+
+    def coteach_epoch(self, *args):
+        (x_s, x_e, observed, pool, loss_s, loss_e,
+         arch_s, theta_s, _, arch_e, theta_e, _, epoch) = args[:13]
+        self.nets = (((arch_s, x_s), (arch_e, x_e)), observed)
+        assert np.array_equal(loss_s, self.fresh(arch_s, theta_s, x_s, pool)), epoch
+        assert np.array_equal(loss_e, self.fresh(arch_e, theta_e, x_e, pool)), epoch
+        self.coteach[epoch] = (loss_s.copy(), loss_e.copy())
+        return self._coteach(*args)
+
+    def unlearning_setup(self, *args):
+        ids, _, theta_s, theta_e, pair_s, pair_e, _, epoch = args[:8]
+        self.selections.append((
+            epoch, ids.copy(), (theta_s.copy(), theta_e.copy()),
+            tuple((now.copy(), prev.copy()) for now, prev in (pair_s, pair_e)),
+        ))
+        return self._select(*args)
+
+    def check_selections(self, bootstrap_epoch):
+        """Each selection's current losses are a fresh evaluation at its
+        parameters on every train id; its previous losses are the previous
+        selection's current ones, or on the first pass those of the bootstrap
+        epoch, which its co-teaching call also received."""
+        prev_nows = None
+        for epoch, ids, thetas, pairs in self.selections:
+            nows = tuple(now for now, _ in pairs)
+            for (arch, inputs), theta, now in zip(self.nets[0], thetas, nows):
+                assert np.array_equal(now, self.fresh(arch, theta, inputs, ids)), epoch
+            if prev_nows is None:
+                prev_nows = nows if epoch == bootstrap_epoch else self.coteach[bootstrap_epoch]
+            for (_, prev), expected in zip(pairs, prev_nows):
+                assert np.array_equal(prev, expected), epoch
+            prev_nows = nows
+
+    def uses(self, n_epochs):
+        """Loss arrays the run consumed: two per co-teaching epoch, selection
+        and epoch-end metric row."""
+        return 2 * (len(self.coteach) + len(self.selections) + n_epochs)
 
 
 class TestPoolLosses:
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = []
-        original = net.per_sample_ce
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(net, "per_sample_ce", counted)
-        return calls
-
-    @staticmethod
-    def _nets(seed=0):
-        ds = data.make_blobs(3, 20, 4, 1.5, seed, test_per_class=5)
-        arch_s, arch_e = net.Architecture((4, 8, 3)), net.Architecture((6, 8, 3))
-        emb = np.random.default_rng(seed).normal(size=(ds.n, 6))
-        losses = driver.PoolLosses(ds.observed_labels, {"scratch": (arch_s, ds.features),
-                                                        "embed": (arch_e, emb)})
-        return ds, losses, net.init_params(arch_s, seed), net.init_params(arch_e, seed + 1)
-
-    def test_equal_parameters_and_ids_reuse_the_result(self, monkeypatch):
-        ds, losses, theta_s, _ = self._nets()
-        calls = self._counting(monkeypatch)
-        ids = ds.train_ids()
-        first = losses("scratch", theta_s, ids)
-        assert losses("scratch", theta_s.copy(), ids.copy()) is first
-        assert len(calls) == 1
-        arch_s = net.Architecture((4, 8, 3))
-        np.testing.assert_array_equal(
-            first, net.per_sample_ce(arch_s, theta_s, ds.features[ids], ds.observed_labels[ids])
-        )
-
-    def test_changed_parameters_or_pool_recompute(self, monkeypatch):
-        ds, losses, theta_s, theta_e = self._nets()
-        calls = self._counting(monkeypatch)
-        ids = ds.train_ids()
-        losses("scratch", theta_s, ids)
-        losses("embed", theta_e, ids)
-        assert len(calls) == 2
-        nudged = theta_s.copy()
-        nudged[-1] = np.nextafter(nudged[-1], 1.0)
-        losses("scratch", nudged, ids)
-        assert len(calls) == 3
-        losses("scratch", nudged, ids[1:])
-        assert len(calls) == 4
-        losses("scratch", nudged, ids[::-1])
-        assert len(calls) == 5
-        losses("embed", theta_e, ids)  # the other net's entry is its own
-        assert len(calls) == 5
-
-    def test_results_are_read_only(self):
-        ds, losses, theta_s, _ = self._nets()
-        out = losses("scratch", theta_s, ds.train_ids())
-        with pytest.raises(ValueError):
-            out[0] = 0.0
+    """The pool losses the pipeline passes on are the ones a fresh
+    evaluation gives, and it evaluates them once per parameter change, not
+    once per use. The counts are those of the pipeline that cached losses by
+    value, on the same runs."""
 
     @pytest.mark.parametrize("config", ["quick", "desk"])
-    def test_fewer_evaluations_same_bytes(self, tmp_path, monkeypatch, config):
+    def test_fewer_evaluations_same_bytes(self, monkeypatch, config):
         cfg = load_config(QUICK.parent / f"{config}.yaml")
-        out = tmp_path / "reuse" if config == "quick" else None
-        calls = self._counting(monkeypatch)
-        reused = driver.run(cfg, out)
-        n_reused = len(calls)
-        monkeypatch.setattr(driver, "PoolLosses", _Recompute)
-        calls.clear()
-        fresh = driver.run(cfg, None if out is None else tmp_path / "fresh")
-        assert n_reused < len(calls)
-        assert [m.csv_row() for m in reused.metrics] == [m.csv_row() for m in fresh.metrics]
-        assert np.array_equal(reused.theta_scratch, fresh.theta_scratch)
-        assert np.array_equal(reused.theta_embed, fresh.theta_embed)
-        if out is not None:
-            names = sorted(p.name for p in out.iterdir())
-            assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
-            for name in names:
-                assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        watch = _LossWatch(monkeypatch)
+        driver.run(cfg)
+        sched = cfg.schedule
+        watch.check_selections(max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1))
+        assert watch.selections
+        assert watch.evaluations == {"quick": 66, "desk": 368}[config]
+        assert watch.evaluations < watch.uses(sched.max_epoch)
+
+    @pytest.mark.parametrize("override, evaluations", [
+        ("method.unlearning=false", 48),
+        ("method.kind=naive-ce", 24),
+    ])
+    def test_evaluations_without_unlearning(self, monkeypatch, override, evaluations):
+        watch = _LossWatch(monkeypatch)
+        driver.run(load_config(QUICK, overrides=[override]))
+        assert watch.selections == []
+        assert watch.evaluations == evaluations
+
+    def test_skipped_update_keeps_that_nets_losses(self, monkeypatch):
+        real = coteach.co_divide
+        monkeypatch.setattr(coteach, "co_divide", lambda *args: dataclasses.replace(
+            real(*args), embed_labeled_ids=np.empty(0, np.int64), embed_labeled_w=np.empty(0),
+        ))
+        watch = _LossWatch(monkeypatch)
+        driver.run(load_config(QUICK, overrides=["method.unlearning=false"]))
+        # both nets after each of 3 warmup epochs, then only the scratch net
+        # after each of the 21 co-teaching epochs
+        assert watch.evaluations == 2 * 3 + 21
+
+    def test_bootstrap_on_first_selection_epoch_has_zero_loss_drop(self, tmp_path, monkeypatch):
+        cfg = load_config(QUICK, overrides=[
+            "schedule.warmup=5", "schedule.start_unlearn=6",
+            "schedule.unlearn_period=6", "schedule.unlearn_duration=2",
+        ])
+        watch = _LossWatch(monkeypatch)
+        driver.run(cfg, tmp_path / "run")
+        watch.check_selections(bootstrap_epoch=6)
+        assert watch.selections[0][0] == 6
+        assert watch.evaluations == 74
+        with open(tmp_path / "run" / "selection_epoch_0006.csv") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64)
+        drop = [header.index("loss_drop_scratch"), header.index("loss_drop_embed")]
+        assert rows.shape == (180, 8)
+        assert not rows[:, drop].any()
+        assert rows[:, header.index("low_loss_scratch")].any()

@@ -6,7 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coforget import selection
-from coforget.errors import InputError, StateError
+from coforget.errors import InputError
+
+
+def _reference_selection_audit(path, train_ids, sets, audit) -> None:
+    """The row-by-row selection audit writer, frozen as the reference for the
+    bytes of selection.write_selection_audit."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(
+            "id,low_loss_scratch,loss_drop_scratch,low_loss_embed,loss_drop_embed,"
+            "oracle_consistent,target_scratch,target_embed\n"
+        )
+        for i in np.asarray(train_ids, dtype=np.int64):
+            i = int(i)
+            fh.write(
+                f"{i},{int(i in audit.low_scratch)},{int(i in audit.drop_scratch)},"
+                f"{int(i in audit.low_embed)},{int(i in audit.drop_embed)},"
+                f"{int(i in audit.consistent)},"
+                f"{int(i in sets.targets_scratch)},{int(i in sets.targets_embed)}\n"
+            )
 
 
 class TestQuantileThreshold:
@@ -121,58 +139,25 @@ def test_selection_identity_property(n, seed, p_low, p_drop):
     assert d_u.isdisjoint(d_cs)
 
 
-class TestTrajectoryStore:
-    def test_record_then_read(self):
-        store = selection.TrajectoryStore(3)
-        losses = np.array([1.0, 2.0, 3.0])
-        store.record("A", 5, losses)
-        np.testing.assert_array_equal(store.get("A", 5), losses)
-
-    def test_networks_independent(self):
-        store = selection.TrajectoryStore(2)
-        store.record("A", 1, np.array([1.0, 2.0]))
-        store.record("V", 1, np.array([3.0, 4.0]))
-        assert store.get("A", 1)[0] == 1.0
-        assert store.get("V", 1)[0] == 3.0
-
-    def test_duplicate_epoch_rejected(self):
-        store = selection.TrajectoryStore(1)
-        store.record("A", 1, np.array([1.0]))
-        with pytest.raises(StateError):
-            store.record("A", 1, np.array([2.0]))
-
-    def test_missing_epoch_rejected(self):
-        store = selection.TrajectoryStore(1)
-        with pytest.raises(StateError):
-            store.get("A", 3)
-
-    def test_latest_before(self):
-        store = selection.TrajectoryStore(1)
-        for e in (10, 20, 30):
-            store.record("A", e, np.array([float(e)]))
-        assert store.latest_before("A", 30) == 20
-        with pytest.raises(StateError):
-            store.latest_before("A", 10)
-
-
 class TestUnlearningSetup:
-    def _store(self, n):
-        store = selection.TrajectoryStore(n)
+    @staticmethod
+    def _losses(n):
+        """(losses_now, losses_prev) per network, with the losses falling."""
         rng = np.random.default_rng(1)
-        for tag in ("scratch", "embed"):
-            store.record(tag, 20, rng.normal(size=n) + 2.0)
-            store.record(tag, 30, rng.normal(size=n) + 1.0)
-        return store
+        pairs = []
+        for _ in range(2):
+            prev = rng.normal(size=n) + 2.0
+            pairs.append((rng.normal(size=n) + 1.0, prev))
+        return tuple(pairs)
 
     def test_retained_pool_is_exact_complement(self):
         n = 10
-        store = self._store(n)
         train_ids = np.arange(n)
         observed = np.zeros(n, dtype=np.int64)
         oracle_argmax = np.ones(n, dtype=np.int64)  # nothing protected
         theta_s, theta_e = np.zeros(3), np.ones(4)
         sets, snap, _ = selection.unlearning_setup(
-            train_ids, observed, theta_s, theta_e, store, oracle_argmax, 30, 0.2, 0.2
+            train_ids, observed, theta_s, theta_e, *self._losses(n), oracle_argmax, 30, 0.2, 0.2
         )
         union = set(sets.targets_scratch) | set(sets.targets_embed)
         assert set(sets.retained.tolist()) == set(range(n)) - union
@@ -181,13 +166,10 @@ class TestUnlearningSetup:
 
     def test_empty_targets_keep_full_pool_and_snapshot(self):
         n = 6
-        store = selection.TrajectoryStore(n)
-        for tag in ("scratch", "embed"):
-            store.record(tag, 20, np.full(n, 1.0))
-            store.record(tag, 30, np.full(n, 1.0))
+        flat = (np.full(n, 1.0), np.full(n, 1.0))
         labels = np.arange(n, dtype=np.int64) % 2
         sets, snap, _ = selection.unlearning_setup(
-            np.arange(n), labels, np.zeros(2), np.zeros(2), store, labels, 30, 0.05, 0.2
+            np.arange(n), labels, np.zeros(2), np.zeros(2), flat, flat, labels, 30, 0.05, 0.2
         )
         assert sets.targets_scratch == frozenset() and sets.targets_embed == frozenset()
         assert np.array_equal(sets.retained, np.arange(n))
@@ -195,11 +177,10 @@ class TestUnlearningSetup:
 
     def test_snapshot_is_frozen_copy(self):
         n = 4
-        store = self._store(n)
         theta_s = np.arange(3, dtype=np.float64)
         sets, snap, _ = selection.unlearning_setup(
             np.arange(n), np.zeros(n, dtype=np.int64), theta_s, np.zeros(2),
-            store, np.ones(n, dtype=np.int64), 30, 0.2, 0.2,
+            *self._losses(n), np.ones(n, dtype=np.int64), 30, 0.2, 0.2,
         )
         theta_s[0] = 99.0
         assert snap.theta_scratch[0] == 0.0
@@ -207,21 +188,35 @@ class TestUnlearningSetup:
             snap.theta_scratch[0] = 5.0
 
     def test_missing_checkpoint_raises(self):
-        store = selection.TrajectoryStore(4)
-        store.record("scratch", 30, np.ones(4))
-        with pytest.raises(StateError):
+        now = np.ones(4)
+        with pytest.raises(InputError, match="expected 4 losses"):
             selection.unlearning_setup(
                 np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
-                store, np.zeros(4, dtype=np.int64), 30, 0.2, 0.2,
+                (now, None), (now, now), np.zeros(4, dtype=np.int64), 30, 0.2, 0.2,
+            )
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.ones(3), "expected 4 losses"),
+        (np.ones((4, 1)), "expected 4 losses"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "finite"),
+        (np.array([1.0, 1.0, np.inf, 1.0]), "finite"),
+    ])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_misaligned_or_non_finite_losses_raise(self, bad, match, slot):
+        pairs = [np.ones(4)] * 4
+        pairs[slot] = bad
+        with pytest.raises(InputError, match=match):
+            selection.unlearning_setup(
+                np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
+                tuple(pairs[:2]), tuple(pairs[2:]), np.zeros(4, dtype=np.int64), 30, 0.2, 0.2,
             )
 
     def test_audit_file_round_trip(self, tmp_path):
         n = 8
-        store = self._store(n)
         train_ids = np.arange(n)
         sets, _, audit = selection.unlearning_setup(
             train_ids, np.zeros(n, dtype=np.int64), np.zeros(2), np.zeros(2),
-            store, np.ones(n, dtype=np.int64), 30, 0.25, 0.25,
+            *self._losses(n), np.ones(n, dtype=np.int64), 30, 0.25, 0.25,
         )
         path = tmp_path / "audit.csv"
         selection.write_selection_audit(path, train_ids, sets, audit)
@@ -231,3 +226,26 @@ class TestUnlearningSetup:
         du_col = header.index("target_scratch")
         flagged = {int(row.split(",")[0]) for row in lines[1:] if row.split(",")[du_col] == "1"}
         assert flagged == set(sets.targets_scratch)
+
+
+@pytest.mark.parametrize("case", ["all-empty", "all-full", "no-ids", *range(6)])
+def test_selection_audit_matches_row_by_row_writer(tmp_path, case):
+    rng = np.random.default_rng(case if isinstance(case, int) else 99)
+    n = 0 if case == "no-ids" else int(rng.integers(1, 60))
+    train_ids = np.sort(rng.choice(200, size=n, replace=False)).astype(np.int64)
+    if case == "all-empty":
+        shares = [0.0] * 7
+    elif case == "all-full":
+        shares = [1.0] * 7
+    else:
+        shares = rng.choice([0.0, 0.05, 0.3, 0.8, 1.0], size=7)
+    low_s, drop_s, low_e, drop_e, consistent, t_s, t_e = (
+        set(train_ids[rng.random(n) < share].tolist()) for share in shares
+    )
+    sets = selection.SelectionSets(
+        frozenset(t_s), frozenset(t_e), np.setdiff1d(train_ids, list(t_s | t_e)), 30
+    )
+    audit = selection.SelectionAudit(low_s, drop_s, low_e, drop_e, consistent)
+    selection.write_selection_audit(tmp_path / "new.csv", train_ids, sets, audit)
+    _reference_selection_audit(tmp_path / "ref.csv", train_ids, sets, audit)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
