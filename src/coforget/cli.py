@@ -132,17 +132,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    """Run the cartesian product of --set values as independent processes."""
-    axes = []
-    for item in args.set:
+def sweep_grid(items) -> list:
+    """The --set axes' cartesian product, one [(key, value), ...] per member."""
+    combos = [[]]
+    for item in items:
         if "=" not in item:
             raise ConfigurationError(f"--set {item!r} must look like section.key=v1,v2,...")
         key, values = item.split("=", 1)
-        axes.append((key.strip(), values.split(",")))
-    combos = [[]]
-    for key, values in axes:
-        combos = [prev + [(key, v)] for prev in combos for v in values]
+        combos = [prev + [(key.strip(), v)] for prev in combos for v in values.split(",")]
+    return combos
+
+
+def cmd_sweep(args) -> int:
+    """Run the cartesian product of --set values as independent processes."""
+    combos = sweep_grid(args.set)
     out_root = Path(args.outdir)
     out_root.mkdir(parents=True, exist_ok=True)
     failures = 0

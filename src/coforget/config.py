@@ -161,7 +161,10 @@ def _coerce(section: str, key: str, value, annotation):
     if not isinstance(value, accepted) or (isinstance(value, bool) and annotation is not bool):
         null = " or null" if optional else ""
         raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {value!r}")
-    return annotation(value)
+    try:
+        return annotation(value)
+    except OverflowError:
+        raise ConfigurationError(f"{section}.{key}: integer too large for a float") from None
 
 
 def _apply_section(cfg_obj, section: str, data: dict):
@@ -234,9 +237,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("oracle.path is required when oracle.kind = file")
 
     for name in ("net_scratch", "net_embed"):
-        netcfg = getattr(cfg, name)
-        if not netcfg.hidden or any(not isinstance(h, int) or h < 1 for h in netcfg.hidden):
+        hidden = getattr(cfg, name).hidden
+        if not hidden:
             raise ConfigurationError(f"{name}.hidden must be a non-empty list of widths >= 1")
+        for i, width in enumerate(hidden):
+            if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+                raise ConfigurationError(f"{name}.hidden[{i}] must be a width >= 1, got {width!r}")
 
     if optim.lr_scratch <= 0 or optim.lr_embed <= 0:
         raise ConfigurationError("optim learning rates must be > 0")
@@ -280,6 +286,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"run.seed must be >= 0, got {cfg.run.seed}")
 
 
+# what yaml.safe_load raises on bad text: YAMLError, and from its constructors
+# ValueError, LookupError or AttributeError on malformed tagged scalars and
+# dates ("!!int x", "2001-13-45"), RecursionError on deep nesting
+_YAML_ERRORS = (yaml.YAMLError, ValueError, LookupError, AttributeError, RecursionError)
+
+
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply 'section.key=value' strings (bare 'seed' means run.seed)."""
     if overrides and not isinstance(data, dict):
@@ -297,8 +309,8 @@ def apply_overrides(data: dict, overrides) -> dict:
         section, name = parts
         try:
             value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"override {item!r}: value is not valid YAML ({exc})") from None
+        except _YAML_ERRORS as exc:
+            raise ConfigurationError(f"override {item!r}: value is not valid YAML ({exc!r})") from None
         if data.get(section) is None:
             data[section] = {}
         elif not isinstance(data[section], dict):
@@ -315,7 +327,7 @@ def load_config(path, overrides=()) -> RunConfig:
             data = yaml.safe_load(fh) or {}
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: cannot read config ({exc})") from None
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{path}: config is not valid YAML ({exc})") from None
+    except _YAML_ERRORS as exc:
+        raise ConfigurationError(f"{path}: config is not valid YAML ({exc!r})") from None
     data = apply_overrides(data, overrides)
     return build_config(data)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, IngestionError
-from .util import fmt_float
+from .util import check_rows, read_csv, write_csv
 
 _CENTROID_SCALE = 2.0
 
@@ -227,59 +227,43 @@ _DS_MAGIC = "# coforget dataset v1: line2 = C,dim,N; rows = id,split,true,observ
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_DS_MAGIC + "\n")
-        fh.write(f"{ds.n_classes},{ds.dim},{ds.n}\n")
-        for i in range(ds.n):
-            split = "test" if ds.is_test[i] else "train"
-            feats = ",".join(fmt_float(v) for v in ds.features[i])
-            fh.write(f"{i},{split},{ds.true_labels[i]},{ds.observed_labels[i]},{feats}\n")
+    split = np.where(ds.is_test, "test", "train")
+    write_csv(path, [_DS_MAGIC, f"{ds.n_classes},{ds.dim},{ds.n}"],
+              [(np.arange(ds.n), split, ds.true_labels, ds.observed_labels, *ds.features.T)])
+
+
+def _dataset_sizes(path, head) -> tuple:
+    if not head[0].startswith("# coforget dataset v1"):
+        raise IngestionError(f"{path}: missing dataset header line")
+    try:
+        n_classes, dim, n = (int(v) for v in head[1].split(","))
+    except ValueError as exc:
+        raise IngestionError(f"{path}: line 2 must be 'C,dim,N' ({exc})") from None
+    if n_classes < 1 or dim < 1 or n < 0:
+        raise IngestionError(f"{path}:2: need C >= 1, dim >= 1 and N >= 0, got {head[1]!r}")
+    return n_classes, dim, n
 
 
 def load_dataset(path) -> Dataset:
     """Read a file written by save_dataset. A malformed header or row, a
     label outside [0, C), a noisy test label or a non-finite feature raises
     IngestionError at path:line."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"{path}: cannot read dataset file ({exc})") from None
-    if not lines or not lines[0].startswith("# coforget dataset v1"):
-        raise IngestionError(f"{path}: missing dataset header line")
-    try:
-        n_classes, dim, n = (int(v) for v in lines[1].split(","))
-    except (IndexError, ValueError) as exc:
-        raise IngestionError(f"{path}: line 2 must be 'C,dim,N' ({exc})") from None
-    if n_classes < 1 or dim < 1 or n < 0:
-        raise IngestionError(f"{path}:2: need C >= 1, dim >= 1 and N >= 0, got {lines[1]!r}")
-    records = lines[2:]
-    if len(records) != n:
-        raise IngestionError(f"{path}: header promises {n} records, found {len(records)}")
-    features = np.empty((n, dim))
-    true_labels = np.empty(n, dtype=np.int64)
-    observed = np.empty(n, dtype=np.int64)
-    is_test = np.empty(n, dtype=bool)
-    for lineno, row in enumerate(records, start=3):
-        parts = row.split(",")
-        if len(parts) != 4 + dim:
-            raise IngestionError(f"{path}:{lineno}: expected {4 + dim} fields, got {len(parts)}")
-        try:
-            idx = int(parts[0])
-            if idx != lineno - 3:
-                raise ValueError(f"ids must be contiguous, got {idx}")
-            if parts[1] not in ("train", "test"):
-                raise ValueError(f"bad split tag {parts[1]!r}")
-            true, obs = int(parts[2]), int(parts[3])
-            if not (0 <= true < n_classes and 0 <= obs < n_classes):
-                raise ValueError(f"labels {true},{obs} must lie in [0, {n_classes})")
-            if parts[1] == "test" and true != obs:
-                raise ValueError("test rows must carry no label noise")
-            is_test[idx] = parts[1] == "test"
-            true_labels[idx], observed[idx] = true, obs
-            features[idx] = [float(v) for v in parts[4:]]
-            if not np.all(np.isfinite(features[idx])):
-                raise ValueError(f"features must be finite, got {','.join(parts[4:])}")
-        except ValueError as exc:
-            raise IngestionError(f"{path}:{lineno}: {exc}") from None
-    return Dataset(features, true_labels, observed, is_test, n_classes)
+    # the split field is one wider than "train", so "trainx" stays "trainx"
+    head, rows = read_csv(path, 2, lambda head: [
+        ("id", np.int64), ("split", "U6"), ("labels", np.int64, (2,)),
+        ("features", np.float64, (_dataset_sizes(path, head)[1],)),
+    ], strict=True, what="dataset file")
+    n_classes, _, n = _dataset_sizes(path, head)
+    if rows.shape[0] != n:
+        raise IngestionError(f"{path}: header promises {n} records, found {rows.shape[0]}")
+    true_labels, observed = np.ascontiguousarray(rows["labels"].T)
+    is_test = rows["split"] == "test"
+    check_rows(path, 3, [
+        (rows["id"] == np.arange(n), "ids must be contiguous from 0"),
+        (is_test | (rows["split"] == "train"), "split must be train or test"),
+        (((rows["labels"] >= 0) & (rows["labels"] < n_classes)).all(axis=1),
+         f"labels must lie in [0, {n_classes})"),
+        (~is_test | (true_labels == observed), "test rows must carry no label noise"),
+        (np.isfinite(rows["features"]).all(axis=1), "features must be finite"),
+    ])
+    return Dataset(np.ascontiguousarray(rows["features"]), true_labels, observed, is_test, n_classes)

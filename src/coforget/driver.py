@@ -15,6 +15,7 @@ ids sets them to None; whatever is None is evaluated when next needed, so
 one epoch's metric losses are the next epoch's co-divide input.
 """
 
+import dataclasses
 import json
 import logging
 from dataclasses import dataclass
@@ -25,14 +26,10 @@ import numpy as np
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
 from .config import RunConfig, validate_config
 from .errors import ConfigurationError, StateError
-from .util import fmt_float, output_dir, rng_for
+from .util import format_rows, output_dir, rng_for, write_csv
 
 logger = logging.getLogger("coforget")
 
-METRICS_HEADER = (
-    "epoch,acc_scratch,acc_embed,acc_ens,train_loss_scratch,train_loss_embed,"
-    "n_forget_scratch,n_forget_embed,n_pool,hn,ln,cs"
-)
 CODIVIDE_HEADER = "epoch,id,w_scratch,w_embed,labeled_scratch,labeled_embed,observed,true"
 CODIVIDE_DTYPE = np.dtype([
     ("id", np.int64), ("w_scratch", np.float64), ("w_embed", np.float64),
@@ -73,22 +70,10 @@ class EpochMetrics:
     cs: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.epoch),
-                fmt_float(self.acc_scratch),
-                fmt_float(self.acc_embed),
-                fmt_float(self.acc_ens),
-                fmt_float(self.train_loss_scratch),
-                fmt_float(self.train_loss_embed),
-                str(self.n_forget_scratch),
-                str(self.n_forget_embed),
-                str(self.n_pool),
-                str(self.hn),
-                str(self.ln),
-                str(self.cs),
-            ]
-        )
+        return format_rows(dataclasses.astuple(self))
+
+
+METRICS_HEADER = ",".join(field.name for field in dataclasses.fields(EpochMetrics))
 
 
 @dataclass
@@ -245,10 +230,8 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         result = _run_pipeline(cfg, ds, oracle_table, out_path)
 
     if out_path is not None:
-        with open(out_path / "metrics.csv", "w", newline="\n") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for row in result.metrics:
-                fh.write(row.csv_row() + "\n")
+        write_csv(out_path / "metrics.csv", [METRICS_HEADER],
+                  [list(zip(*map(dataclasses.astuple, result.metrics)))])
     return result
 
 
@@ -284,30 +267,6 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     if out_path is not None:
         net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", arch, theta)
     return RunResult(metrics, best, last, arch, theta, None, None, [], out_path)
-
-
-def _write_codivide_audit(path, epochs, rows, ds: data.Dataset) -> None:
-    """One row per (epoch, pool sample), one write per epoch. epochs holds
-    (epoch, pool size) per co-teaching epoch and rows the matching
-    CODIVIDE_DTYPE rows. Floats are written as repr of a Python float, which
-    is what fmt_float produces."""
-    flag = ("0", "1").__getitem__
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CODIVIDE_HEADER + "\n")
-        for (k, size), row in zip(epochs, rows):
-            row = row[:size]
-            ids = row["id"]
-            cells = zip(
-                map(str, ids.tolist()),
-                map(repr, row["w_scratch"].tolist()), map(repr, row["w_embed"].tolist()),
-                map(flag, row["labeled_scratch"].tolist()), map(flag, row["labeled_embed"].tolist()),
-                map(str, ds.observed_labels[ids].tolist()), map(str, ds.true_labels[ids].tolist()),
-            )
-            # three writes: concatenating around the chunk would copy it twice
-            prefix = f"{k},"
-            fh.write(prefix)
-            fh.write(("\n" + prefix).join(map(",".join, cells)))
-            fh.write("\n")
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
@@ -370,7 +329,7 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     snapshot = None
     metrics = []
     forget_rows = []
-    codivide_epochs = []
+    codivide_epochs = []  # (epoch, the filled part of its codivide_rows row)
     # audit rows of every co-teaching epoch in one block, kept only for a run
     # directory: per-epoch arrays kept instead stay scattered over the heap
     # and raise the memory peak of whatever runs next
@@ -479,14 +438,13 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             ln = int(np.sum(noisy_pool)) - hn
             cs = int(np.sum(~noisy_pool))
             if out_path is not None:
-                size = current_pool.shape[0]
-                row = codivide_rows[len(codivide_epochs), :size]
+                row = codivide_rows[len(codivide_epochs), :current_pool.shape[0]]
                 row["id"] = current_pool
                 row["w_scratch"] = res.w_scratch
                 row["w_embed"] = res.w_embed
                 row["labeled_scratch"] = res.labeled_for_scratch
                 row["labeled_embed"] = res.labeled_for_embed
-                codivide_epochs.append((k, size))
+                codivide_epochs.append((k, row))
         _check_finite(k, theta_scratch=theta_scratch, theta_embed=theta_embed)
         p_scratch = net.predict_proba(arch_scratch, theta_scratch, ds.features[test_ids])
         p_embed = net.predict_proba(arch_embed, theta_embed, emb[test_ids])
@@ -507,11 +465,12 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     if out_path is not None:
         net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", arch_scratch, theta_scratch)
         net.save_checkpoint(out_path / "checkpoint_embed.ckpt", arch_embed, theta_embed)
-        _write_codivide_audit(out_path / "codivide_audit.csv", codivide_epochs, codivide_rows, ds)
-        with open(out_path / "forgetting_log.csv", "w", newline="\n") as fh:
-            fh.write(forget.KL_LOG_HEADER + "\n")
-            for epoch, tag, n, before, after in forget_rows:
-                fh.write(f"{epoch},{tag},{n},{fmt_float(before)},{fmt_float(after)}\n")
+        write_csv(out_path / "codivide_audit.csv", [CODIVIDE_HEADER], (
+            (k, row["id"], row["w_scratch"], row["w_embed"], row["labeled_scratch"],
+             row["labeled_embed"], ds.observed_labels[row["id"]], ds.true_labels[row["id"]])
+            for k, row in codivide_epochs
+        ))
+        write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return RunResult(
         metrics, best, last, arch_scratch, theta_scratch, arch_embed, theta_embed,
         forget_rows, out_path,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import IngestionError, InputError
-from .util import fmt_float
+from .util import check_rows, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -88,61 +88,42 @@ _ROW_TOL = 1e-6
 
 
 def save_oracle_file(table: OracleTable, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_ORACLE_MAGIC + "\n")
-        fh.write(f"{table.n_classes}\n")
-        for i in range(table.n):
-            fh.write(f"{i}," + ",".join(fmt_float(p) for p in table.probs[i]) + "\n")
+    write_csv(path, [_ORACLE_MAGIC, str(table.n_classes)], [(np.arange(table.n), *table.probs.T)])
+
+
+def _class_count(path, head) -> int:
+    try:
+        if head[0].startswith("# coforget oracle v1") and int(head[1]) >= 1:
+            return int(head[1])
+    except ValueError:
+        pass
+    raise IngestionError(f"{path}: need the oracle header line, then a class count >= 1")
 
 
 def load_oracle_file(path, expected_ids=None) -> OracleTable:
-    """Parse and validate an oracle file; rows must be probability vectors.
-
-    When expected_ids is given, the table must cover exactly those ids.
-    """
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"{path}: cannot read oracle file ({exc})") from None
-    if not lines or not lines[0].startswith("# coforget oracle v1"):
-        raise IngestionError(f"{path}: missing oracle header line")
-    try:
-        n_classes = int(lines[1])
-    except (IndexError, ValueError):
-        raise IngestionError(f"{path}: line 2 must hold the class count") from None
-    rows = {}
-    for lineno, row in enumerate(lines[2:], start=3):
-        parts = row.split(",")
-        if len(parts) != 1 + n_classes:
-            raise IngestionError(
-                f"{path}:{lineno}: expected id plus {n_classes} probabilities, got {len(parts)} fields"
-            )
-        try:
-            idx = int(parts[0])
-            p = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise IngestionError(f"{path}:{lineno}: {exc}") from None
-        if idx in rows:
-            raise IngestionError(f"{path}:{lineno}: duplicate sample id {idx}")
-        if not np.all(np.isfinite(p)):
-            raise IngestionError(f"{path}:{lineno}: probabilities must be finite")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > _ROW_TOL:
-            raise IngestionError(
-                f"{path}:{lineno}: probabilities must be non-negative and sum to 1 "
-                f"(got sum {p.sum():.6f})"
-            )
-        rows[idx] = p
-    if not rows:
+    """Parse and validate an oracle file; rows must be probability vectors,
+    and cover exactly expected_ids when that is given."""
+    _, rows = read_csv(path, 2, lambda head: [
+        ("id", np.int64), ("p", np.float64, (_class_count(path, head),)),
+    ], strict=True, what="oracle file")
+    ids, probs = rows["id"], np.ascontiguousarray(rows["p"])
+    order = np.argsort(ids, kind="stable")
+    duplicate = np.zeros(ids.shape[0], bool)
+    duplicate[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    check_rows(path, 3, [
+        (~duplicate, "duplicate sample id"),
+        (np.isfinite(probs).all(axis=1), "probabilities must be finite"),
+        (~(probs < 0).any(axis=1) & ~(np.abs(probs.sum(axis=1) - 1.0) > _ROW_TOL),
+         f"probabilities must be non-negative and sum to 1 (within {_ROW_TOL})"),
+    ])
+    if ids.shape[0] == 0:
         raise IngestionError(f"{path}: no sample rows")
     if expected_ids is not None:
-        missing = sorted(set(int(i) for i in expected_ids) - set(rows))
-        if missing:
-            raise IngestionError(f"{path}: missing sample ids {missing}")
-        extra = sorted(set(rows) - set(int(i) for i in expected_ids))
-        if extra:
-            raise IngestionError(f"{path}: unexpected sample ids {extra}")
-    if sorted(rows) != list(range(len(rows))):
+        expected = np.asarray(expected_ids, dtype=np.int64)
+        for which, diff in (("missing", np.setdiff1d(expected, ids)),
+                            ("unexpected", np.setdiff1d(ids, expected))):
+            if diff.size:
+                raise IngestionError(f"{path}: {which} sample ids {diff.tolist()}")
+    if not np.array_equal(ids[order], np.arange(ids.shape[0])):
         raise IngestionError(f"{path}: sample ids must be contiguous from 0")
-    probs = np.stack([rows[i] for i in range(len(rows))])
-    return OracleTable(probs)
+    return OracleTable(probs[order])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import driver
 from .errors import IngestionError
-from .util import fmt_float, output_dir
+from .util import output_dir, read_csv, write_csv
 
 logger = logging.getLogger("coforget")
 
@@ -25,52 +25,6 @@ class RunData:
     metrics: dict          # column name -> np.ndarray
     codivide: dict | None  # column name -> np.ndarray, None if absent
     path: Path
-
-
-def _read_csv_columns(path: Path) -> dict:
-    """Header names mapped to float64 columns, parsed in one numpy call.
-
-    A header-only file gives zero-length columns. A ragged row or a cell that
-    is not a number raises IngestionError naming path:line.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise IngestionError(f"{path}: empty file")
-        names = header.rstrip("\n").split(",")
-        body = fh.tell()
-        if not fh.read(1):
-            return {n: np.empty(0) for n in names}
-        fh.seek(body)
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-        except ValueError as exc:
-            reason = str(exc)
-        else:
-            if table.shape[1] == len(names):
-                return dict(zip(names, table.T))
-            reason = "column count differs from the header"
-        fh.seek(body)
-        raise _bad_line(path, fh, len(names), reason)
-
-
-def _bad_line(path: Path, lines, width: int, reason: str) -> IngestionError:
-    """IngestionError naming the first data line (the header is line 1) that
-    is ragged or holds a cell float() rejects. np.loadtxt's own message counts
-    rows from 0 or 1 depending on the fault and skips blank lines, so it is
-    only the fallback."""
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != width:
-            return IngestionError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return IngestionError(f"{path}:{lineno}: not a number: {cell!r}")
-    return IngestionError(f"{path}: {reason}")
 
 
 def load_run(run_dir) -> RunData:
@@ -89,6 +43,10 @@ def load_run(run_dir) -> RunData:
             f"({type(exc).__name__}: {exc})"
         ) from None
     metrics = _read_columns(metrics_path, ("epoch", *driver.ACC_KEYS))
+    # curves.csv writes epochs as np.int64, exact for whole floats below 2**53
+    epoch = metrics["epoch"]
+    if not np.all((np.abs(epoch) < 2**53) & (epoch == np.trunc(epoch))):
+        raise IngestionError(f"{metrics_path}: epochs must be whole numbers")
     codivide_path = path / "codivide_audit.csv"
     codivide = (
         _read_columns(codivide_path, driver.CODIVIDE_HEADER.split(","))
@@ -98,9 +56,12 @@ def load_run(run_dir) -> RunData:
 
 
 def _read_columns(path: Path, required) -> dict:
-    """_read_csv_columns, and an IngestionError naming path if any of the
-    required columns is missing."""
-    columns = _read_csv_columns(path)
+    """Header names of a run file mapped to its float64 columns; an
+    IngestionError naming path if any of the required columns is missing."""
+    (header,), rows = read_csv(path, 1, lambda head: [
+        ("cells", np.float64, (len(head[0].split(",")),)),
+    ], what="run file")
+    columns = dict(zip(header.split(","), rows["cells"].T))
     missing = [name for name in required if name not in columns]
     if missing:
         raise IngestionError(f"{path}: missing columns {','.join(missing)}")
@@ -141,7 +102,6 @@ def write_report(run_dirs, out_dir, window=None) -> dict:
     runs; incomplete run directories are skipped with a warning. Returns the
     (best, last) accuracy dicts of driver.best_last_columns keyed by run id."""
     out_path = output_dir(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     runs = []
     for d in run_dirs:
         try:
@@ -150,34 +110,26 @@ def write_report(run_dirs, out_dir, window=None) -> dict:
             logger.warning("skipping %s: %s", d, exc)
     if not runs:
         raise IngestionError("no completed run directories to report on")
+    out_path.mkdir(parents=True, exist_ok=True)
 
-    with open(out_path / "curves.csv", "w", newline="\n") as fh:
-        fh.write("epoch,run_id,acc_scratch,acc_embed,acc_ens\n")
-        for run in runs:
-            m = run.metrics
-            for i in range(m["epoch"].shape[0]):
-                fh.write(
-                    f"{int(m['epoch'][i])},{run.run_id},{fmt_float(m['acc_scratch'][i])},"
-                    f"{fmt_float(m['acc_embed'][i])},{fmt_float(m['acc_ens'][i])}\n"
-                )
+    write_csv(out_path / "curves.csv", ["epoch,run_id,acc_scratch,acc_embed,acc_ens"], (
+        (run.metrics["epoch"].astype(np.int64), run.run_id,
+         *(run.metrics[key] for key in driver.ACC_KEYS))
+        for run in runs
+    ))
 
-    summary = {}
-    with open(out_path / "summary.csv", "w", newline="\n") as fh:
-        fh.write("run_id,best_acc_scratch,last_acc_scratch,best_acc_embed,last_acc_embed,best_acc_ens,last_acc_ens\n")
-        for run in runs:
-            best, last = driver.best_last_columns(run.metrics)
-            summary[run.run_id] = (best, last)
-            cells = (f"{fmt_float(best[key])},{fmt_float(last[key])}" for key in driver.ACC_KEYS)
-            fh.write(f"{run.run_id},{','.join(cells)}\n")
+    best_last = [driver.best_last_columns(run.metrics) for run in runs]
+    write_csv(out_path / "summary.csv", [
+        "run_id,best_acc_scratch,last_acc_scratch,best_acc_embed,last_acc_embed,"
+        "best_acc_ens,last_acc_ens"
+    ], [list(zip(*((run.run_id, *(value[key] for key in driver.ACC_KEYS for value in pair))
+                   for run, pair in zip(runs, best_last))))])
 
-    with open(out_path / "selection_quality.csv", "w", newline="\n") as fh:
-        fh.write("run_id,window_start,window_end,hn,ln,cs\n")
-        for run in runs:
-            if run.codivide is None or run.codivide["epoch"].shape[0] == 0:
-                continue
-            win = window if window is not None else default_window(run.manifest)
-            q = selection_quality(run.codivide, win)
-            fh.write(
-                f"{run.run_id},{q['window'][0]},{q['window'][1]},{q['hn']},{q['ln']},{q['cs']}\n"
-            )
-    return summary
+    quality = []
+    for run in runs:
+        if run.codivide is not None and run.codivide["epoch"].shape[0]:
+            q = selection_quality(run.codivide, default_window(run.manifest) if window is None else window)
+            quality.append((run.run_id, *q["window"], q["hn"], q["ln"], q["cs"]))
+    write_csv(out_path / "selection_quality.csv", ["run_id,window_start,window_end,hn,ln,cs"],
+              [list(zip(*quality))])
+    return {run.run_id: pair for run, pair in zip(runs, best_last)}

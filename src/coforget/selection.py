@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
+from .util import write_csv
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,7 @@ def write_selection_audit(path, train_ids, sets: SelectionSets, audit: Selection
     train_ids = np.asarray(train_ids, dtype=np.int64)
     members = (audit.low_scratch, audit.drop_scratch, audit.low_embed, audit.drop_embed,
                audit.consistent, sets.targets_scratch, sets.targets_embed)
-    table = np.column_stack([train_ids] + [
-        np.isin(train_ids, np.fromiter(ids, np.int64, len(ids))) for ids in members
-    ])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "id,low_loss_scratch,loss_drop_scratch,low_loss_embed,loss_drop_embed,"
-            "oracle_consistent,target_scratch,target_embed\n"
-        )
-        np.savetxt(fh, table, fmt="%d", delimiter=",")
+    write_csv(path, [
+        "id,low_loss_scratch,loss_drop_scratch,low_loss_embed,loss_drop_embed,"
+        "oracle_consistent,target_scratch,target_embed"
+    ], [[train_ids] + [np.isin(train_ids, np.fromiter(ids, np.int64, len(ids))) for ids in members]])

@@ -1,12 +1,19 @@
-"""Small shared helpers: seeded RNG streams, CSV float formatting and
-output-directory checks."""
+"""Small shared helpers: seeded RNG streams, output-directory checks, and
+the CSV format, which this module owns: every table the package writes goes
+through write_csv and every table it reads through read_csv. Cells are
+comma-separated and unquoted, one row per "\\n"-terminated line: a float is
+repr of a Python float, an int is decimal, a bool is 0 or 1, a str is as is.
+"""
 
+import itertools
+import math
+import re
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IngestionError
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
@@ -34,3 +41,107 @@ def output_dir(path) -> Path:
                 raise ConfigurationError(f"output directory {path}: {p} is not a directory")
             break
     return path
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+# cell text by dtype kind; tolist() and item() give Python scalars, so a float
+# cell is repr(float(x)), fmt_float's text, without a Python-level call per cell
+_CELL_TEXT = {"f": repr, "i": str, "b": ("0", "1").__getitem__, "U": str}
+
+
+def format_rows(columns) -> str:
+    """CSV lines, joined by "\\n" with no final newline, of equal-length columns:
+    anything np.asarray takes, written by dtype kind; a scalar repeats."""
+    arrays = [np.asarray(c) for c in columns]
+    n = next((a.shape[0] for a in arrays if a.ndim), 1)
+    cells = (map(_CELL_TEXT[a.dtype.kind], a.tolist()) if a.ndim
+             else itertools.repeat(_CELL_TEXT[a.dtype.kind](a.item()), n) for a in arrays)
+    return "\n".join(map(",".join, zip(*cells)))
+
+
+def write_csv(path, head, chunks) -> None:
+    """Write the head lines (column names, or a preamble), then the rows of
+    each chunk, a sequence of columns as format_rows takes them. A large
+    table comes in chunks, so that no whole-file string is built."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in head))
+        fh.writelines(text + "\n" for text in map(format_rows, chunks) if text)
+
+
+# what str.splitlines() breaks lines at besides "\n", and what np.loadtxt
+# strips from a cell but int() and float() reject; without these, one
+# np.loadtxt call accepts what a line-by-line int()/float() parse accepts
+_STRICT_FAULT = re.compile("[\x00\x0b\x0c\x1c-\x1f\x85\u2028\u2029]|(?m:^\n)")
+_PARSE = {"f": (float, "not a number"), "i": (int, "not an int64")}
+
+
+def read_csv(path, preamble: int, row_fields, strict: bool = False, what: str = "file"):
+    """(head, rows) of a CSV file: its first `preamble` lines without the
+    newline, and the rest parsed by one np.loadtxt call into a structured
+    array of the fields row_fields(head) returns, (name, dtype) or
+    (name, dtype, (count,)) for count cells. numpy cuts a str cell to its
+    field's width, so a str field must be wider than any valid value.
+    An empty or unreadable file, a ragged line or a cell its field's type
+    rejects raises IngestionError naming path or path:line. np.loadtxt
+    skips empty lines; strict=True rejects them and the characters that
+    make np.loadtxt accept a line that int() and float() reject."""
+    try:
+        with open(path) as fh:
+            text = fh.read() if strict else ""
+            fault = _STRICT_FAULT.search(text)
+            if fault:
+                lineno = text.count("\n", 0, fault.start()) + 1
+                kind = "blank line" if fault.group() == "\n" else f"character {fault.group()!r}"
+                raise IngestionError(f"{path}:{lineno}: {kind}")
+            fh.seek(0)
+            head = [fh.readline().rstrip("\n") for _ in range(preamble)]
+            if not fh.tell():
+                raise IngestionError(f"{path}: empty file")
+            fields = row_fields(head)
+            counts = [math.prod(field[2]) if len(field) > 2 else 1 for field in fields]
+            body = fh.tell()
+            first = fh.readline()
+            fh.seek(body)
+            # a width the first line lacks fails here, before numpy sizes rows by it
+            if first not in ("", "\n") and first.count(",") + 1 != sum(counts):
+                raise _bad_line(path, fh, preamble + 1, fields, counts, "")
+            try:
+                dtype = np.dtype(fields)
+                return head, (np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+                              if first else np.empty(0, dtype))
+            except ValueError as exc:
+                fh.seek(body)
+                raise _bad_line(path, fh, preamble + 1, fields, counts, str(exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"{path}: cannot read {what} ({exc})") from None
+
+
+def _bad_line(path, lines, first_lineno: int, fields, counts, reason: str) -> IngestionError:
+    """IngestionError naming the first line that is ragged or holds a cell
+    its field (of counts[i] cells) rejects. np.loadtxt's message counts rows
+    from 0 or 1 by fault and skips empty lines, so it is only the fallback."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line == "\n":
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != sum(counts):
+            return IngestionError(f"{path}:{lineno}: {len(cells)} cells, expected {sum(counts)}")
+        for field, start, count in zip(fields, np.cumsum([0] + counts), counts):
+            dtype = np.dtype(field[1])
+            parse, what = _PARSE.get(dtype.kind, (str, ""))
+            for cell in cells[start:start + count]:
+                try:
+                    dtype.type(parse(cell))
+                except (ValueError, OverflowError):
+                    return IngestionError(f"{path}:{lineno}: {what}: {cell!r}")
+    return IngestionError(f"{path}: {reason}")
+
+
+def check_rows(path, first_lineno: int, checks) -> None:
+    """IngestionError at path:line for the first row a (good-row mask, reason) check fails."""
+    for ok, reason in checks:
+        if not ok.all():
+            raise IngestionError(f"{path}:{first_lineno + np.argmin(ok)}: {reason}")

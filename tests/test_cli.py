@@ -330,6 +330,21 @@ class TestTrainAndReport:
         assert rc == 2
         assert "override 'dataset.seed=['" in capsys.readouterr().err
 
+    def test_deeply_nested_override_exits_2_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        override = "dataset.classes=" + "[" * 1000
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run"),
+                       "--override", override])
+        assert rc == 2
+        assert f"override {override!r}: value is not valid YAML" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_report_without_a_loadable_run_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["report", "nothere", "--out", "rep"]) == 2
+        assert "no completed run directories" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_missing_dataset_file_exits_2_naming_it(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(missing)})

@@ -18,7 +18,7 @@ QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
 
 
 def _reference_read_csv_columns(path) -> dict:
-    """The row-by-row float() parser report._read_csv_columns replaced."""
+    """The row-by-row float() parser the np.loadtxt reader of run files replaced."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -174,7 +174,8 @@ class TestReadRunDir:
     def test_report_files_equal_old_read_path(self, quick_runs, tmp_path, monkeypatch):
         dirs = list(quick_runs.values())
         report.write_report(dirs, tmp_path / "new")
-        monkeypatch.setattr(report, "_read_csv_columns", _reference_read_csv_columns)
+        monkeypatch.setattr(report, "_read_columns",
+                            lambda path, required: _reference_read_csv_columns(path))
         monkeypatch.setattr(report, "selection_quality", _reference_selection_quality)
         report.write_report(dirs, tmp_path / "old")
         for name in ("curves.csv", "summary.csv", "selection_quality.csv"):
@@ -229,23 +230,13 @@ class TestBadRunFiles:
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:{line_no}: "):
             report.load_run(run_dir)
 
-    def test_ragged_header_width_names_first_data_line(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        path.write_text("a,b,c\n1,2\n3,4\n")
-        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:2: 2 cells, expected 3"):
-            report._read_csv_columns(path)
-
-    def test_blank_lines_count_toward_line_number(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        path.write_text("a,b\n1,2\n\n3,x\n")
-        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}:4: not a number: 'x'"):
-            report._read_csv_columns(path)
-
-    def test_empty_file_is_an_error(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        path.write_text("")
-        with pytest.raises(IngestionError, match="empty file"):
-            report._read_csv_columns(path)
+    @pytest.mark.parametrize("epoch", ["nan", "inf", "1.5", "1e300"])
+    def test_epoch_that_is_not_a_whole_number_names_file(self, quick_runs, tmp_path, epoch):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        path = _damage(run_dir, "metrics.csv", 5, _set_cell(0, epoch))
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: epochs must be whole"):
+            report.load_run(run_dir)
 
     def test_report_skips_damaged_dir_with_warning(self, quick_runs, tmp_path, caplog):
         bad = tmp_path / "bad"
