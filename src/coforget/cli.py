@@ -9,7 +9,8 @@ import argparse
 import json
 import logging
 import os
-import subprocess
+# unused here: perfbench/tracer.py patches `cli.subprocess.run` to trace sweep members
+import subprocess  # noqa: F401
 import sys
 from pathlib import Path
 
@@ -18,11 +19,12 @@ import numpy as np
 from . import __version__, data, driver, oracle, report
 from .config import load_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
-from .util import fmt_float
+from .util import fmt_float, output_dir
 
 logger = logging.getLogger("coforget")
 
 RUNS_DIR_ENV = "COFORGET_RUNS_DIR"
+PACKAGE_ERRORS = (ConfigurationError, InputError, IngestionError, StateError)
 
 
 def _parse_pair_map(text: str):
@@ -85,18 +87,20 @@ def cmd_make_oracle(args) -> int:
     return 0
 
 
-def _resolve_outdir(args, cfg) -> Path:
-    if args.outdir:
-        return Path(args.outdir)
+def _resolve_outdir(outdir, cfg) -> Path:
+    if outdir:
+        return Path(outdir)
     if cfg.run.outdir:
         return Path(cfg.run.outdir)
     root = os.environ.get(RUNS_DIR_ENV, "runs")
     return Path(root) / f"run-{cfg.config_hash()}-s{cfg.run.seed}"
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, overrides=args.override)
-    out_dir = _resolve_outdir(args, cfg)
+def _train(config, overrides, outdir) -> None:
+    """One `train`: load the config with its overrides, run it, print the
+    Best/Last lines. Every sweep member is exactly this call."""
+    cfg = load_config(config, overrides=overrides)
+    out_dir = _resolve_outdir(outdir, cfg)
     result = driver.run(cfg, out_dir)
     print(f"run complete: {out_dir}")
     for key in ("acc_scratch", "acc_embed", "acc_ens"):
@@ -104,6 +108,10 @@ def cmd_train(args) -> int:
             f"  {key}: best {fmt_float(result.best[key])}, "
             f"last(10) {fmt_float(result.last[key])}"
         )
+
+
+def cmd_train(args) -> int:
+    _train(args.config, args.override, args.outdir)
     return 0
 
 
@@ -143,28 +151,50 @@ def sweep_grid(items) -> list:
     return combos
 
 
+def sweep_labels(combos) -> list:
+    """Each member's run-directory name: its `key=value` pairs joined by `_`,
+    or `run0` for an empty grid. Raises ConfigurationError unless every
+    label is a distinct plain path component."""
+    labels = ["_".join(f"{k.split('.')[-1]}={v}" for k, v in combo) or f"run{idx}"
+              for idx, combo in enumerate(combos)]
+    seen = set()
+    for label in labels:
+        if label in (".", "..") or any(c in label for c in ("/", os.sep, "\0")):
+            raise ConfigurationError(
+                f"sweep member {label!r} is not a plain directory name; "
+                "a --set value holds a path separator or NUL"
+            )
+        if label in seen:
+            raise ConfigurationError(
+                f"two sweep members would share the run directory {label!r}"
+            )
+        seen.add(label)
+    return labels
+
+
 def cmd_sweep(args) -> int:
-    """Run the cartesian product of --set values as independent processes."""
+    """Run the cartesian product of --set values one member after another in
+    this process. A member that raises is counted as failed and the sweep
+    goes on; a hard interpreter crash ends the whole sweep."""
     combos = sweep_grid(args.set)
-    out_root = Path(args.outdir)
+    labels = sweep_labels(combos)
+    out_root = output_dir(args.outdir)
     out_root.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for idx, combo in enumerate(combos):
-        label = "_".join(f"{k.split('.')[-1]}={v}" for k, v in combo) or f"run{idx}"
-        run_dir = out_root / label
-        cmd = [
-            sys.executable, "-m", "coforget", "train",
-            "--config", args.config, "--outdir", str(run_dir),
-        ]
-        for k, v in combo:
-            cmd += ["--override", f"{k}={v}"]
-        print(f"[sweep {idx + 1}/{len(combos)}] {label}")
-        proc = subprocess.run(cmd)
-        if proc.returncode != 0:
-            failures += 1
-            logger.warning("sweep member %s exited with %d", label, proc.returncode)
-    if failures:
-        print(f"{failures} of {len(combos)} sweep members failed", file=sys.stderr)
+    failed = []
+    for idx, (combo, label) in enumerate(zip(combos, labels)):
+        # flushed, so that the line marks the member's start even on a pipe
+        print(f"[sweep {idx + 1}/{len(combos)}] {label}", flush=True)
+        try:
+            _train(args.config, [f"{k}={v}" for k, v in combo], out_root / label)
+        except Exception as exc:
+            failed.append(label)
+            # a package error's message says what is wrong; anything else
+            # is a bug, so its traceback goes into the log
+            logger.warning("sweep member %s failed: %s", label, exc,
+                           exc_info=not isinstance(exc, PACKAGE_ERRORS))
+    if failed:
+        print(f"{len(failed)} of {len(combos)} sweep members failed: {', '.join(failed)}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -214,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epoch window START:END for selection-quality tallies")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("sweep", help="run a config across a grid of overrides, one process each")
+    p = sub.add_parser("sweep", help="run a config across a grid of overrides, "
+                       "one member after another in this process")
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", default=[],
                    help="section.key=v1,v2,... sweep axis; repeatable")
@@ -229,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, InputError, IngestionError, StateError) as exc:
+    except PACKAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,6 +147,16 @@ _COERCE = {
 }
 
 
+def _show(value) -> str:
+    """repr of a user value for an error message. repr raises ValueError on
+    an int past Python's int-to-str digit limit, alone or inside a list or
+    mapping; such a value is shown by its type alone."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _coerce(section: str, key: str, value, annotation):
     """Check one YAML value against its field type; `X | None` also takes null."""
     args = typing.get_args(annotation)
@@ -160,7 +170,7 @@ def _coerce(section: str, key: str, value, annotation):
     what, accepted = _COERCE[annotation]
     if not isinstance(value, accepted) or (isinstance(value, bool) and annotation is not bool):
         null = " or null" if optional else ""
-        raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {value!r}")
+        raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {_show(value)}")
     try:
         return annotation(value)
     except OverflowError:
@@ -172,7 +182,8 @@ def _apply_section(cfg_obj, section: str, data: dict):
     for key, value in data.items():
         if key not in fields:
             raise ConfigurationError(
-                f"unknown key {section}.{key}; valid keys: {sorted(fields)}"
+                f"unknown key {section}.{key if isinstance(key, str) else _show(key)}; "
+                f"valid keys: {sorted(fields)}"
             )
         setattr(cfg_obj, key, _coerce(section, key, value, fields[key].type))
 
@@ -185,7 +196,7 @@ def build_config(data: dict) -> RunConfig:
     for section, content in data.items():
         if section not in _SECTIONS:
             raise ConfigurationError(
-                f"unknown config section {section!r}; valid sections: {sorted(_SECTIONS)}"
+                f"unknown config section {_show(section)}; valid sections: {sorted(_SECTIONS)}"
             )
         if content is None:
             continue
@@ -204,13 +215,15 @@ def validate_config(cfg: RunConfig) -> None:
         for f in dataclasses.fields(obj):
             val = getattr(obj, f.name)
             if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigurationError(f"{section}.{f.name} must be finite, got {val}")
+                raise ConfigurationError(f"{section}.{f.name} must be finite, got {_show(val)}")
 
     ds, noise, oracle = cfg.dataset, cfg.noise, cfg.oracle
     sched, method, optim = cfg.schedule, cfg.method, cfg.optim
 
     if ds.kind not in DATASET_KINDS:
-        raise ConfigurationError(f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
+        raise ConfigurationError(
+            f"dataset.kind must be one of {DATASET_KINDS}, got {_show(ds.kind)}"
+        )
     if ds.kind == "file" and not ds.path:
         raise ConfigurationError("dataset.path is required when dataset.kind = file")
     if ds.kind == "blobs":
@@ -222,17 +235,23 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigurationError("dataset.test_per_class must be >= 0")
 
     if noise.kind not in NOISE_KINDS:
-        raise ConfigurationError(f"noise.kind must be one of {NOISE_KINDS}, got {noise.kind!r}")
+        raise ConfigurationError(
+            f"noise.kind must be one of {NOISE_KINDS}, got {_show(noise.kind)}"
+        )
     if noise.kind != "none" and not (0.0 <= noise.eta < 1.0):
-        raise ConfigurationError(f"noise.eta must be in [0, 1), got {noise.eta}")
+        raise ConfigurationError(f"noise.eta must be in [0, 1), got {_show(noise.eta)}")
     if noise.kind == "asymmetric" and noise.pair_map is None:
         raise ConfigurationError("noise.pair_map is required for asymmetric noise")
     for i, target in enumerate(noise.pair_map or ()):
         if isinstance(target, bool) or not isinstance(target, int):
-            raise ConfigurationError(f"noise.pair_map[{i}] must be a class index, got {target!r}")
+            raise ConfigurationError(
+                f"noise.pair_map[{i}] must be a class index, got {_show(target)}"
+            )
 
     if oracle.kind not in ORACLE_KINDS:
-        raise ConfigurationError(f"oracle.kind must be one of {ORACLE_KINDS}, got {oracle.kind!r}")
+        raise ConfigurationError(
+            f"oracle.kind must be one of {ORACLE_KINDS}, got {_show(oracle.kind)}"
+        )
     if oracle.kind == "file" and not oracle.path:
         raise ConfigurationError("oracle.path is required when oracle.kind = file")
 
@@ -242,12 +261,14 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigurationError(f"{name}.hidden must be a non-empty list of widths >= 1")
         for i, width in enumerate(hidden):
             if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-                raise ConfigurationError(f"{name}.hidden[{i}] must be a width >= 1, got {width!r}")
+                raise ConfigurationError(
+                    f"{name}.hidden[{i}] must be a width >= 1, got {_show(width)}"
+                )
 
     if optim.lr_scratch <= 0 or optim.lr_embed <= 0:
         raise ConfigurationError("optim learning rates must be > 0")
     if not (0.0 <= optim.momentum < 1.0):
-        raise ConfigurationError(f"optim.momentum must be in [0, 1), got {optim.momentum}")
+        raise ConfigurationError(f"optim.momentum must be in [0, 1), got {_show(optim.momentum)}")
     if optim.weight_decay < 0 or optim.decay_factor <= 0 or optim.batch_size < 1:
         raise ConfigurationError("optim needs weight_decay >= 0, decay_factor > 0, batch_size >= 1")
 
@@ -255,7 +276,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("schedule needs max_epoch >= 1 and warmup >= 0")
     if sched.warmup >= sched.start_unlearn:
         raise ConfigurationError(
-            f"schedule.warmup ({sched.warmup}) must be < start_unlearn ({sched.start_unlearn})"
+            f"schedule.warmup ({_show(sched.warmup)}) must be < start_unlearn "
+            f"({_show(sched.start_unlearn)})"
         )
     if sched.unlearn_period < 1 or not (0 <= sched.unlearn_duration < sched.unlearn_period):
         raise ConfigurationError(
@@ -265,25 +287,27 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("schedule.encoder_unfreeze must lie in [0, max_epoch]")
 
     if method.kind not in METHOD_KINDS:
-        raise ConfigurationError(f"method.kind must be one of {METHOD_KINDS}, got {method.kind!r}")
+        raise ConfigurationError(
+            f"method.kind must be one of {METHOD_KINDS}, got {_show(method.kind)}"
+        )
     if method.unlearning and method.kind == "coforget":
         if method.t_unl is None:
             raise ConfigurationError("method.t_unl is required while method.unlearning is true")
         if method.t_unl <= 0:
-            raise ConfigurationError(f"method.t_unl must be > 0, got {method.t_unl}")
+            raise ConfigurationError(f"method.t_unl must be > 0, got {_show(method.t_unl)}")
         if method.batch_unlearn < 1:
             raise ConfigurationError("method.batch_unlearn must be >= 1")
     for key in ("p_low", "p_drop", "tau_w"):
         val = getattr(method, key)
         if not (0.0 <= val <= 1.0):
-            raise ConfigurationError(f"method.{key} must be in [0, 1], got {val}")
+            raise ConfigurationError(f"method.{key} must be in [0, 1], got {_show(val)}")
     if method.t_sharp <= 0 or method.mixup_alpha <= 0:
         raise ConfigurationError("method.t_sharp and method.mixup_alpha must be > 0")
     if method.lambda_u < 0 or method.reg_coef < 0:
         raise ConfigurationError("method.lambda_u and method.reg_coef must be >= 0")
 
     if cfg.run.seed < 0:
-        raise ConfigurationError(f"run.seed must be >= 0, got {cfg.run.seed}")
+        raise ConfigurationError(f"run.seed must be >= 0, got {_show(cfg.run.seed)}")
 
 
 # what yaml.safe_load raises on bad text: YAMLError, and from its constructors

@@ -46,3 +46,12 @@ def test_perfbench_tracer_targets_exist():
     assert targets
     for owner, attr, span, _, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_perfbench_sweep_seam_exists():
+    """perfbench/tracer.py traces sweep members by patching `cli.subprocess`;
+    a cleanup that drops that import would crash the benchmark's traced sweep."""
+    from coforget import cli
+
+    assert callable(getattr(getattr(cli, "subprocess", None), "run", None)), \
+        "coforget.cli.subprocess.run is gone"

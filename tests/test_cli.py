@@ -1,7 +1,12 @@
 """Command-line surface and config validation end to end."""
 
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,3 +433,102 @@ class TestSweep:
         assert made == ["seed=1", "seed=2"]
         for d in out_root.iterdir():
             assert (d / "metrics.csv").exists()
+
+    def test_last_member_matches_a_fresh_train_process(self, tmp_path):
+        """Members run one after another in one interpreter; the last one
+        must leave the same bytes as a `train` in a process of its own."""
+        cfg_path = write_config(tmp_path)
+        out_root = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", str(cfg_path),
+                       "--set", "method.unlearning=false,true", "--set", "run.seed=1,2",
+                       "--outdir", str(out_root)])
+        assert rc == 0
+        assert sorted(p.name for p in out_root.iterdir()) == [
+            "unlearning=false_seed=1", "unlearning=false_seed=2",
+            "unlearning=true_seed=1", "unlearning=true_seed=2",
+        ]
+        fresh = tmp_path / "fresh"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coforget", "train", "--config", str(cfg_path),
+             "--outdir", str(fresh), "--override", "method.unlearning=true",
+             "--override", "run.seed=2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        last = out_root / "unlearning=true_seed=2"
+        files = sorted(p.relative_to(last) for p in last.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        names = {f.name for f in files}
+        assert {"manifest.json", "metrics.csv", "checkpoint_scratch.ckpt", "checkpoint_embed.ckpt",
+                "codivide_audit.csv", "forgetting_log.csv"} <= names
+        assert any(name.startswith("selection_epoch_") for name in names)
+        for f in files:
+            assert (last / f).read_bytes() == (fresh / f).read_bytes(), f
+
+    def test_failed_members_do_not_stop_the_sweep(self, tmp_path, capsys, caplog, monkeypatch):
+        real_run = driver.run
+
+        def run(cfg, out_dir=None):
+            if cfg.method.t_unl == 0.1:
+                raise RuntimeError("injected fault")
+            return real_run(cfg, out_dir)
+
+        monkeypatch.setattr(driver, "run", run)
+        cfg_path = write_config(tmp_path, {"schedule.max_epoch": 8, "schedule.start_unlearn": 7,
+                                           "schedule.unlearn_period": 2,
+                                           "schedule.unlearn_duration": 1})
+        out_root = tmp_path / "sweep"
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            rc = cli.main(["sweep", "--config", str(cfg_path),
+                           "--set", "method.t_unl=0.1,x,0.05", "--outdir", str(out_root)])
+        assert rc == 1
+        assert (out_root / "t_unl=0.05" / "metrics.csv").exists()
+        for label in ("t_unl=0.1", "t_unl=x"):
+            assert not (out_root / label / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert "2 of 3 sweep members failed: t_unl=0.1, t_unl=x" in err
+        failed = {r.args[0]: r for r in caplog.records if r.msg.startswith("sweep member")}
+        assert sorted(failed) == ["t_unl=0.1", "t_unl=x"]
+        # a package error is logged by its message, any other by its traceback
+        assert not failed["t_unl=x"].exc_info
+        assert "method.t_unl: expected a number or null, got 'x'" in failed["t_unl=x"].getMessage()
+        assert failed["t_unl=0.1"].exc_info[0] is RuntimeError
+
+    def test_keyboard_interrupt_ends_the_sweep(self, tmp_path, monkeypatch):
+        def run(cfg, out_dir=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(driver, "run", run)
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sweep", "--config", str(cfg_path), "--set", "run.seed=1,2",
+                      "--outdir", str(tmp_path / "sweep")])
+
+    @pytest.mark.parametrize("sets", [
+        ["run.seed=1,1"],
+        ["run.seed=1,1", "dataset.spread=1.5,1.5/x"],
+        ["dataset.spread=1.5/x"],
+        ["dataset.path=a\0b"],
+    ], ids=["repeated", "repeated-and-nested", "nested", "nul"])
+    def test_colliding_member_dirs_exit_2_before_any_member(self, tmp_path, capsys, monkeypatch,
+                                                            sets):
+        monkeypatch.setattr(driver, "run", lambda *a: pytest.fail("a member ran"))
+        cfg_path = write_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg_path), "--outdir", str(tmp_path / "sweep")]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) == 2
+        assert "sweep member" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_outdir_onto_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        target = tmp_path / "taken"
+        target.write_text("x")
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--set", "run.seed=1",
+                       "--outdir", str(target)])
+        assert rc == 2
+        assert f"output directory {target}" in capsys.readouterr().err

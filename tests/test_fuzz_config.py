@@ -1,9 +1,10 @@
 """Hypothesis fuzz of the config surface: build_config over arbitrary dicts,
-apply_overrides over arbitrary strings, the report --window parse and the
-sweep --set grid parse. Only errors.py types may escape, and none of it
-runs training or launches a sweep member."""
+apply_overrides over arbitrary strings, the report --window parse, and the
+sweep --set grid parse with its member labels. Only errors.py types may
+escape, and none of it runs training or launches a sweep member."""
 
 import math
+import os
 import re
 
 import pytest
@@ -20,6 +21,8 @@ FIELDS = sorted({name for section in DEFAULTS.values() for name in section})
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=10**300, max_value=10**400),
+    # repr of an int past 4,300 digits raises ValueError
+    st.tuples(st.integers(4300, 5000), st.sampled_from([1, -1])).map(lambda t: t[1] * 10**t[0]),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
     st.sampled_from(["file", "blobs", "none", "symmetric", "asymmetric", "instance",
                      "synthetic", "coforget", "naive-ce", "relu", "tanh"]),
@@ -107,6 +110,34 @@ def test_sweep_grid_on_arbitrary_axes(items):
                    for combo in combos)
 
 
+@FUZZ
+@given(items=st.lists(st.builds("{}={}".format, st.sampled_from(["run.seed", "dataset.path", "x"]),
+                                st.text(alphabet="1./\0_=", max_size=6)), max_size=3))
+def test_sweep_labels_on_arbitrary_axes(items):
+    combos = cli.sweep_grid(items)
+    labels = _only_package_errors(cli.sweep_labels, combos)
+    if labels is not None:
+        assert len(set(labels)) == len(labels) == len(combos)
+        for label, combo in zip(labels, combos):
+            assert label not in (".", "..")
+            assert not any(c in label for c in ("/", os.sep, "\0"))
+            assert label == ("_".join(f"{k.split('.')[-1]}={v}" for k, v in combo) or "run0")
+
+
+def test_sweep_labels_reject_shared_or_nested_dirs():
+    assert cli.sweep_labels(cli.sweep_grid(["run.seed=1,2", "method.unlearning=true,false"])) == [
+        "seed=1_unlearning=true", "seed=1_unlearning=false",
+        "seed=2_unlearning=true", "seed=2_unlearning=false",
+    ]
+    assert cli.sweep_labels([[]]) == ["run0"]
+    with pytest.raises(ConfigurationError, match="share the run directory 'seed=1'"):
+        cli.sweep_labels(cli.sweep_grid(["run.seed=1,1"]))
+    with pytest.raises(ConfigurationError, match="'seed=1_spread=1.5/x' is not a plain directory name"):
+        cli.sweep_labels(cli.sweep_grid(["run.seed=1,1", "dataset.spread=1.5,1.5/x"]))
+    with pytest.raises(ConfigurationError, match="not a plain directory name"):
+        cli.sweep_labels(cli.sweep_grid(["dataset.path=a\0b"]))
+
+
 def test_sweep_grid_order():
     assert cli.sweep_grid(["run.seed=1,2", "method.t_unl=0.1,0.2"]) == [
         [("run.seed", "1"), ("method.t_unl", "0.1")], [("run.seed", "1"), ("method.t_unl", "0.2")],
@@ -143,3 +174,17 @@ def test_deeply_nested_config_file_names_the_file(tmp_path):
 def test_huge_int_for_a_float_field_is_rejected():
     with pytest.raises(ConfigurationError, match="method.t_unl"):
         build_config({"method": {"t_unl": 10**400}})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"method": {"kind": 10**5000}}, "method.kind"),
+    ({"dataset": {"path": 10**5000}}, "dataset.path"),
+    ({"dataset": {"classes": [10**5000]}}, "dataset.classes"),
+    ({"run": {"seed": -10**5000}}, "run.seed"),
+    ({"schedule": {"warmup": 10**5000}}, "schedule.warmup"),
+    ({"net_scratch": {"hidden": [-10**5000]}}, r"net_scratch\.hidden\[0\]"),
+    ({"dataset": {10**5000: 1}}, "unknown key dataset."),
+], ids=["str-field", "path-field", "list-in-int-field", "seed", "schedule", "hidden", "key"])
+def test_int_too_long_to_print_is_a_configuration_error(cfg, field):
+    with pytest.raises(ConfigurationError, match=field):
+        build_config({"method": {"t_unl": 0.05}, **cfg})
