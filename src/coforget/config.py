@@ -19,6 +19,7 @@ NOISE_KINDS = ("none", "symmetric", "asymmetric", "instance")
 ORACLE_KINDS = ("synthetic", "file")
 DATASET_KINDS = ("blobs", "file")
 METHOD_KINDS = ("coforget", "naive-ce")
+MAX_ARRAY_CELLS = 2**31  # per array a config sizes, checked before any is allocated
 
 
 @dataclass
@@ -308,6 +309,28 @@ def validate_config(cfg: RunConfig) -> None:
 
     if cfg.run.seed < 0:
         raise ConfigurationError(f"run.seed must be >= 0, got {_show(cfg.run.seed)}")
+    _check_array_sizes(cfg)
+
+
+def _check_array_sizes(cfg: RunConfig) -> None:
+    """Reject a config that sizes an array past MAX_ARRAY_CELLS cells: the
+    blobs dataset, the co-divide audit block or a layer's weights."""
+    ds, sched, embed_dim = cfg.dataset, cfg.schedule, cfg.oracle.embed_dim
+    sized = {} if ds.kind != "blobs" else {
+        "dataset.classes * (per_class + test_per_class) * max(dim, oracle.embed_dim, classes)":
+            ds.classes * (ds.per_class + ds.test_per_class) * max(ds.dim, embed_dim, ds.classes),
+        "co-divide audit: (schedule.max_epoch - warmup) * dataset.classes * per_class":
+            (sched.max_epoch - sched.warmup) * ds.classes * ds.per_class,
+    }
+    for name, first, width in (("net_scratch", "dataset.dim", ds.dim),
+                               ("net_embed", "oracle.embed_dim", embed_dim)):
+        widths = [width, *getattr(cfg, name).hidden, ds.classes]
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            what = f"{name} layer {i}: fan_in * fan_out over [{first}, *{name}.hidden, dataset.classes]"
+            sized[what] = fan_in * fan_out
+    for what, cells in sized.items():
+        if cells > MAX_ARRAY_CELLS:
+            raise ConfigurationError(f"{what} exceeds 2**31 array cells")
 
 
 # what yaml.safe_load raises on bad text: YAMLError, and from its constructors

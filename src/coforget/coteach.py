@@ -2,10 +2,12 @@
 cross-network co-divide, pseudo-labeling with sharpening, Mixup, and the
 per-epoch training of both networks.
 
-The scratch network trains semi-supervised on labeled plus unlabeled samples;
-the embedding-backed network trains on labeled samples only (its adapter
-frozen until the configured epoch). Setting ``asymmetric=False`` gives both
-networks the semi-supervised treatment, which is the symmetric ablation arm.
+Each network of the pair is one ``Learner``. The scratch network trains
+semi-supervised on labeled plus unlabeled samples; the embedding-backed
+network trains on labeled samples only (its adapter frozen until
+``schedule.encoder_unfreeze``). Setting ``method.asymmetric`` to false gives
+both networks the semi-supervised treatment, which is the symmetric ablation
+arm.
 """
 
 import logging
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, net
+from .config import RunConfig, ScheduleCfg
 from .errors import InputError
 
 logger = logging.getLogger("coforget")
@@ -212,24 +215,36 @@ def mixup(x_i, y_i, x_j, y_j, alpha, rng):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoteachParams:
-    batch_size: int
-    tau_w: float
-    lambda_u: float
-    t_sharp: float
-    mixup_alpha: float
-    reg_coef: float
-    encoder_unfreeze_epoch: int
-    asymmetric: bool = True
+@dataclass(eq=False)
+class Learner:
+    """One network of the pair: its architecture, the matrix of its inputs
+    (row i is sample id i), and its current parameters and optimizer state.
+    Steps rebind theta and opt; they never write into those arrays."""
+
+    arch: net.Architecture
+    inputs: np.ndarray
+    theta: np.ndarray
+    opt: net.OptimizerState
+
+    def predict(self, ids) -> np.ndarray:
+        return net.predict_proba(self.arch, self.theta, self.inputs[ids])
+
+    def losses(self, ids, labels) -> np.ndarray:
+        """Per-sample cross-entropy of labels[ids] on the samples ids."""
+        return net.per_sample_ce(self.arch, self.theta, self.inputs[ids], labels[ids])
+
+    def step(self, grad, epoch, frozen_prefix=0) -> None:
+        self.theta, self.opt = net.sgd_step(self.theta, grad, self.opt, epoch, frozen_prefix)
+
+
+def adapter_prefix(embed: Learner, epoch: int, schedule: ScheduleCfg) -> int:
+    """Leading parameters of the embed net that stay put at this epoch: its
+    first layer (the adapter) before schedule.encoder_unfreeze, none after."""
+    return embed.arch.first_layer_params() if epoch < schedule.encoder_unfreeze else 0
 
 
 @dataclass
 class CoteachResult:
-    theta_scratch: np.ndarray
-    opt_scratch: net.OptimizerState
-    theta_embed: np.ndarray
-    opt_embed: net.OptimizerState
     w_scratch: np.ndarray            # aligned to pool_ids
     w_embed: np.ndarray
     labeled_for_scratch: np.ndarray  # bool masks aligned to pool_ids
@@ -238,54 +253,50 @@ class CoteachResult:
     skipped_embed: bool
 
 
-def _train_one_net(arch, theta, opt, inputs, targets_onehot, labeled_ids, labeled_w,
-                   unlabeled_ids, self_predict, peer_predict, params, epoch, rng,
-                   frozen_prefix):
+def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids, labeled_w,
+                   unlabeled_ids, cfg: RunConfig, epoch, rng, frozen_prefix):
     """Mini-batch pass over the labeled set, pairing in unlabeled batches of
     the same size when present; Mixup partners come from the combined pool.
+    The peer's predictions guess the unlabeled samples' labels.
     """
+    method, b = cfg.method, cfg.optim.batch_size
     order = rng.permutation(labeled_ids.shape[0])
     lab_ids = labeled_ids[order]
     lab_w = labeled_w[order]
     n_unl = unlabeled_ids.shape[0]
     unl_ids = unlabeled_ids[rng.permutation(n_unl)] if n_unl else unlabeled_ids
-    b = params.batch_size
     for i in range((lab_ids.shape[0] + b - 1) // b):
         ids_x = lab_ids[i * b:(i + 1) * b]
         w_x = lab_w[i * b:(i + 1) * b]
-        x_lab = inputs[ids_x]
-        refined = refine_label(targets_onehot[ids_x], w_x, self_predict(theta, ids_x), params.t_sharp)
+        refined = refine_label(targets_onehot[ids_x], w_x, learner.predict(ids_x), method.t_sharp)
         if n_unl:
             ids_u = unl_ids[np.arange(i * b, i * b + ids_x.shape[0]) % n_unl]
-            x_unl = inputs[ids_u]
-            guessed = guess_label(
-                self_predict(theta, ids_u), peer_predict(ids_u), params.t_sharp
-            )
-            pool_x = np.concatenate([x_lab, x_unl])
+            guessed = guess_label(learner.predict(ids_u), peer.predict(ids_u), method.t_sharp)
+            pool_x = np.concatenate([learner.inputs[ids_x], learner.inputs[ids_u]])
             pool_y = np.concatenate([refined, guessed])
         else:
-            pool_x, pool_y = x_lab, refined
+            pool_x, pool_y = learner.inputs[ids_x], refined
         perm = rng.permutation(pool_x.shape[0])
         mixed_x, mixed_y, _ = mixup(
-            pool_x, pool_y, pool_x[perm], pool_y[perm], params.mixup_alpha, rng
+            pool_x, pool_y, pool_x[perm], pool_y[perm], method.mixup_alpha, rng
         )
         _, grad = net.semi_value_grad(
-            arch, theta, mixed_x, mixed_y, ids_x.shape[0], params.lambda_u, params.reg_coef
+            learner.arch, learner.theta, mixed_x, mixed_y, ids_x.shape[0],
+            method.lambda_u, method.reg_coef,
         )
-        theta, opt = net.sgd_step(theta, grad, opt, epoch, frozen_prefix)
-    return theta, opt
+        learner.step(grad, epoch, frozen_prefix)
 
 
-def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids, loss_scratch, loss_embed,
-                  arch_scratch, theta_scratch, opt_scratch,
-                  arch_embed, theta_embed, opt_embed, epoch,
-                  params: CoteachParams, rng) -> CoteachResult:
-    """One epoch of cross-network training on the current pool.
+def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, loss_scratch,
+                  loss_embed, epoch, cfg: RunConfig, rng) -> CoteachResult:
+    """One epoch of cross-network training on the current pool; rebinds the
+    theta and opt of each learner it updates.
 
     loss_scratch and loss_embed are each network's per-sample cross-entropy
-    of the observed labels of pool_ids under the parameters passed in; the
+    of the observed labels of pool_ids under its current parameters; the
     GMM co-divide runs on them.
     """
+    method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
     if pool_ids.shape[0] == 0:
         raise InputError("training pool is empty")
@@ -293,50 +304,31 @@ def coteach_epoch(inputs_scratch, inputs_embed, observed, pool_ids, loss_scratch
         raise InputError("both pool-loss arrays must align with the pool ids")
     w_scratch = fit_gmm_1d(loss_scratch).clean_posterior
     w_embed = fit_gmm_1d(loss_embed).clean_posterior
-    div = co_divide(pool_ids, w_scratch, w_embed, params.tau_w)
+    div = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
 
-    onehot = np.eye(arch_scratch.n_classes)[observed]
-
-    def predict_scratch(theta, ids):
-        return net.predict_proba(arch_scratch, theta, inputs_scratch[ids])
-
-    def predict_embed(theta, ids):
-        return net.predict_proba(arch_embed, theta, inputs_embed[ids])
-
-    theta_embed_pre = theta_embed
-    skipped_scratch = div.scratch_labeled_ids.shape[0] == 0
-    if skipped_scratch:
-        logger.warning("epoch %d: no labeled samples for scratch net, skipping its update", epoch)
+    onehot = np.eye(scratch.arch.n_classes)[observed]
+    if method.asymmetric:
+        embed_unlabeled = np.empty(0, dtype=np.int64)
     else:
-        theta_scratch, opt_scratch = _train_one_net(
-            arch_scratch, theta_scratch, opt_scratch, inputs_scratch, onehot,
-            div.scratch_labeled_ids, div.scratch_labeled_w, div.scratch_unlabeled_ids,
-            predict_scratch, lambda ids: predict_embed(theta_embed_pre, ids),
-            params, epoch, rng, frozen_prefix=0,
-        )
+        embed_unlabeled = pool_ids[w_scratch < method.tau_w]
 
-    frozen = arch_embed.first_layer_params() if epoch < params.encoder_unfreeze_epoch else 0
-    skipped_embed = div.embed_labeled_ids.shape[0] == 0
-    if skipped_embed:
-        logger.warning("epoch %d: no labeled samples for embedding net, skipping its update", epoch)
-    else:
-        if params.asymmetric:
-            embed_unlabeled = np.empty(0, dtype=np.int64)
+    skipped = []
+    for name, learner, peer, labeled_ids, labeled_w, unlabeled_ids, frozen in (
+        ("scratch net", scratch, embed, div.scratch_labeled_ids, div.scratch_labeled_w,
+         div.scratch_unlabeled_ids, 0),
+        ("embedding net", embed, scratch, div.embed_labeled_ids, div.embed_labeled_w,
+         embed_unlabeled, adapter_prefix(embed, epoch, cfg.schedule)),
+    ):
+        skipped.append(labeled_ids.shape[0] == 0)
+        if skipped[-1]:
+            logger.warning("epoch %d: no labeled samples for %s, skipping its update", epoch, name)
         else:
-            embed_unlabeled = pool_ids[w_scratch < params.tau_w]
-        theta_scratch_now = theta_scratch
-        theta_embed, opt_embed = _train_one_net(
-            arch_embed, theta_embed, opt_embed, inputs_embed, onehot,
-            div.embed_labeled_ids, div.embed_labeled_w, embed_unlabeled,
-            predict_embed, lambda ids: predict_scratch(theta_scratch_now, ids),
-            params, epoch, rng, frozen_prefix=frozen,
-        )
+            _train_one_net(learner, peer, onehot, labeled_ids, labeled_w, unlabeled_ids,
+                           cfg, epoch, rng, frozen)
 
     return CoteachResult(
-        theta_scratch=theta_scratch, opt_scratch=opt_scratch,
-        theta_embed=theta_embed, opt_embed=opt_embed,
         w_scratch=w_scratch, w_embed=w_embed,
-        labeled_for_scratch=w_embed >= params.tau_w,
-        labeled_for_embed=w_scratch >= params.tau_w,
-        skipped_scratch=skipped_scratch, skipped_embed=skipped_embed,
+        labeled_for_scratch=w_embed >= method.tau_w,
+        labeled_for_embed=w_scratch >= method.tau_w,
+        skipped_scratch=skipped[0], skipped_embed=skipped[1],
     )

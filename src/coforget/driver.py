@@ -6,7 +6,8 @@ Epoch k (1-based) runs warmup while k <= warmup; afterwards each epoch may
 co-teaching epoch on the current retained pool (the full train set before
 the first selection). The two networks are the "scratch" net (an MLP on raw
 features) and the "embed" net (adapter plus head over the fixed oracle
-embeddings).
+embeddings), each a ``coteach.Learner`` whose parameters and optimizer state
+the stages rebind.
 
 Each network's pool losses (per-sample CE of the observed labels on the
 current pool) stay valid until warmup, a forgetting pass with targets, an
@@ -38,6 +39,7 @@ CODIVIDE_DTYPE = np.dtype([
 CLEAN_JUDGE_THRESHOLD = 0.5  # selection-quality accounting, independent of tau_w
 LAST_WINDOW = 10
 ACC_KEYS = ("acc_scratch", "acc_embed", "acc_ens")
+NETS = ("scratch", "embed")  # the pair, in the order every stage visits it
 
 
 def gate_selection(k: int, e_start: int, e_up: int) -> bool:
@@ -161,37 +163,39 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
     )
 
 
-def _accuracy(arch, theta, x, labels) -> float:
-    probs = net.predict_proba(arch, theta, x)
-    return float((probs.argmax(axis=1) == labels).mean())
+def _learner(cfg: RunConfig, name: str, inputs, n_classes: int) -> coteach.Learner:
+    """A fresh cfg.net_<name> network over inputs, seeded from init/<name>,
+    with its optimizer at optim.lr_<name>."""
+    ncfg, ocfg = getattr(cfg, f"net_{name}"), cfg.optim
+    arch = net.Architecture((inputs.shape[1], *ncfg.hidden, n_classes), ncfg.activation)
+    theta = net.init_params(arch, _section_seed(None, cfg.run.seed, f"init/{name}"))
+    opt = net.make_optimizer(
+        arch, getattr(ocfg, f"lr_{name}"), ocfg.momentum, ocfg.weight_decay,
+        ocfg.decay_epoch, ocfg.decay_factor,
+    )
+    return coteach.Learner(arch, inputs, theta, opt)
 
 
-def _ce_epoch(arch, theta, opt, inputs, targets, order, epoch, batch_size, frozen_prefix=0):
-    """One pass of batch-mean soft-target CE steps over the ids in order,
-    batch_size at a time; the first frozen_prefix parameters stay put."""
+def _ce_epoch(learner: coteach.Learner, targets, ids, rng, epoch, batch_size, frozen_prefix=0):
+    """One pass of batch-mean soft-target CE steps over ids in an order drawn
+    from rng, batch_size at a time; the first frozen_prefix parameters stay
+    put."""
+    order = ids[rng.permutation(ids.shape[0])]
     for i in range(0, order.shape[0], batch_size):
-        ids = order[i:i + batch_size]
-        _, grad = net.ce_value_grad(arch, theta, inputs[ids], targets[ids])
-        theta, opt = net.sgd_step(theta, grad, opt, epoch, frozen_prefix)
-    return theta, opt
+        batch = order[i:i + batch_size]
+        _, grad = net.ce_value_grad(learner.arch, learner.theta, learner.inputs[batch], targets[batch])
+        learner.step(grad, epoch, frozen_prefix)
 
 
-def warmup_epoch(feats, emb, onehot_obs, soft_targets, train_ids,
-                 arch_scratch, theta_scratch, opt_scratch,
-                 arch_embed, theta_embed, opt_embed, epoch, batch_size, rng):
+def warmup_epoch(scratch: coteach.Learner, embed: coteach.Learner, onehot_obs, soft_targets,
+                 train_ids, epoch, batch_size, rng):
     """One warmup epoch: the scratch net learns the observed labels, the
     embed net learns oracle/label-blend soft targets with its first layer
     (the adapter) frozen."""
-    order = train_ids[rng.permutation(train_ids.shape[0])]
-    theta_scratch, opt_scratch = _ce_epoch(
-        arch_scratch, theta_scratch, opt_scratch, feats, onehot_obs, order, epoch, batch_size
-    )
-    order = train_ids[rng.permutation(train_ids.shape[0])]
-    theta_embed, opt_embed = _ce_epoch(
-        arch_embed, theta_embed, opt_embed, emb, soft_targets, order, epoch, batch_size,
-        frozen_prefix=arch_embed.first_layer_params(),
-    )
-    return theta_scratch, opt_scratch, theta_embed, opt_embed
+    for learner, targets, frozen in (
+        (scratch, onehot_obs, 0), (embed, soft_targets, embed.arch.first_layer_params()),
+    ):
+        _ce_epoch(learner, targets, train_ids, rng, epoch, batch_size, frozen)
 
 
 def _check_finite(epoch, **arrays):
@@ -239,34 +243,22 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
     """Baseline arm: plain supervised cross-entropy on the observed labels."""
     seed = cfg.run.seed
     train_ids, test_ids = ds.train_ids(), ds.test_ids()
-    arch = net.Architecture((ds.dim, *cfg.net_scratch.hidden, ds.n_classes),
-                            cfg.net_scratch.activation)
-    theta = net.init_params(arch, _section_seed(None, seed, "init/scratch"))
-    opt = net.make_optimizer(
-        arch, cfg.optim.lr_scratch, cfg.optim.momentum, cfg.optim.weight_decay,
-        cfg.optim.decay_epoch, cfg.optim.decay_factor,
-    )
+    scratch = _learner(cfg, "scratch", ds.features, ds.n_classes)
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
     metrics = []
     for k in range(1, cfg.schedule.max_epoch + 1):
-        rng = rng_for(seed, f"naive/{k}")
-        order = train_ids[rng.permutation(train_ids.shape[0])]
-        theta, opt = _ce_epoch(arch, theta, opt, ds.features, onehot, order, k, cfg.optim.batch_size)
-        _check_finite(k, theta=theta)
-        acc = _accuracy(arch, theta, ds.features[test_ids], ds.true_labels[test_ids])
-        loss = float(
-            net.per_sample_ce(
-                arch, theta, ds.features[train_ids], ds.observed_labels[train_ids]
-            ).mean()
-        )
+        _ce_epoch(scratch, onehot, train_ids, rng_for(seed, f"naive/{k}"), k, cfg.optim.batch_size)
+        _check_finite(k, theta=scratch.theta)
+        acc = float((scratch.predict(test_ids).argmax(axis=1) == ds.true_labels[test_ids]).mean())
+        loss = float(scratch.losses(train_ids, ds.observed_labels).mean())
         metrics.append(
             EpochMetrics(k, acc, float("nan"), acc, loss, float("nan"),
                          0, 0, train_ids.shape[0], 0, 0, 0)
         )
     best, last = best_last(metrics)
     if out_path is not None:
-        net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", arch, theta)
-    return RunResult(metrics, best, last, arch, theta, None, None, [], out_path)
+        net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", scratch.arch, scratch.theta)
+    return RunResult(metrics, best, last, scratch.arch, scratch.theta, None, None, [], out_path)
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
@@ -282,38 +274,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, seed, "embeddings")
     )
     oracle_argmax_train = oracle_table.argmax()[train_ids]
-
-    arch_scratch = net.Architecture(
-        (ds.dim, *cfg.net_scratch.hidden, ds.n_classes), cfg.net_scratch.activation
-    )
-    arch_embed = net.Architecture(
-        (cfg.oracle.embed_dim, *cfg.net_embed.hidden, ds.n_classes), cfg.net_embed.activation
-    )
-    theta_scratch = net.init_params(arch_scratch, _section_seed(None, seed, "init/scratch"))
-    theta_embed = net.init_params(arch_embed, _section_seed(None, seed, "init/embed"))
-    opt_kwargs = dict(
-        momentum=cfg.optim.momentum,
-        weight_decay=cfg.optim.weight_decay,
-        decay_epoch=cfg.optim.decay_epoch,
-        decay_factor=cfg.optim.decay_factor,
-    )
-    opt_scratch = net.make_optimizer(arch_scratch, cfg.optim.lr_scratch, **opt_kwargs)
-    opt_embed = net.make_optimizer(arch_embed, cfg.optim.lr_embed, **opt_kwargs)
-
-    params = coteach.CoteachParams(
-        batch_size=cfg.optim.batch_size,
-        tau_w=method.tau_w,
-        lambda_u=method.lambda_u,
-        t_sharp=method.t_sharp,
-        mixup_alpha=method.mixup_alpha,
-        reg_coef=method.reg_coef,
-        encoder_unfreeze_epoch=sched.encoder_unfreeze,
-        asymmetric=method.asymmetric,
-    )
-    toggles = selection.ConditionToggles(
-        low_loss=method.cond_low_loss,
-        loss_drop=method.cond_loss_drop,
-        oracle_consistent=method.cond_oracle,
+    nets = scratch, embed = tuple(
+        _learner(cfg, name, inputs, ds.n_classes) for name, inputs in zip(NETS, (ds.features, emb))
     )
 
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
@@ -321,12 +283,10 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     noisy_train = ds.observed_labels[train_ids] != ds.true_labels[train_ids]
 
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
-    unlearning_on = method.unlearning
     current_pool = train_ids
     losses = (None, None)  # see the module docstring
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
-    sets = None
-    snapshot = None
+    sets = snapshot = None
     metrics = []
     forget_rows = []
     codivide_epochs = []  # (epoch, the filled part of its codivide_rows row)
@@ -341,28 +301,18 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     def evaluate(losses, ids):
         """losses, with each None entry replaced by that network's per-sample
         CE of the observed labels of ids under its current parameters."""
-        scratch, embed = losses
-        if scratch is None:
-            scratch = net.per_sample_ce(
-                arch_scratch, theta_scratch, ds.features[ids], ds.observed_labels[ids]
-            )
-        if embed is None:
-            embed = net.per_sample_ce(arch_embed, theta_embed, emb[ids], ds.observed_labels[ids])
-        return scratch, embed
+        return tuple(learner.losses(ids, ds.observed_labels) if loss is None else loss
+                     for learner, loss in zip(nets, losses))
 
     for k in range(1, sched.max_epoch + 1):
         hn = ln = cs = 0
         if k <= sched.warmup:
-            theta_scratch, opt_scratch, theta_embed, opt_embed = warmup_epoch(
-                ds.features, emb, onehot, soft_targets, train_ids,
-                arch_scratch, theta_scratch, opt_scratch,
-                arch_embed, theta_embed, opt_embed,
-                k, cfg.optim.batch_size, rng_for(seed, f"warmup/{k}"),
-            )
+            warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
+                         k, cfg.optim.batch_size, rng_for(seed, f"warmup/{k}"))
             losses = (None, None)
         else:
-            selecting = unlearning_on and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
-            if selecting or (unlearning_on and k == bootstrap_epoch):
+            selecting = method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
+            if selecting or (method.unlearning and k == bootstrap_epoch):
                 # checkpoints cover every train id; the pool is a sorted subset
                 # of train_ids, so a pool of n_train ids is train_ids
                 if current_pool.shape[0] < n_train:
@@ -374,9 +324,9 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                 # on a bootstrap epoch the previous checkpoint is this one,
                 # which makes every loss drop zero
                 sets, snapshot, audit = selection.unlearning_setup(
-                    train_ids, ds.observed_labels[train_ids], theta_scratch, theta_embed,
+                    train_ids, ds.observed_labels[train_ids], scratch.theta, embed.theta,
                     (losses[0], prev_losses[0]), (losses[1], prev_losses[1]),
-                    oracle_argmax_train, k, method.p_low, method.p_drop, toggles,
+                    oracle_argmax_train, method,
                 )
                 prev_losses = losses
                 current_pool = sets.retained
@@ -393,41 +343,30 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                         out_path / f"selection_epoch_{k:04d}.csv", train_ids, sets, audit
                     )
             if (
-                unlearning_on
+                method.unlearning
                 and sets is not None
                 and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period, sched.unlearn_duration)
             ):
-                plan_s = forget.make_unlearn_plan(
-                    "scratch", sets.targets_scratch, method.batch_unlearn, method.t_unl,
-                    rng_for(seed, f"forget/{k}/scratch"),
-                )
-                theta_scratch, opt_scratch, stats_s = forget.apply_unlearning(
-                    arch_scratch, theta_scratch, opt_scratch, snapshot.theta_scratch,
-                    plan_s, ds.features, k,
-                )
-                frozen = arch_embed.first_layer_params() if k < sched.encoder_unfreeze else 0
-                plan_e = forget.make_unlearn_plan(
-                    "embed", sets.targets_embed, method.batch_unlearn, method.t_unl,
-                    rng_for(seed, f"forget/{k}/embed"),
-                )
-                theta_embed, opt_embed, stats_e = forget.apply_unlearning(
-                    arch_embed, theta_embed, opt_embed, snapshot.theta_embed, plan_e, emb, k,
-                    frozen_prefix=frozen,
-                )
-                forget_rows.append((k, "scratch", stats_s.n_targets, stats_s.kl_before, stats_s.kl_after))
-                forget_rows.append((k, "embed", stats_e.n_targets, stats_e.kl_before, stats_e.kl_after))
-                # an empty plan leaves the parameters as they were
-                losses = (None if stats_s.n_targets else losses[0],
-                          None if stats_e.n_targets else losses[1])
+                targets = (sets.targets_scratch, sets.targets_embed)
+                for name, learner, ids, reference, frozen in zip(
+                    NETS, nets, targets, (snapshot.theta_scratch, snapshot.theta_embed),
+                    (0, coteach.adapter_prefix(embed, k, sched)),
+                ):
+                    plan = forget.make_unlearn_plan(
+                        ids, method.batch_unlearn, method.t_unl, rng_for(seed, f"forget/{k}/{name}")
+                    )
+                    learner.theta, learner.opt, stats = forget.apply_unlearning(
+                        learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
+                        k, frozen_prefix=frozen,
+                    )
+                    forget_rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
+                # a net without targets keeps its parameters
+                losses = tuple(None if ids else loss for ids, loss in zip(targets, losses))
             losses = evaluate(losses, current_pool)
             res = coteach.coteach_epoch(
-                ds.features, emb, ds.observed_labels, current_pool, losses[0], losses[1],
-                arch_scratch, theta_scratch, opt_scratch,
-                arch_embed, theta_embed, opt_embed,
-                k, params, rng_for(seed, f"coteach/{k}"),
+                scratch, embed, ds.observed_labels, current_pool, losses[0], losses[1],
+                k, cfg, rng_for(seed, f"coteach/{k}"),
             )
-            theta_scratch, opt_scratch = res.theta_scratch, res.opt_scratch
-            theta_embed, opt_embed = res.theta_embed, res.opt_embed
             losses = (losses[0] if res.skipped_scratch else None,
                       losses[1] if res.skipped_embed else None)
             judged_clean = (
@@ -445,26 +384,22 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                 row["labeled_scratch"] = res.labeled_for_scratch
                 row["labeled_embed"] = res.labeled_for_embed
                 codivide_epochs.append((k, row))
-        _check_finite(k, theta_scratch=theta_scratch, theta_embed=theta_embed)
-        p_scratch = net.predict_proba(arch_scratch, theta_scratch, ds.features[test_ids])
-        p_embed = net.predict_proba(arch_embed, theta_embed, emb[test_ids])
+        _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
         y_test = ds.true_labels[test_ids]
-        acc_scratch = float((p_scratch.argmax(axis=1) == y_test).mean())
-        acc_embed = float((p_embed.argmax(axis=1) == y_test).mean())
-        acc_ens = float((((p_scratch + p_embed) / 2.0).argmax(axis=1) == y_test).mean())
+        p_scratch, p_embed = (learner.predict(test_ids) for learner in nets)
+        accs = [float((p.argmax(axis=1) == y_test).mean())
+                for p in (p_scratch, p_embed, (p_scratch + p_embed) / 2.0)]
         losses = evaluate(losses, current_pool)
-        loss_scratch, loss_embed = float(losses[0].mean()), float(losses[1].mean())
-        n_forget_scratch = len(sets.targets_scratch) if sets is not None else 0
-        n_forget_embed = len(sets.targets_embed) if sets is not None else 0
+        n_forget = (0, 0) if sets is None else (len(sets.targets_scratch), len(sets.targets_embed))
         metrics.append(EpochMetrics(
-            k, acc_scratch, acc_embed, acc_ens, loss_scratch, loss_embed,
-            n_forget_scratch, n_forget_embed, current_pool.shape[0], hn, ln, cs,
+            k, *accs, *(float(loss.mean()) for loss in losses), *n_forget,
+            current_pool.shape[0], hn, ln, cs,
         ))
 
     best, last = best_last(metrics)
     if out_path is not None:
-        net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", arch_scratch, theta_scratch)
-        net.save_checkpoint(out_path / "checkpoint_embed.ckpt", arch_embed, theta_embed)
+        for name, learner in zip(NETS, nets):
+            net.save_checkpoint(out_path / f"checkpoint_{name}.ckpt", learner.arch, learner.theta)
         write_csv(out_path / "codivide_audit.csv", [CODIVIDE_HEADER], (
             (k, row["id"], row["w_scratch"], row["w_embed"], row["labeled_scratch"],
              row["labeled_embed"], ds.observed_labels[row["id"]], ds.true_labels[row["id"]])
@@ -472,6 +407,6 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         ))
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return RunResult(
-        metrics, best, last, arch_scratch, theta_scratch, arch_embed, theta_embed,
+        metrics, best, last, scratch.arch, scratch.theta, embed.arch, embed.theta,
         forget_rows, out_path,
     )

@@ -22,13 +22,11 @@ KL_LOG_HEADER = "epoch,network,n_du,kl_before,kl_after"
 class UnlearnBatchPlan:
     """Shuffled mini-batches covering one network's forgetting targets."""
 
-    network: str
     batches: tuple
-    batch_size: int
     t_unl: float
 
 
-def make_unlearn_plan(network, target_ids, batch_size, t_unl, rng) -> UnlearnBatchPlan:
+def make_unlearn_plan(target_ids, batch_size, t_unl, rng) -> UnlearnBatchPlan:
     if batch_size < 1:
         raise InputError(f"unlearning batch size must be >= 1, got {batch_size}")
     if t_unl <= 0:
@@ -39,7 +37,7 @@ def make_unlearn_plan(network, target_ids, batch_size, t_unl, rng) -> UnlearnBat
     batches = tuple(
         ids[i:i + batch_size] for i in range(0, ids.shape[0], batch_size)
     )
-    return UnlearnBatchPlan(network=network, batches=batches, batch_size=int(batch_size), t_unl=float(t_unl))
+    return UnlearnBatchPlan(batches=batches, t_unl=float(t_unl))
 
 
 @dataclass(frozen=True)

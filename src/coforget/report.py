@@ -68,14 +68,16 @@ def _read_columns(path: Path, required) -> dict:
     return columns
 
 
-def selection_quality(codivide: dict, window, threshold: float = 0.5) -> dict:
-    """Count noisy samples judged clean by both networks at least once in the
-    epoch window, versus noisy samples never so judged, plus clean samples.
+def selection_quality(codivide: dict, window) -> dict:
+    """Count noisy samples judged clean by both networks (clean probability
+    at least driver.CLEAN_JUDGE_THRESHOLD) at least once in the epoch window,
+    versus noisy samples never so judged, plus clean samples.
     """
     lo, hi = window
     in_window = (codivide["epoch"] >= lo) & (codivide["epoch"] <= hi)
     ids = codivide["id"][in_window].astype(np.int64)
     noisy = codivide["observed"][in_window] != codivide["true"][in_window]
+    threshold = driver.CLEAN_JUDGE_THRESHOLD
     judged = (codivide["w_scratch"][in_window] >= threshold) & (codivide["w_embed"][in_window] >= threshold)
     # per distinct sample id: noisy as of its last row in the window, and
     # judged clean if both networks judged it so in any epoch of the window

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MethodCfg
 from .errors import InputError, StateError
 from .util import write_csv
 
@@ -23,7 +24,6 @@ class SelectionSets:
     targets_scratch: frozenset
     targets_embed: frozenset
     retained: np.ndarray
-    epoch: int
 
     def __post_init__(self):
         union = self.targets_scratch | self.targets_embed
@@ -37,7 +37,6 @@ class ReferenceSnapshot:
 
     theta_scratch: np.ndarray
     theta_embed: np.ndarray
-    epoch: int
 
     def __post_init__(self):
         for theta in (self.theta_scratch, self.theta_embed):
@@ -84,26 +83,16 @@ def cond_oracle_consistent(oracle_argmax, observed_labels) -> set:
     return set(np.flatnonzero(oracle_argmax == observed_labels).tolist())
 
 
-@dataclass(frozen=True)
-class ConditionToggles:
-    low_loss: bool = True
-    loss_drop: bool = True
-    oracle_consistent: bool = True
-
-
-def unlearning_ss(losses_now, losses_prev, oracle_argmax, observed_labels,
-                  p_low, p_drop, toggles: ConditionToggles = ConditionToggles()):
-    """(low-loss union loss-drop) minus oracle-consistent, as index sets.
+def unlearning_ss(losses_now, losses_prev, oracle_argmax, observed_labels, p_low, p_drop, *,
+                  low_loss=True, loss_drop=True, oracle_consistent=True):
+    """(low-loss union loss-drop) minus oracle-consistent, as index sets; a
+    condition switched off is the empty set.
 
     Returns the target set plus the three condition sets for auditing.
     """
-    d_pl = cond_low_loss(losses_now, p_low) if toggles.low_loss else set()
-    d_drop = cond_loss_drop(losses_now, losses_prev, p_drop) if toggles.loss_drop else set()
-    d_cs = (
-        cond_oracle_consistent(oracle_argmax, observed_labels)
-        if toggles.oracle_consistent
-        else set()
-    )
+    d_pl = cond_low_loss(losses_now, p_low) if low_loss else set()
+    d_drop = cond_loss_drop(losses_now, losses_prev, p_drop) if loss_drop else set()
+    d_cs = cond_oracle_consistent(oracle_argmax, observed_labels) if oracle_consistent else set()
     return (d_pl | d_drop) - d_cs, d_pl, d_drop, d_cs
 
 
@@ -128,30 +117,29 @@ def _checked_losses(losses, n: int) -> np.ndarray:
 
 
 def unlearning_setup(train_ids, observed_labels, theta_scratch, theta_embed,
-                     losses_scratch, losses_embed, oracle_argmax, epoch: int,
-                     p_low: float, p_drop: float,
-                     toggles: ConditionToggles = ConditionToggles()):
-    """Run selection for both networks at this epoch and snapshot parameters.
+                     losses_scratch, losses_embed, oracle_argmax, method: MethodCfg):
+    """Run selection for both networks and snapshot their parameters.
 
     losses_scratch and losses_embed are each a (losses_now, losses_prev)
     pair of that network's per-sample losses on train_ids, now and at the
     previous checkpoint (the previous selection epoch; the bootstrap
-    checkpoint on the first pass). Misaligned or non-finite losses raise
-    InputError. Returns (SelectionSets, ReferenceSnapshot, SelectionAudit).
+    checkpoint on the first pass). method supplies p_low, p_drop and the
+    cond_* switches. Misaligned or non-finite losses raise InputError.
+    Returns (SelectionSets, ReferenceSnapshot, SelectionAudit).
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     n = train_ids.shape[0]
-    t_scratch, low_scratch, drop_scratch, consistent = unlearning_ss(
-        *(_checked_losses(x, n) for x in losses_scratch),
-        oracle_argmax, observed_labels, p_low, p_drop, toggles,
-    )
-    t_embed, low_embed, drop_embed, _ = unlearning_ss(
-        *(_checked_losses(x, n) for x in losses_embed),
-        oracle_argmax, observed_labels, p_low, p_drop, toggles,
+    (t_scratch, low_scratch, drop_scratch, consistent), (t_embed, low_embed, drop_embed, _) = (
+        unlearning_ss(
+            *(_checked_losses(x, n) for x in losses),
+            oracle_argmax, observed_labels, method.p_low, method.p_drop,
+            low_loss=method.cond_low_loss, loss_drop=method.cond_loss_drop,
+            oracle_consistent=method.cond_oracle,
+        ) for losses in (losses_scratch, losses_embed)
     )
     retained = np.asarray(sorted(set(train_ids.tolist()) - t_scratch - t_embed), dtype=np.int64)
-    sets = SelectionSets(frozenset(t_scratch), frozenset(t_embed), retained, int(epoch))
-    snapshot = ReferenceSnapshot(theta_scratch.copy(), theta_embed.copy(), int(epoch))
+    sets = SelectionSets(frozenset(t_scratch), frozenset(t_embed), retained)
+    snapshot = ReferenceSnapshot(theta_scratch.copy(), theta_embed.copy())
     audit = SelectionAudit(low_scratch, drop_scratch, low_embed, drop_embed, consistent)
     return sets, snapshot, audit
 

@@ -32,9 +32,7 @@ def test_bench_kernels_json(tmp_path):
         assert case["jit_us"] > 0 and case["python_us"] > 0, name
 
 
-def test_perfbench_tracer_targets_exist():
-    """The tracer wraps package attributes by name; a refactor that renames
-    or removes one would silently drop that layer from the traced counts."""
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -42,6 +40,13 @@ def test_perfbench_tracer_targets_exist():
         "cli", "config", "coteach", "data", "driver", "forget", "kernels", "net", "oracle",
         "report", "selection",
     )}
+    return tracer, pkg
+
+
+def test_perfbench_tracer_targets_exist():
+    """The tracer wraps package attributes by name; a refactor that renames
+    or removes one would silently drop that layer from the traced counts."""
+    tracer, pkg = _load_tracer()
     targets = tracer.targets(pkg)
     assert targets
     for owner, attr, span, _, _ in targets:
@@ -55,3 +60,31 @@ def test_perfbench_sweep_seam_exists():
 
     assert callable(getattr(getattr(cli, "subprocess", None), "run", None)), \
         "coforget.cli.subprocess.run is gone"
+
+
+def test_perfbench_tracer_counts_quick_run():
+    """The tracer's count hooks read arguments and results of the package's
+    boundaries; a refactor that changes what a traced call returns, or stops
+    routing a call through its traced attribute, changes these counts."""
+    tracer_mod, pkg = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install(pkg)
+    try:
+        pkg["driver"].run(pkg["config"].load_config(ROOT / "configs" / "quick.yaml", ["run.seed=1"]))
+    finally:
+        tracer.restore()
+    calls = {name: tracer.calls[name] for name in (
+        "coteach.coteach_epoch", "net.per_sample_ce", "net.predict_proba", "net.sgd_step",
+        "selection.unlearning_setup",
+    )}
+    assert calls == {
+        "coteach.coteach_epoch": 21, "net.per_sample_ce": 66, "net.predict_proba": 444,
+        "net.sgd_step": 188, "selection.unlearning_setup": 3,
+    }
+    counts = {name: tracer.counts[name] for name in (
+        "selection.targets", "forget.targets", "forget.steps", "coteach.labeled_scratch",
+    )}
+    assert counts == {
+        "selection.targets": 127, "forget.targets": 253, "forget.steps": 14,
+        "coteach.labeled_scratch": 1910,
+    }

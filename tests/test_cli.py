@@ -313,6 +313,18 @@ class TestTrainAndReport:
         assert "noise.pair_map[1]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("dataset.classes", 99999999999999999999, "dataset.classes * (per_class"),
+        ("net_scratch.hidden", [10**12], "net_scratch layer 0"),
+        ("schedule.max_epoch", 10**20, "(schedule.max_epoch - warmup)"),
+    ])
+    def test_oversized_arrays_exit_2_naming_fields(self, tmp_path, capsys, key, value, named):
+        path = write_config(tmp_path, {key: value})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "absent.yaml"
         rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])

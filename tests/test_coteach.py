@@ -1,11 +1,13 @@
 """GMM fitting, co-divide, pseudo-labels, Mixup, losses, and the epoch step."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coforget import coteach, data, net, oracle
+from coforget.config import RunConfig
 from coforget.errors import InputError
 
 import reference
@@ -219,20 +221,28 @@ class TestCoteachEpoch:
         rng = np.random.default_rng(seed + 10)
         pool = ds.train_ids()
         y_pool = ds.observed_labels[pool]
-        return coteach.coteach_epoch(
-            ds.features, emb, ds.observed_labels, pool,
+        scratch = coteach.Learner(arch_s, ds.features, theta_s, opt_s)
+        embed = coteach.Learner(arch_e, emb, theta_e, opt_e)
+        res = coteach.coteach_epoch(
+            scratch, embed, ds.observed_labels, pool,
             net.per_sample_ce(arch_s, theta_s, ds.features[pool], y_pool),
             net.per_sample_ce(arch_e, theta_e, emb[pool], y_pool),
-            arch_s, theta_s, opt_s, arch_e, theta_e, opt_e, epoch, params, rng,
-        ), theta_s, theta_e, arch_e
+            epoch, params, rng,
+        )
+        # the result's fields next to the parameters the epoch left each net with
+        res = SimpleNamespace(**vars(res), theta_scratch=scratch.theta, theta_embed=embed.theta)
+        return res, theta_s, theta_e, arch_e
 
     def _params(self, **kw):
-        base = dict(
-            batch_size=32, tau_w=0.5, lambda_u=5.0, t_sharp=0.5, mixup_alpha=4.0,
-            reg_coef=1.0, encoder_unfreeze_epoch=10, asymmetric=True,
-        )
+        cfg = RunConfig()
+        cfg.optim.batch_size = kw.pop("batch_size", 32)
+        cfg.schedule.encoder_unfreeze = 10
+        base = dict(tau_w=0.5, lambda_u=5.0, t_sharp=0.5, mixup_alpha=4.0, reg_coef=1.0,
+                    asymmetric=True)
         base.update(kw)
-        return coteach.CoteachParams(**base)
+        for key, value in base.items():
+            setattr(cfg.method, key, value)
+        return cfg
 
     def test_adapter_frozen_before_unfreeze_epoch(self):
         res, _, theta_e_before, arch_e = self._run(epoch=5, params=self._params())
@@ -276,16 +286,15 @@ class TestCoteachEpoch:
         params = self._params(batch_size=32)
         onehot = np.eye(3)[ds.observed_labels]
 
-        def predict_scratch(theta, ids):
-            return net.predict_proba(arch_s, theta, ds.features[ids])
-
         labeled = ds.train_ids()[clean]
+        scratch = coteach.Learner(arch_s, ds.features, theta_s, opt_s)
         for epoch in range(1, 31):
-            theta_s, opt_s = coteach._train_one_net(
-                arch_s, theta_s, opt_s, ds.features, onehot,
+            coteach._train_one_net(
+                scratch, None, onehot,
                 labeled, np.ones(labeled.size), np.empty(0, dtype=np.int64),
-                predict_scratch, None, params, epoch, rng, 0,
+                params, epoch, rng, 0,
             )
+        theta_s = scratch.theta
         te = ds.test_ids()
         acc = (net.predict_proba(arch_s, theta_s, ds.features[te]).argmax(1)
                == ds.true_labels[te]).mean()

@@ -73,7 +73,7 @@ class TestUnlearnGradient:
         snapshot = net.init_params(arch, 1)
         snap_before = snapshot.copy()
         opt = net.make_optimizer(arch, 0.01, 0.9, 0.0, 100)
-        plan = forget.make_unlearn_plan("A", [0, 1, 2], 2, 0.05, 3)
+        plan = forget.make_unlearn_plan([0, 1, 2], 2, 0.05, 3)
         inputs = np.random.default_rng(2).normal(size=(3, 3))
         forget.apply_unlearning(arch, theta, opt, snapshot, plan, inputs, 1)
         assert np.array_equal(snapshot, snap_before)
@@ -84,7 +84,7 @@ class TestApplyUnlearning:
         arch = net.Architecture((2, 3, 2))
         theta = net.init_params(arch, 5)
         opt = net.make_optimizer(arch, 0.02, 0.9, 0.0005, 100)
-        plan = forget.make_unlearn_plan("A", [], 4, 0.05, 0)
+        plan = forget.make_unlearn_plan([], 4, 0.05, 0)
         new_theta, _, stats = forget.apply_unlearning(
             arch, theta, opt, theta.copy(), plan, np.zeros((0, 2)), 1
         )
@@ -92,16 +92,16 @@ class TestApplyUnlearning:
         assert stats.n_targets == 0
 
     def test_plan_partitions_targets(self):
-        plan = forget.make_unlearn_plan("V", range(10), 4, 0.05, 1)
+        plan = forget.make_unlearn_plan(range(10), 4, 0.05, 1)
         sizes = [len(b) for b in plan.batches]
         assert sizes == [4, 4, 2]
         assert sorted(np.concatenate(plan.batches).tolist()) == list(range(10))
 
     def test_invalid_plan_parameters(self):
         with pytest.raises(InputError):
-            forget.make_unlearn_plan("A", [1], 0, 0.05, 0)
+            forget.make_unlearn_plan([1], 0, 0.05, 0)
         with pytest.raises(InputError):
-            forget.make_unlearn_plan("A", [1], 4, 0.0, 0)
+            forget.make_unlearn_plan([1], 4, 0.0, 0)
 
     def test_divergence_grows_over_passes(self):
         # with a frozen pool and small lr, mean KL(ref || cur) keeps rising;
@@ -116,7 +116,7 @@ class TestApplyUnlearning:
         inputs = rng.normal(size=(12, 4))
         kls = []
         for epoch in range(1, 6):
-            plan = forget.make_unlearn_plan("A", range(12), 6, 0.05, epoch)
+            plan = forget.make_unlearn_plan(range(12), 6, 0.05, epoch)
             theta, opt, stats = forget.apply_unlearning(
                 arch, theta, opt, snapshot, plan, inputs, epoch
             )
@@ -129,7 +129,7 @@ class TestApplyUnlearning:
         theta = net.init_params(arch, 9)
         opt = net.make_optimizer(arch, 0.02, 0.9, 0.0, 100)
         n_frozen = arch.first_layer_params()
-        plan = forget.make_unlearn_plan("V", range(6), 3, 0.05, 2)
+        plan = forget.make_unlearn_plan(range(6), 3, 0.05, 2)
         inputs = np.random.default_rng(3).normal(size=(6, 3))
         new_theta, _, _ = forget.apply_unlearning(
             arch, theta, opt, theta.copy() + 0.1, plan, inputs, 1, frozen_prefix=n_frozen

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coforget import selection
+from coforget.config import MethodCfg
 from coforget.errors import InputError
 
 
@@ -112,9 +113,8 @@ class TestUnlearningSS:
             oracle_argmax = rng.integers(0, 3, n)
             observed = rng.integers(0, 3, n)
             with_f, *_ = selection.unlearning_ss(now, prev, oracle_argmax, observed, 0.2, 0.2)
-            toggles = selection.ConditionToggles(oracle_consistent=False)
             without_f, *_ = selection.unlearning_ss(
-                now, prev, oracle_argmax, observed, 0.2, 0.2, toggles
+                now, prev, oracle_argmax, observed, 0.2, 0.2, oracle_consistent=False
             )
             assert with_f <= without_f
 
@@ -157,19 +157,20 @@ class TestUnlearningSetup:
         oracle_argmax = np.ones(n, dtype=np.int64)  # nothing protected
         theta_s, theta_e = np.zeros(3), np.ones(4)
         sets, snap, _ = selection.unlearning_setup(
-            train_ids, observed, theta_s, theta_e, *self._losses(n), oracle_argmax, 30, 0.2, 0.2
+            train_ids, observed, theta_s, theta_e, *self._losses(n), oracle_argmax,
+            MethodCfg(p_low=0.2, p_drop=0.2),
         )
         union = set(sets.targets_scratch) | set(sets.targets_embed)
         assert set(sets.retained.tolist()) == set(range(n)) - union
         assert not union & set(sets.retained.tolist())
-        assert snap.epoch == 30
 
     def test_empty_targets_keep_full_pool_and_snapshot(self):
         n = 6
         flat = (np.full(n, 1.0), np.full(n, 1.0))
         labels = np.arange(n, dtype=np.int64) % 2
         sets, snap, _ = selection.unlearning_setup(
-            np.arange(n), labels, np.zeros(2), np.zeros(2), flat, flat, labels, 30, 0.05, 0.2
+            np.arange(n), labels, np.zeros(2), np.zeros(2), flat, flat, labels,
+            MethodCfg(p_low=0.05, p_drop=0.2),
         )
         assert sets.targets_scratch == frozenset() and sets.targets_embed == frozenset()
         assert np.array_equal(sets.retained, np.arange(n))
@@ -180,7 +181,7 @@ class TestUnlearningSetup:
         theta_s = np.arange(3, dtype=np.float64)
         sets, snap, _ = selection.unlearning_setup(
             np.arange(n), np.zeros(n, dtype=np.int64), theta_s, np.zeros(2),
-            *self._losses(n), np.ones(n, dtype=np.int64), 30, 0.2, 0.2,
+            *self._losses(n), np.ones(n, dtype=np.int64), MethodCfg(p_low=0.2, p_drop=0.2),
         )
         theta_s[0] = 99.0
         assert snap.theta_scratch[0] == 0.0
@@ -192,7 +193,8 @@ class TestUnlearningSetup:
         with pytest.raises(InputError, match="expected 4 losses"):
             selection.unlearning_setup(
                 np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
-                (now, None), (now, now), np.zeros(4, dtype=np.int64), 30, 0.2, 0.2,
+                (now, None), (now, now), np.zeros(4, dtype=np.int64),
+                MethodCfg(p_low=0.2, p_drop=0.2),
             )
 
     @pytest.mark.parametrize("bad, match", [
@@ -208,7 +210,8 @@ class TestUnlearningSetup:
         with pytest.raises(InputError, match=match):
             selection.unlearning_setup(
                 np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
-                tuple(pairs[:2]), tuple(pairs[2:]), np.zeros(4, dtype=np.int64), 30, 0.2, 0.2,
+                tuple(pairs[:2]), tuple(pairs[2:]), np.zeros(4, dtype=np.int64),
+                MethodCfg(p_low=0.2, p_drop=0.2),
             )
 
     def test_audit_file_round_trip(self, tmp_path):
@@ -216,7 +219,7 @@ class TestUnlearningSetup:
         train_ids = np.arange(n)
         sets, _, audit = selection.unlearning_setup(
             train_ids, np.zeros(n, dtype=np.int64), np.zeros(2), np.zeros(2),
-            *self._losses(n), np.ones(n, dtype=np.int64), 30, 0.25, 0.25,
+            *self._losses(n), np.ones(n, dtype=np.int64), MethodCfg(p_low=0.25, p_drop=0.25),
         )
         path = tmp_path / "audit.csv"
         selection.write_selection_audit(path, train_ids, sets, audit)
@@ -243,7 +246,7 @@ def test_selection_audit_matches_row_by_row_writer(tmp_path, case):
         set(train_ids[rng.random(n) < share].tolist()) for share in shares
     )
     sets = selection.SelectionSets(
-        frozenset(t_s), frozenset(t_e), np.setdiff1d(train_ids, list(t_s | t_e)), 30
+        frozenset(t_s), frozenset(t_e), np.setdiff1d(train_ids, list(t_s | t_e))
     )
     audit = selection.SelectionAudit(low_s, drop_s, low_e, drop_e, consistent)
     selection.write_selection_audit(tmp_path / "new.csv", train_ids, sets, audit)
