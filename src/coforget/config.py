@@ -19,7 +19,7 @@ NOISE_KINDS = ("none", "symmetric", "asymmetric", "instance")
 ORACLE_KINDS = ("synthetic", "file")
 DATASET_KINDS = ("blobs", "file")
 METHOD_KINDS = ("coforget", "naive-ce")
-MAX_ARRAY_CELLS = 2**31  # per array a config sizes, checked before any is allocated
+MAX_ARRAY_CELLS = 2**31  # per array a run sizes, checked before any is allocated
 
 
 @dataclass
@@ -104,19 +104,6 @@ class RunCfg:
     outdir: str = ""
 
 
-_SECTIONS = {
-    "dataset": DatasetCfg,
-    "noise": NoiseCfg,
-    "oracle": OracleCfg,
-    "net_scratch": NetCfg,
-    "net_embed": NetCfg,
-    "optim": OptimCfg,
-    "schedule": ScheduleCfg,
-    "method": MethodCfg,
-    "run": RunCfg,
-}
-
-
 @dataclass
 class RunConfig:
     dataset: DatasetCfg = field(default_factory=DatasetCfg)
@@ -135,6 +122,9 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+_SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 # field type -> (what a message says is expected, the YAML types it accepts);
@@ -313,24 +303,15 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _check_array_sizes(cfg: RunConfig) -> None:
-    """Reject a config that sizes an array past MAX_ARRAY_CELLS cells: the
-    blobs dataset, the co-divide audit block or a layer's weights."""
-    ds, sched, embed_dim = cfg.dataset, cfg.schedule, cfg.oracle.embed_dim
-    sized = {} if ds.kind != "blobs" else {
-        "dataset.classes * (per_class + test_per_class) * max(dim, oracle.embed_dim, classes)":
-            ds.classes * (ds.per_class + ds.test_per_class) * max(ds.dim, embed_dim, ds.classes),
-        "co-divide audit: (schedule.max_epoch - warmup) * dataset.classes * per_class":
-            (sched.max_epoch - sched.warmup) * ds.classes * ds.per_class,
-    }
-    for name, first, width in (("net_scratch", "dataset.dim", ds.dim),
-                               ("net_embed", "oracle.embed_dim", embed_dim)):
-        widths = [width, *getattr(cfg, name).hidden, ds.classes]
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            what = f"{name} layer {i}: fan_in * fan_out over [{first}, *{name}.hidden, dataset.classes]"
-            sized[what] = fan_in * fan_out
-    for what, cells in sized.items():
-        if cells > MAX_ARRAY_CELLS:
-            raise ConfigurationError(f"{what} exceeds 2**31 array cells")
+    """Reject a blobs dataset past MAX_ARRAY_CELLS cells before make_blobs
+    allocates it; driver.run checks the rest against the dataset as built."""
+    ds, embed_dim = cfg.dataset, cfg.oracle.embed_dim
+    if ds.kind == "blobs" and (ds.classes * (ds.per_class + ds.test_per_class)
+                               * max(ds.dim, embed_dim, ds.classes) > MAX_ARRAY_CELLS):
+        raise ConfigurationError(
+            "dataset.classes * (per_class + test_per_class) * max(dim, oracle.embed_dim, classes) "
+            "exceeds 2**31 array cells"
+        )
 
 
 # what yaml.safe_load raises on bad text: YAMLError, and from its constructors

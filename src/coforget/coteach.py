@@ -2,6 +2,10 @@
 cross-network co-divide, pseudo-labeling with sharpening, Mixup, and the
 per-epoch training of both networks.
 
+The co-divide is two boolean masks over the pool ids, one labeled set per
+network gated by its peer's clean probabilities; each network trains on
+what they select, and the epoch's result carries the same masks.
+
 Each network of the pair is one ``Learner``. The scratch network trains
 semi-supervised on labeled plus unlabeled samples; the embedding-backed
 network trains on labeled samples only (its adapter frozen until
@@ -130,36 +134,14 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoDivide:
-    """Cross-network split of the current training pool.
-
-    Each network's labeled set is gated by its peer's clean probabilities;
-    only the scratch network gets an unlabeled set in asymmetric mode.
-    """
-
-    scratch_labeled_ids: np.ndarray
-    scratch_labeled_w: np.ndarray    # peer (embed) clean probabilities
-    scratch_unlabeled_ids: np.ndarray
-    embed_labeled_ids: np.ndarray
-    embed_labeled_w: np.ndarray      # peer (scratch) clean probabilities
-
-
-def co_divide(pool_ids, w_scratch, w_embed, tau_w) -> CoDivide:
-    pool_ids = np.asarray(pool_ids, dtype=np.int64)
+def co_divide(pool_ids, w_scratch, w_embed, tau_w) -> tuple:
+    """The masks (labeled_for_scratch, labeled_for_embed) over pool_ids:
+    a sample is labeled for a network when its peer's w reaches tau_w."""
     w_scratch = np.asarray(w_scratch, dtype=np.float64)
     w_embed = np.asarray(w_embed, dtype=np.float64)
-    if not (pool_ids.shape == w_scratch.shape == w_embed.shape):
+    if not (np.shape(pool_ids) == w_scratch.shape == w_embed.shape):
         raise InputError("pool ids and both probability arrays must align")
-    keep_scratch = w_embed >= tau_w
-    keep_embed = w_scratch >= tau_w
-    return CoDivide(
-        scratch_labeled_ids=pool_ids[keep_scratch],
-        scratch_labeled_w=w_embed[keep_scratch],
-        scratch_unlabeled_ids=pool_ids[~keep_scratch],
-        embed_labeled_ids=pool_ids[keep_embed],
-        embed_labeled_w=w_scratch[keep_embed],
-    )
+    return w_embed >= tau_w, w_scratch >= tau_w
 
 
 def _rows(p):
@@ -304,31 +286,26 @@ def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, loss_scr
         raise InputError("both pool-loss arrays must align with the pool ids")
     w_scratch = fit_gmm_1d(loss_scratch).clean_posterior
     w_embed = fit_gmm_1d(loss_embed).clean_posterior
-    div = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
+    labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
 
     onehot = np.eye(scratch.arch.n_classes)[observed]
-    if method.asymmetric:
-        embed_unlabeled = np.empty(0, dtype=np.int64)
-    else:
-        embed_unlabeled = pool_ids[w_scratch < method.tau_w]
 
     skipped = []
-    for name, learner, peer, labeled_ids, labeled_w, unlabeled_ids, frozen in (
-        ("scratch net", scratch, embed, div.scratch_labeled_ids, div.scratch_labeled_w,
-         div.scratch_unlabeled_ids, 0),
-        ("embedding net", embed, scratch, div.embed_labeled_ids, div.embed_labeled_w,
-         embed_unlabeled, adapter_prefix(embed, epoch, cfg.schedule)),
+    # only the scratch net has unlabeled samples in asymmetric mode
+    for name, learner, peer, labeled, peer_w, unlabeled, frozen in (
+        ("scratch net", scratch, embed, labeled_for_scratch, w_embed, ~labeled_for_scratch, 0),
+        ("embedding net", embed, scratch, labeled_for_embed, w_scratch,
+         ~labeled_for_embed & (not method.asymmetric), adapter_prefix(embed, epoch, cfg.schedule)),
     ):
-        skipped.append(labeled_ids.shape[0] == 0)
+        skipped.append(not labeled.any())
         if skipped[-1]:
             logger.warning("epoch %d: no labeled samples for %s, skipping its update", epoch, name)
         else:
-            _train_one_net(learner, peer, onehot, labeled_ids, labeled_w, unlabeled_ids,
-                           cfg, epoch, rng, frozen)
+            _train_one_net(learner, peer, onehot, pool_ids[labeled], peer_w[labeled],
+                           pool_ids[unlabeled], cfg, epoch, rng, frozen)
 
     return CoteachResult(
         w_scratch=w_scratch, w_embed=w_embed,
-        labeled_for_scratch=w_embed >= method.tau_w,
-        labeled_for_embed=w_scratch >= method.tau_w,
+        labeled_for_scratch=labeled_for_scratch, labeled_for_embed=labeled_for_embed,
         skipped_scratch=skipped[0], skipped_embed=skipped[1],
     )

@@ -56,10 +56,10 @@ def make_blobs(n_classes, n_per_class, dim, spread, seed, test_per_class=0) -> D
     Train samples get ids 0..C*n_per_class-1 (order shuffled across classes),
     test samples follow.
     """
-    if n_classes < 2 or n_per_class < 1 or dim < 1 or spread <= 0 or test_per_class < 0:
-        raise InputError(
-            "need n_classes >= 2, n_per_class >= 1, dim >= 1, spread > 0, test_per_class >= 0"
-        )
+    # the spread test is written so that NaN and inf fail it
+    if n_classes < 2 or n_per_class < 1 or dim < 1 or not 0 < spread < np.inf or test_per_class < 0:
+        raise InputError("need n_classes >= 2, n_per_class >= 1, dim >= 1, a finite spread > 0, "
+                         "test_per_class >= 0")
     rng = np.random.default_rng(seed)
     centroids = _CENTROID_SCALE * rng.normal(size=(n_classes, dim))
 
@@ -199,12 +199,11 @@ def instance_noise(ds: Dataset, eta: float, seed) -> Dataset:
 
 
 class EmpiricalTransition(NamedTuple):
-    matrix: np.ndarray
-    unseen_rows: np.ndarray  # bool per class: no samples observed, row set uniform
+    matrix: np.ndarray  # named, because gate C5 reads it as .matrix
 
 
 def empirical_transition(true_labels, observed_labels, n_classes) -> EmpiricalTransition:
-    """Row-normalized confusion counts of observed given true labels."""
+    """Row-normalized confusion counts of observed given true labels; uniform for an unseen class."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     observed_labels = np.asarray(observed_labels, dtype=np.int64)
     if true_labels.shape != observed_labels.shape:
@@ -212,11 +211,9 @@ def empirical_transition(true_labels, observed_labels, n_classes) -> EmpiricalTr
     counts = np.zeros((n_classes, n_classes))
     np.add.at(counts, (true_labels, observed_labels), 1.0)
     row_sums = counts.sum(axis=1)
-    unseen = row_sums == 0
-    matrix = np.where(
-        unseen[:, None], 1.0 / n_classes, counts / np.maximum(row_sums, 1.0)[:, None]
-    )
-    return EmpiricalTransition(matrix, unseen)
+    return EmpiricalTransition(np.where(
+        (row_sums == 0)[:, None], 1.0 / n_classes, counts / np.maximum(row_sums, 1.0)[:, None]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +243,8 @@ def _dataset_sizes(path, head) -> tuple:
 
 def load_dataset(path) -> Dataset:
     """Read a file written by save_dataset. A malformed header or row, a
-    label outside [0, C), a noisy test label or a non-finite feature raises
-    IngestionError at path:line."""
+    train row after a test row, a label outside [0, C), a noisy test label
+    or a non-finite feature raises IngestionError at path:line."""
     # the split field is one wider than "train", so "trainx" stays "trainx"
     head, rows = read_csv(path, 2, lambda head: [
         ("id", np.int64), ("split", "U6"), ("labels", np.int64, (2,)),
@@ -261,6 +258,7 @@ def load_dataset(path) -> Dataset:
     check_rows(path, 3, [
         (rows["id"] == np.arange(n), "ids must be contiguous from 0"),
         (is_test | (rows["split"] == "train"), "split must be train or test"),
+        (is_test | ~np.maximum.accumulate(is_test), "train rows must come before test rows"),
         (((rows["labels"] >= 0) & (rows["labels"] < n_classes)).all(axis=1),
          f"labels must lie in [0, {n_classes})"),
         (~is_test | (true_labels == observed), "test rows must carry no label noise"),

@@ -14,6 +14,9 @@ current pool) stay valid until warmup, a forgetting pass with targets, an
 unskipped co-teaching update or a selection that leaves fewer than all train
 ids sets them to None; whatever is None is evaluated when next needed, so
 one epoch's metric losses are the next epoch's co-divide input.
+
+Each arm returns its metrics, learners and forgetting rows, and ``run`` alone
+finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
-from .config import RunConfig, validate_config
+from .config import MAX_ARRAY_CELLS, RunConfig, validate_config
 from .errors import ConfigurationError, StateError
 from .util import format_rows, output_dir, rng_for, write_csv
 
@@ -83,17 +86,9 @@ class RunResult:
     metrics: list
     best: dict
     last: dict
-    arch_scratch: net.Architecture
-    theta_scratch: np.ndarray
-    arch_embed: net.Architecture | None
-    theta_embed: np.ndarray | None
+    learners: tuple  # the trained coteach.Learner of each network in NETS the arm has
     forget_log: list
     out_dir: Path | None
-
-
-def best_last(metrics) -> tuple:
-    """Best and Last accuracies of a list of EpochMetrics."""
-    return best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
 
 
 def best_last_columns(columns) -> tuple:
@@ -163,6 +158,25 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
     )
 
 
+def _check_array_sizes(cfg: RunConfig, ds: data.Dataset) -> None:
+    """Reject a run whose config and dataset as built size an array past
+    MAX_ARRAY_CELLS cells: the co-divide audit block or a layer's weights."""
+    sched, embed_dim, n_classes = cfg.schedule, cfg.oracle.embed_dim, ds.n_classes
+    sized = {
+        "co-divide audit: (schedule.max_epoch - warmup) * dataset train samples":
+            (sched.max_epoch - sched.warmup) * ds.train_ids().shape[0],
+    }
+    for name, first, width in (("net_scratch", "dataset.dim", ds.dim),
+                               ("net_embed", "oracle.embed_dim", embed_dim)):
+        widths = [width, *getattr(cfg, name).hidden, n_classes]
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            what = f"{name} layer {i}: fan_in * fan_out over [{first}, *{name}.hidden, dataset.classes]"
+            sized[what] = fan_in * fan_out
+    for what, cells in sized.items():
+        if cells > MAX_ARRAY_CELLS:
+            raise ConfigurationError(f"{what} exceeds 2**31 array cells")
+
+
 def _learner(cfg: RunConfig, name: str, inputs, n_classes: int) -> coteach.Learner:
     """A fresh cfg.net_<name> network over inputs, seeded from init/<name>,
     with its optimizer at optim.lr_<name>."""
@@ -212,6 +226,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     ds = build_dataset(cfg)
     if ds.test_ids().shape[0] == 0:
         raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
+    _check_array_sizes(cfg, ds)
     # every input file is read before the run directory is made, so a bad
     # one leaves no directory behind
     naive = cfg.method.kind == "naive-ce"
@@ -229,17 +244,21 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         (out_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     if naive:
-        result = _run_naive(cfg, ds, out_path)
+        metrics, learners, forget_log = _run_naive(cfg, ds)
     else:
-        result = _run_pipeline(cfg, ds, oracle_table, out_path)
+        metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path)
 
+    best, last = best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
     if out_path is not None:
+        for name, learner in zip(NETS, learners):
+            net.save_checkpoint(out_path / f"checkpoint_{name}.ckpt", learner.arch, learner.theta)
+        # metrics.csv last: report takes a directory that holds it as complete
         write_csv(out_path / "metrics.csv", [METRICS_HEADER],
-                  [list(zip(*map(dataclasses.astuple, result.metrics)))])
-    return result
+                  [list(zip(*map(dataclasses.astuple, metrics)))])
+    return RunResult(metrics, best, last, learners, forget_log, out_path)
 
 
-def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
+def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
     """Baseline arm: plain supervised cross-entropy on the observed labels."""
     seed = cfg.run.seed
     train_ids, test_ids = ds.train_ids(), ds.test_ids()
@@ -255,20 +274,16 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset, out_path) -> RunResult:
             EpochMetrics(k, acc, float("nan"), acc, loss, float("nan"),
                          0, 0, train_ids.shape[0], 0, 0, 0)
         )
-    best, last = best_last(metrics)
-    if out_path is not None:
-        net.save_checkpoint(out_path / "checkpoint_scratch.ckpt", scratch.arch, scratch.theta)
-    return RunResult(metrics, best, last, scratch.arch, scratch.theta, None, None, [], out_path)
+    return metrics, (scratch,), []
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
-                  out_path) -> RunResult:
+                  out_path) -> tuple:
     seed = cfg.run.seed
     sched, method = cfg.schedule, cfg.method
+    # both dataset kinds number train samples 0..n_train-1, so ids index train arrays
     train_ids, test_ids = ds.train_ids(), ds.test_ids()
     n_train = train_ids.shape[0]
-    if not np.array_equal(train_ids, np.arange(n_train)):
-        raise StateError("train samples must occupy ids 0..n_train-1")
 
     emb = oracle.oracle_embeddings(
         ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, seed, "embeddings")
@@ -286,7 +301,7 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     current_pool = train_ids
     losses = (None, None)  # see the module docstring
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
-    sets = snapshot = None
+    sets = references = None
     metrics = []
     forget_rows = []
     codivide_epochs = []  # (epoch, the filled part of its codivide_rows row)
@@ -323,11 +338,16 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             if selecting:
                 # on a bootstrap epoch the previous checkpoint is this one,
                 # which makes every loss drop zero
-                sets, snapshot, audit = selection.unlearning_setup(
-                    train_ids, ds.observed_labels[train_ids], scratch.theta, embed.theta,
+                sets, audit = selection.unlearning_setup(
+                    train_ids, ds.observed_labels[train_ids],
                     (losses[0], prev_losses[0]), (losses[1], prev_losses[1]),
                     oracle_argmax_train, method,
                 )
+                # forgetting pushes each net away from these read-only copies; theta
+                # stays writable, as numba types mlp_backward's zeros_like(theta) after it
+                references = tuple(learner.theta.copy() for learner in nets)
+                for reference in references:
+                    reference.setflags(write=False)
                 prev_losses = losses
                 current_pool = sets.retained
                 if current_pool.shape[0] < n_train:
@@ -349,7 +369,7 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             ):
                 targets = (sets.targets_scratch, sets.targets_embed)
                 for name, learner, ids, reference, frozen in zip(
-                    NETS, nets, targets, (snapshot.theta_scratch, snapshot.theta_embed),
+                    NETS, nets, targets, references,
                     (0, coteach.adapter_prefix(embed, k, sched)),
                 ):
                     plan = forget.make_unlearn_plan(
@@ -396,17 +416,11 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             current_pool.shape[0], hn, ln, cs,
         ))
 
-    best, last = best_last(metrics)
     if out_path is not None:
-        for name, learner in zip(NETS, nets):
-            net.save_checkpoint(out_path / f"checkpoint_{name}.ckpt", learner.arch, learner.theta)
         write_csv(out_path / "codivide_audit.csv", [CODIVIDE_HEADER], (
             (k, row["id"], row["w_scratch"], row["w_embed"], row["labeled_scratch"],
              row["labeled_embed"], ds.observed_labels[row["id"]], ds.true_labels[row["id"]])
             for k, row in codivide_epochs
         ))
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
-    return RunResult(
-        metrics, best, last, scratch.arch, scratch.theta, embed.arch, embed.theta,
-        forget_rows, out_path,
-    )
+    return metrics, nets, forget_rows

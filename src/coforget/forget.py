@@ -56,12 +56,10 @@ def apply_unlearning(arch, theta, opt, snapshot_theta, plan: UnlearnBatchPlan,
     snapshot_theta supplies the fixed reference distributions; an empty plan
     leaves parameters untouched. Returns (theta, opt, ForgettingStats).
     """
-    all_ids = (
-        np.concatenate(plan.batches) if plan.batches else np.empty(0, dtype=np.int64)
-    )
-    if all_ids.shape[0] == 0:
+    if not plan.batches:  # make_unlearn_plan makes no empty batch
         return theta, opt, ForgettingStats(0, 0.0, 0.0)
 
+    all_ids = np.concatenate(plan.batches)
     x_all = inputs[all_ids]
     p_ref_all = net.predict_proba(arch, snapshot_theta, x_all)
 

@@ -22,13 +22,11 @@ import os
 import numpy as np
 
 
-def _plain_jit(*args, **kwargs):
+def _plain_jit(**kwargs):
     def wrap(fn):
         fn.py_func = fn
         return fn
 
-    if args and callable(args[0]):
-        return wrap(args[0])
     return wrap
 
 

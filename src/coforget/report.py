@@ -24,7 +24,6 @@ class RunData:
     manifest: dict
     metrics: dict          # column name -> np.ndarray
     codivide: dict | None  # column name -> np.ndarray, None if absent
-    path: Path
 
 
 def load_run(run_dir) -> RunData:
@@ -52,7 +51,7 @@ def load_run(run_dir) -> RunData:
         _read_columns(codivide_path, driver.CODIVIDE_HEADER.split(","))
         if codivide_path.exists() else None
     )
-    return RunData(path.name, manifest, metrics, codivide, path)
+    return RunData(path.name, manifest, metrics, codivide)
 
 
 def _read_columns(path: Path, required) -> dict:

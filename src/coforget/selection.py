@@ -6,6 +6,9 @@ loss or a strong recent loss drop (the memorization signals), unless the
 fixed zero-shot oracle agrees with its observed label (in which case it is
 probably genuinely clean). The retained training pool is everything not
 targeted by either network.
+
+Selection reads losses only; the forgetting references, each network's
+parameters at the selection epoch, are the driver's to keep.
 """
 
 from dataclasses import dataclass
@@ -29,18 +32,6 @@ class SelectionSets:
         union = self.targets_scratch | self.targets_embed
         if union & set(self.retained.tolist()):
             raise StateError("retained pool overlaps the unlearning targets")
-
-
-@dataclass(frozen=True)
-class ReferenceSnapshot:
-    """Frozen parameter copies taken at selection time."""
-
-    theta_scratch: np.ndarray
-    theta_embed: np.ndarray
-
-    def __post_init__(self):
-        for theta in (self.theta_scratch, self.theta_embed):
-            theta.setflags(write=False)
 
 
 def quantile_threshold(values, alpha: float) -> float:
@@ -116,16 +107,16 @@ def _checked_losses(losses, n: int) -> np.ndarray:
     return losses
 
 
-def unlearning_setup(train_ids, observed_labels, theta_scratch, theta_embed,
-                     losses_scratch, losses_embed, oracle_argmax, method: MethodCfg):
-    """Run selection for both networks and snapshot their parameters.
+def unlearning_setup(train_ids, observed_labels, losses_scratch, losses_embed, oracle_argmax,
+                     method: MethodCfg):
+    """Run selection for both networks.
 
     losses_scratch and losses_embed are each a (losses_now, losses_prev)
     pair of that network's per-sample losses on train_ids, now and at the
     previous checkpoint (the previous selection epoch; the bootstrap
     checkpoint on the first pass). method supplies p_low, p_drop and the
     cond_* switches. Misaligned or non-finite losses raise InputError.
-    Returns (SelectionSets, ReferenceSnapshot, SelectionAudit).
+    Returns (SelectionSets, SelectionAudit).
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     n = train_ids.shape[0]
@@ -139,9 +130,8 @@ def unlearning_setup(train_ids, observed_labels, theta_scratch, theta_embed,
     )
     retained = np.asarray(sorted(set(train_ids.tolist()) - t_scratch - t_embed), dtype=np.int64)
     sets = SelectionSets(frozenset(t_scratch), frozenset(t_embed), retained)
-    snapshot = ReferenceSnapshot(theta_scratch.copy(), theta_embed.copy())
     audit = SelectionAudit(low_scratch, drop_scratch, low_embed, drop_embed, consistent)
-    return sets, snapshot, audit
+    return sets, audit
 
 
 def write_selection_audit(path, train_ids, sets: SelectionSets, audit: SelectionAudit) -> None:

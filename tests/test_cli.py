@@ -227,6 +227,15 @@ class TestMakeData:
         assert np.diag(t).mean() == pytest.approx(0.7, abs=0.08)
 
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_exits_2_and_writes_nothing(self, tmp_path, capsys, spread):
+        out = tmp_path / "data" / "ds.csv"
+        rc = cli.main(["make-data", "--spread", spread, "--out", str(out)])
+        assert rc == 2
+        assert "a finite spread > 0" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+
 class TestMakeOracle:
     def test_writes_loadable_file(self, tmp_path):
         ds_path = tmp_path / "ds.csv"
@@ -323,6 +332,38 @@ class TestTrainAndReport:
         rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def _file_dataset(tmp_path, dim):
+        path = tmp_path / "ds.csv"
+        assert cli.main(["make-data", "--classes", "3", "--per-class", "40", "--test-per-class", "20",
+                         "--dim", str(dim), "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("key, value, dim, named", [
+        ("schedule.max_epoch", 10**20, 4, "(schedule.max_epoch - warmup)"),
+        # dataset.dim keeps its default 8, with which the config alone passes
+        ("net_scratch.hidden", [10**7], 300, "net_scratch layer 0"),
+    ])
+    def test_oversized_arrays_of_a_file_dataset_exit_2(self, tmp_path, capsys, key, value, dim, named):
+        ds_path = self._file_dataset(tmp_path, dim)
+        capsys.readouterr()
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path), key: value})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_test_rows_first_exit_2_naming_the_line(self, tmp_path, capsys):
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        is_test = np.array([True, True, True, False, False, False])
+        ds_path = tmp_path / "ds.csv"
+        data.save_dataset(data.Dataset(np.ones((6, 2)), labels, labels.copy(), is_test, 3), ds_path)
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path)})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{ds_path}:6: train rows must come before test rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):

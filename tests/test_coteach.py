@@ -56,40 +56,40 @@ class TestGmmFit:
 
 class TestCoDivide:
     def test_threshold_split(self):
-        div = coteach.co_divide(
-            np.array([0, 1]), np.array([0.8, 0.8]), np.array([0.9, 0.3]), 0.5
-        )
-        assert div.scratch_labeled_ids.tolist() == [0]
-        assert div.scratch_unlabeled_ids.tolist() == [1]
+        ids = np.array([0, 1])
+        for_scratch, _ = coteach.co_divide(ids, np.array([0.8, 0.8]), np.array([0.9, 0.3]), 0.5)
+        assert ids[for_scratch].tolist() == [0]
+        assert ids[~for_scratch].tolist() == [1]
 
     def test_all_above_threshold_leaves_no_unlabeled(self):
         ids = np.arange(4)
         w = np.full(4, 0.9)
-        div = coteach.co_divide(ids, w, w, 0.5)
-        assert div.scratch_unlabeled_ids.size == 0
+        for_scratch, _ = coteach.co_divide(ids, w, w, 0.5)
+        assert ids[~for_scratch].size == 0
 
     def test_boundary_is_inclusive(self):
-        div = coteach.co_divide(np.array([0]), np.array([0.5]), np.array([0.5]), 0.5)
-        assert div.scratch_labeled_ids.tolist() == [0]
-        assert div.embed_labeled_ids.tolist() == [0]
+        ids = np.array([0])
+        for_scratch, for_embed = coteach.co_divide(ids, np.array([0.5]), np.array([0.5]), 0.5)
+        assert ids[for_scratch].tolist() == [0]
+        assert ids[for_embed].tolist() == [0]
 
     def test_cross_network_keying(self):
         ids = np.arange(2)
         w_a = np.array([0.9, 0.1])
         w_v = np.array([0.1, 0.9])
-        div = coteach.co_divide(ids, w_a, w_v, 0.5)
-        assert div.scratch_labeled_ids.tolist() == [1]   # keyed on peer V
-        assert div.embed_labeled_ids.tolist() == [0]   # keyed on peer A
-        np.testing.assert_allclose(div.scratch_labeled_w, [0.9])
+        for_scratch, for_embed = coteach.co_divide(ids, w_a, w_v, 0.5)
+        assert ids[for_scratch].tolist() == [1]   # keyed on peer V
+        assert ids[for_embed].tolist() == [0]   # keyed on peer A
+        np.testing.assert_allclose(w_v[for_scratch], [0.9])
 
     def test_partition_is_exhaustive_and_exclusive(self):
         rng = np.random.default_rng(3)
         ids = np.arange(50)
         w_a, w_v = rng.random(50), rng.random(50)
-        div = coteach.co_divide(ids, w_a, w_v, 0.5)
-        combined = np.sort(np.concatenate([div.scratch_labeled_ids, div.scratch_unlabeled_ids]))
+        for_scratch, _ = coteach.co_divide(ids, w_a, w_v, 0.5)
+        combined = np.sort(np.concatenate([ids[for_scratch], ids[~for_scratch]]))
         assert np.array_equal(combined, ids)
-        assert not set(div.scratch_labeled_ids) & set(div.scratch_unlabeled_ids)
+        assert not set(ids[for_scratch]) & set(ids[~for_scratch])
 
 
 class TestPseudoLabels:

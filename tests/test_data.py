@@ -164,7 +164,6 @@ class TestInjection:
             out = data.inject_noise(ds, t, seed + 100)
             tr = out.train_ids()
             emp = data.empirical_transition(out.true_labels[tr], out.observed_labels[tr], c)
-            assert not emp.unseen_rows.any()
             assert np.abs(emp.matrix - t).max() <= bound
 
 
@@ -223,10 +222,9 @@ class TestEmpiricalTransition:
         emp = data.empirical_transition(true, obs, 2)
         np.testing.assert_allclose(emp.matrix, [[0.5, 0.5], [0.0, 1.0]], atol=TOL)
 
-    def test_unseen_row_uniform_and_flagged(self):
+    def test_unseen_rows_uniform(self):
         emp = data.empirical_transition([0, 0], [0, 1], 3)
-        assert emp.unseen_rows.tolist() == [False, True, True]
-        np.testing.assert_allclose(emp.matrix[1], 1 / 3, atol=TOL)
+        np.testing.assert_allclose(emp.matrix, [[0.5, 0.5, 0.0], [1 / 3] * 3, [1 / 3] * 3], atol=TOL)
 
 
 class TestDatasetFile:

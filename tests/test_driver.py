@@ -1,6 +1,5 @@
 """Schedule gates, warmup contract, determinism, ablation bisimulation."""
 
-import dataclasses
 import hashlib
 import inspect
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coforget import coteach, data, driver, kernels, net, oracle, selection
+from coforget import coteach, data, driver, forget, kernels, net, oracle, selection
 from coforget.config import RunConfig, load_config
 from coforget.errors import ConfigurationError
 from coforget.util import fmt_float, rng_for
@@ -230,16 +229,17 @@ class TestCeEpochFold:
     def test_naive_run_equals_frozen_loop(self):
         cfg = small_cfg(method__kind="naive-ce")
         res = driver.run(cfg)
+        (scratch,) = res.learners
         ds = driver.build_dataset(cfg)
-        theta0 = net.init_params(res.arch_scratch, driver._section_seed(None, 1, "init/scratch"))
+        theta0 = net.init_params(scratch.arch, driver._section_seed(None, 1, "init/scratch"))
         opt0 = net.make_optimizer(
-            res.arch_scratch, cfg.optim.lr_scratch, cfg.optim.momentum, cfg.optim.weight_decay,
+            scratch.arch, cfg.optim.lr_scratch, cfg.optim.momentum, cfg.optim.weight_decay,
             cfg.optim.decay_epoch, cfg.optim.decay_factor,
         )
         old_theta, _ = _frozen_naive_epochs(
-            ds, res.arch_scratch, theta0, opt0, 1, cfg.schedule.max_epoch, cfg.optim.batch_size
+            ds, scratch.arch, theta0, opt0, 1, cfg.schedule.max_epoch, cfg.optim.batch_size
         )
-        assert np.array_equal(res.theta_scratch, old_theta)
+        assert np.array_equal(scratch.theta, old_theta)
 
 
 class TestRun:
@@ -255,13 +255,13 @@ class TestRun:
     def test_identical_seeds_identical_parameters(self):
         r1 = driver.run(small_cfg())
         r2 = driver.run(small_cfg())
-        np.testing.assert_array_equal(r1.theta_scratch, r2.theta_scratch)
-        np.testing.assert_array_equal(r1.theta_embed, r2.theta_embed)
+        for l1, l2 in zip(r1.learners, r2.learners, strict=True):
+            np.testing.assert_array_equal(l1.theta, l2.theta)
 
     def test_different_seed_differs(self):
         r1 = driver.run(small_cfg())
         r2 = driver.run(small_cfg(run__seed=2))
-        assert not np.array_equal(r1.theta_scratch, r2.theta_scratch)
+        assert not np.array_equal(r1.learners[0].theta, r2.learners[0].theta)
 
     def test_selection_counts_appear_after_start(self):
         res = driver.run(small_cfg())
@@ -289,14 +289,44 @@ class TestRun:
         out = tmp_path / "run"
         res = driver.run(small_cfg(), out)
         arch, theta = net.load_checkpoint(out / "checkpoint_scratch.ckpt")
-        assert arch == res.arch_scratch
-        np.testing.assert_array_equal(theta, res.theta_scratch)
+        assert arch == res.learners[0].arch
+        np.testing.assert_array_equal(theta, res.learners[0].theta)
 
     def test_naive_arm_runs_and_reports(self):
         res = driver.run(small_cfg(method__kind="naive-ce"))
         assert np.isnan(res.last["acc_embed"])
         assert res.last["acc_scratch"] > 0.5
-        assert res.arch_embed is None
+        assert len(res.learners) == 1
+
+    def test_forgetting_references_are_frozen_copies(self, monkeypatch):
+        """Every reference forgetting receives is read-only and equals that
+        net's parameters when its selection ran; the live parameters stay
+        writable."""
+        learners, at_selection, references = [], {}, []
+        make, select, unlearn = driver._learner, selection.unlearning_setup, forget.apply_unlearning
+
+        def learner(*args):
+            learners.append(make(*args))
+            return learners[-1]
+
+        def unlearning_setup(*args):
+            at_selection["thetas"] = tuple(lrn.theta.copy() for lrn in learners)
+            return select(*args)
+
+        def apply_unlearning(arch, theta, opt, reference, plan, inputs, *args, **kwargs):
+            i = next(i for i, lrn in enumerate(learners) if lrn.inputs is inputs)
+            references.append((reference, at_selection["thetas"][i], np.shares_memory(reference, theta)))
+            return unlearn(arch, theta, opt, reference, plan, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "_learner", learner)
+        monkeypatch.setattr(selection, "unlearning_setup", unlearning_setup)
+        monkeypatch.setattr(forget, "apply_unlearning", apply_unlearning)
+        driver.run(load_config(QUICK))
+        assert len(references) > 2
+        for reference, theta, shared in references:
+            assert not reference.flags.writeable and not shared
+            np.testing.assert_array_equal(reference, theta)
+        assert all(lrn.theta.flags.writeable for lrn in learners)
 
     def test_missing_test_split_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -407,13 +437,19 @@ class _LossWatch:
         self.selections = []   # (epoch, ids, theta per net, (now, prev) per net)
         self.nets = None       # ((arch, inputs) per net, observed labels)
         self.epoch = None      # the epoch driver.gate_selection last saw
-        self._ce, self._coteach, self._select, self._gate = (
+        self.learners = []     # the learners driver._learner made, in NETS order
+        self._ce, self._coteach, self._select, self._gate, self._learner = (
             net.per_sample_ce, coteach.coteach_epoch, selection.unlearning_setup,
-            driver.gate_selection)
+            driver.gate_selection, driver._learner)
+        monkeypatch.setattr(driver, "_learner", self.learner)
         monkeypatch.setattr(net, "per_sample_ce", self.per_sample_ce)
         monkeypatch.setattr(coteach, "coteach_epoch", self.coteach_epoch)
         monkeypatch.setattr(selection, "unlearning_setup", self.unlearning_setup)
         monkeypatch.setattr(driver, "gate_selection", self.gate_selection)
+
+    def learner(self, *args):
+        self.learners.append(self._learner(*args))
+        return self.learners[-1]
 
     def gate_selection(self, k, *args):
         self.epoch = k
@@ -438,10 +474,10 @@ class _LossWatch:
         return self._coteach(*args)
 
     def unlearning_setup(self, *args):
-        ids, _, theta_s, theta_e, pair_s, pair_e = args[:6]
+        ids, _, pair_s, pair_e = args[:4]
         epoch = self.epoch
         self.selections.append((
-            epoch, ids.copy(), (theta_s.copy(), theta_e.copy()),
+            epoch, ids.copy(), tuple(learner.theta.copy() for learner in self.learners),
             tuple((now.copy(), prev.copy()) for now, prev in (pair_s, pair_e)),
         ))
         return self._select(*args)
@@ -497,8 +533,8 @@ class TestPoolLosses:
 
     def test_skipped_update_keeps_that_nets_losses(self, monkeypatch):
         real = coteach.co_divide
-        monkeypatch.setattr(coteach, "co_divide", lambda *args: dataclasses.replace(
-            real(*args), embed_labeled_ids=np.empty(0, np.int64), embed_labeled_w=np.empty(0),
+        monkeypatch.setattr(coteach, "co_divide", lambda *args: (
+            real(*args)[0], np.zeros(np.shape(args[0]), bool),
         ))
         watch = _LossWatch(monkeypatch)
         driver.run(load_config(QUICK, overrides=["method.unlearning=false"]))

@@ -1,5 +1,8 @@
 """Backend parity and layout checks for the hot kernels."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,55 @@ def test_gmm_kernel_bit_identical_to_reference_on_random_fits():
         _assert_matches_reference(values, out, _gmm_em_1d_reference(*args))
         outcomes.append(out[5] == 100)
     assert any(outcomes) and not all(outcomes)  # some fits converge, some hit max_iter
+
+
+# Python constructs the kernels stay clear of: numba's nopython mode rejects
+# each, and the numpy backend, which runs the same source, would not
+_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_TRY = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+
+
+def _numba_subset_faults(source: str) -> list:
+    """"kernel: fault" for each top-level function of source (save
+    _plain_jit) that is not decorated @njit(cache=True), or whose body uses
+    a keyword out=, np.add.reduce, an f-string, try, or a list, dict or set
+    display or comprehension other than a list literal as np.array's
+    argument."""
+    faults = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_plain_jit":
+            continue
+        if [ast.unparse(d) for d in fn.decorator_list] != ["njit(cache=True)"]:
+            faults.append(f"{fn.name}: not decorated @njit(cache=True)")
+        array_args = {id(node.args[0]) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array"
+                      and node.args and isinstance(node.args[0], ast.List)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.keyword) and node.arg == "out":
+                faults.append(f"{fn.name}: keyword out=")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "np.add.reduce":
+                faults.append(f"{fn.name}: np.add.reduce")
+            elif isinstance(node, ast.JoinedStr):
+                faults.append(f"{fn.name}: f-string")
+            elif isinstance(node, _TRY):
+                faults.append(f"{fn.name}: try")
+            elif isinstance(node, _DISPLAYS) and id(node) not in array_args:
+                faults.append(f"{fn.name}: {type(node).__name__}")
+    return faults
+
+
+def test_kernels_stay_in_the_numba_subset():
+    assert _numba_subset_faults(Path(kernels.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize("decorator, body, fault", [
+    ("@njit(cache=True)", "return np.maximum(a, 0.0, out=a)", "keyword out="),
+    ("@njit(cache=True)", "return np.add.reduce(a)", "np.add.reduce"),
+    ("@njit(cache=True)", "return f'{a}'", "f-string"),
+    ("@njit(cache=True)", "try:\n        return a\n    except ValueError:\n        return a", "try"),
+    ("@njit(cache=True)", "return np.array([x for x in a])", "ListComp"),
+    ("@njit(cache=True)", "return {0: a}", "Dict"),
+    ("@njit", "return a", "not decorated @njit(cache=True)"),
+])
+def test_numba_subset_guard_catches(decorator, body, fault):
+    assert _numba_subset_faults(f"{decorator}\ndef bad(a):\n    {body}\n") == [f"bad: {fault}"]

@@ -155,44 +155,30 @@ class TestUnlearningSetup:
         train_ids = np.arange(n)
         observed = np.zeros(n, dtype=np.int64)
         oracle_argmax = np.ones(n, dtype=np.int64)  # nothing protected
-        theta_s, theta_e = np.zeros(3), np.ones(4)
-        sets, snap, _ = selection.unlearning_setup(
-            train_ids, observed, theta_s, theta_e, *self._losses(n), oracle_argmax,
+        sets, _ = selection.unlearning_setup(
+            train_ids, observed, *self._losses(n), oracle_argmax,
             MethodCfg(p_low=0.2, p_drop=0.2),
         )
         union = set(sets.targets_scratch) | set(sets.targets_embed)
         assert set(sets.retained.tolist()) == set(range(n)) - union
         assert not union & set(sets.retained.tolist())
 
-    def test_empty_targets_keep_full_pool_and_snapshot(self):
+    def test_empty_targets_keep_full_pool(self):
         n = 6
         flat = (np.full(n, 1.0), np.full(n, 1.0))
         labels = np.arange(n, dtype=np.int64) % 2
-        sets, snap, _ = selection.unlearning_setup(
-            np.arange(n), labels, np.zeros(2), np.zeros(2), flat, flat, labels,
+        sets, _ = selection.unlearning_setup(
+            np.arange(n), labels, flat, flat, labels,
             MethodCfg(p_low=0.05, p_drop=0.2),
         )
         assert sets.targets_scratch == frozenset() and sets.targets_embed == frozenset()
         assert np.array_equal(sets.retained, np.arange(n))
-        assert snap.theta_scratch is not None
-
-    def test_snapshot_is_frozen_copy(self):
-        n = 4
-        theta_s = np.arange(3, dtype=np.float64)
-        sets, snap, _ = selection.unlearning_setup(
-            np.arange(n), np.zeros(n, dtype=np.int64), theta_s, np.zeros(2),
-            *self._losses(n), np.ones(n, dtype=np.int64), MethodCfg(p_low=0.2, p_drop=0.2),
-        )
-        theta_s[0] = 99.0
-        assert snap.theta_scratch[0] == 0.0
-        with pytest.raises(ValueError):
-            snap.theta_scratch[0] = 5.0
 
     def test_missing_checkpoint_raises(self):
         now = np.ones(4)
         with pytest.raises(InputError, match="expected 4 losses"):
             selection.unlearning_setup(
-                np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
+                np.arange(4), np.zeros(4, dtype=np.int64),
                 (now, None), (now, now), np.zeros(4, dtype=np.int64),
                 MethodCfg(p_low=0.2, p_drop=0.2),
             )
@@ -209,7 +195,7 @@ class TestUnlearningSetup:
         pairs[slot] = bad
         with pytest.raises(InputError, match=match):
             selection.unlearning_setup(
-                np.arange(4), np.zeros(4, dtype=np.int64), np.zeros(2), np.zeros(2),
+                np.arange(4), np.zeros(4, dtype=np.int64),
                 tuple(pairs[:2]), tuple(pairs[2:]), np.zeros(4, dtype=np.int64),
                 MethodCfg(p_low=0.2, p_drop=0.2),
             )
@@ -217,8 +203,8 @@ class TestUnlearningSetup:
     def test_audit_file_round_trip(self, tmp_path):
         n = 8
         train_ids = np.arange(n)
-        sets, _, audit = selection.unlearning_setup(
-            train_ids, np.zeros(n, dtype=np.int64), np.zeros(2), np.zeros(2),
+        sets, audit = selection.unlearning_setup(
+            train_ids, np.zeros(n, dtype=np.int64),
             *self._losses(n), np.ones(n, dtype=np.int64), MethodCfg(p_low=0.25, p_drop=0.25),
         )
         path = tmp_path / "audit.csv"

@@ -276,8 +276,13 @@ class TestLoadersAgreeWithRowLoops:
         path = tmp_path / "ds.csv"
         data.save_dataset(ds, path)
         path.write_text(_damaged(draw.draw, path.read_text().splitlines()))
-        _assert_same_outcome(_outcome(frozen_loaders.load_dataset, path, rejects=OLD_REJECTS),
-                             _outcome(data.load_dataset, path))
+        old = _outcome(frozen_loaders.load_dataset, path, rejects=OLD_REJECTS)
+        new = _outcome(data.load_dataset, path)
+        if old is not None and np.any(np.diff(old[3].astype(np.int64)) < 0):
+            # a train row after a test row: a rule the row loops predate
+            assert new is None
+        else:
+            _assert_same_outcome(old, new)
 
     @FUZZ
     @given(draw=st.data())
