@@ -1,5 +1,6 @@
 """Command-line surface: build datasets, generate/import oracles, run
-config-driven experiments, compare runs, and launch sweeps.
+config-driven experiments, compare runs, export a run's co-divide record as
+CSV, and launch sweeps.
 
 Run outputs land under --outdir, the config's run.outdir, or
 $COFORGET_RUNS_DIR/run-<confighash>-s<seed> in that order of precedence.
@@ -140,6 +141,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def cmd_export(args) -> int:
+    out = report.export_codivide(args.run_dir)
+    print(f"wrote {out}")
+    return 0
+
+
 def sweep_grid(items) -> list:
     """The --set axes' cartesian product, one [(key, value), ...] per member."""
     combos = [[]]
@@ -243,6 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None,
                    help="epoch window START:END for selection-quality tallies")
     p.set_defaults(fn=cmd_report)
+
+    p = sub.add_parser("export", help="write a run directory's codivide_audit.csv "
+                       "from its codivide_audit.npy")
+    p.add_argument("run_dir")
+    p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("sweep", help="run a config across a grid of overrides, "
                        "one member after another in this process")

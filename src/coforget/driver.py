@@ -17,6 +17,12 @@ one epoch's metric losses are the next epoch's co-divide input.
 
 Each arm returns its metrics, learners and forgetting rows, and ``run`` alone
 finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
+
+With a run directory, the pipeline keeps each co-teaching epoch's co-divide
+rows in one block and, after the last epoch, writes them as
+codivide_audit.npy: one CODIVIDE_RECORD row per epoch and pool sample,
+streamed one epoch at a time behind a header for the total row count, so no
+second whole-run copy is built. ``coforget export`` makes the CSV of it.
 """
 
 import dataclasses
@@ -30,15 +36,20 @@ import numpy as np
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
 from .config import MAX_ARRAY_CELLS, RunConfig, validate_config
 from .errors import ConfigurationError, StateError
-from .util import format_rows, output_dir, rng_for, write_csv
+from .util import format_rows, output_dir, rng_for, write_csv, write_npy
 
 logger = logging.getLogger("coforget")
 
-CODIVIDE_HEADER = "epoch,id,w_scratch,w_embed,labeled_scratch,labeled_embed,observed,true"
-CODIVIDE_DTYPE = np.dtype([
-    ("id", np.int64), ("w_scratch", np.float64), ("w_embed", np.float64),
-    ("labeled_scratch", np.bool_), ("labeled_embed", np.bool_),
+# one co-divide row per co-teaching epoch and pool sample: the row of
+# codivide_audit.npy, and of the CSV `coforget export` makes from it
+CODIVIDE_RECORD = np.dtype([
+    ("epoch", "<i8"), ("id", "<i8"), ("w_scratch", "<f8"), ("w_embed", "<f8"),
+    ("labeled_scratch", "?"), ("labeled_embed", "?"), ("observed", "<i8"), ("true", "<i8"),
 ])
+CODIVIDE_HEADER = ",".join(CODIVIDE_RECORD.names)
+# the fields the run fills per epoch; epoch and labels are added as each is written
+CODIVIDE_DTYPE = np.dtype([(name, CODIVIDE_RECORD[name]) for name in (
+    "id", "w_scratch", "w_embed", "labeled_scratch", "labeled_embed")])
 CLEAN_JUDGE_THRESHOLD = 0.5  # selection-quality accounting, independent of tau_w
 LAST_WINDOW = 10
 ACC_KEYS = ("acc_scratch", "acc_embed", "acc_ens")
@@ -123,6 +134,11 @@ def build_dataset(cfg: RunConfig) -> data.Dataset:
     dcfg, ncfg = cfg.dataset, cfg.noise
     if dcfg.kind == "file":
         ds = data.load_dataset(dcfg.path)
+        # the noise transition and the one-hot targets are C x C
+        if ds.n_classes**2 > MAX_ARRAY_CELLS:
+            raise ConfigurationError(
+                f"dataset.path {dcfg.path}: {ds.n_classes} classes, whose C x C class "
+                f"matrices exceed 2**31 array cells")
     else:
         ds = data.make_blobs(
             dcfg.classes,
@@ -160,11 +176,15 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
 
 def _check_array_sizes(cfg: RunConfig, ds: data.Dataset) -> None:
     """Reject a run whose config and dataset as built size an array past
-    MAX_ARRAY_CELLS cells: the co-divide audit block or a layer's weights."""
+    MAX_ARRAY_CELLS cells: the co-divide audit block, the oracle embeddings
+    and their projection, or a layer's weights."""
     sched, embed_dim, n_classes = cfg.schedule, cfg.oracle.embed_dim, ds.n_classes
     sized = {
         "co-divide audit: (schedule.max_epoch - warmup) * dataset train samples":
             (sched.max_epoch - sched.warmup) * ds.train_ids().shape[0],
+        "oracle embeddings: dataset samples * oracle.embed_dim": ds.n * embed_dim,
+        "oracle projection: (dataset.dim + dataset.classes) * oracle.embed_dim":
+            (ds.dim + n_classes) * embed_dim,
     }
     for name, first, width in (("net_scratch", "dataset.dim", ds.dim),
                                ("net_embed", "oracle.embed_dim", embed_dim)):
@@ -219,8 +239,9 @@ def _check_finite(epoch, **arrays):
 
 
 def run(cfg: RunConfig, out_dir=None) -> RunResult:
-    """Execute one full run; writes metrics/audit/checkpoint files when
-    out_dir is given and returns everything in memory either way."""
+    """Execute one full run; writes the manifest, metrics, co-divide record,
+    selection and forgetting audits and checkpoints when out_dir is given,
+    and returns everything in memory either way."""
     validate_config(cfg)
     out_path = output_dir(out_dir) if out_dir is not None else None
     ds = build_dataset(cfg)
@@ -275,6 +296,17 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
                          0, 0, train_ids.shape[0], 0, 0, 0)
         )
     return metrics, (scratch,), []
+
+
+def _codivide_record(epoch: int, row, ds: data.Dataset) -> np.ndarray:
+    """The CODIVIDE_RECORD rows of one co-teaching epoch's filled row."""
+    record = np.empty(row.shape[0], CODIVIDE_RECORD)
+    record["epoch"] = epoch
+    for name in CODIVIDE_DTYPE.names:
+        record[name] = row[name]
+    record["observed"] = ds.observed_labels[row["id"]]
+    record["true"] = ds.true_labels[row["id"]]
+    return record
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
@@ -417,10 +449,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         ))
 
     if out_path is not None:
-        write_csv(out_path / "codivide_audit.csv", [CODIVIDE_HEADER], (
-            (k, row["id"], row["w_scratch"], row["w_embed"], row["labeled_scratch"],
-             row["labeled_embed"], ds.observed_labels[row["id"]], ds.true_labels[row["id"]])
-            for k, row in codivide_epochs
-        ))
+        write_npy(out_path / "codivide_audit.npy", CODIVIDE_RECORD,
+                  sum(row.shape[0] for _, row in codivide_epochs),
+                  (_codivide_record(k, row, ds) for k, row in codivide_epochs))
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return metrics, nets, forget_rows

@@ -1,6 +1,11 @@
 """Post-run reporting: accuracy curves, Best/Last summaries, and the
 noisy-judged-clean accounting computed from run directories.
 
+A run directory is read from its manifest, its metrics.csv and its co-divide
+record, codivide_audit.npy, which one bounded util.read_npy call loads. A
+directory from before that record, holding only codivide_audit.csv, loads
+without co-divide rows. export_codivide writes the record as that CSV.
+
 All outputs are plot-ready CSV; nothing is rendered.
 """
 
@@ -13,9 +18,11 @@ import numpy as np
 
 from . import driver
 from .errors import IngestionError
-from .util import output_dir, read_csv, write_csv
+from .util import output_dir, read_csv, read_npy, write_csv
 
 logger = logging.getLogger("coforget")
+
+_EXPORT_CHUNK = 1 << 16  # record rows formatted per write
 
 
 @dataclass
@@ -23,10 +30,14 @@ class RunData:
     run_id: str
     manifest: dict
     metrics: dict          # column name -> np.ndarray
-    codivide: dict | None  # column name -> np.ndarray, None if absent
+    codivide: np.ndarray | None  # the driver.CODIVIDE_RECORD rows, None if absent
 
 
 def load_run(run_dir) -> RunData:
+    """A completed run directory: its manifest, its metrics.csv columns and
+    its co-divide record (None for the naive-ce arm, or for a directory that
+    predates the record). A file that is missing or damaged raises
+    IngestionError naming it."""
     path = Path(run_dir)
     manifest_path = path / "manifest.json"
     metrics_path = path / "metrics.csv"
@@ -46,12 +57,36 @@ def load_run(run_dir) -> RunData:
     epoch = metrics["epoch"]
     if not np.all((np.abs(epoch) < 2**53) & (epoch == np.trunc(epoch))):
         raise IngestionError(f"{metrics_path}: epochs must be whole numbers")
-    codivide_path = path / "codivide_audit.csv"
-    codivide = (
-        _read_columns(codivide_path, driver.CODIVIDE_HEADER.split(","))
-        if codivide_path.exists() else None
-    )
+    codivide_path = path / "codivide_audit.npy"
+    codivide = None
+    if codivide_path.exists():
+        codivide = read_npy(codivide_path, driver.CODIVIDE_RECORD, _codivide_checks)
+    elif (path / "codivide_audit.csv").exists():
+        logger.warning("%s: co-divide CSV of an older run, not read; "
+                       "its selection quality is not reported", path / "codivide_audit.csv")
     return RunData(path.name, manifest, metrics, codivide)
+
+
+def _codivide_checks(rows) -> list:
+    return [
+        (rows["epoch"] >= 1, "epoch must be at least 1"),
+        *((rows[name] >= 0, f"{name} must be non-negative") for name in ("id", "observed", "true")),
+        *(((rows[name] >= 0) & (rows[name] <= 1), f"{name} must lie in [0, 1]")
+          for name in ("w_scratch", "w_embed")),
+    ]
+
+
+def export_codivide(run_dir) -> Path:
+    """Write run_dir/codivide_audit.csv from the run's co-divide record, one
+    CSV row per record row in CODIVIDE_HEADER's column order; returns its path."""
+    path = Path(run_dir)
+    rows = read_npy(path / "codivide_audit.npy", driver.CODIVIDE_RECORD, _codivide_checks)
+    out = path / "codivide_audit.csv"
+    write_csv(out, [driver.CODIVIDE_HEADER], (
+        [rows[name][start:start + _EXPORT_CHUNK] for name in driver.CODIVIDE_RECORD.names]
+        for start in range(0, rows.shape[0], _EXPORT_CHUNK)
+    ))
+    return out
 
 
 def _read_columns(path: Path, required) -> dict:

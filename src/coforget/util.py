@@ -1,13 +1,21 @@
 """Small shared helpers: seeded RNG streams, output-directory checks, and
-the CSV format, which this module owns: every table the package writes goes
-through write_csv and every table it reads through read_csv. Cells are
-comma-separated and unquoted, one row per "\\n"-terminated line: a float is
-repr of a Python float, an int is decimal, a bool is 0 or 1, a str is as is.
+the file formats, which this module owns.
+
+Every table the package writes goes through write_csv and every table it
+reads through read_csv. Cells are comma-separated and unquoted, one row per
+"\\n"-terminated line: a float is repr of a Python float, an int is decimal,
+a bool is 0 or 1, a str is as is. A columnar record is one 1-D structured
+array in a version 1.0 .npy file, written by write_npy and read by read_npy.
+Both writers write to a temporary name beside the target and move it into
+place, so no file is ever left half written.
 """
 
+import contextlib
 import itertools
 import math
+import os
 import re
+import tokenize
 import zlib
 from pathlib import Path
 
@@ -62,11 +70,26 @@ def format_rows(columns) -> str:
     return "\n".join(map(",".join, zip(*cells)))
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file opened at path + ".tmp", moved onto path once the block ends;
+    if the block raises, the temporary file is removed and path is untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, head, chunks) -> None:
     """Write the head lines (column names, or a preamble), then the rows of
     each chunk, a sequence of columns as format_rows takes them. A large
     table comes in chunks, so that no whole-file string is built."""
-    with open(path, "w", newline="\n") as fh:
+    with _replacing(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in head))
         fh.writelines(text + "\n" for text in map(format_rows, chunks) if text)
 
@@ -145,3 +168,69 @@ def check_rows(path, first_lineno: int, checks) -> None:
     for ok, reason in checks:
         if not ok.all():
             raise IngestionError(f"{path}:{first_lineno + np.argmin(ok)}: {reason}")
+
+
+# ---------------------------------------------------------------------------
+# .npy records
+# ---------------------------------------------------------------------------
+
+
+def write_npy(path, dtype, n_rows: int, chunks) -> None:
+    """Write n_rows rows of the structured dtype as one 1-D array in a
+    version 1.0 .npy file (the bytes np.save writes), the rows coming as a
+    sequence of 1-D chunks of that dtype, so no whole-file array is built.
+    Chunks of another dtype or another row total raise ValueError."""
+    dtype = np.dtype(dtype)
+    with _replacing(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n_rows,),
+        })
+        written = 0
+        for chunk in chunks:
+            if chunk.dtype != dtype or chunk.ndim != 1:
+                raise ValueError(f"{path}: chunk of dtype {chunk.dtype}, shape {chunk.shape}, "
+                                 f"expected 1-D {dtype}")
+            fh.write(np.ascontiguousarray(chunk).data)
+            written += chunk.shape[0]
+        if written != n_rows:
+            raise ValueError(f"{path}: {written} rows written, header promises {n_rows}")
+
+
+def read_npy(path, dtype, checks=lambda rows: ()):
+    """The 1-D array of the structured dtype in a .npy file written by
+    write_npy. The magic and header are read without unpickling anything;
+    the header's dtype must equal dtype exactly, its shape be 1-D and its
+    order C, and header plus rows must fill the file to the byte, all before
+    the rows are allocated. A file that fails any of this, or a row that
+    fails one of checks(rows), a list of (good-row mask, reason), raises
+    IngestionError naming the file."""
+    dtype = np.dtype(dtype)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            try:
+                version = np.lib.format.read_magic(fh)
+                if version != (1, 0):
+                    raise ValueError(f"format version {version}, expected (1, 0)")
+                shape, fortran_order, file_dtype = np.lib.format.read_array_header_1_0(fh)
+            # numpy parses the header with ast.literal_eval (TypeError on an
+            # unhashable key) and retries an unparsable one through tokenize
+            except (ValueError, TypeError, tokenize.TokenError) as exc:
+                raise IngestionError(f"{path}: not a .npy record ({exc})") from None
+            if file_dtype != dtype or len(shape) != 1 or fortran_order:
+                raise IngestionError(
+                    f"{path}: holds a {'Fortran' if fortran_order else 'C'}-ordered array of "
+                    f"shape {shape} and dtype {file_dtype}, expected a C-ordered 1-D {dtype}")
+            n_rows, body = shape[0], fh.tell()
+            if body + n_rows * dtype.itemsize != size:
+                raise IngestionError(f"{path}: header promises {n_rows} rows of {dtype.itemsize} "
+                                     f"bytes after {body} header bytes, file holds {size} bytes")
+            rows = np.empty(n_rows, dtype)
+            if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
+                raise IngestionError(f"{path}: file shrank while read")
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read record ({exc})") from None
+    for ok, reason in checks(rows):
+        if not ok.all():
+            raise IngestionError(f"{path}: row {np.argmin(ok)}: {reason}")
+    return rows

@@ -428,7 +428,7 @@ def test_c09_determinism(tmp_path):
     driver.run(_medium_cfg(), d1)
     driver.run(_medium_cfg(), d2)
     assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
-    assert (d1 / "codivide_audit.csv").read_bytes() == (d2 / "codivide_audit.csv").read_bytes()
+    assert (d1 / "codivide_audit.npy").read_bytes() == (d2 / "codivide_audit.npy").read_bytes()
     assert (d1 / "forgetting_log.csv").read_bytes() == (d2 / "forgetting_log.csv").read_bytes()
     budget.done()
 

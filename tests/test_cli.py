@@ -345,6 +345,10 @@ class TestTrainAndReport:
         ("schedule.max_epoch", 10**20, 4, "(schedule.max_epoch - warmup)"),
         # dataset.dim keeps its default 8, with which the config alone passes
         ("net_scratch.hidden", [10**7], 300, "net_scratch layer 0"),
+        # 180 samples * 2e7 passes no bound a blobs dataset of the config meets
+        ("oracle.embed_dim", 2 * 10**7, 4, "dataset samples * oracle.embed_dim"),
+        # (300 + 3) * 1e7 cells, while 180 samples * 1e7 stay under the bound
+        ("oracle.embed_dim", 10**7, 300, "(dataset.dim + dataset.classes) * oracle.embed_dim"),
     ])
     def test_oversized_arrays_of_a_file_dataset_exit_2(self, tmp_path, capsys, key, value, dim, named):
         ds_path = self._file_dataset(tmp_path, dim)
@@ -353,6 +357,21 @@ class TestTrainAndReport:
         rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_class_count_of_a_file_dataset_is_bounded(self, tmp_path, capsys):
+        """200000 classes and 12 rows: the C x C noise transition alone would
+        be 298 GiB, so the file is rejected before any class matrix is built."""
+        labels = np.arange(12) % 2
+        ds_path = tmp_path / "ds.csv"
+        data.save_dataset(data.Dataset(np.ones((12, 2)), labels, labels.copy(),
+                                       np.arange(12) >= 9, 200000), ds_path)
+        assert ds_path.read_text().splitlines()[1] == "200000,2,12"
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path)})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"dataset.path {ds_path}: 200000 classes" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_test_rows_first_exit_2_naming_the_line(self, tmp_path, capsys):
@@ -516,7 +535,7 @@ class TestSweep:
         assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
         names = {f.name for f in files}
         assert {"manifest.json", "metrics.csv", "checkpoint_scratch.ckpt", "checkpoint_embed.ckpt",
-                "codivide_audit.csv", "forgetting_log.csv"} <= names
+                "codivide_audit.npy", "forgetting_log.csv"} <= names
         assert any(name.startswith("selection_epoch_") for name in names)
         for f in files:
             assert (last / f).read_bytes() == (fresh / f).read_bytes(), f

@@ -2,12 +2,13 @@
 
 import hashlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coforget import coteach, data, driver, forget, kernels, net, oracle, selection
+from coforget import cli, coteach, data, driver, forget, kernels, net, oracle, selection
 from coforget.config import RunConfig, load_config
 from coforget.errors import ConfigurationError
 from coforget.util import fmt_float, rng_for
@@ -280,7 +281,7 @@ class TestRun:
         driver.run(small_cfg(), out)
         for name in (
             "manifest.json", "metrics.csv", "checkpoint_scratch.ckpt", "checkpoint_embed.ckpt",
-            "codivide_audit.csv", "forgetting_log.csv",
+            "codivide_audit.npy", "forgetting_log.csv",
         ):
             assert (out / name).exists(), name
         assert (out / "selection_epoch_0012.csv").exists()
@@ -368,11 +369,13 @@ class TestDeterminismFiles:
         driver.run(small_cfg(), d1)
         driver.run(small_cfg(), d2)
         assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
-        assert (d1 / "codivide_audit.csv").read_bytes() == (d2 / "codivide_audit.csv").read_bytes()
+        assert (d1 / "codivide_audit.npy").read_bytes() == (d2 / "codivide_audit.npy").read_bytes()
 
 
 class TestCodivideAudit:
-    """codivide_audit.csv against the row-by-row formatter it replaced."""
+    """codivide_audit.csv, as `coforget export` writes it from the run's
+    codivide_audit.npy, against the row-by-row formatter the run used to
+    write it with."""
 
     @staticmethod
     def _reference_audit(cfg, epochs) -> bytes:
@@ -403,22 +406,38 @@ class TestCodivideAudit:
         monkeypatch.setattr(coteach, "coteach_epoch", capture)
         return driver.run(cfg, out_dir), epochs
 
+    @staticmethod
+    def _export(run_dir) -> bytes:
+        assert not (run_dir / "codivide_audit.csv").exists()
+        assert cli.main(["export", str(run_dir)]) == 0
+        return (run_dir / "codivide_audit.csv").read_bytes()
+
     @pytest.mark.parametrize("unlearning", [True, False])
     def test_matches_row_by_row_formatter(self, tmp_path, monkeypatch, unlearning):
         cfg = load_config(QUICK, [f"method.unlearning={str(unlearning).lower()}"])
         _, epochs = self._run_capturing(monkeypatch, cfg, tmp_path / "run")
         assert len(epochs) == cfg.schedule.max_epoch - cfg.schedule.warmup
-        written = (tmp_path / "run" / "codivide_audit.csv").read_bytes()
-        assert written == self._reference_audit(cfg, epochs)
+        assert self._export(tmp_path / "run") == self._reference_audit(cfg, epochs)
 
     def test_warmup_only_run_writes_header_line(self, tmp_path, monkeypatch):
         cfg = load_config(QUICK, ["schedule.max_epoch=3", "schedule.encoder_unfreeze=3"])
         assert cfg.schedule.max_epoch <= cfg.schedule.warmup
         _, epochs = self._run_capturing(monkeypatch, cfg, tmp_path / "run")
         assert epochs == []
-        written = (tmp_path / "run" / "codivide_audit.csv").read_bytes()
+        written = self._export(tmp_path / "run")
         assert written == (driver.CODIVIDE_HEADER + "\n").encode()
         assert written == self._reference_audit(cfg, epochs)
+
+    def test_record_rows_are_the_filled_pool_rows(self, tmp_path):
+        """The record holds one row per co-teaching epoch and pool sample,
+        n_pool rows per epoch in order, and nothing of the unfilled block."""
+        res = driver.run(load_config(QUICK), tmp_path / "run")
+        rows = np.load(tmp_path / "run" / "codivide_audit.npy", allow_pickle=False)
+        assert rows.dtype == driver.CODIVIDE_RECORD
+        coteach_epochs = [m for m in res.metrics if m.epoch > load_config(QUICK).schedule.warmup]
+        assert rows.shape == (sum(m.n_pool for m in coteach_epochs),)
+        assert np.array_equal(rows["epoch"], np.repeat([m.epoch for m in coteach_epochs],
+                                                       [m.n_pool for m in coteach_epochs]))
 
     def test_out_dir_does_not_change_metrics(self, tmp_path):
         cfg = load_config(QUICK)
@@ -568,7 +587,7 @@ GOLDEN_QUICK_SEED1 = {
     "method.unlearning=true": {
         "checkpoint_embed.ckpt": "bcc9e21aa6e14b059ab037ec086a2f50dfff739c1a576439402631344944b232",
         "checkpoint_scratch.ckpt": "631fe6e312813abe701b25da70e957be983cd14fdfb99fdd3e814592de8da5a2",
-        "codivide_audit.csv": "967e79bc9f5b49f639d37e285f392a015577e38aa58aaa286b8ab3bdb133e573",
+        "codivide_audit.npy": "6502eb302488eaae60b96b78990cbc8cef285d75d4ce51069005152c509b1226",
         "forgetting_log.csv": "74e830feb4db45a256816100934a565ae8450ccbf0f6ffb8d2dbff9874ce04f0",
         "manifest.json": "e3b69f768cee61670fbe10d51d5768d28724b688364dd90b12632bacc34b7a5e",
         "metrics.csv": "7c04837bbdfbccd80d830899d327065f8b0b731833a542ddc4b7f03e9218bc24",
@@ -579,7 +598,7 @@ GOLDEN_QUICK_SEED1 = {
     "method.unlearning=false": {
         "checkpoint_embed.ckpt": "b33fc01b472ca8283e7ea07d57af353b6de8bc83c0de0bf6f627877ccc755dfe",
         "checkpoint_scratch.ckpt": "6f76162cc67de5fd490d7a2d08f5652401491455076716c12a2dc9b7c6570025",
-        "codivide_audit.csv": "26aa332e1c0e44918e49acea768c23cad8656e8a677a42e58e7ced38ca10eb7b",
+        "codivide_audit.npy": "2b0488d4dfa11b99158f31fe3707b33357e5d41e3709c3623f6656991dc8fed1",
         "forgetting_log.csv": "fa4644cb9689b9275857ff97a444bff01f8553e626a8a7d216cb507cf4613543",
         "manifest.json": "aa728d6ed3125de2030e0437402c55893cca733c8cee00eb06bb36ee9aeb4415",
         "metrics.csv": "9f7deda8c120fd4a39b63dfbbc9634cc5532948a6565111137c57e7b6e5967d5",
@@ -592,7 +611,7 @@ GOLDEN_QUICK_SEED1 = {
     "method.asymmetric=false": {
         "checkpoint_embed.ckpt": "c1a6e8d03ba5bad3881daa749a3866e500477e692c5a28f9adcf3fa4f52829b5",
         "checkpoint_scratch.ckpt": "016bbd11430389cacbf5d346238255b8a777461144b981d1894c2049830b39ee",
-        "codivide_audit.csv": "7a73eb5310f2ddd57d3ba8758bac570a6f1cbba557a9c793e5baa7b1af45974d",
+        "codivide_audit.npy": "034ea76ffdbb5a7a595a87f8396ba01f86f24efb04c2e2f46af898b7d8e4289c",
         "forgetting_log.csv": "7e1234eb4ab6835c1ae64fb5309b40b42bdcfcda246ecf8be7f5c4c6b3d8f270",
         "manifest.json": "6ca2f7a170f3679a2a147501da34a08671dface068a1e17d0d01d6ab3bea4c8e",
         "metrics.csv": "cac4d3588556195e0f0abb092b3721928a164b361a0f3701939765ac58dbde96",
@@ -603,7 +622,7 @@ GOLDEN_QUICK_SEED1 = {
     "method.cond_oracle=false": {
         "checkpoint_embed.ckpt": "f34b8c187b76cbec3a3480b7eb72d454225e46f5437d49137e5f8b36e95c19ea",
         "checkpoint_scratch.ckpt": "76d1083061352da9e3ecd6af746020257b6660a8b8453f630efe17a2c7287c64",
-        "codivide_audit.csv": "1106f7c0aaf97bdba5ffe4d158e9522008ce21fa8df1063aff53b6d2fc731daa",
+        "codivide_audit.npy": "8053f8eb56c68df970a74a920827680f02ae0f11273f5dd6e6b02a3ac2843f6d",
         "forgetting_log.csv": "508a69ea657575b86296d5e0f22ba616ff641ee330793548d6ce8d0ab9c83b14",
         "manifest.json": "e747e064e25197bacee8709d0418b7f7f43df169d17f4f62fd0606389c0fb13c",
         "metrics.csv": "732fcb3f7d76642c81af5e61a02c7d4fe1eac52b3777d80aa49122d865cde9fc",
@@ -614,10 +633,66 @@ GOLDEN_QUICK_SEED1 = {
 }
 
 
+# SHA-256 of codivide_audit.csv of the same run dirs, which the run wrote
+# itself before codivide_audit.npy replaced it and `coforget export` now
+# writes from the record.
+GOLDEN_QUICK_SEED1_EXPORT = {
+    "method.unlearning=true": "967e79bc9f5b49f639d37e285f392a015577e38aa58aaa286b8ab3bdb133e573",
+    "method.unlearning=false": "26aa332e1c0e44918e49acea768c23cad8656e8a677a42e58e7ced38ca10eb7b",
+    "method.asymmetric=false": "7a73eb5310f2ddd57d3ba8758bac570a6f1cbba557a9c793e5baa7b1af45974d",
+    "method.cond_oracle=false": "1106f7c0aaf97bdba5ffe4d158e9522008ce21fa8df1063aff53b6d2fc731daa",
+}
+
+
+@pytest.fixture(scope="module")
+def quick_seed1_dirs(tmp_path_factory):
+    """The run dir of quick.yaml seed 1 under each GOLDEN_QUICK_SEED1 override;
+    tests read them and write nothing into them."""
+    root = tmp_path_factory.mktemp("quick_seed1")
+    dirs = {}
+    for i, override in enumerate(sorted(GOLDEN_QUICK_SEED1)):
+        dirs[override] = root / f"run{i}"
+        driver.run(load_config(QUICK, ["run.seed=1", override]), dirs[override])
+    return dirs
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.skipif(kernels.BACKEND != "numpy", reason="digests pinned for the numpy backend")
 @pytest.mark.parametrize("override", sorted(GOLDEN_QUICK_SEED1))
-def test_quick_seed1_run_dir_golden_bytes(tmp_path, override):
-    out = tmp_path / "run"
-    driver.run(load_config(QUICK, ["run.seed=1", override]), out)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+def test_quick_seed1_run_dir_golden_bytes(quick_seed1_dirs, override):
+    digests = {p.name: _digest(p) for p in quick_seed1_dirs[override].iterdir()}
     assert digests == GOLDEN_QUICK_SEED1[override]
+
+
+@pytest.mark.skipif(kernels.BACKEND != "numpy", reason="digests pinned for the numpy backend")
+@pytest.mark.parametrize("override", sorted(GOLDEN_QUICK_SEED1_EXPORT))
+def test_quick_seed1_export_golden_bytes(quick_seed1_dirs, tmp_path, override):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "codivide_audit.npy").write_bytes(
+        (quick_seed1_dirs[override] / "codivide_audit.npy").read_bytes())
+    assert cli.main(["export", str(run_dir)]) == 0
+    assert _digest(run_dir / "codivide_audit.csv") == GOLDEN_QUICK_SEED1_EXPORT[override]
+    assert sorted(p.name for p in run_dir.iterdir()) == ["codivide_audit.csv", "codivide_audit.npy"]
+
+
+def _readme_run_files() -> set:
+    """The file names in README's "Run directory" table, per-epoch names
+    with their epoch as NNNN."""
+    text = (QUICK.parent.parent / "README.md").read_text()
+    section = text.split("\n## Run directory\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return {name for cell in rows for name in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_readme_run_directory_table_names_every_run_file(quick_seed1_dirs):
+    """README's run-directory table names every file a run dir holds, with
+    unlearning on and off and on the naive-ce arm, and no other file."""
+    written = {re.sub(r"\d{4}", "NNNN", p.name)
+               for override in ("method.unlearning=true", "method.unlearning=false",
+                                "method.kind=naive-ce")
+               for p in quick_seed1_dirs[override].iterdir()}
+    assert _readme_run_files() == written

@@ -1,9 +1,10 @@
-"""Reporting: hand-tallied selection-quality counts, multi-run curves, and
-the run-directory reader against the row-by-row parser and dict tally it
-replaced."""
+"""Reporting: hand-tallied selection-quality counts, multi-run curves, the
+run-directory reader against the row-by-row parser and dict tally it
+replaced, and damaged run files, the co-divide record included."""
 
 import logging
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,8 @@ class TestSelectionQuality:
 @pytest.fixture(scope="module")
 def quick_runs(tmp_path_factory):
     """Run dirs of configs/quick.yaml: unlearning on and off, a naive-ce arm
-    and a warmup-only run (header-only codivide_audit.csv)."""
+    and a warmup-only run (a zero-row codivide_audit.npy). Tests copy a dir
+    before they write into it."""
     root = tmp_path_factory.mktemp("runs")
     arms = {
         "unl-on": ["method.unlearning=true"],
@@ -144,25 +146,49 @@ def quick_runs(tmp_path_factory):
     return {name: root / name for name in arms}
 
 
+def _copy_dirs(runs, root) -> dict:
+    return {name: shutil.copytree(run_dir, root / name) for name, run_dir in runs.items()}
+
+
 class TestReadRunDir:
-    def test_columns_equal_row_by_row_parser(self, quick_runs):
-        for name, run_dir in quick_runs.items():
+    def test_columns_equal_row_by_row_parser(self, quick_runs, tmp_path):
+        """metrics.csv columns equal the old parser's, and the record's
+        columns equal the old parser's on the CSV `coforget export` writes."""
+        for name, run_dir in _copy_dirs(quick_runs, tmp_path).items():
             run = report.load_run(run_dir)
-            for file_name, columns in (("metrics.csv", run.metrics),
-                                       ("codivide_audit.csv", run.codivide)):
-                if not (run_dir / file_name).exists():
-                    assert name == "naive" and columns is None
-                    continue
-                reference = _reference_read_csv_columns(run_dir / file_name)
-                assert list(columns) == list(reference)
-                for col, values in reference.items():
-                    assert values.dtype == columns[col].dtype == np.float64
-                    assert np.array_equal(columns[col], values, equal_nan=True), (name, col)
+            reference = _reference_read_csv_columns(run_dir / "metrics.csv")
+            assert list(run.metrics) == list(reference)
+            for col, values in reference.items():
+                assert values.dtype == run.metrics[col].dtype == np.float64
+                assert np.array_equal(run.metrics[col], values, equal_nan=True), (name, col)
+            if not (run_dir / "codivide_audit.npy").exists():
+                assert name == "naive" and run.codivide is None
+                continue
+            reference = _reference_read_csv_columns(report.export_codivide(run_dir))
+            assert list(run.codivide.dtype.names) == list(reference)
+            for col, values in reference.items():
+                assert values.dtype == np.float64
+                assert np.array_equal(run.codivide[col].astype(np.float64), values), (name, col)
 
     def test_header_only_file_gives_empty_columns(self, quick_runs):
         codivide = report.load_run(quick_runs["warmup-only"]).codivide
-        assert list(codivide) == driver.CODIVIDE_HEADER.split(",")
-        assert all(col.shape == (0,) and col.dtype == np.float64 for col in codivide.values())
+        assert codivide.shape == (0,) and codivide.dtype == driver.CODIVIDE_RECORD
+
+    def test_legacy_dir_loads_without_codivide_and_warns(self, quick_runs, tmp_path, caplog):
+        """A dir from before the record, with codivide_audit.csv only, loads
+        with codivide None and one warning naming that file; its report has
+        no selection-quality row."""
+        legacy = shutil.copytree(quick_runs["unl-on"], tmp_path / "legacy")
+        report.export_codivide(legacy)
+        (legacy / "codivide_audit.npy").unlink()
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            run = report.load_run(legacy)
+        assert run.codivide is None
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and str(legacy / "codivide_audit.csv") in warnings[0]
+        report.write_report([legacy], tmp_path / "rep")
+        assert (tmp_path / "rep" / "selection_quality.csv").read_text() == (
+            "run_id,window_start,window_end,hn,ln,cs\n")
 
     def test_naive_arm_nan_column_round_trips(self, quick_runs):
         run = report.load_run(quick_runs["naive"])
@@ -172,10 +198,17 @@ class TestReadRunDir:
         assert np.all(np.isfinite(run.metrics["acc_scratch"]))
 
     def test_report_files_equal_old_read_path(self, quick_runs, tmp_path, monkeypatch):
-        dirs = list(quick_runs.values())
+        """The report equals one made by the old parser and dict tally, the
+        old parser reading the co-divide rows from the exported CSV."""
+        dirs = list(_copy_dirs(quick_runs, tmp_path / "runs").values())
         report.write_report(dirs, tmp_path / "new")
+        for run_dir in dirs:
+            if (run_dir / "codivide_audit.npy").exists():
+                report.export_codivide(run_dir)
         monkeypatch.setattr(report, "_read_columns",
                             lambda path, required: _reference_read_csv_columns(path))
+        monkeypatch.setattr(report, "read_npy", lambda path, dtype, checks:
+                            _reference_read_csv_columns(path.with_suffix(".csv")))
         monkeypatch.setattr(report, "selection_quality", _reference_selection_quality)
         report.write_report(dirs, tmp_path / "old")
         for name in ("curves.csv", "summary.csv", "selection_quality.csv"):
@@ -186,7 +219,7 @@ class TestReadRunDir:
 
 def _copy_run(src, dst):
     dst.mkdir()
-    for name in ("manifest.json", "metrics.csv", "codivide_audit.csv"):
+    for name in ("manifest.json", "metrics.csv", "codivide_audit.npy"):
         (dst / name).write_bytes((src / name).read_bytes())
 
 
@@ -217,12 +250,81 @@ DAMAGES = {
 }
 
 
+def _record_with(field, row, value):
+    """Damage: set one field of one row of the co-divide record."""
+    def transform(path):
+        rows = np.load(path, allow_pickle=False)
+        rows[field][row] = value
+        np.save(path, rows, allow_pickle=False)
+    return transform
+
+
+def _record_header(**changes):
+    """Damage: rewrite the record's header with the given keys changed."""
+    def transform(path):
+        rows = np.load(path, allow_pickle=False)
+        header = {"descr": rows.dtype.descr, "fortran_order": False, "shape": rows.shape, **changes}
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.write(rows.tobytes())
+    return transform
+
+
+def _truncate(keep):
+    def transform(path):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep if keep >= 0 else len(blob) + keep])
+    return transform
+
+
+# damage to codivide_audit.npy -> what the IngestionError says after the file name
+RECORD_DAMAGES = {
+    "truncated-row": (_truncate(-7), "file holds"),
+    "truncated-header": (_truncate(40), "not a .npy record"),
+    "empty": (_truncate(0), "not a .npy record"),
+    "rows-past-file-size": (_record_header(shape=(10**12,)), "header promises 1000000000000 rows"),
+    "2-d": (_record_header(shape=(100, 1)), "expected a C-ordered 1-D"),
+    "fortran-order": (_record_header(fortran_order=True), "expected a C-ordered 1-D"),
+    "object-dtype": (_record_header(descr="|O"), "expected a C-ordered 1-D"),
+    "big-endian": (_record_header(descr=driver.CODIVIDE_RECORD.newbyteorder(">").descr),
+                   "expected a C-ordered 1-D"),
+    "nan-weight": (_record_with("w_scratch", 60, np.nan), "row 60: w_scratch must lie in [0, 1]"),
+    "weight-above-1": (_record_with("w_embed", 7, 1.5), "row 7: w_embed must lie in [0, 1]"),
+    "epoch-0": (_record_with("epoch", 3, 0), "row 3: epoch must be at least 1"),
+    "negative-id": (_record_with("id", 9, -1), "row 9: id must be non-negative"),
+    "negative-label": (_record_with("true", 11, -2), "row 11: true must be non-negative"),
+}
+
+
 class TestBadRunFiles:
+    @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGES))
+    def test_damaged_record_names_file(self, quick_runs, tmp_path, damage):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        transform, says = RECORD_DAMAGES[damage]
+        path = run_dir / "codivide_audit.npy"
+        transform(path)
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: .*{re.escape(says)}"):
+            report.load_run(run_dir)
+
+    @pytest.mark.parametrize("damage", ["rows-past-file-size", "truncated-row"])
+    def test_export_of_damaged_record_exits_2(self, quick_runs, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        RECORD_DAMAGES[damage][0](run_dir / "codivide_audit.npy")
+        assert cli.main(["export", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {run_dir / 'codivide_audit.npy'}: " in err and "Traceback" not in err
+        assert not (run_dir / "codivide_audit.csv").exists()
+
+    def test_export_without_record_exits_2_naming_it(self, quick_runs, tmp_path, capsys):
+        assert cli.main(["export", str(quick_runs["naive"])]) == 2
+        assert f"{quick_runs['naive'] / 'codivide_audit.npy'}: cannot read record" in (
+            capsys.readouterr().err)
+        assert not (quick_runs["naive"] / "codivide_audit.csv").exists()
+
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
-    @pytest.mark.parametrize("file_name, line_no", [
-        ("metrics.csv", 2), ("metrics.csv", 7), ("codivide_audit.csv", 2),
-        ("codivide_audit.csv", 1000),
-    ])
+    @pytest.mark.parametrize("file_name, line_no", [("metrics.csv", 2), ("metrics.csv", 7)])
     def test_bad_cell_names_path_and_line(self, quick_runs, tmp_path, file_name, line_no, damage):
         run_dir = tmp_path / "run"
         _copy_run(quick_runs["unl-on"], run_dir)
@@ -241,32 +343,38 @@ class TestBadRunFiles:
     def test_report_skips_damaged_dir_with_warning(self, quick_runs, tmp_path, caplog):
         bad = tmp_path / "bad"
         _copy_run(quick_runs["unl-on"], bad)
-        _damage(bad, "codivide_audit.csv", 50, _set_cell(2, "abc"))
+        _record_with("w_scratch", 50, np.nan)(bad / "codivide_audit.npy")
         with caplog.at_level(logging.WARNING, logger="coforget"):
             report.write_report([bad, quick_runs["unl-off"]], tmp_path / "rep")
-        assert any("skipping" in r.getMessage() and "codivide_audit.csv:50" in r.getMessage()
+        assert any("skipping" in r.getMessage() and "codivide_audit.npy: row 50" in r.getMessage()
                    for r in caplog.records)
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
 
-    @pytest.mark.parametrize("file_name", ["metrics.csv", "codivide_audit.csv"])
+    @pytest.mark.parametrize("file_name", ["metrics.csv", "codivide_audit.npy"])
     def test_cli_exits_2_when_no_dir_is_left(self, quick_runs, tmp_path, capsys, file_name):
         bad = tmp_path / "bad"
         _copy_run(quick_runs["unl-on"], bad)
-        _damage(bad, file_name, 3, _set_cell(2, "abc"))
+        if file_name == "metrics.csv":
+            _damage(bad, file_name, 3, _set_cell(2, "abc"))
+        else:
+            _record_header(shape=(10**12,))(bad / file_name)
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
-        assert "no completed run directories" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no completed run directories" in err and "Traceback" not in err
 
 
-def _keep_columns(names):
-    """Cut a CSV file down to the named columns, in the given order."""
-    def transform(path):
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        keep = [header.index(n) for n in names]
-        path.write_text("".join(",".join(line.split(",")[i] for i in keep) + "\n"
-                                for line in lines))
-    return transform
+def _keep_columns(path, names):
+    """Cut a CSV file or a .npy record down to the named columns, in the
+    given order."""
+    if path.suffix == ".npy":
+        rows = np.load(path, allow_pickle=False)
+        np.save(path, rows[names].copy(), allow_pickle=False)
+        return
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    keep = [header.index(n) for n in names]
+    path.write_text("".join(",".join(line.split(",")[i] for i in keep) + "\n" for line in lines))
 
 
 MANIFEST_DAMAGES = {
@@ -283,8 +391,8 @@ MANIFEST_DAMAGES = {
 COLUMN_DAMAGES = {
     "metrics-first-three": ("metrics.csv", ["epoch", "acc_scratch", "acc_embed"]),
     "metrics-no-epoch": ("metrics.csv", ["acc_scratch", "acc_embed", "acc_ens"]),
-    "codivide-no-true": ("codivide_audit.csv", driver.CODIVIDE_HEADER.split(",")[:-1]),
-    "codivide-no-weights": ("codivide_audit.csv", ["epoch", "id", "observed", "true"]),
+    "codivide-no-true": ("codivide_audit.npy", driver.CODIVIDE_HEADER.split(",")[:-1]),
+    "codivide-no-weights": ("codivide_audit.npy", ["epoch", "id", "observed", "true"]),
 }
 
 
@@ -307,8 +415,9 @@ class TestBadManifestAndColumns:
         file_name, keep = COLUMN_DAMAGES[damage]
         run_dir = tmp_path / "run"
         _copy_run(quick_runs["unl-on"], run_dir)
-        _keep_columns(keep)(run_dir / file_name)
-        pattern = rf"{re.escape(str(run_dir / file_name))}: missing columns "
+        _keep_columns(run_dir / file_name, keep)
+        says = "missing columns " if file_name.endswith(".csv") else "holds a C-ordered array "
+        pattern = rf"{re.escape(str(run_dir / file_name))}: {says}"
         with pytest.raises(IngestionError, match=pattern):
             report.load_run(run_dir)
 
@@ -321,7 +430,7 @@ class TestBadManifestAndColumns:
         for name, (file_name, keep) in COLUMN_DAMAGES.items():
             bad.append(tmp_path / name)
             _copy_run(quick_runs["unl-on"], bad[-1])
-            _keep_columns(keep)(bad[-1] / file_name)
+            _keep_columns(bad[-1] / file_name, keep)
         with caplog.at_level(logging.WARNING, logger="coforget"):
             report.write_report([*bad, quick_runs["unl-off"]], tmp_path / "rep")
         skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
@@ -337,7 +446,7 @@ class TestBadManifestAndColumns:
             (bad / "manifest.json").write_text(MANIFEST_DAMAGES[damage])
         else:
             file_name, keep = COLUMN_DAMAGES[damage]
-            _keep_columns(keep)(bad / file_name)
+            _keep_columns(bad / file_name, keep)
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
         assert "no completed run directories" in capsys.readouterr().err
 

@@ -1,10 +1,15 @@
-"""The CSV codec in util: cell text, round trips on adversarial columns, the
-reader's faults, a differential fuzz of the dataset and oracle loaders
-against their frozen line-by-line versions, and a check that no other
-module reads or writes CSV through numpy itself."""
+"""The file formats in util: the CSV codec's cell text, round trips on
+adversarial columns, the reader's faults, a differential fuzz of the dataset
+and oracle loaders against their frozen line-by-line versions, a check that
+no other module reads or writes CSV through numpy itself; the .npy record
+reader against damaged files; and writers that never leave a half-written
+file."""
 
 import ast
+import io
 import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import frozen_loaders
@@ -344,3 +349,204 @@ def test_only_util_calls_numpy_text_io():
             if name in ("loadtxt", "savetxt"):
                 callers.add(path.name)
     assert callers == {"util.py"}
+
+
+RECORD = np.dtype([("a", "<i8"), ("w", "<f8"), ("flag", "?")])
+
+
+def _record(n, start=0):
+    rows = np.zeros(n, RECORD)
+    rows["a"] = np.arange(start, start + n)
+    rows["w"] = np.linspace(0.0, 1.0, n) if n > 1 else 0.5
+    rows["flag"] = rows["a"] % 2 == 0
+    return rows
+
+
+def _weights_in_unit_interval(rows):
+    return [((rows["w"] >= 0) & (rows["w"] <= 1), "w must lie in [0, 1]")]
+
+
+def _npy(header: str, body: bytes = b"") -> bytes:
+    """A version 1.0 .npy file of the given header text, padded as numpy pads it."""
+    text = header + " " * (-(len(header) + 11) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text.encode("latin1") + body
+
+
+def _header(descr=RECORD.descr, fortran_order=False, shape=(3,)) -> str:
+    return f"{{'descr': {descr!r}, 'fortran_order': {fortran_order!r}, 'shape': {shape!r}, }}"
+
+
+def _read_small(path):
+    """util.read_npy of RECORD rows, asserting it never traced more than a
+    megabyte of allocations, whatever the file's header promises."""
+    tracemalloc.start()
+    try:
+        return util.read_npy(path, RECORD, _weights_in_unit_interval)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+class TestNoHalfWrittenFile:
+    """Both writers write to a temporary name beside the target and move it
+    into place; a chunk that raises mid-write leaves neither file."""
+
+    @staticmethod
+    def _failing(first):
+        yield first
+        raise RuntimeError("injected fault")
+
+    def test_csv_chunk_that_raises_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError, match="injected fault"):
+            util.write_csv(tmp_path / "t.csv", ["a,b"], self._failing([[1, 2], [3.0, 4.0]]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_npy_chunk_that_raises_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError, match="injected fault"):
+            util.write_npy(tmp_path / "t.npy", RECORD, 4, self._failing(_record(2)))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("chunks, n_rows", [
+        ([_record(2), _record(1)], 4),
+        ([np.zeros(2, [("a", "<i8"), ("w", "<f4")])], 2),
+    ], ids=["row-count", "dtype"])
+    def test_npy_chunks_that_break_the_header_leave_nothing(self, tmp_path, chunks, n_rows):
+        with pytest.raises(ValueError):
+            util.write_npy(tmp_path / "t.npy", RECORD, n_rows, chunks)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rewrite_replaces_the_target_whole(self, tmp_path):
+        path = tmp_path / "t.csv"
+        util.write_csv(path, ["a"], [[np.arange(5)]])
+        util.write_csv(path, ["a"], [[np.arange(2)]])
+        assert path.read_text() == "a\n0\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+class TestNpyRecord:
+    def test_bytes_equal_np_save_and_round_trip(self, tmp_path):
+        rows = np.concatenate([_record(3), _record(4, 3)])
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 7, iter([_record(3), _record(4, 3)]))
+        buf = io.BytesIO()
+        np.save(buf, rows, allow_pickle=False)
+        assert path.read_bytes() == buf.getvalue()
+        back = util.read_npy(path, RECORD)
+        assert back.dtype == RECORD and back.tobytes() == rows.tobytes()
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 0, [])
+        back = util.read_npy(path, RECORD)
+        assert back.shape == (0,) and back.dtype == RECORD
+
+    def test_truncation_at_every_byte_names_file(self, tmp_path):
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 3, [_record(3)])
+        blob = path.read_bytes()
+        for keep in range(len(blob)):
+            path.write_bytes(blob[:keep])
+            with pytest.raises(IngestionError, match=re.escape(str(path))):
+                _read_small(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(IngestionError, match="file holds"):
+            _read_small(path)
+
+    @pytest.mark.parametrize("header", [
+        _header(shape=(10**12,)),
+        _header(shape=(2**63,)),
+        _header(shape=(4,)),
+        _header(shape=(-1,)),
+        _header(shape=(3, 1)),
+        _header(shape=()),
+        _header(fortran_order=True),
+        _header(descr="|O"),
+        _header(descr=[("a", ">i8"), ("w", ">f8"), ("flag", "|b1")]),
+        _header(descr=[("a", "<i8"), ("w", "<f8")]),
+        _header(descr=[("a", "<i8"), ("flag", "|b1"), ("w", "<f8")]),
+        _header(descr=[("a", "<i8"), ("w", "<f8"), ("flag", "|b1"), ("", "|V7")]),
+        _header(descr="<f8"),
+        _header(descr="not a dtype"),
+        _header(descr=[1, 2]),
+        _header(fortran_order=0),
+        _header(shape=[3]),
+        "{'descr': '<f8'}",
+        "{[]: 1}",
+        "[1, 2, 3]",
+        "{'descr': ",
+        "(" * 300,
+    ])
+    def test_bad_header_names_file(self, tmp_path, header):
+        path = tmp_path / "r.npy"
+        path.write_bytes(_npy(header, _record(3).tobytes()))
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            _read_small(path)
+
+    def test_other_versions_and_magic_rejected(self, tmp_path):
+        path = tmp_path / "r.npy"
+        good = _npy(_header(), _record(3).tobytes())
+        for blob in (good.replace(b"NUMPY\x01", b"NUMPY\x02", 1), b"\x93NUMPX" + good[6:], b""):
+            path.write_bytes(blob)
+            with pytest.raises(IngestionError, match=re.escape(str(path))):
+                _read_small(path)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_failed_check_names_file_and_row(self, tmp_path, w):
+        rows = _record(3)
+        rows["w"][2] = w
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 3, [rows])
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: row 2: w must lie"):
+            _read_small(path)
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(IngestionError, match=r"absent\.npy: cannot read record"):
+            util.read_npy(tmp_path / "absent.npy", RECORD)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_header_raises_only_ingestion_errors(self, tmp_path, data):
+        descr = data.draw(st.sampled_from([
+            RECORD.descr, "|O", "<f8", ">i8", [("a", ">i8"), ("w", "<f8"), ("flag", "|b1")],
+            [("a", "<i8"), ("w", "<f8"), ("flag", "|b1"), ("x", "<i8")], "|V17", "", 3,
+        ]), label="descr")
+        shape = data.draw(st.one_of(
+            st.tuples(st.integers(-2, 2**64)),
+            st.lists(st.integers(-1, 10**12), max_size=3).map(tuple),
+            st.sampled_from([(10**12,), (3,), [3], "3", None]),
+        ), label="shape")
+        fortran_order = data.draw(st.sampled_from([False, True, 0, None]), label="fortran_order")
+        n_body = data.draw(st.integers(0, 5), label="body_rows")
+        path = tmp_path / "r.npy"
+        path.write_bytes(_npy(_header(descr, fortran_order, shape), _record(n_body).tobytes()))
+        try:
+            rows = _read_small(path)
+        except IngestionError as exc:
+            assert str(path) in str(exc)
+            return
+        assert rows.dtype == RECORD and rows.shape == (n_body,) and shape == (n_body,)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_bytes_raise_only_ingestion_errors(self, tmp_path, data):
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 3, [_record(3)])
+        blob = path.read_bytes()
+        damaged = bytearray(blob)
+        if data.draw(st.booleans(), label="cut"):
+            damaged = damaged[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        for _ in range(data.draw(st.integers(0, 4), label="n_flips")):
+            if damaged:
+                at = data.draw(st.integers(0, len(damaged) - 1), label="at")
+                damaged[at] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(damaged))
+        try:
+            rows = _read_small(path)
+        except IngestionError as exc:
+            assert str(path) in str(exc)
+            return
+        assert len(damaged) == len(blob) and rows.shape == (3,)
+        assert np.all((rows["w"] >= 0) & (rows["w"] <= 1))
