@@ -1,12 +1,14 @@
 """Command-line surface: build datasets, generate/import oracles, run
 config-driven experiments, compare runs, export a run's co-divide record as
-CSV, and launch sweeps.
+CSV, and launch sweeps, whose members run in parallel forked worker
+processes.
 
 Run outputs land under --outdir, the config's run.outdir, or
 $COFORGET_RUNS_DIR/run-<confighash>-s<seed> in that order of precedence.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__, data, driver, oracle, report
 from .config import load_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
-from .util import fmt_float, output_dir
+from .util import fmt_float, output_dir, pool_map
 
 logger = logging.getLogger("coforget")
 
@@ -97,18 +99,22 @@ def _resolve_outdir(outdir, cfg) -> Path:
     return Path(root) / f"run-{cfg.config_hash()}-s{cfg.run.seed}"
 
 
+def _write_whole(text: str) -> None:
+    """Write text to stdout in one write and flush it, so that lines from
+    concurrent sweep members never merge (print writes the newline apart)."""
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _train(config, overrides, outdir) -> None:
     """One `train`: load the config with its overrides, run it, print the
-    Best/Last lines. Every sweep member is exactly this call."""
+    Best/Last lines as one block. Every sweep member is exactly this call."""
     cfg = load_config(config, overrides=overrides)
     out_dir = _resolve_outdir(outdir, cfg)
     result = driver.run(cfg, out_dir)
-    print(f"run complete: {out_dir}")
-    for key in ("acc_scratch", "acc_embed", "acc_ens"):
-        print(
-            f"  {key}: best {fmt_float(result.best[key])}, "
-            f"last(10) {fmt_float(result.last[key])}"
-        )
+    _write_whole(f"run complete: {out_dir}\n" + "".join(
+        f"  {key}: best {fmt_float(result.best[key])}, last(10) {fmt_float(result.last[key])}\n"
+        for key in ("acc_scratch", "acc_embed", "acc_ens")))
 
 
 def cmd_train(args) -> int:
@@ -179,31 +185,64 @@ def sweep_labels(combos) -> list:
     return labels
 
 
+def sweep_jobs(requested, members: int, cpus: int) -> int:
+    """How many members a sweep runs at once: --jobs (default one per usable
+    CPU), at most one per CPU and one per member."""
+    return min(requested or cpus, cpus, members)
+
+
+def _sweep_member(member) -> None:
+    """One sweep member, in this process or a pool worker: its
+    "[sweep i/n] label" line marks its start, then it is a `train`."""
+    mark, config, overrides, out_dir = member
+    _write_whole(mark)
+    _train(config, overrides, out_dir)
+
+
 def cmd_sweep(args) -> int:
-    """Run the cartesian product of --set values one member after another in
-    this process. A member that raises is counted as failed and the sweep
-    goes on; a hard interpreter crash ends the whole sweep."""
+    """Run the cartesian product of --set values, each member as `train`
+    would, in up to --jobs forked worker processes at once (sweep_jobs);
+    --jobs 1 or a one-member grid runs them one after another in this
+    process. Members print whole lines, so lines of concurrent members
+    interleave but never merge. A member that raises, or whose worker
+    process dies, is counted as failed and the sweep goes on (in this
+    process, a hard crash still ends the sweep); this process logs every
+    failure."""
     combos = sweep_grid(args.set)
     labels = sweep_labels(combos)
     out_root = output_dir(args.outdir)
     out_root.mkdir(parents=True, exist_ok=True)
+    members = [(f"[sweep {idx + 1}/{len(combos)}] {label}\n", args.config,
+                [f"{k}={v}" for k, v in combo], out_root / label)
+               for idx, (combo, label) in enumerate(zip(combos, labels))]
+    jobs = sweep_jobs(args.jobs, len(members), len(os.sched_getaffinity(0)))
     failed = []
-    for idx, (combo, label) in enumerate(zip(combos, labels)):
-        # flushed, so that the line marks the member's start even on a pipe
-        print(f"[sweep {idx + 1}/{len(combos)}] {label}", flush=True)
-        try:
-            _train(args.config, [f"{k}={v}" for k, v in combo], out_root / label)
-        except Exception as exc:
-            failed.append(label)
-            # a package error's message says what is wrong; anything else
-            # is a bug, so its traceback goes into the log
-            logger.warning("sweep member %s failed: %s", label, exc,
-                           exc_info=not isinstance(exc, PACKAGE_ERRORS))
+    # closed on the way out, so that an interrupt here stops the workers too
+    with contextlib.closing(pool_map(_sweep_member, members, jobs)) as outcomes:
+        for label, outcome in zip(labels, outcomes):
+            try:
+                outcome()
+            except Exception as exc:
+                failed.append(label)
+                # a package error's message says what is wrong; anything else
+                # is a bug, so its traceback goes into the log
+                logger.warning("sweep member %s failed: %s", label, exc,
+                               exc_info=not isinstance(exc, PACKAGE_ERRORS))
     if failed:
         print(f"{len(failed)} of {len(combos)} sweep members failed: {', '.join(failed)}",
               file=sys.stderr)
         return 1
     return 0
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,11 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("sweep", help="run a config across a grid of overrides, "
-                       "one member after another in this process")
+                       "members in parallel worker processes")
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", default=[],
                    help="section.key=v1,v2,... sweep axis; repeatable")
     p.add_argument("--outdir", required=True)
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="members run at once, each in a forked worker (default: one per "
+                   "usable CPU; capped at that and at the member count); 1 runs them "
+                   "one after another in this process")
     p.set_defaults(fn=cmd_sweep)
     return parser
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
 from .config import MAX_ARRAY_CELLS, RunConfig, validate_config
 from .errors import ConfigurationError, StateError
-from .util import format_rows, output_dir, rng_for, write_csv, write_npy
+from .util import format_rows, output_dir, replacing, rng_for, write_csv, write_npy
 
 logger = logging.getLogger("coforget")
 
@@ -262,7 +262,8 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
             "backend": kernels.BACKEND,
             "version": __version__,
         }
-        (out_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        with replacing(out_path / "manifest.json", "w", newline="\n") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
 
     if naive:
         metrics, learners, forget_log = _run_naive(cfg, ds)

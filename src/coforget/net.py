@@ -19,6 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, IngestionError, InputError
+from .util import replacing
 
 EPS = 1e-7
 
@@ -268,7 +269,7 @@ _CKPT_MAGIC = b"COFORGET-CKPT v1"
 
 def save_checkpoint(path, arch: Architecture, theta: np.ndarray) -> None:
     header = json.dumps({"widths": list(arch.widths), "activation": arch.activation})
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + b"\n")
         fh.write(header.encode("ascii") + b"\n")
         fh.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())

@@ -1,27 +1,31 @@
-"""Small shared helpers: seeded RNG streams, output-directory checks, and
-the file formats, which this module owns.
+"""Small shared helpers: seeded RNG streams, output-directory checks, a
+map over forked worker processes, and the file formats, which this module
+owns.
 
 Every table the package writes goes through write_csv and every table it
 reads through read_csv. Cells are comma-separated and unquoted, one row per
 "\\n"-terminated line: a float is repr of a Python float, an int is decimal,
 a bool is 0 or 1, a str is as is. A columnar record is one 1-D structured
 array in a version 1.0 .npy file, written by write_npy and read by read_npy.
-Both writers write to a temporary name beside the target and move it into
-place, so no file is ever left half written.
+These writers, and the run's manifest and checkpoints, write to a temporary
+name beside the target and move it into place, so no file is ever left
+half written.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 import os
 import re
+import sys
 import tokenize
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, StateError
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
@@ -51,6 +55,53 @@ def output_dir(path) -> Path:
     return path
 
 
+def pool_map(fn, items, jobs: int):
+    """Map fn over items, yielding in input order one zero-argument callable
+    per item that returns fn(item) or raises its exception.
+
+    With jobs <= 1 or at most one item, each callable runs fn in this
+    process. Otherwise `jobs` forked worker processes run the items (fn must
+    be module-level, items and results picklable) and each callable hands
+    back a finished result; a worker's exception carries its remote
+    traceback as __cause__. A worker that dies (a segfault, the OOM killer)
+    fails its item and every unfinished one with StateError. Once the
+    generator returns, raises or is closed, the items not yet started are
+    cancelled and every worker has exited; a caller that may stop early
+    (a KeyboardInterrupt, even one raised by an item) closes it.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        yield from (functools.partial(fn, item) for item in items)
+        return
+    # imported here: concurrent.futures costs ~7 ms, which a serial run never pays
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def died():
+        future = Future()
+        future.set_exception(StateError("a worker process died before this item finished"))
+        return future
+
+    # a forked worker inherits unwritten buffers, and would write them again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = []
+        for item in items:
+            try:
+                futures.append(pool.submit(fn, item))
+            except BrokenProcessPool:  # a worker died while items were still being submitted
+                futures.append(died())
+        for future in futures:
+            if isinstance(future.exception(), BrokenProcessPool):
+                future = died()
+            yield future.result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -71,7 +122,7 @@ def format_rows(columns) -> str:
 
 
 @contextlib.contextmanager
-def _replacing(path, mode: str, **kwargs):
+def replacing(path, mode: str, **kwargs):
     """A file opened at path + ".tmp", moved onto path once the block ends;
     if the block raises, the temporary file is removed and path is untouched."""
     path = Path(path)
@@ -89,7 +140,7 @@ def write_csv(path, head, chunks) -> None:
     """Write the head lines (column names, or a preamble), then the rows of
     each chunk, a sequence of columns as format_rows takes them. A large
     table comes in chunks, so that no whole-file string is built."""
-    with _replacing(path, "w", newline="\n") as fh:
+    with replacing(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in head))
         fh.writelines(text + "\n" for text in map(format_rows, chunks) if text)
 
@@ -181,7 +232,7 @@ def write_npy(path, dtype, n_rows: int, chunks) -> None:
     sequence of 1-D chunks of that dtype, so no whole-file array is built.
     Chunks of another dtype or another row total raise ValueError."""
     dtype = np.dtype(dtype)
-    with _replacing(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n_rows,),
         })

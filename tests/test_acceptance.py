@@ -6,13 +6,14 @@ packaged defaults; both kernel backends reproduce them.
 """
 
 import math
+import os
 import time
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from coforget import coteach, data, driver, net, oracle, report, selection
+from coforget import coteach, data, driver, net, oracle, report, selection, util
 from coforget.config import RunConfig
 from coforget.util import rng_for
 
@@ -324,12 +325,20 @@ def _bench_cfg(seed, kind="coforget", unlearning=True) -> RunConfig:
     return cfg
 
 
+def _c7_last_acc(case) -> float:
+    """Last-10 accuracy of one C7 run: the ensemble's, or the naive arm's one net."""
+    seed, kind, unlearning = case
+    last = driver.run(_bench_cfg(seed, kind, unlearning)).last
+    return last["acc_scratch" if kind == "naive-ce" else "acc_ens"]
+
+
 def test_c07_end_to_end_noise_benefit():
     budget = Budget("C7 end-to-end-benefit", 600.0)
     seeds = range(1, 6)
-    full = [driver.run(_bench_cfg(s)).last["acc_ens"] for s in seeds]
-    no_unl = [driver.run(_bench_cfg(s, unlearning=False)).last["acc_ens"] for s in seeds]
-    naive = [driver.run(_bench_cfg(s, kind="naive-ce")).last["acc_scratch"] for s in seeds]
+    arms = [("coforget", True), ("coforget", False), ("naive-ce", True)]
+    cases = [(s, kind, unlearning) for kind, unlearning in arms for s in seeds]
+    accs = [get() for get in util.pool_map(_c7_last_acc, cases, min(2, os.cpu_count()))]
+    full, no_unl, naive = (accs[i:i + len(seeds)] for i in range(0, len(accs), len(seeds)))
     full_m, no_unl_m, naive_m = np.mean(full), np.mean(no_unl), np.mean(naive)
     print(
         f"\n[acceptance] C7 means: full={full_m:.4f} no-unlearning={no_unl_m:.4f} "

@@ -2,17 +2,19 @@
 
 import json
 import logging
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from coforget import cli, data, driver, oracle, report
+from coforget import cli, data, driver, oracle, report, util
 from coforget.config import build_config, load_config, validate_config
 from coforget.errors import ConfigurationError
 
@@ -27,6 +29,20 @@ SMALL_CONFIG = {
     "method": {"t_unl": 0.05, "lambda_u": 2.0},
     "run": {"seed": 3},
 }
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
+
+
+def cli_env():
+    """This process's environment, with this checkout's coforget first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_files(root) -> dict:
+    """Every file under root, by path relative to it, mapped to its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def write_config(tmp_path, extra=None, name="cfg.yaml"):
@@ -506,12 +522,15 @@ class TestSweep:
         for d in out_root.iterdir():
             assert (d / "metrics.csv").exists()
 
-    def test_last_member_matches_a_fresh_train_process(self, tmp_path):
-        """Members run one after another in one interpreter; the last one
-        must leave the same bytes as a `train` in a process of its own."""
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_last_member_matches_a_fresh_train_process(self, tmp_path, jobs):
+        """At --jobs 1 every member runs in this interpreter after the ones
+        before it; at --jobs 2 members run in forked workers, two at once.
+        Either way the last one must leave the same bytes as a `train` in a
+        process of its own."""
         cfg_path = write_config(tmp_path)
         out_root = tmp_path / "sweep"
-        rc = cli.main(["sweep", "--config", str(cfg_path),
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--jobs", jobs,
                        "--set", "method.unlearning=false,true", "--set", "run.seed=1,2",
                        "--outdir", str(out_root)])
         assert rc == 0
@@ -520,14 +539,11 @@ class TestSweep:
             "unlearning=true_seed=1", "unlearning=true_seed=2",
         ]
         fresh = tmp_path / "fresh"
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "coforget", "train", "--config", str(cfg_path),
              "--outdir", str(fresh), "--override", "method.unlearning=true",
              "--override", "run.seed=2"],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=cli_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         last = out_root / "unlearning=true_seed=2"
@@ -578,6 +594,135 @@ class TestSweep:
         with pytest.raises(KeyboardInterrupt):
             cli.main(["sweep", "--config", str(cfg_path), "--set", "run.seed=1,2",
                       "--outdir", str(tmp_path / "sweep")])
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _two_workers(monkeypatch):
+        """Run the sweep's members in two forked workers whatever the CPU
+        count, so that a member that kills its process never kills this one."""
+        monkeypatch.setattr(cli, "pool_map", lambda fn, items, jobs: util.pool_map(fn, items, 2))
+
+    def test_keyboard_interrupt_in_a_worker_leaves_no_process(self, tmp_path, monkeypatch):
+        def run(cfg, out_dir=None):
+            if cfg.run.seed == 2:
+                raise KeyboardInterrupt
+            return real_run(cfg, out_dir)
+
+        real_run = driver.run
+        monkeypatch.setattr(driver, "run", run)
+        self._two_workers(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sweep", "--config", str(write_config(tmp_path)), "--set", "run.seed=1,2,3,4",
+                      "--outdir", str(tmp_path / "sweep")])
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_its_member_and_the_unfinished_ones(self, tmp_path, capsys, caplog,
+                                                                  monkeypatch):
+        def run(cfg, out_dir=None):
+            if cfg.run.seed == 1:
+                os._exit(3)
+            time.sleep(60)  # still running when the pool breaks, and killed then
+            return real_run(cfg, out_dir)
+
+        real_run = driver.run
+        monkeypatch.setattr(driver, "run", run)
+        self._two_workers(monkeypatch)
+        start = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            rc = cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                           "--set", "run.seed=1,2,3", "--outdir", str(tmp_path / "sweep")])
+        assert time.perf_counter() - start < 30
+        assert rc == 1
+        assert multiprocessing.active_children() == []
+        assert "3 of 3 sweep members failed: seed=1, seed=2, seed=3" in capsys.readouterr().err
+        failed = [r for r in caplog.records if r.msg.startswith("sweep member")]
+        assert [r.args[0] for r in failed] == ["seed=1", "seed=2", "seed=3"]
+        for record in failed:
+            assert "a worker process died" in record.getMessage()
+            assert not record.exc_info
+
+    def test_members_are_byte_identical_in_workers_and_in_process(self, tmp_path):
+        """Quick seeds 1-3, unlearning on and off: every member file,
+        manifests and checkpoints included, is the same at --jobs 1 and 2."""
+        trees = {}
+        for jobs in ("1", "2"):
+            out_root = tmp_path / f"jobs{jobs}"
+            assert cli.main(["sweep", "--config", str(QUICK), "--jobs", jobs,
+                             "--set", "run.seed=1,2,3", "--set", "method.unlearning=true,false",
+                             "--outdir", str(out_root)]) == 0
+            trees[jobs] = run_files(out_root)
+        assert len({path.parts[0] for path in trees["1"]}) == 6
+        assert {"manifest.json", "checkpoint_scratch.ckpt", "checkpoint_embed.ckpt",
+                "codivide_audit.npy", "metrics.csv"} <= {path.name for path in trees["1"]}
+        assert trees["1"].keys() == trees["2"].keys()
+        for path, content in trees["1"].items():
+            assert trees["2"][path] == content, path
+
+    def test_member_writes_each_line_or_block_at_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Stdout:
+            def write(self, text):
+                calls.append(text)
+
+            def flush(self):
+                calls.append("<flush>")
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        out_dir = tmp_path / "member"
+        cli._sweep_member(("[sweep 2/3] seed=1\n", str(write_config(tmp_path)), ["run.seed=1"],
+                           out_dir))
+        assert len(calls) == 4, calls
+        mark, flushed, block, flushed_again = calls
+        assert (mark, flushed, flushed_again) == ("[sweep 2/3] seed=1\n", "<flush>", "<flush>")
+        assert block.startswith(f"run complete: {out_dir}\n  acc_scratch: best ")
+        assert block.endswith("\n") and block.count("\n") == 4
+
+    def test_concurrent_members_print_whole_lines(self, tmp_path):
+        """Under PYTHONUNBUFFERED=1 print() writes a line's text and its
+        newline apart; members must still print one line per mark and each
+        run-complete block whole."""
+        out_root = tmp_path / "sweep"
+        proc = subprocess.run(
+            [sys.executable, "-m", "coforget", "sweep", "--config", str(write_config(tmp_path)),
+             "--jobs", "2", "--set", "run.seed=1,2,3,4", "--outdir", str(out_root)],
+            env={**cli_env(), "PYTHONUNBUFFERED": "1"}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        marks = [line for line in lines if line.startswith("[sweep ")]
+        assert sorted(marks) == [f"[sweep {i}/4] seed={i}" for i in range(1, 5)]
+        blocks = [lines[i:i + 4] for i, line in enumerate(lines) if line.startswith("run complete")]
+        assert sorted(block[0] for block in blocks) == [
+            f"run complete: {out_root / f'seed={i}'}" for i in range(1, 5)]
+        for block in blocks:
+            assert [line.split(":")[0] for line in block[1:]] == [
+                "  acc_scratch", "  acc_embed", "  acc_ens"], block
+        assert len(lines) == 4 + 4 * 4
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x", "1.5"])
+    def test_jobs_below_one_or_not_a_number_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(driver, "run", lambda *a: pytest.fail("a member ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--config", str(write_config(tmp_path)), "--jobs", jobs,
+                      "--set", "run.seed=1,2", "--outdir", str(tmp_path / "sweep")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: must be a whole number >= 1, got '{jobs}'" in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("requested, members, cpus, jobs", [
+        (None, 10**12, 2, 2),
+        (None, 3, 10**6, 3),
+        (None, 1, 10**6, 1),
+        (10**18, 10**12, 64, 64),
+        (10**18, 5, 10**6, 5),
+        (1, 10**12, 10**6, 1),
+        (3, 10**12, 10**6, 3),
+    ])
+    def test_jobs_capped_at_cpus_and_members(self, requested, members, cpus, jobs):
+        assert cli.sweep_jobs(requested, members, cpus) == jobs
 
     @pytest.mark.parametrize("sets", [
         ["run.seed=1,1"],

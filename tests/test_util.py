@@ -2,11 +2,13 @@
 adversarial columns, the reader's faults, a differential fuzz of the dataset
 and oracle loaders against their frozen line-by-line versions, a check that
 no other module reads or writes CSV through numpy itself; the .npy record
-reader against damaged files; and writers that never leave a half-written
-file."""
+reader against damaged files; the forked worker-pool map; and writers that
+never leave a half-written file."""
 
 import ast
 import io
+import multiprocessing
+import os
 import re
 import struct
 import tracemalloc
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coforget import data, driver, oracle, util
-from coforget.errors import IngestionError
+from coforget import data, driver, net, oracle, util
+from coforget.errors import IngestionError, StateError
 from coforget.util import fmt_float
 from test_data import BAD_CELLS, PACKAGE_ERRORS
 
@@ -388,9 +390,60 @@ def _read_small(path):
         assert peak < 2**20, peak
 
 
+def _square_or_raise(i):
+    if i % 2:
+        raise ValueError(f"odd {i}")
+    return i * i, os.getpid()
+
+
+def _exit_on_zero(i):
+    if i == 0:
+        os._exit(3)
+    return i
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outcomes_in_input_order(self, jobs):
+        outcomes = list(util.pool_map(_square_or_raise, range(6), jobs))
+        assert len(outcomes) == 6
+        pids = set()
+        for i, outcome in enumerate(outcomes):
+            if i % 2:
+                with pytest.raises(ValueError, match=f"odd {i}") as raised:
+                    outcome()
+                # a worker's exception carries the traceback it had there
+                assert (raised.value.__cause__ is not None) == (jobs > 1)
+            else:
+                square, pid = outcome()
+                assert square == i * i
+                pids.add(pid)
+        assert (os.getpid() in pids) == (jobs == 1)
+        assert multiprocessing.active_children() == []
+
+    def test_one_item_runs_in_this_process(self):
+        (outcome,) = util.pool_map(_square_or_raise, [4], 2)
+        assert outcome() == (16, os.getpid())
+
+    def test_dead_worker_fails_every_unfinished_item(self):
+        """Enough items that the pool often breaks while they are still
+        being submitted; each item either finished or fails with StateError."""
+        outcomes = list(util.pool_map(_exit_on_zero, range(1000), 2))
+        assert multiprocessing.active_children() == []
+        assert len(outcomes) == 1000
+        with pytest.raises(StateError, match="a worker process died before this item finished"):
+            outcomes[0]()
+        for i, outcome in enumerate(outcomes[1:], start=1):
+            try:
+                assert outcome() == i
+            except StateError as exc:
+                assert str(exc) == "a worker process died before this item finished"
+
+
 class TestNoHalfWrittenFile:
-    """Both writers write to a temporary name beside the target and move it
-    into place; a chunk that raises mid-write leaves neither file."""
+    """Every writer (CSV, .npy record, manifest, checkpoint) writes to a
+    temporary name beside the target and moves it into place; a write that
+    raises mid-way leaves neither file."""
 
     @staticmethod
     def _failing(first):
@@ -415,6 +468,21 @@ class TestNoHalfWrittenFile:
         with pytest.raises(ValueError):
             util.write_npy(tmp_path / "t.npy", RECORD, n_rows, chunks)
         assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_that_raises_mid_write_leaves_nothing(self, tmp_path):
+        arch = net.Architecture((2, 3))
+        # the magic and header lines are written before the parameters fail to convert
+        with pytest.raises(ValueError):
+            net.save_checkpoint(tmp_path / "c.ckpt", arch, np.array(["x"] * arch.n_params, object))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_that_raises_mid_write_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver.kernels, "BACKEND", object())  # not JSON-serialisable
+        cfg = driver.RunConfig()
+        cfg.dataset.per_class, cfg.dataset.test_per_class, cfg.method.t_unl = 10, 5, 0.05
+        with pytest.raises(TypeError):
+            driver.run(cfg, tmp_path / "run")
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_rewrite_replaces_the_target_whole(self, tmp_path):
         path = tmp_path / "t.csv"
