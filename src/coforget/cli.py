@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, data, driver, oracle, report
 from .config import load_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
-from .util import fmt_float, output_dir, pool_map
+from .util import fmt_float, output_dir, pool_map, usable_cpus
 
 logger = logging.getLogger("coforget")
 
@@ -185,12 +185,6 @@ def sweep_labels(combos) -> list:
     return labels
 
 
-def sweep_jobs(requested, members: int, cpus: int) -> int:
-    """How many members a sweep runs at once: --jobs (default one per usable
-    CPU), at most one per CPU and one per member."""
-    return min(requested or cpus, cpus, members)
-
-
 def _sweep_member(member) -> None:
     """One sweep member, in this process or a pool worker: its
     "[sweep i/n] label" line marks its start, then it is a `train`."""
@@ -201,8 +195,8 @@ def _sweep_member(member) -> None:
 
 def cmd_sweep(args) -> int:
     """Run the cartesian product of --set values, each member as `train`
-    would, in up to --jobs forked worker processes at once (sweep_jobs);
-    --jobs 1 or a one-member grid runs them one after another in this
+    would, in one forked worker process per usable CPU, at most one per
+    member; with one CPU or one member they run one after another in this
     process. Members print whole lines, so lines of concurrent members
     interleave but never merge. A member that raises, or whose worker
     process dies, is counted as failed and the sweep goes on (in this
@@ -215,7 +209,7 @@ def cmd_sweep(args) -> int:
     members = [(f"[sweep {idx + 1}/{len(combos)}] {label}\n", args.config,
                 [f"{k}={v}" for k, v in combo], out_root / label)
                for idx, (combo, label) in enumerate(zip(combos, labels))]
-    jobs = sweep_jobs(args.jobs, len(members), len(os.sched_getaffinity(0)))
+    jobs = min(usable_cpus(), len(members))
     failed = []
     # closed on the way out, so that an interrupt here stops the workers too
     with contextlib.closing(pool_map(_sweep_member, members, jobs)) as outcomes:
@@ -233,16 +227,6 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,15 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("sweep", help="run a config across a grid of overrides, "
-                       "members in parallel worker processes")
+                       "members in parallel worker processes, one per CPU")
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", default=[],
                    help="section.key=v1,v2,... sweep axis; repeatable")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--jobs", type=_jobs, default=None,
-                   help="members run at once, each in a forked worker (default: one per "
-                   "usable CPU; capped at that and at the member count); 1 runs them "
-                   "one after another in this process")
     p.set_defaults(fn=cmd_sweep)
     return parser
 

@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import tokenize
+import warnings
 import zlib
 from pathlib import Path
 
@@ -53,6 +54,14 @@ def output_dir(path) -> Path:
                 raise ConfigurationError(f"output directory {path}: {p} is not a directory")
             break
     return path
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pool_map(fn, items, jobs: int):
@@ -89,11 +98,20 @@ def pool_map(fn, items, jobs: int):
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = []
-        for item in items:
-            try:
-                futures.append(pool.submit(fn, item))
-            except BrokenProcessPool:  # a worker died while items were still being submitted
-                futures.append(died())
+        # Python 3.12+ warns (DeprecationWarning) from os.fork when this
+        # process has other OS threads, and numpy's OpenBLAS keeps a pool of
+        # them. OpenBLAS shuts that pool down before a fork (a pthread_atfork
+        # handler), so a worker inherits none of its locks. The workers are
+        # forked inside submit, so the warning is ignored there and only
+        # there: where warnings show, it would print once per worker.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            for item in items:
+                try:
+                    futures.append(pool.submit(fn, item))
+                except BrokenProcessPool:  # a worker died while items were still being submitted
+                    futures.append(died())
         for future in futures:
             if isinstance(future.exception(), BrokenProcessPool):
                 future = died()

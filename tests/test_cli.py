@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coforget import cli, data, driver, oracle, report, util
+from coforget import cli, data, driver, oracle, report
 from coforget.config import build_config, load_config, validate_config
 from coforget.errors import ConfigurationError
 
@@ -522,15 +522,16 @@ class TestSweep:
         for d in out_root.iterdir():
             assert (d / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_last_member_matches_a_fresh_train_process(self, tmp_path, jobs):
-        """At --jobs 1 every member runs in this interpreter after the ones
-        before it; at --jobs 2 members run in forked workers, two at once.
-        Either way the last one must leave the same bytes as a `train` in a
-        process of its own."""
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_last_member_matches_a_fresh_train_process(self, tmp_path, monkeypatch, cpus):
+        """With one usable CPU every member runs in this interpreter after
+        the ones before it; with two, members run in forked workers, two at
+        once. Either way the last one must leave the same bytes as a `train`
+        in a process of its own."""
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         cfg_path = write_config(tmp_path)
         out_root = tmp_path / "sweep"
-        rc = cli.main(["sweep", "--config", str(cfg_path), "--jobs", jobs,
+        rc = cli.main(["sweep", "--config", str(cfg_path),
                        "--set", "method.unlearning=false,true", "--set", "run.seed=1,2",
                        "--outdir", str(out_root)])
         assert rc == 0
@@ -600,7 +601,7 @@ class TestSweep:
     def _two_workers(monkeypatch):
         """Run the sweep's members in two forked workers whatever the CPU
         count, so that a member that kills its process never kills this one."""
-        monkeypatch.setattr(cli, "pool_map", lambda fn, items, jobs: util.pool_map(fn, items, 2))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
 
     def test_keyboard_interrupt_in_a_worker_leaves_no_process(self, tmp_path, monkeypatch):
         def run(cfg, out_dir=None):
@@ -641,22 +642,24 @@ class TestSweep:
             assert "a worker process died" in record.getMessage()
             assert not record.exc_info
 
-    def test_members_are_byte_identical_in_workers_and_in_process(self, tmp_path):
+    def test_members_are_byte_identical_in_workers_and_in_process(self, tmp_path, monkeypatch):
         """Quick seeds 1-3, unlearning on and off: every member file,
-        manifests and checkpoints included, is the same at --jobs 1 and 2."""
+        manifests and checkpoints included, is the same in this process
+        (one usable CPU) and in two forked workers (two)."""
         trees = {}
-        for jobs in ("1", "2"):
-            out_root = tmp_path / f"jobs{jobs}"
-            assert cli.main(["sweep", "--config", str(QUICK), "--jobs", jobs,
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            out_root = tmp_path / f"cpus{cpus}"
+            assert cli.main(["sweep", "--config", str(QUICK),
                              "--set", "run.seed=1,2,3", "--set", "method.unlearning=true,false",
                              "--outdir", str(out_root)]) == 0
-            trees[jobs] = run_files(out_root)
-        assert len({path.parts[0] for path in trees["1"]}) == 6
+            trees[cpus] = run_files(out_root)
+        assert len({path.parts[0] for path in trees[1]}) == 6
         assert {"manifest.json", "checkpoint_scratch.ckpt", "checkpoint_embed.ckpt",
-                "codivide_audit.npy", "metrics.csv"} <= {path.name for path in trees["1"]}
-        assert trees["1"].keys() == trees["2"].keys()
-        for path, content in trees["1"].items():
-            assert trees["2"][path] == content, path
+                "codivide_audit.npy", "metrics.csv"} <= {path.name for path in trees[1]}
+        assert trees[1].keys() == trees[2].keys()
+        for path, content in trees[1].items():
+            assert trees[2][path] == content, path
 
     def test_member_writes_each_line_or_block_at_once(self, tmp_path, monkeypatch):
         calls = []
@@ -680,12 +683,14 @@ class TestSweep:
 
     def test_concurrent_members_print_whole_lines(self, tmp_path):
         """Under PYTHONUNBUFFERED=1 print() writes a line's text and its
-        newline apart; members must still print one line per mark and each
-        run-complete block whole."""
+        newline apart; members in two workers must still print one line per
+        mark and each run-complete block whole."""
         out_root = tmp_path / "sweep"
+        two_workers = ("import sys; from coforget import cli; cli.usable_cpus = lambda: 2; "
+                       "sys.exit(cli.main(sys.argv[1:]))")
         proc = subprocess.run(
-            [sys.executable, "-m", "coforget", "sweep", "--config", str(write_config(tmp_path)),
-             "--jobs", "2", "--set", "run.seed=1,2,3,4", "--outdir", str(out_root)],
+            [sys.executable, "-c", two_workers, "sweep", "--config", str(write_config(tmp_path)),
+             "--set", "run.seed=1,2,3,4", "--outdir", str(out_root)],
             env={**cli_env(), "PYTHONUNBUFFERED": "1"}, capture_output=True, text=True,
             timeout=120,
         )
@@ -701,28 +706,24 @@ class TestSweep:
                 "  acc_scratch", "  acc_embed", "  acc_ens"], block
         assert len(lines) == 4 + 4 * 4
 
-    @pytest.mark.parametrize("jobs", ["0", "-1", "x", "1.5"])
-    def test_jobs_below_one_or_not_a_number_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(driver, "run", lambda *a: pytest.fail("a member ran"))
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["sweep", "--config", str(write_config(tmp_path)), "--jobs", jobs,
-                      "--set", "run.seed=1,2", "--outdir", str(tmp_path / "sweep")])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument --jobs: must be a whole number >= 1, got '{jobs}'" in err
-        assert not (tmp_path / "sweep").exists()
-
-    @pytest.mark.parametrize("requested, members, cpus, jobs", [
-        (None, 10**12, 2, 2),
-        (None, 3, 10**6, 3),
-        (None, 1, 10**6, 1),
-        (10**18, 10**12, 64, 64),
-        (10**18, 5, 10**6, 5),
-        (1, 10**12, 10**6, 1),
-        (3, 10**12, 10**6, 3),
+    @pytest.mark.parametrize("cpus, seeds, jobs", [
+        (2, "1,2,3,4,5", 2),
+        (10**6, "1,2,3", 3),
+        (10**6, "1", 1),
+        (1, "1,2,3", 1),
     ])
-    def test_jobs_capped_at_cpus_and_members(self, requested, members, cpus, jobs):
-        assert cli.sweep_jobs(requested, members, cpus) == jobs
+    def test_workers_capped_at_cpus_and_members(self, tmp_path, monkeypatch, cpus, seeds, jobs):
+        asked = []
+
+        def pool_map(fn, items, n):
+            asked.append(n)
+            return (lambda: None for _ in items)  # starts no process
+
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "pool_map", pool_map)
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                         "--set", f"run.seed={seeds}", "--outdir", str(tmp_path / "sweep")]) == 0
+        assert asked == [jobs]
 
     @pytest.mark.parametrize("sets", [
         ["run.seed=1,1"],

@@ -6,12 +6,15 @@ reader against damaged files; the forked worker-pool map; and writers that
 never leave a half-written file."""
 
 import ast
+import builtins
+import errno
 import io
 import multiprocessing
 import os
 import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import frozen_loaders
@@ -440,6 +443,32 @@ class TestPoolMap:
                 assert str(exc) == "a worker process died before this item finished"
 
 
+    def test_fork_warning_of_a_threaded_process_is_not_raised(self, monkeypatch):
+        """Python 3.12+ warns from os.fork in a process with other OS threads
+        (OpenBLAS keeps some). A stand-in for that warning, an error under
+        this suite's filters, must not reach the caller. It is raised before
+        the fork, so that a pool it escapes from has no child to wait for."""
+        real_fork = os.fork
+
+        def fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert [outcome()[0] for outcome in util.pool_map(_square_or_raise, [0, 2, 4], 2)] == [
+            0, 4, 16]
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        assert util.usable_cpus() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert util.usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert util.usable_cpus() == 1
+
+
 class TestNoHalfWrittenFile:
     """Every writer (CSV, .npy record, manifest, checkpoint) writes to a
     temporary name beside the target and moves it into place; a write that
@@ -477,10 +506,35 @@ class TestNoHalfWrittenFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_manifest_that_raises_mid_write_leaves_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(driver.kernels, "BACKEND", object())  # not JSON-serialisable
+        """The manifest's write stops half way, as on a full disk, after its
+        file is open; the manifest is the run's first file."""
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            named = isinstance(file, (str, os.PathLike)) and Path(file).name.startswith("manifest")
+            return HalfWritten(fh) if named else fh
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.setattr(io, "open", open_)  # what Path.open and Path.write_text call
         cfg = driver.RunConfig()
         cfg.dataset.per_class, cfg.dataset.test_per_class, cfg.method.t_unl = 10, 5, 0.05
-        with pytest.raises(TypeError):
+        with pytest.raises(OSError, match="No space left on device"):
             driver.run(cfg, tmp_path / "run")
         assert list((tmp_path / "run").iterdir()) == []
 
