@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, driver, oracle, report
-from .config import load_config
+from .config import MAX_ARRAY_CELLS, NOISE_KINDS, blobs_cells, load_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
 from .util import fmt_float, output_dir, pool_map, usable_cpus
 
@@ -38,6 +38,11 @@ def _parse_pair_map(text: str):
 
 
 def cmd_make_data(args) -> int:
+    if blobs_cells(args.classes, args.per_class, args.test_per_class, args.dim) > MAX_ARRAY_CELLS:
+        raise ConfigurationError(
+            "--classes * (--per-class + --test-per-class) * max(--dim, --classes) "
+            "exceeds 2**31 array cells"
+        )
     ds = data.make_blobs(
         args.classes, args.per_class, args.dim, args.spread, args.seed,
         test_per_class=args.test_per_class,
@@ -244,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--spread", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", choices=["none", "symmetric", "asymmetric", "instance"],
-                   default="symmetric")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="symmetric")
     p.add_argument("--eta", type=float, default=0.4)
     p.add_argument("--pair-map", default="", help="comma-separated target class per class")
     p.add_argument("--noise-seed", type=int, default=1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigurationError
+from .net import ACTIVATIONS
 
 NOISE_KINDS = ("none", "symmetric", "asymmetric", "instance")
 ORACLE_KINDS = ("synthetic", "file")
@@ -138,7 +139,7 @@ _COERCE = {
 }
 
 
-def _show(value) -> str:
+def show_value(value) -> str:
     """repr of a user value for an error message. repr raises ValueError on
     an int past Python's int-to-str digit limit, alone or inside a list or
     mapping; such a value is shown by its type alone."""
@@ -161,7 +162,7 @@ def _coerce(section: str, key: str, value, annotation):
     what, accepted = _COERCE[annotation]
     if not isinstance(value, accepted) or (isinstance(value, bool) and annotation is not bool):
         null = " or null" if optional else ""
-        raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {_show(value)}")
+        raise ConfigurationError(f"{section}.{key}: expected {what}{null}, got {show_value(value)}")
     try:
         return annotation(value)
     except OverflowError:
@@ -173,7 +174,7 @@ def _apply_section(cfg_obj, section: str, data: dict):
     for key, value in data.items():
         if key not in fields:
             raise ConfigurationError(
-                f"unknown key {section}.{key if isinstance(key, str) else _show(key)}; "
+                f"unknown key {section}.{key if isinstance(key, str) else show_value(key)}; "
                 f"valid keys: {sorted(fields)}"
             )
         setattr(cfg_obj, key, _coerce(section, key, value, fields[key].type))
@@ -187,7 +188,7 @@ def build_config(data: dict) -> RunConfig:
     for section, content in data.items():
         if section not in _SECTIONS:
             raise ConfigurationError(
-                f"unknown config section {_show(section)}; valid sections: {sorted(_SECTIONS)}"
+                f"unknown config section {show_value(section)}; valid sections: {sorted(_SECTIONS)}"
             )
         if content is None:
             continue
@@ -198,6 +199,71 @@ def build_config(data: dict) -> RunConfig:
     return cfg
 
 
+def _blobs(cfg: RunConfig) -> bool:
+    return cfg.dataset.kind == "blobs"
+
+
+def _unlearns(cfg: RunConfig) -> bool:
+    return cfg.method.unlearning and cfg.method.kind == "coforget"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (field, domain, test of the field's value and the config), in the order
+# validate_config checks them; a field ending in [] is tested item by item
+_DOMAINS = (
+    ("dataset.kind", f"one of {DATASET_KINDS}", lambda v, c: v in DATASET_KINDS),
+    ("dataset.path", "set when dataset.kind = file", lambda v, c: c.dataset.kind != "file" or v),
+    ("dataset.classes", ">= 2", lambda v, c: not _blobs(c) or v >= 2),
+    ("dataset.per_class", ">= 1", lambda v, c: not _blobs(c) or v >= 1),
+    ("dataset.dim", ">= 1", lambda v, c: not _blobs(c) or v >= 1),
+    ("dataset.spread", "> 0", lambda v, c: not _blobs(c) or v > 0),
+    ("dataset.test_per_class", ">= 0", lambda v, c: not _blobs(c) or v >= 0),
+    ("noise.kind", f"one of {NOISE_KINDS}", lambda v, c: v in NOISE_KINDS),
+    ("noise.eta", "in [0, 1)", lambda v, c: c.noise.kind == "none" or 0 <= v < 1),
+    ("noise.pair_map", "a list when noise.kind = asymmetric",
+     lambda v, c: c.noise.kind != "asymmetric" or v is not None),
+    ("noise.pair_map[]", "a class index", lambda v, c: _is_int(v)),
+    ("oracle.kind", f"one of {ORACLE_KINDS}", lambda v, c: v in ORACLE_KINDS),
+    ("oracle.path", "set when oracle.kind = file", lambda v, c: c.oracle.kind != "file" or v),
+    ("net_scratch.hidden", "a non-empty list of widths", lambda v, c: len(v) > 0),
+    ("net_scratch.hidden[]", "a width >= 1", lambda v, c: _is_int(v) and v >= 1),
+    ("net_scratch.activation", f"one of {tuple(ACTIVATIONS)}", lambda v, c: v in ACTIVATIONS),
+    ("net_embed.hidden", "a non-empty list of widths", lambda v, c: len(v) > 0),
+    ("net_embed.hidden[]", "a width >= 1", lambda v, c: _is_int(v) and v >= 1),
+    ("net_embed.activation", f"one of {tuple(ACTIVATIONS)}", lambda v, c: v in ACTIVATIONS),
+    ("optim.lr_scratch", "> 0", lambda v, c: v > 0),
+    ("optim.lr_embed", "> 0", lambda v, c: v > 0),
+    ("optim.momentum", "in [0, 1)", lambda v, c: 0 <= v < 1),
+    ("optim.weight_decay", ">= 0", lambda v, c: v >= 0),
+    ("optim.decay_factor", "> 0", lambda v, c: v > 0),
+    ("optim.batch_size", ">= 1", lambda v, c: v >= 1),
+    ("schedule.max_epoch", ">= 1", lambda v, c: v >= 1),
+    ("schedule.warmup", ">= 0", lambda v, c: v >= 0),
+    ("schedule.start_unlearn", "> schedule.warmup", lambda v, c: v > c.schedule.warmup),
+    ("schedule.unlearn_period", ">= 1", lambda v, c: v >= 1),
+    ("schedule.unlearn_duration", "in [0, schedule.unlearn_period)",
+     lambda v, c: 0 <= v < c.schedule.unlearn_period),
+    ("schedule.encoder_unfreeze", "in [0, schedule.max_epoch]",
+     lambda v, c: 0 <= v <= c.schedule.max_epoch),
+    ("method.kind", f"one of {METHOD_KINDS}", lambda v, c: v in METHOD_KINDS),
+    ("method.t_unl", "> 0 while method.unlearning is true",
+     lambda v, c: not _unlearns(c) or (v is not None and v > 0)),
+    ("method.batch_unlearn", ">= 1 while method.unlearning is true",
+     lambda v, c: not _unlearns(c) or v >= 1),
+    ("method.p_low", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("method.p_drop", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("method.tau_w", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("method.t_sharp", "> 0", lambda v, c: v > 0),
+    ("method.mixup_alpha", "> 0", lambda v, c: v > 0),
+    ("method.lambda_u", ">= 0", lambda v, c: v >= 0),
+    ("method.reg_coef", ">= 0", lambda v, c: v >= 0),
+    ("run.seed", ">= 0", lambda v, c: v >= 0),
+)
+
+
 def validate_config(cfg: RunConfig) -> None:
     # NaN compares false with every bound below, so non-finite values are
     # rejected first
@@ -206,108 +272,32 @@ def validate_config(cfg: RunConfig) -> None:
         for f in dataclasses.fields(obj):
             val = getattr(obj, f.name)
             if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigurationError(f"{section}.{f.name} must be finite, got {_show(val)}")
+                raise ConfigurationError(f"{section}.{f.name} must be finite, got {show_value(val)}")
 
-    ds, noise, oracle = cfg.dataset, cfg.noise, cfg.oracle
-    sched, method, optim = cfg.schedule, cfg.method, cfg.optim
-
-    if ds.kind not in DATASET_KINDS:
-        raise ConfigurationError(
-            f"dataset.kind must be one of {DATASET_KINDS}, got {_show(ds.kind)}"
-        )
-    if ds.kind == "file" and not ds.path:
-        raise ConfigurationError("dataset.path is required when dataset.kind = file")
-    if ds.kind == "blobs":
-        if ds.classes < 2 or ds.per_class < 1 or ds.dim < 1 or ds.spread <= 0:
-            raise ConfigurationError(
-                "dataset needs classes >= 2, per_class >= 1, dim >= 1, spread > 0"
-            )
-        if ds.test_per_class < 0:
-            raise ConfigurationError("dataset.test_per_class must be >= 0")
-
-    if noise.kind not in NOISE_KINDS:
-        raise ConfigurationError(
-            f"noise.kind must be one of {NOISE_KINDS}, got {_show(noise.kind)}"
-        )
-    if noise.kind != "none" and not (0.0 <= noise.eta < 1.0):
-        raise ConfigurationError(f"noise.eta must be in [0, 1), got {_show(noise.eta)}")
-    if noise.kind == "asymmetric" and noise.pair_map is None:
-        raise ConfigurationError("noise.pair_map is required for asymmetric noise")
-    for i, target in enumerate(noise.pair_map or ()):
-        if isinstance(target, bool) or not isinstance(target, int):
-            raise ConfigurationError(
-                f"noise.pair_map[{i}] must be a class index, got {_show(target)}"
-            )
-
-    if oracle.kind not in ORACLE_KINDS:
-        raise ConfigurationError(
-            f"oracle.kind must be one of {ORACLE_KINDS}, got {_show(oracle.kind)}"
-        )
-    if oracle.kind == "file" and not oracle.path:
-        raise ConfigurationError("oracle.path is required when oracle.kind = file")
-
-    for name in ("net_scratch", "net_embed"):
-        hidden = getattr(cfg, name).hidden
-        if not hidden:
-            raise ConfigurationError(f"{name}.hidden must be a non-empty list of widths >= 1")
-        for i, width in enumerate(hidden):
-            if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-                raise ConfigurationError(
-                    f"{name}.hidden[{i}] must be a width >= 1, got {_show(width)}"
-                )
-
-    if optim.lr_scratch <= 0 or optim.lr_embed <= 0:
-        raise ConfigurationError("optim learning rates must be > 0")
-    if not (0.0 <= optim.momentum < 1.0):
-        raise ConfigurationError(f"optim.momentum must be in [0, 1), got {_show(optim.momentum)}")
-    if optim.weight_decay < 0 or optim.decay_factor <= 0 or optim.batch_size < 1:
-        raise ConfigurationError("optim needs weight_decay >= 0, decay_factor > 0, batch_size >= 1")
-
-    if sched.max_epoch < 1 or sched.warmup < 0:
-        raise ConfigurationError("schedule needs max_epoch >= 1 and warmup >= 0")
-    if sched.warmup >= sched.start_unlearn:
-        raise ConfigurationError(
-            f"schedule.warmup ({_show(sched.warmup)}) must be < start_unlearn "
-            f"({_show(sched.start_unlearn)})"
-        )
-    if sched.unlearn_period < 1 or not (0 <= sched.unlearn_duration < sched.unlearn_period):
-        raise ConfigurationError(
-            "schedule needs unlearn_period >= 1 and 0 <= unlearn_duration < unlearn_period"
-        )
-    if sched.encoder_unfreeze < 0 or sched.encoder_unfreeze > sched.max_epoch:
-        raise ConfigurationError("schedule.encoder_unfreeze must lie in [0, max_epoch]")
-
-    if method.kind not in METHOD_KINDS:
-        raise ConfigurationError(
-            f"method.kind must be one of {METHOD_KINDS}, got {_show(method.kind)}"
-        )
-    if method.unlearning and method.kind == "coforget":
-        if method.t_unl is None:
-            raise ConfigurationError("method.t_unl is required while method.unlearning is true")
-        if method.t_unl <= 0:
-            raise ConfigurationError(f"method.t_unl must be > 0, got {_show(method.t_unl)}")
-        if method.batch_unlearn < 1:
-            raise ConfigurationError("method.batch_unlearn must be >= 1")
-    for key in ("p_low", "p_drop", "tau_w"):
-        val = getattr(method, key)
-        if not (0.0 <= val <= 1.0):
-            raise ConfigurationError(f"method.{key} must be in [0, 1], got {_show(val)}")
-    if method.t_sharp <= 0 or method.mixup_alpha <= 0:
-        raise ConfigurationError("method.t_sharp and method.mixup_alpha must be > 0")
-    if method.lambda_u < 0 or method.reg_coef < 0:
-        raise ConfigurationError("method.lambda_u and method.reg_coef must be >= 0")
-
-    if cfg.run.seed < 0:
-        raise ConfigurationError(f"run.seed must be >= 0, got {_show(cfg.run.seed)}")
+    for name, domain, ok in _DOMAINS:
+        section, key = name.split(".")
+        value = getattr(getattr(cfg, section), key.removesuffix("[]"))
+        items = enumerate(value or ()) if key.endswith("[]") else [(None, value)]
+        for i, item in items:
+            if not ok(item, cfg):
+                where = name if i is None else f"{name[:-2]}[{i}]"
+                raise ConfigurationError(f"{where} must be {domain}, got {show_value(item)}")
     _check_array_sizes(cfg)
+
+
+def blobs_cells(classes, per_class, test_per_class, width) -> int:
+    """Cells of the largest array over a blobs dataset: its classes *
+    (per_class + test_per_class) samples times the wider of a width-column
+    feature row and a one-hot class row."""
+    return classes * (per_class + test_per_class) * max(width, classes)
 
 
 def _check_array_sizes(cfg: RunConfig) -> None:
     """Reject a blobs dataset past MAX_ARRAY_CELLS cells before make_blobs
     allocates it; driver.run checks the rest against the dataset as built."""
-    ds, embed_dim = cfg.dataset, cfg.oracle.embed_dim
-    if ds.kind == "blobs" and (ds.classes * (ds.per_class + ds.test_per_class)
-                               * max(ds.dim, embed_dim, ds.classes) > MAX_ARRAY_CELLS):
+    ds = cfg.dataset
+    if _blobs(cfg) and blobs_cells(ds.classes, ds.per_class, ds.test_per_class,
+                                   max(ds.dim, cfg.oracle.embed_dim)) > MAX_ARRAY_CELLS:
         raise ConfigurationError(
             "dataset.classes * (per_class + test_per_class) * max(dim, oracle.embed_dim, classes) "
             "exceeds 2**31 array cells"

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
-from .config import MAX_ARRAY_CELLS, RunConfig, validate_config
+from .config import MAX_ARRAY_CELLS, RunConfig, show_value, validate_config
 from .errors import ConfigurationError, StateError
 from .util import format_rows, output_dir, replacing, rng_for, write_csv, write_npy
 
@@ -248,9 +248,12 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     if ds.test_ids().shape[0] == 0:
         raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
     _check_array_sizes(cfg, ds)
+    naive = cfg.method.kind == "naive-ce"
+    if not naive and cfg.oracle.embed_dim < ds.n_classes:
+        raise ConfigurationError(f"oracle.embed_dim must be >= the dataset's {ds.n_classes} "
+                                 f"classes, got {show_value(cfg.oracle.embed_dim)}")
     # every input file is read before the run directory is made, so a bad
     # one leaves no directory behind
-    naive = cfg.method.kind == "naive-ce"
     oracle_table = None if naive else build_oracle(cfg, ds)
 
     if out_path is not None:

@@ -251,6 +251,18 @@ class TestMakeData:
         assert "a finite spread > 0" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--classes", "100000000000"),
+                                             ("--per-class", "10000000000"), ("--dim", "10000000000")])
+    def test_oversized_shape_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                       flag, value):
+        monkeypatch.setattr(data, "make_blobs", lambda *a, **k: pytest.fail("make_blobs was called"))
+        out = tmp_path / "data" / "ds.csv"
+        rc = cli.main(["make-data", flag, value, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "exceeds 2**31 array cells" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
 
 class TestMakeOracle:
     def test_writes_loadable_file(self, tmp_path):
@@ -374,6 +386,31 @@ class TestTrainAndReport:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_unknown_activation_exits_2_before_the_run_dir(self, tmp_path, capsys):
+        rc = cli.main(["train", "--config", str(QUICK), "--override", "net_scratch.activation=sigmoid",
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "net_scratch.activation must be one of ('relu', 'tanh'), got 'sigmoid'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["blobs", "file"])
+    def test_embed_dim_below_the_class_count_exits_2_before_the_run_dir(self, tmp_path, capsys, kind):
+        extra = {"oracle.embed_dim": 2}
+        if kind == "file":
+            extra.update({"dataset.kind": "file", "dataset.path": str(self._file_dataset(tmp_path, 4))})
+            capsys.readouterr()
+        rc = cli.main(["train", "--config", str(write_config(tmp_path, extra)),
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "oracle.embed_dim must be >= the dataset's 3 classes, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_embed_dim_is_not_bounded_for_naive_ce(self, tmp_path):
+        path = write_config(tmp_path, {"method.kind": "naive-ce", "oracle.embed_dim": 0,
+                                       "schedule.max_epoch": 3, "schedule.encoder_unfreeze": 3})
+        assert cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")]) == 0
 
     def test_class_count_of_a_file_dataset_is_bounded(self, tmp_path, capsys):
         """200000 classes and 12 rows: the C x C noise transition alone would
