@@ -59,7 +59,7 @@ def main():
         arch = Architecture(widths)
         theta = init_params(arch, 0)
         x = rng.normal(size=(batch, widths[0]))
-        w = arch.widths_array()
+        w = arch.widths_array
         bench_case(
             results, label, kernels.mlp_forward, (theta, w, kernels.ACT_RELU, x), args.repeats
         )

@@ -139,30 +139,6 @@ def mlp_backward(theta, widths, act_id, acts, dlogits):
 
 
 @njit(cache=True)
-def _log_density(out, sq, pi, var, log2pi):
-    """out = log(pi) - (log(2 pi) + log(var)) / 2 - sq / (2 var), where sq
-    holds the squared deviations from the component mean."""
-    np.divide(sq, 2.0 * var, out)
-    np.subtract(np.log(pi) - 0.5 * (log2pi + np.log(var)), out, out)
-
-
-@njit(cache=True)
-def _posterior0(out, lp0, lp1, tmp):
-    """out = 1 / (1 + exp(min(lp1 - lp0, 700))): component 0's posterior
-    from the log-odds, finite for points far from both components."""
-    np.subtract(lp1, lp0, tmp)
-    np.exp(np.minimum(tmp, 700.0), tmp)
-    np.add(tmp, 1.0, tmp)
-    np.divide(1.0, tmp, out)
-
-
-@njit(cache=True)
-def _squared_deviation(out, values, mu):
-    np.subtract(values, mu, out)
-    np.multiply(out, out, out)
-
-
-@njit(cache=True)
 def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     """EM for a two-component 1-D Gaussian mixture.
 
@@ -179,6 +155,22 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     fit. The log-densities computed after each M-step are the next E-step's
     inputs and, after the last iteration, those of the returned
     responsibilities.
+
+    The arrays are at most a few thousand samples, so each numpy call costs
+    its dispatch more than its arithmetic, and the loop is written to make
+    few of them (20 per iteration). The M-step keeps resp0, resp1,
+    resp0 * values and resp1 * values as the rows of one C-ordered (4, n)
+    buffer and the two weighted squared deviations as the rows of a (2, n)
+    one, and takes each buffer's row sums with one ``.sum(axis=1)``: a row
+    sum of a C-ordered array is the same pairwise sum as ``.sum()`` on that
+    row, so every bit matches summing the rows one by one. Only the sums are
+    stacked; the elementwise steps stay on 1-D rows with Python-float
+    parameters, which is faster than broadcasting (2, n) arrays against
+    (2, 1) columns. Each log-density is
+    log(pi) - (log(2 pi) + log(var)) / 2 - (x - mu)^2 / (2 var), with its
+    constant part taken as a Python float from ``np.log``, and each E-step's
+    posterior of component 0 is 1 / (1 + exp(min(lp1 - lp0, 700))), finite
+    for points far from both components.
     """
     n = values.shape[0]
     p0, p1 = float(pi0[0]), float(pi0[1])
@@ -186,39 +178,52 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     v0, v1 = float(var0[0]), float(var0[1])
     iterates = np.empty((max_iter, 6))
     n_iter = 0
-    log2pi = np.log(2.0 * np.pi)
+    log2pi = float(np.log(2.0 * np.pi))
+    sums = np.empty((4, n))
+    resp0, resp1, wv0, wv1 = sums[0], sums[1], sums[2], sums[3]
+    devs = np.empty((2, n))
+    wsq0, wsq1 = devs[0], devs[1]
     sq0, sq1 = np.empty(n), np.empty(n)
-    lp0, lp1 = np.empty(n), np.empty(n)
-    resp0, resp1, tmp = np.empty(n), np.empty(n), np.empty(n)
-    _squared_deviation(sq0, values, m0)
-    _squared_deviation(sq1, values, m1)
-    _log_density(lp0, sq0, p0, v0, log2pi)
-    _log_density(lp1, sq1, p1, v1, log2pi)
+    lp0, lp1, tmp = np.empty(n), np.empty(n), np.empty(n)
+    np.subtract(values, m0, sq0)
+    np.multiply(sq0, sq0, sq0)
+    np.subtract(values, m1, sq1)
+    np.multiply(sq1, sq1, sq1)
+    np.divide(sq0, 2.0 * v0, lp0)
+    np.subtract(float(np.log(p0)) - 0.5 * (log2pi + float(np.log(v0))), lp0, lp0)
+    np.divide(sq1, 2.0 * v1, lp1)
+    np.subtract(float(np.log(p1)) - 0.5 * (log2pi + float(np.log(v1))), lp1, lp1)
     for it in range(max_iter):
         prev_p0, prev_p1 = p0, p1
         prev_m0, prev_m1 = m0, m1
         prev_sd0, prev_sd1 = math.sqrt(v0), math.sqrt(v1)
         # E-step
-        _posterior0(resp0, lp0, lp1, tmp)
+        np.subtract(lp1, lp0, tmp)
+        np.exp(np.minimum(tmp, 700.0), tmp)
+        np.add(tmp, 1.0, tmp)
+        np.divide(1.0, tmp, resp0)
         np.subtract(1.0, resp0, resp1)
         # M-step
-        n0 = float(resp0.sum())
-        n1 = float(resp1.sum())
+        np.multiply(resp0, values, wv0)
+        np.multiply(resp1, values, wv1)
+        s = sums.sum(axis=1)
+        n0, n1 = float(s[0]), float(s[1])
         if n0 <= 0.0 or n1 <= 0.0:
             n_iter = it
             break
         p0 = n0 / n
         p1 = n1 / n
-        np.multiply(resp0, values, tmp)
-        m0 = float(tmp.sum()) / n0
-        np.multiply(resp1, values, tmp)
-        m1 = float(tmp.sum()) / n1
-        _squared_deviation(sq0, values, m0)
-        _squared_deviation(sq1, values, m1)
-        np.multiply(resp0, sq0, tmp)
-        v0 = max(float(tmp.sum()) / n0, var_floor)
-        np.multiply(resp1, sq1, tmp)
-        v1 = max(float(tmp.sum()) / n1, var_floor)
+        m0 = float(s[2]) / n0
+        m1 = float(s[3]) / n1
+        np.subtract(values, m0, sq0)
+        np.multiply(sq0, sq0, sq0)
+        np.subtract(values, m1, sq1)
+        np.multiply(sq1, sq1, sq1)
+        np.multiply(resp0, sq0, wsq0)
+        np.multiply(resp1, sq1, wsq1)
+        s = devs.sum(axis=1)
+        v0 = max(float(s[0]) / n0, var_floor)
+        v1 = max(float(s[1]) / n1, var_floor)
         iterates[it, 0] = p0
         iterates[it, 1] = p1
         iterates[it, 2] = m0
@@ -226,8 +231,10 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
         iterates[it, 4] = v0
         iterates[it, 5] = v1
         # log-densities under the updated parameters, for the next E-step
-        _log_density(lp0, sq0, p0, v0, log2pi)
-        _log_density(lp1, sq1, p1, v1, log2pi)
+        np.divide(sq0, 2.0 * v0, lp0)
+        np.subtract(float(np.log(p0)) - 0.5 * (log2pi + float(np.log(v0))), lp0, lp0)
+        np.divide(sq1, 2.0 * v1, lp1)
+        np.subtract(float(np.log(p1)) - 0.5 * (log2pi + float(np.log(v1))), lp1, lp1)
         n_iter = it + 1
         dp = math.sqrt(
             (p0 - prev_p0) ** 2
@@ -239,7 +246,11 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
         )
         if dp < tol:
             break
-    # final responsibilities under the returned parameters
-    _posterior0(resp0, lp0, lp1, tmp)
-    return (np.array([p0, p1]), np.array([m0, m1]), np.array([v0, v1]), resp0,
+    # final responsibilities under the returned parameters, in tmp so that
+    # the result is no view of the (4, n) buffer
+    np.subtract(lp1, lp0, tmp)
+    np.exp(np.minimum(tmp, 700.0), tmp)
+    np.add(tmp, 1.0, tmp)
+    np.divide(1.0, tmp, tmp)
+    return (np.array([p0, p1]), np.array([m0, m1]), np.array([v0, v1]), tmp,
             iterates[:n_iter], n_iter)

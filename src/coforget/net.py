@@ -13,7 +13,7 @@ finite differences agree.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,15 @@ ACTIVATIONS = {"relu": kernels.ACT_RELU, "tanh": kernels.ACT_TANH}
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer widths (input, hidden..., classes) plus hidden activation."""
+    """Layer widths (input, hidden..., classes) plus hidden activation.
+
+    n_params and widths_array (the widths as a read-only int64 vector, the
+    kernels' layout argument) are derived once here, not on every pass."""
 
     widths: tuple
     activation: str = "relu"
+    n_params: int = field(init=False, repr=False, compare=False)
+    widths_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.widths) < 2:
@@ -40,11 +45,13 @@ class Architecture:
             raise ConfigurationError(f"layer widths must be >= 1, got {self.widths}")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-
-    @property
-    def n_params(self) -> int:
-        return sum(fi * fo + fo for fi, fo in zip(self.widths[:-1], self.widths[1:]))
+        widths = tuple(int(w) for w in self.widths)
+        widths_array = np.array(widths, dtype=np.int64)
+        widths_array.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "n_params",
+                           sum(fi * fo + fo for fi, fo in zip(widths[:-1], widths[1:])))
+        object.__setattr__(self, "widths_array", widths_array)
 
     @property
     def n_classes(self) -> int:
@@ -57,9 +64,6 @@ class Architecture:
     @property
     def act_id(self) -> int:
         return ACTIVATIONS[self.activation]
-
-    def widths_array(self) -> np.ndarray:
-        return np.asarray(self.widths, dtype=np.int64)
 
     def first_layer_params(self) -> int:
         """Parameter count of layer 0 (the freezable adapter prefix)."""
@@ -94,15 +98,19 @@ def forward(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
         raise ConfigurationError(
             f"parameter vector has {theta.shape[0]} entries, architecture needs {arch.n_params}"
         )
-    return kernels.mlp_forward(theta, arch.widths_array(), arch.act_id, x)
+    return kernels.mlp_forward(theta, arch.widths_array, arch.act_id, x)
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise stabilized softmax; accepts a single vector or a batch."""
+    """Row-wise stabilized softmax; accepts a single vector or a batch.
+
+    It calls the ufunc reductions that ``.max()`` and ``.sum()`` reach
+    through numpy's Python-level wrappers, skipping the wrappers' cost on
+    these small batches."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def predict_proba(arch: Architecture, theta: np.ndarray, x) -> np.ndarray:
@@ -131,7 +139,7 @@ def per_sample_ce(arch: Architecture, theta: np.ndarray, x, labels) -> np.ndarra
 
 def _forward_probs(arch, theta, x):
     x = _as_batch(arch, x)
-    logits, acts = kernels.mlp_forward_acts(theta, arch.widths_array(), arch.act_id, x)
+    logits, acts = kernels.mlp_forward_acts(theta, arch.widths_array, arch.act_id, x)
     return softmax(logits), acts
 
 
@@ -139,7 +147,7 @@ def _backward(arch, theta, acts, p, dp):
     """Gradient w.r.t. theta of a loss with d(loss)/d(probs) = dp: the
     row-wise softmax Jacobian, then the shared MLP backward pass."""
     dz = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
-    return kernels.mlp_backward(theta, arch.widths_array(), arch.act_id, acts, dz)
+    return kernels.mlp_backward(theta, arch.widths_array, arch.act_id, acts, dz)
 
 
 def _ce_terms(p, targets, n_ref):
@@ -159,15 +167,15 @@ def ce_value_grad(arch, theta, x, targets):
 
 
 def _reg_terms(p, coef):
-    """Uniform-prior penalty on the batch-mean prediction and its d/d(probs)."""
+    """Uniform-prior penalty on the batch-mean prediction and its d/d(probs),
+    which is the same (C,) row for every row of the batch."""
     n, c = p.shape
     prior = 1.0 / c
     p_mean = p.mean(axis=0)
     clamped = np.maximum(p_mean, EPS)
     loss = coef * float(np.sum(prior * np.log(prior / clamped)))
     d_mean = np.where(p_mean > EPS, -coef * prior / np.maximum(p_mean, EPS), 0.0)
-    dp = np.broadcast_to(d_mean / n, p.shape)
-    return loss, dp
+    return loss, d_mean / n
 
 
 def semi_value_grad(arch, theta, x, targets, n_labeled, lambda_u, reg_coef=1.0):
@@ -257,7 +265,10 @@ def sgd_step(theta, grad, opt: OptimizerState, epoch: int, frozen_prefix: int = 
         v = v.copy()
         v[:frozen_prefix] = opt.velocity[:frozen_prefix]
         new_theta[:frozen_prefix] = theta[:frozen_prefix]
-    return new_theta, replace(opt, velocity=v)
+    # built directly, fields in declaration order: dataclasses.replace
+    # costs more than the update itself
+    return new_theta, OptimizerState(opt.lr, opt.momentum, opt.weight_decay, opt.decay_epoch,
+                                     v, opt.decay_factor)
 
 
 # ---------------------------------------------------------------------------

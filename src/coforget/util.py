@@ -283,8 +283,10 @@ def read_npy(path, dtype, checks=lambda rows: ()):
                     raise ValueError(f"format version {version}, expected (1, 0)")
                 shape, fortran_order, file_dtype = np.lib.format.read_array_header_1_0(fh)
             # numpy parses the header with ast.literal_eval (TypeError on an
-            # unhashable key) and retries an unparsable one through tokenize
-            except (ValueError, TypeError, tokenize.TokenError) as exc:
+            # unhashable key) and retries an unparsable one through tokenize;
+            # a damaged field type such as ',i8' for '<i8' reads as a comma
+            # dtype string, whose parser raises SyntaxError from literal_eval
+            except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
                 raise IngestionError(f"{path}: not a .npy record ({exc})") from None
             if file_dtype != dtype or len(shape) != 1 or fortran_order:
                 raise IngestionError(

@@ -391,16 +391,25 @@ def _single_net_hn(seed) -> int:
     return int(np.sum(noisy & flagged))
 
 
+def _c8_hn(case) -> int:
+    """Noisy samples judged clean by one C8 run: a cross-network run over
+    the window after warmup, read back from its run dir, or the single-net
+    baseline when out is None."""
+    seed, out = case
+    if out is None:
+        return _single_net_hn(seed)
+    driver.run(_early_cfg(seed), out)
+    run = report.load_run(out)
+    window = (_early_cfg(seed).schedule.warmup + 1, 30)
+    return report.selection_quality(run.codivide, window)["hn"]
+
+
 def test_c08_early_selection_quality(tmp_path):
     budget = Budget("C8 early-selection", 300.0)
-    acd_counts, single_counts = [], []
-    for seed in range(1, 6):
-        out = tmp_path / f"cross{seed}"
-        driver.run(_early_cfg(seed), out)
-        run = report.load_run(out)
-        window = (_early_cfg(seed).schedule.warmup + 1, 30)
-        acd_counts.append(report.selection_quality(run.codivide, window)["hn"])
-        single_counts.append(_single_net_hn(seed))
+    seeds = range(1, 6)
+    cases = [(s, tmp_path / f"cross{s}") for s in seeds] + [(s, None) for s in seeds]
+    counts = [get() for get in util.pool_map(_c8_hn, cases, min(2, os.cpu_count()))]
+    acd_counts, single_counts = counts[:len(seeds)], counts[len(seeds):]
     ratio = np.mean(acd_counts) / np.mean(single_counts)
     print(
         f"\n[acceptance] C8 noisy-judged-clean: cross-network mean {np.mean(acd_counts):.1f} "

@@ -407,6 +407,38 @@ class TestTrainAndReport:
         assert "oracle.embed_dim must be >= the dataset's 3 classes, got 2" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("override", ["dataset.seed=-1", "noise.seed=-1", "oracle.seed=-2"])
+    def test_negative_section_seed_exits_2_before_the_run_dir(self, tmp_path, capsys, override):
+        rc = cli.main(["train", "--config", str(QUICK), "--override", override,
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        field, value = override.split("=")
+        err = capsys.readouterr().err
+        assert f"{field} must be >= 0 or null, got {value}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["file-dataset", "no-noise", "instance-at-eta-0",
+                                      "naive-ce", "file-oracle"])
+    def test_negative_section_seed_runs_where_it_is_not_read(self, tmp_path, capsys, kind):
+        extra = {"schedule.max_epoch": 3, "schedule.encoder_unfreeze": 3}
+        if kind in ("file-dataset", "file-oracle"):
+            ds_path = self._file_dataset(tmp_path, 4)
+            extra.update({"dataset.kind": "file", "dataset.path": str(ds_path)})
+        if kind == "file-oracle":
+            oracle_path = tmp_path / "oracle.csv"
+            assert cli.main(["make-oracle", "--data", str(ds_path), "--out", str(oracle_path)]) == 0
+            extra.update({"oracle.kind": "file", "oracle.path": str(oracle_path)})
+        extra.update({
+            "file-dataset": {"dataset.seed": -1},
+            "no-noise": {"noise.kind": "none", "noise.seed": -1},
+            "instance-at-eta-0": {"noise.kind": "instance", "noise.eta": 0.0, "noise.seed": -1},
+            "naive-ce": {"method.kind": "naive-ce", "oracle.seed": -1},
+            "file-oracle": {"oracle.seed": -1},
+        }[kind])
+        path = write_config(tmp_path, extra)
+        assert cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "metrics.csv").exists()
+
     def test_embed_dim_is_not_bounded_for_naive_ce(self, tmp_path):
         path = write_config(tmp_path, {"method.kind": "naive-ce", "oracle.embed_dim": 0,
                                        "schedule.max_epoch": 3, "schedule.encoder_unfreeze": 3})

@@ -22,9 +22,6 @@ VALID = {
 
 # fields no domain row bounds, and why
 FREE = {
-    "dataset.seed": "any seed, or null to derive one from run.seed",
-    "noise.seed": "any seed, or null to derive one from run.seed",
-    "oracle.seed": "any seed, or null to derive one from run.seed",
     "run.outdir": "any path, or empty for the default",
     "optim.decay_epoch": "any epoch; one past schedule.max_epoch never decays",
     "oracle.accuracy": "bounded by the dataset's class count once the run builds its oracle",
@@ -44,12 +41,15 @@ OUT_OF_DOMAIN = [
     ("dataset.dim", 0, {}),
     ("dataset.spread", -1.5, {}),
     ("dataset.test_per_class", -1, {}),
+    ("dataset.seed", -1, {}),
     ("noise.kind", "uniform", {}),
     ("noise.eta", 1.0, {}),
     ("noise.pair_map", None, {"noise.kind": "asymmetric"}),
     ("noise.pair_map[1]", [1, "x", 0], {"noise.kind": "asymmetric"}),
+    ("noise.seed", -1, {}),
     ("oracle.kind", "remote", {}),
     ("oracle.path", "", {"oracle.kind": "file"}),
+    ("oracle.seed", -2, {}),
     ("net_scratch.hidden", [], {}),
     ("net_scratch.hidden[1]", [32, 0], {}),
     ("net_scratch.activation", "sigmoid", {}),
@@ -132,6 +132,13 @@ def test_every_field_has_a_domain_or_is_named_free():
     {"noise.kind": "none", "noise.eta": 1.5},
     {"method.unlearning": False, "method.t_unl": None, "method.batch_unlearn": 0},
     {"method.kind": "naive-ce", "method.t_unl": -1.0, "method.batch_unlearn": 0},
-], ids=["file-dataset-sizes", "eta-without-noise", "unlearning-off", "naive-ce"])
+    {"dataset.kind": "file", "dataset.path": "ds.csv", "dataset.seed": -1},
+    {"noise.kind": "none", "noise.seed": -1},
+    {"noise.kind": "instance", "noise.eta": 0.0, "noise.seed": -1},
+    {"method.kind": "naive-ce", "oracle.seed": -1},
+    {"oracle.kind": "file", "oracle.path": "oracle.csv", "oracle.seed": -1},
+], ids=["file-dataset-sizes", "eta-without-noise", "unlearning-off", "naive-ce",
+        "file-dataset-seed", "seed-without-noise", "instance-seed-at-eta-0",
+        "naive-ce-oracle-seed", "file-oracle-seed"])
 def test_conditional_rows_skip_when_their_condition_is_off(settings):
     build_config(_with(settings))

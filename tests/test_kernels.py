@@ -26,7 +26,7 @@ def test_backend_reports_a_known_value():
 @pytest.mark.parametrize("act_id", [kernels.ACT_RELU, kernels.ACT_TANH])
 def test_forward_matches_pyfunc(act_id):
     arch, theta, x, _ = _random_case(0)
-    w = arch.widths_array()
+    w = arch.widths_array
     jit_out = kernels.mlp_forward(theta, w, act_id, x)
     py_out = kernels.mlp_forward.py_func(theta, w, act_id, x)
     np.testing.assert_allclose(jit_out, py_out, rtol=1e-12, atol=1e-12)
@@ -35,7 +35,7 @@ def test_forward_matches_pyfunc(act_id):
 @pytest.mark.parametrize("act_id", [kernels.ACT_RELU, kernels.ACT_TANH])
 def test_forward_acts_and_backward_match_pyfunc(act_id):
     arch, theta, x, dlogits = _random_case(1)
-    w = arch.widths_array()
+    w = arch.widths_array
     logits, acts = kernels.mlp_forward_acts(theta, w, act_id, x)
     logits_py, acts_py = kernels.mlp_forward_acts.py_func(theta, w, act_id, x)
     np.testing.assert_allclose(logits, logits_py, rtol=1e-12, atol=1e-12)
@@ -47,7 +47,7 @@ def test_forward_acts_and_backward_match_pyfunc(act_id):
 
 def test_forward_acts_agrees_with_plain_forward():
     arch, theta, x, _ = _random_case(2)
-    w = arch.widths_array()
+    w = arch.widths_array
     logits, acts = kernels.mlp_forward_acts(theta, w, kernels.ACT_RELU, x)
     np.testing.assert_allclose(logits, kernels.mlp_forward(theta, w, kernels.ACT_RELU, x))
     # activation stack starts with the input batch itself
@@ -74,7 +74,7 @@ def _mlp_forward_reference(theta, widths, act_id, x):
 @pytest.mark.parametrize("act_id", [kernels.ACT_RELU, kernels.ACT_TANH])
 def test_forward_bit_identical_to_reference(act_id):
     arch, theta, x, _ = _random_case(5, widths=(8, 32, 32, 3), n=900)
-    w = arch.widths_array()
+    w = arch.widths_array
     out = kernels.mlp_forward.py_func(theta, w, act_id, x)
     assert np.array_equal(out, _mlp_forward_reference(theta, w, act_id, x))
 
@@ -176,8 +176,12 @@ def _two_clusters(seed, n0=80, n1=40):
         # first M-step is skipped
         (np.linspace(0.0, 0.1, 50), ([0.5, 0.5], [0.0, 10.0], [0.01, 0.01]), 100, 1e-6,
          "early_break"),
+        # no iteration: the posteriors of the initial parameters
+        (_two_clusters(7), ([0.5, 0.5], [0.1, 0.9], [0.05, 0.05]), 0, 1e-6, "max_iter"),
+        # one M-step, then the posteriors under its parameters
+        (_two_clusters(8), ([0.4, 0.6], [0.2, 0.7], [0.1, 0.1]), 1, 1e-6, "max_iter"),
     ],
-    ids=["converged", "max_iter", "early_break"],
+    ids=["converged", "max_iter", "early_break", "max_iter_0", "max_iter_1"],
 )
 def test_gmm_kernel_bit_identical_to_reference(values, init, max_iter, tol, expect):
     args = (values, *(np.array(a) for a in init), max_iter, tol, 1e-4)

@@ -95,6 +95,75 @@ class TestSoftmax:
         assert np.array_equal(p.argmax(axis=1), shifted.argmax(axis=1))
 
 
+def _softmax_reference(logits):
+    """net.softmax as first written, reducing through ndarray.max and .sum."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _semi_value_grad_reference(arch, theta, x, targets, n_labeled, lambda_u, reg_coef):
+    """semi_value_grad as first written: the uniform-prior term's gradient
+    broadcast to the batch's shape before it is added."""
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, arch.in_width)
+    targets = np.asarray(targets, dtype=np.float64)
+    widths = np.asarray(arch.widths, dtype=np.int64)
+    logits, acts = kernels.mlp_forward_acts(theta, widths, arch.act_id, x)
+    p = _softmax_reference(logits)
+    n, c = p.shape
+    dp = np.zeros_like(p)
+    loss_x = 0.0
+    if n_labeled > 0:
+        pl, tl = p[:n_labeled], targets[:n_labeled]
+        loss_x = float(-np.sum(tl * np.log(np.maximum(pl, net.EPS))) / n_labeled)
+        dp[:n_labeled] += np.where(pl > net.EPS, -tl / np.maximum(pl, net.EPS), 0.0) / n_labeled
+    loss_u = 0.0
+    n_unl = n - n_labeled
+    if n_unl > 0:
+        pu, tu = p[n_labeled:], targets[n_labeled:]
+        loss_u = float(np.sum((tu - pu) ** 2) / n_unl)
+        dp[n_labeled:] += lambda_u * 2.0 * (pu - tu) / n_unl
+    prior = 1.0 / c
+    p_mean = p.mean(axis=0)
+    loss_r = reg_coef * float(np.sum(prior * np.log(prior / np.maximum(p_mean, net.EPS))))
+    d_mean = np.where(p_mean > net.EPS, -reg_coef * prior / np.maximum(p_mean, net.EPS), 0.0)
+    dp += np.broadcast_to(d_mean / n, p.shape)
+    dz = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
+    grad = kernels.mlp_backward(theta, widths, arch.act_id, acts, dz)
+    return loss_x + lambda_u * loss_u + loss_r, grad
+
+
+class TestBitIdentity:
+    """softmax and semi_value_grad equal, bit for bit, the expressions they
+    were first written with."""
+
+    def test_softmax(self):
+        rng = np.random.default_rng(11)
+        for shape in [(3,), (1,), (7,), (1, 3), (5, 2), (128, 3), (900, 5)]:
+            for scale in (1.0, 30.0, 800.0):
+                logits = rng.normal(size=shape) * scale
+                assert np.array_equal(net.softmax(logits), _softmax_reference(logits))
+        listed = [0.5, -2.0, 3.0]
+        assert np.array_equal(net.softmax(listed), _softmax_reference(listed))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_semi_value_grad(self, activation):
+        rng = np.random.default_rng(12)
+        for widths in [(8, 32, 32, 3), (16, 32, 16, 3), (4, 6, 5)]:
+            arch = net.Architecture(widths, activation)
+            theta = net.init_params(arch, int(rng.integers(1000)))
+            for n in (1, 2, 7, 128):
+                # a single sample also goes in as a 1-D feature vector
+                x = rng.normal(size=widths[0]) if n == 1 else rng.normal(size=(n, widths[0]))
+                targets = rng.dirichlet(np.ones(widths[-1]), size=n)
+                for n_labeled in sorted({0, n // 2, n}):
+                    args = (arch, theta, x, targets, n_labeled, 25.0, 1.0)
+                    loss, grad = net.semi_value_grad(*args)
+                    ref_loss, ref_grad = _semi_value_grad_reference(*args)
+                    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+
 class TestLosses:
     """Closed forms of the reference formulas the batch losses are checked
     against (tests/reference.py), and of net.kl_rows."""
@@ -200,7 +269,7 @@ class TestGradients:
         y = np.array([[0.9]])
         pred = x @ theta[:2] + theta[2]
         expect = np.concatenate([2 * (pred - 0.9) * x[0], 2 * (pred - 0.9)])
-        widths = arch.widths_array()
+        widths = arch.widths_array
         logits, acts = kernels.mlp_forward_acts(theta, widths, arch.act_id, x)
         grad = kernels.mlp_backward(theta, widths, arch.act_id, acts, 2.0 * (logits - y))
         np.testing.assert_allclose(grad, expect, atol=TOL)
@@ -245,6 +314,17 @@ class TestGradients:
         semi_loss, _ = net.semi_value_grad(arch, theta, x, targets, 5, 99.0, 1.0)
         p_mean = net.predict_proba(arch, theta, x).mean(axis=0)
         assert semi_loss == pytest.approx(ce_loss + reference.loss_reg(p_mean), abs=1e-12)
+
+
+class TestArchitecture:
+    def test_derived_sizes_are_fixed_at_construction(self):
+        arch = net.Architecture([5, 7.0, 3], "tanh")
+        assert arch.n_params == 5 * 7 + 7 + 7 * 3 + 3
+        assert arch.widths_array.dtype == np.int64
+        assert arch.widths_array.tolist() == [5, 7, 3]
+        assert not arch.widths_array.flags.writeable
+        assert arch == net.Architecture((5, 7, 3), "tanh") and "n_params" not in repr(arch)
+        assert hash(arch) == hash(net.Architecture((5, 7, 3), "tanh"))
 
 
 class TestSgd:

@@ -277,8 +277,18 @@ def _truncate(keep):
     return transform
 
 
+def _damage_field_type(path):
+    """Damage: one byte of the first field type in the record's header,
+    '<i8' read as ',i8', which numpy's dtype parser takes for a comma string
+    and fails on with a SyntaxError."""
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"'<i8'") + 1] = ord(",")
+    path.write_bytes(bytes(blob))
+
+
 # damage to codivide_audit.npy -> what the IngestionError says after the file name
 RECORD_DAMAGES = {
+    "damaged-field-type": (_damage_field_type, "not a .npy record"),
     "truncated-row": (_truncate(-7), "file holds"),
     "truncated-header": (_truncate(40), "not a .npy record"),
     "empty": (_truncate(0), "not a .npy record"),
@@ -307,7 +317,8 @@ class TestBadRunFiles:
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: .*{re.escape(says)}"):
             report.load_run(run_dir)
 
-    @pytest.mark.parametrize("damage", ["rows-past-file-size", "truncated-row"])
+    @pytest.mark.parametrize("damage", ["rows-past-file-size", "truncated-row",
+                                        "damaged-field-type"])
     def test_export_of_damaged_record_exits_2(self, quick_runs, tmp_path, capsys, damage):
         run_dir = tmp_path / "run"
         _copy_run(quick_runs["unl-on"], run_dir)
@@ -348,6 +359,21 @@ class TestBadRunFiles:
             report.write_report([bad, quick_runs["unl-off"]], tmp_path / "rep")
         assert any("skipping" in r.getMessage() and "codivide_audit.npy: row 50" in r.getMessage()
                    for r in caplog.records)
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
+
+    def test_cli_report_skips_dir_with_damaged_field_type(self, quick_runs, tmp_path, capsys,
+                                                          caplog):
+        bad = tmp_path / "bad"
+        _copy_run(quick_runs["unl-on"], bad)
+        _damage_field_type(bad / "codivide_audit.npy")
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            code = cli.main(["report", str(quick_runs["unl-off"]), str(bad),
+                             "--out", str(tmp_path / "rep")])
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert len(skipped) == 1 and skipped[0].startswith(
+            f"skipping {bad}: {bad / 'codivide_audit.npy'}: not a .npy record (")
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
 

@@ -622,6 +622,26 @@ class TestNpyRecord:
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: row 2: w must lie"):
             _read_small(path)
 
+    def test_damaged_field_type_names_file(self, tmp_path):
+        """A field type whose first or second byte reads ',' (or whose
+        repeat count gains a leading zero) is a comma dtype string that
+        numpy's parser fails on with a SyntaxError, not a ValueError."""
+        path = tmp_path / "r.npy"
+        util.write_npy(path, RECORD, 3, [_record(3)])
+        blob = path.read_bytes()
+        damages = []
+        for at in (m.start() + 1 for m in re.finditer(rb"'[<|]", blob)):
+            damages += [(at, ord(",")), (at + 1, ord(","))]
+            if blob[at + 2:at + 3].isdigit():
+                damages.append((at + 1, ord("0")))
+        assert len(damages) == 9
+        for at, byte in damages:
+            damaged = bytearray(blob)
+            damaged[at] = byte
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: not a \.npy record"):
+                _read_small(path)
+
     def test_missing_file_names_it(self, tmp_path):
         with pytest.raises(IngestionError, match=r"absent\.npy: cannot read record"):
             util.read_npy(tmp_path / "absent.npy", RECORD)
