@@ -217,10 +217,6 @@ def _seeds_oracle(cfg: RunConfig) -> bool:
     return cfg.oracle.kind == "synthetic" and cfg.method.kind == "coforget"
 
 
-def _seed(value) -> bool:
-    return value is None or value >= 0
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -235,16 +231,16 @@ _DOMAINS = (
     ("dataset.dim", ">= 1", lambda v, c: not _blobs(c) or v >= 1),
     ("dataset.spread", "> 0", lambda v, c: not _blobs(c) or v > 0),
     ("dataset.test_per_class", ">= 0", lambda v, c: not _blobs(c) or v >= 0),
-    ("dataset.seed", ">= 0 or null", lambda v, c: not _blobs(c) or _seed(v)),
+    ("dataset.seed", ">= 0 or null", lambda v, c: not _blobs(c) or v is None or v >= 0),
     ("noise.kind", f"one of {NOISE_KINDS}", lambda v, c: v in NOISE_KINDS),
     ("noise.eta", "in [0, 1)", lambda v, c: c.noise.kind == "none" or 0 <= v < 1),
     ("noise.pair_map", "a list when noise.kind = asymmetric",
      lambda v, c: c.noise.kind != "asymmetric" or v is not None),
     ("noise.pair_map[]", "a class index", lambda v, c: _is_int(v)),
-    ("noise.seed", ">= 0 or null", lambda v, c: not _draws_noise(c) or _seed(v)),
+    ("noise.seed", ">= 0 or null", lambda v, c: not _draws_noise(c) or v is None or v >= 0),
     ("oracle.kind", f"one of {ORACLE_KINDS}", lambda v, c: v in ORACLE_KINDS),
     ("oracle.path", "set when oracle.kind = file", lambda v, c: c.oracle.kind != "file" or v),
-    ("oracle.seed", ">= 0 or null", lambda v, c: not _seeds_oracle(c) or _seed(v)),
+    ("oracle.seed", ">= 0 or null", lambda v, c: not _seeds_oracle(c) or v is None or v >= 0),
     ("net_scratch.hidden", "a non-empty list of widths", lambda v, c: len(v) > 0),
     ("net_scratch.hidden[]", "a width >= 1", lambda v, c: _is_int(v) and v >= 1),
     ("net_scratch.activation", f"one of {tuple(ACTIVATIONS)}", lambda v, c: v in ACTIVATIONS),

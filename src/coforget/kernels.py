@@ -156,21 +156,15 @@ def gmm_em_1d(values, pi0, mu0, var0, max_iter, tol, var_floor):
     inputs and, after the last iteration, those of the returned
     responsibilities.
 
-    The arrays are at most a few thousand samples, so each numpy call costs
-    its dispatch more than its arithmetic, and the loop is written to make
-    few of them (20 per iteration). The M-step keeps resp0, resp1,
-    resp0 * values and resp1 * values as the rows of one C-ordered (4, n)
-    buffer and the two weighted squared deviations as the rows of a (2, n)
-    one, and takes each buffer's row sums with one ``.sum(axis=1)``: a row
-    sum of a C-ordered array is the same pairwise sum as ``.sum()`` on that
-    row, so every bit matches summing the rows one by one. Only the sums are
-    stacked; the elementwise steps stay on 1-D rows with Python-float
-    parameters, which is faster than broadcasting (2, n) arrays against
-    (2, 1) columns. Each log-density is
-    log(pi) - (log(2 pi) + log(var)) / 2 - (x - mu)^2 / (2 var), with its
-    constant part taken as a Python float from ``np.log``, and each E-step's
-    posterior of component 0 is 1 / (1 + exp(min(lp1 - lp0, 700))), finite
-    for points far from both components.
+    On arrays this small each numpy call costs more dispatch than
+    arithmetic, so the loop makes 20 per iteration. resp0, resp1,
+    resp0 * values and resp1 * values are the rows of one C-ordered (4, n)
+    buffer and the weighted squared deviations those of a (2, n) one, each
+    summed with one ``.sum(axis=1)``: a row sum of a C-ordered array is the
+    same pairwise sum as ``.sum()`` on that row, so no bit changes.
+    Elementwise steps stay on 1-D rows with Python-float parameters, which
+    beats broadcasting against (2, 1) columns. The E-step posterior is
+    1 / (1 + exp(min(lp1 - lp0, 700))), finite far from both components.
     """
     n = values.shape[0]
     p0, p1 = float(pi0[0]), float(pi0[1])
