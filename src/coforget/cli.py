@@ -17,12 +17,10 @@ import subprocess  # noqa: F401
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, data, driver, oracle, report
-from .config import MAX_ARRAY_CELLS, NOISE_KINDS, blobs_cells, load_config
+from .config import NOISE_KINDS, RunConfig, load_config, validate_config
 from .errors import ConfigurationError, IngestionError, InputError, StateError
-from .util import fmt_float, output_dir, pool_map, usable_cpus
+from .util import fmt_float, output_dir, pool_map, replacing, usable_cpus
 
 logger = logging.getLogger("coforget")
 
@@ -30,63 +28,68 @@ RUNS_DIR_ENV = "COFORGET_RUNS_DIR"
 PACKAGE_ERRORS = (ConfigurationError, InputError, IngestionError, StateError)
 
 
-def _parse_pair_map(text: str):
+def _class_list(text: str) -> list:
+    """--pair-map's comma-separated class indices."""
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise ConfigurationError(f"pair map must be comma-separated class indices, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated class indices, got {text!r}") from None
+
+
+def _flag_config(args) -> RunConfig:
+    """The RunConfig of a data command: each parsed value whose dest is a
+    section.field sets that field, and the sections so set are checked by
+    their config table rows. A rejected value is named by its option."""
+    cfg = RunConfig()
+    values = {name: value for name, value in vars(args).items() if "." in name}
+    for name, value in values.items():
+        section, key = name.split(".")
+        setattr(getattr(cfg, section), key, value)
+    try:
+        validate_config(cfg, dict.fromkeys(name.split(".")[0] for name in values))
+    except ConfigurationError as exc:
+        flag = next((a.option_strings[0] for a in args.parser._actions if a.dest == exc.field), None)
+        raise ConfigurationError(f"{flag}: {exc}" if flag else str(exc)) from None
+    return cfg
+
+
+def _output_file(path) -> Path:
+    """Path(path), unless it is a directory or its nearest existing ancestor a file."""
+    path = Path(path)
+    output_dir(path.parent)
+    if path.name == ".." or path.is_dir():
+        raise ConfigurationError(f"--out {path}: is a directory")
+    return path
 
 
 def cmd_make_data(args) -> int:
-    if blobs_cells(args.classes, args.per_class, args.test_per_class, args.dim) > MAX_ARRAY_CELLS:
-        raise ConfigurationError(
-            "--classes * (--per-class + --test-per-class) * max(--dim, --classes) "
-            "exceeds 2**31 array cells"
-        )
-    ds = data.make_blobs(
-        args.classes, args.per_class, args.dim, args.spread, args.seed,
-        test_per_class=args.test_per_class,
-    )
-    if args.noise == "none":
-        transition = np.eye(args.classes)
-    elif args.noise == "symmetric":
-        transition = data.symmetric_matrix(args.classes, args.eta)
-        ds = data.inject_noise(ds, transition, args.noise_seed)
-    elif args.noise == "asymmetric":
-        if not args.pair_map:
-            raise ConfigurationError("--pair-map is required for asymmetric noise")
-        transition = data.asymmetric_matrix(args.classes, args.eta, _parse_pair_map(args.pair_map))
-        ds = data.inject_noise(ds, transition, args.noise_seed)
-    else:
-        ds = data.instance_noise(ds, args.eta, args.noise_seed)
+    cfg = _flag_config(args)
+    out = _output_file(args.out)
+    sidecar_path = _output_file(out.with_name(out.name + ".manifest.json"))
+    ds = driver.build_dataset(cfg)
+    transition = driver.noise_matrix(cfg.noise, ds.n_classes)
+    if transition is None:  # instance noise: the transition its draw made
         train = ds.train_ids()
-        transition = data.empirical_transition(
-            ds.true_labels[train], ds.observed_labels[train], ds.n_classes
-        ).matrix
-    out = Path(args.out)
+        transition = data.empirical_transition(ds.true_labels[train], ds.observed_labels[train],
+                                               ds.n_classes).matrix
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_dataset(ds, out)
-    sidecar = {
-        "classes": args.classes,
-        "per_class": args.per_class,
-        "test_per_class": args.test_per_class,
-        "dim": args.dim,
-        "spread": args.spread,
-        "seed": args.seed,
-        "noise": {"kind": args.noise, "eta": args.eta, "seed": args.noise_seed},
-        "transition_matrix": [[float(v) for v in row] for row in transition],
-    }
-    out.with_suffix(out.suffix + ".manifest.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n"
-    )
+    sidecar = {key: getattr(cfg.dataset, key)
+               for key in ("classes", "per_class", "test_per_class", "dim", "spread", "seed")}
+    sidecar["noise"] = {key: getattr(cfg.noise, key) for key in ("kind", "eta", "seed")}
+    sidecar["transition_matrix"] = transition.tolist()
+    with replacing(sidecar_path, "w", newline="\n") as fh:
+        fh.write(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {out} ({ds.n} samples, {ds.n_classes} classes)")
     return 0
 
 
 def cmd_make_oracle(args) -> int:
-    ds = data.load_dataset(args.data)
-    table = oracle.synthetic_oracle(ds, args.accuracy, args.confidence, args.seed)
-    out = Path(args.out)
+    cfg = _flag_config(args)
+    out = _output_file(args.out)
+    ds = driver.build_dataset(cfg)
+    table = driver.build_oracle(cfg, ds)
     out.parent.mkdir(parents=True, exist_ok=True)
     oracle.save_oracle_file(table, out)
     train = ds.train_ids()
@@ -242,27 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coforget {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option whose dest is section.field sets that config field
     p = sub.add_parser("make-data", help="generate a blob dataset with injected label noise")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", type=int, default=300)
-    p.add_argument("--test-per-class", type=int, default=100)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--spread", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="symmetric")
-    p.add_argument("--eta", type=float, default=0.4)
-    p.add_argument("--pair-map", default="", help="comma-separated target class per class")
-    p.add_argument("--noise-seed", type=int, default=1)
+    p.add_argument("--classes", dest="dataset.classes", type=int, default=3)
+    p.add_argument("--per-class", dest="dataset.per_class", type=int, default=300)
+    p.add_argument("--test-per-class", dest="dataset.test_per_class", type=int, default=100)
+    p.add_argument("--dim", dest="dataset.dim", type=int, default=8)
+    p.add_argument("--spread", dest="dataset.spread", type=float, default=1.0)
+    p.add_argument("--seed", dest="dataset.seed", type=int, default=0)
+    p.add_argument("--noise", dest="noise.kind", choices=NOISE_KINDS, default="symmetric")
+    p.add_argument("--eta", dest="noise.eta", type=float, default=0.4)
+    p.add_argument("--pair-map", dest="noise.pair_map", type=_class_list, default=None,
+                   help="comma-separated target class per class")
+    p.add_argument("--noise-seed", dest="noise.seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_make_data)
+    p.set_defaults(fn=cmd_make_data, parser=p)
 
     p = sub.add_parser("make-oracle", help="emit a synthetic zero-shot oracle file for a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--accuracy", type=float, default=0.7)
-    p.add_argument("--confidence", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data", dest="dataset.path", required=True)
+    p.add_argument("--accuracy", dest="oracle.accuracy", type=float, default=0.7)
+    p.add_argument("--confidence", dest="oracle.confidence", type=float, default=0.6)
+    p.add_argument("--seed", dest="oracle.seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_make_oracle)
+    p.set_defaults(fn=cmd_make_oracle, parser=p, **{"dataset.kind": "file", "noise.kind": "none"})
 
     p = sub.add_parser("train", help="run one experiment from a YAML config")
     p.add_argument("--config", required=True)

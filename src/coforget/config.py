@@ -277,44 +277,42 @@ _DOMAINS = (
 )
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig, sections=_SECTIONS) -> None:
+    """Check the fields of the given sections (all by default); the first
+    fault raises ConfigurationError, whose `field` names the field at fault."""
     # NaN compares false with every bound below, so non-finite values are
     # rejected first
-    for section in _SECTIONS:
+    for section in sections:
         obj = getattr(cfg, section)
         for f in dataclasses.fields(obj):
             val = getattr(obj, f.name)
             if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigurationError(f"{section}.{f.name} must be finite, got {show_value(val)}")
+                name = f"{section}.{f.name}"
+                raise ConfigurationError(f"{name} must be finite, got {show_value(val)}", field=name)
 
     for name, domain, ok in _DOMAINS:
         section, key = name.split(".")
+        if section not in sections:
+            continue
         value = getattr(getattr(cfg, section), key.removesuffix("[]"))
         items = enumerate(value or ()) if key.endswith("[]") else [(None, value)]
         for i, item in items:
             if not ok(item, cfg):
                 where = name if i is None else f"{name[:-2]}[{i}]"
-                raise ConfigurationError(f"{where} must be {domain}, got {show_value(item)}")
+                raise ConfigurationError(f"{where} must be {domain}, got {show_value(item)}",
+                                         field=name.removesuffix("[]"))
     _check_array_sizes(cfg)
 
 
-def blobs_cells(classes, per_class, test_per_class, width) -> int:
-    """Cells of the largest array over a blobs dataset: its classes *
-    (per_class + test_per_class) samples times the wider of a width-column
-    feature row and a one-hot class row."""
-    return classes * (per_class + test_per_class) * max(width, classes)
-
-
 def _check_array_sizes(cfg: RunConfig) -> None:
-    """Reject a blobs dataset past MAX_ARRAY_CELLS cells before make_blobs
-    allocates it; driver.run checks the rest against the dataset as built."""
+    """Reject a blobs dataset past MAX_ARRAY_CELLS cells (a feature or a
+    one-hot row per sample) before make_blobs allocates it; driver.run
+    checks the rest against the dataset as built."""
     ds = cfg.dataset
-    if _blobs(cfg) and blobs_cells(ds.classes, ds.per_class, ds.test_per_class,
-                                   max(ds.dim, cfg.oracle.embed_dim)) > MAX_ARRAY_CELLS:
-        raise ConfigurationError(
-            "dataset.classes * (per_class + test_per_class) * max(dim, oracle.embed_dim, classes) "
-            "exceeds 2**31 array cells"
-        )
+    cells = ds.classes * (ds.per_class + ds.test_per_class) * max(ds.dim, ds.classes)
+    if _blobs(cfg) and cells > MAX_ARRAY_CELLS:
+        raise ConfigurationError("dataset.classes * (per_class + test_per_class) * max(dim, classes) "
+                                 "exceeds 2**31 array cells")
 
 
 # what yaml.safe_load raises on bad text: YAMLError, and from its constructors

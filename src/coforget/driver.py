@@ -140,24 +140,28 @@ def build_dataset(cfg: RunConfig) -> data.Dataset:
                 f"dataset.path {dcfg.path}: {ds.n_classes} classes, whose C x C class "
                 f"matrices exceed 2**31 array cells")
     else:
-        ds = data.make_blobs(
-            dcfg.classes,
-            dcfg.per_class,
-            dcfg.dim,
-            dcfg.spread,
-            _section_seed(dcfg.seed, cfg.run.seed, "dataset"),
-            test_per_class=dcfg.test_per_class,
-        )
-    noise_seed = _section_seed(ncfg.seed, cfg.run.seed, "noise")
+        ds = data.make_blobs(dcfg.classes, dcfg.per_class, dcfg.dim, dcfg.spread,
+                             _section_seed(dcfg.seed, cfg.run.seed, "dataset"),
+                             test_per_class=dcfg.test_per_class)
     if ncfg.kind == "none":
         return ds
+    transition = noise_matrix(ncfg, ds.n_classes)
+    noise_seed = _section_seed(ncfg.seed, cfg.run.seed, "noise")
+    if transition is None:
+        return data.instance_noise(ds, ncfg.eta, noise_seed)
+    return data.inject_noise(ds, transition, noise_seed)
+
+
+def noise_matrix(ncfg, n_classes: int):
+    """The transition matrix a noise section draws observed labels from (the
+    identity without noise); None for instance noise, which has none."""
+    if ncfg.kind == "none":
+        return np.eye(n_classes)
     if ncfg.kind == "symmetric":
-        t = data.symmetric_matrix(ds.n_classes, ncfg.eta)
-        return data.inject_noise(ds, t, noise_seed)
+        return data.symmetric_matrix(n_classes, ncfg.eta)
     if ncfg.kind == "asymmetric":
-        t = data.asymmetric_matrix(ds.n_classes, ncfg.eta, ncfg.pair_map)
-        return data.inject_noise(ds, t, noise_seed)
-    return data.instance_noise(ds, ncfg.eta, noise_seed)
+        return data.asymmetric_matrix(n_classes, ncfg.eta, ncfg.pair_map)
+    return None
 
 
 def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:

@@ -2,7 +2,12 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration: bad field values, unknown keys, shape mismatches."""
+    """Invalid configuration: bad field values, unknown keys, shape mismatches.
+    `field` is the section.field at fault, where the error names one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class InputError(ValueError):

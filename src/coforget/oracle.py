@@ -105,7 +105,7 @@ def load_oracle_file(path, expected_ids=None) -> OracleTable:
     and cover exactly expected_ids when that is given."""
     _, rows = read_csv(path, 2, lambda head: [
         ("id", np.int64), ("p", np.float64, (_class_count(path, head),)),
-    ], strict=True, what="oracle file")
+    ], what="oracle file")
     ids, probs = rows["id"], np.ascontiguousarray(rows["p"])
     order = np.argsort(ids, kind="stable")
     duplicate = np.zeros(ids.shape[0], bool)

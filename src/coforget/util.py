@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import os
-import re
 import sys
 import tokenize
 import warnings
@@ -163,30 +162,34 @@ def write_csv(path, head, chunks) -> None:
         fh.writelines(text + "\n" for text in map(format_rows, chunks) if text)
 
 
-# what str.splitlines() breaks lines at besides "\n", and what np.loadtxt
-# strips from a cell but int() and float() reject; without these, one
-# np.loadtxt call accepts what a line-by-line int()/float() parse accepts
-_STRICT_FAULT = re.compile("[\x00\x0b\x0c\x1c-\x1f\x85\u2028\u2029]|(?m:^\n)")
+# a blank line, which np.loadtxt skips, and what str.splitlines() breaks lines
+# at besides "\n" or np.loadtxt strips from a cell while int() and float()
+# reject it; without these, one np.loadtxt call accepts what a line-by-line
+# int()/float() parse accepts. A str.find for each is ~20x faster than a regex.
+_FAULTS = ("\n\n", *"\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")
 _PARSE = {"f": (float, "not a number"), "i": (int, "not an int64")}
 
 
-def read_csv(path, preamble: int, row_fields, strict: bool = False, what: str = "file"):
+def read_csv(path, preamble: int, row_fields, what: str = "file"):
     """(head, rows) of a CSV file: its first `preamble` lines without the
     newline, and the rest parsed by one np.loadtxt call into a structured
     array of the fields row_fields(head) returns, (name, dtype) or
     (name, dtype, (count,)) for count cells. numpy cuts a str cell to its
     field's width, so a str field must be wider than any valid value.
-    An empty or unreadable file, a ragged line or a cell its field's type
-    rejects raises IngestionError naming path or path:line. np.loadtxt
-    skips empty lines; strict=True rejects them and the characters that
-    make np.loadtxt accept a line that int() and float() reject."""
+    An empty or unreadable file, a blank or ragged line, a character that
+    makes np.loadtxt accept a line int() and float() reject, or a cell its
+    field's type rejects raises IngestionError naming path or path:line."""
     try:
         with open(path) as fh:
-            text = fh.read() if strict else ""
-            fault = _STRICT_FAULT.search(text)
-            if fault:
-                lineno = text.count("\n", 0, fault.start()) + 1
-                kind = "blank line" if fault.group() == "\n" else f"character {fault.group()!r}"
+            text = fh.read()
+            # the offset of each fault found, a blank line's being its "\n"
+            hits = [(i + len(fault) - 1, fault) for fault in _FAULTS if (i := text.find(fault)) >= 0]
+            if text.startswith("\n"):
+                hits.append((0, "\n\n"))
+            if hits:
+                pos, fault = min(hits)
+                lineno = text.count("\n", 0, pos) + 1
+                kind = "blank line" if fault == "\n\n" else f"character {fault!r}"
                 raise IngestionError(f"{path}:{lineno}: {kind}")
             fh.seek(0)
             head = [fh.readline().rstrip("\n") for _ in range(preamble)]
@@ -198,7 +201,7 @@ def read_csv(path, preamble: int, row_fields, strict: bool = False, what: str = 
             first = fh.readline()
             fh.seek(body)
             # a width the first line lacks fails here, before numpy sizes rows by it
-            if first not in ("", "\n") and first.count(",") + 1 != sum(counts):
+            if first and first.count(",") + 1 != sum(counts):
                 raise _bad_line(path, fh, preamble + 1, fields, counts, "")
             try:
                 dtype = np.dtype(fields)
@@ -213,11 +216,9 @@ def read_csv(path, preamble: int, row_fields, strict: bool = False, what: str = 
 
 def _bad_line(path, lines, first_lineno: int, fields, counts, reason: str) -> IngestionError:
     """IngestionError naming the first line that is ragged or holds a cell
-    its field (of counts[i] cells) rejects. np.loadtxt's message counts rows
-    from 0 or 1 by fault and skips empty lines, so it is only the fallback."""
+    its field (of counts[i] cells) rejects; np.loadtxt's message counts rows
+    from 0 or 1 by fault, so it is only the fallback."""
     for lineno, line in enumerate(lines, start=first_lineno):
-        if line == "\n":
-            continue
         cells = line.rstrip("\n").split(",")
         if len(cells) != sum(counts):
             return IngestionError(f"{path}:{lineno}: {len(cells)} cells, expected {sum(counts)}")

@@ -1,5 +1,9 @@
 """Command-line surface and config validation end to end."""
 
+import builtins
+import errno
+import hashlib
+import io
 import json
 import logging
 import multiprocessing
@@ -248,7 +252,7 @@ class TestMakeData:
         out = tmp_path / "data" / "ds.csv"
         rc = cli.main(["make-data", "--spread", spread, "--out", str(out)])
         assert rc == 2
-        assert "a finite spread > 0" in capsys.readouterr().err
+        assert f"--spread: dataset.spread must be finite, got {spread}" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("flag, value", [("--classes", "100000000000"),
@@ -262,6 +266,122 @@ class TestMakeData:
         err = capsys.readouterr().err
         assert "exceeds 2**31 array cells" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    # SHA-256 of the dataset, its sidecar and `make-oracle --seed 3 --accuracy 0.8`
+    # of it, for make-data argv sets over every noise kind
+    GOLDEN = {
+        "none": (["--noise", "none"], (
+            "9691c19fa7f94bde53a3211f2906f28fa2910c323988afdd3d40ce127125f539",
+            "1ed4a597b6621062532118b0e840912a868d18cc0205a2a494973b13fcd9cff5",
+            "ce4beb00dc6c8a1b71ef66a078f7f0741411d290ae2a74eb51c6f68e271c9989")),
+        "symmetric": (["--noise", "symmetric", "--eta", "0.3", "--seed", "5", "--noise-seed", "6"], (
+            "570f08bb86d57dea4d12dbcca889f8bf491d5c77cb43390e45a6be1f1df1a1fd",
+            "b0cf899464c41ab7139a0a7ee9dee5c408c60f75378edb576f8aa10bced4998c",
+            "0daec45b168fe4df503c2b43e36cdb79d5eecbf3bdac61abefc3f1711343ce68")),
+        "asymmetric": (["--noise", "asymmetric", "--pair-map", "1,2,0", "--eta", "0.2"], (
+            "2c05d81a1d25c53aca5b1153d636725a0dcbad01d8cb6c046e1ff3d03343e984",
+            "e396286db289ba376c5b9bc4a120265b93f30b97a12f28e1843d123fcf894e8d",
+            "ce4beb00dc6c8a1b71ef66a078f7f0741411d290ae2a74eb51c6f68e271c9989")),
+        "instance": (["--noise", "instance", "--eta", "0.3", "--classes", "4", "--dim", "3"], (
+            "912566ca39840330e6265b0b0d5475cd2dc0236eeba0a3d46873d76fc542cef1",
+            "e311d958efc23dbc33dc01ac4fbb1601a7e9b6283191dfbc4bc58a5f22c05617",
+            "ae8cfb93fc5a13e8dbf4e14c64e369c08fe51001092b30b0e4d204e7c2fa860e")),
+        "instance-eta-0": (["--noise", "instance", "--eta", "0.0"], (
+            "9691c19fa7f94bde53a3211f2906f28fa2910c323988afdd3d40ce127125f539",
+            "d8fb34dead8d373631ecf31f2b0e07c213145d19b16976351a1b7f0633e39645",
+            "ce4beb00dc6c8a1b71ef66a078f7f0741411d290ae2a74eb51c6f68e271c9989")),
+        "no-test-split": (["--test-per-class", "0", "--per-class", "7", "--spread", "0.5"], (
+            "8f569230dcc756e6ff6e9f54105c42037c3b24a49e4bfb59ef8acd4b76d42bc0",
+            "a4f10e698f42954adb23e29698ad18201fc22b3296123069e79031a1fd4e8693",
+            "2ba70d3c67eba9629f26f18233f190e6abfcf4dcedde106ee0935c2112e27e0d")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_files_match_golden_hashes(self, tmp_path, case):
+        argv, golden = self.GOLDEN[case]
+        ds_path, oracle_path = tmp_path / "ds.csv", tmp_path / "oracle.csv"
+        assert cli.main(["make-data", *argv, "--out", str(ds_path)]) == 0
+        assert cli.main(["make-oracle", "--data", str(ds_path), "--seed", "3", "--accuracy", "0.8",
+                         "--out", str(oracle_path)]) == 0
+        files = (ds_path, tmp_path / "ds.csv.manifest.json", oracle_path)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == golden
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "--seed: dataset.seed must be >= 0 or null, got -1"),
+        (["--noise-seed", "-3"], "--noise-seed: noise.seed must be >= 0 or null, got -3"),
+        (["--classes", "1"], "--classes: dataset.classes must be >= 2, got 1"),
+        (["--per-class", "0"], "--per-class: dataset.per_class must be >= 1, got 0"),
+        (["--test-per-class", "-1"], "--test-per-class: dataset.test_per_class must be >= 0, got -1"),
+        (["--dim", "0"], "--dim: dataset.dim must be >= 1, got 0"),
+        (["--spread", "0"], "--spread: dataset.spread must be > 0, got 0.0"),
+        (["--eta", "1"], "--eta: noise.eta must be in [0, 1), got 1.0"),
+        (["--noise", "asymmetric"],
+         "--pair-map: noise.pair_map must be a list when noise.kind = asymmetric, got None"),
+    ], ids=["seed", "noise-seed", "classes", "per-class", "test-per-class", "dim", "spread", "eta",
+            "pair-map"])
+    def test_rejected_flag_is_named_with_its_field(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "data" / "ds.csv"
+        assert cli.main(["make-data", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" == err
+        assert not (tmp_path / "data").exists()
+
+    def test_noise_seed_is_not_checked_without_noise(self, tmp_path):
+        """As in `train`, a seed that nothing draws from is not read."""
+        out = tmp_path / "ds.csv"
+        assert cli.main(["make-data", "--noise", "none", "--noise-seed", "-3", "--classes", "2",
+                         "--per-class", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ds.csv.manifest.json").read_text())
+        assert manifest["noise"] == {"kind": "none", "eta": 0.4, "seed": -3}
+
+    @staticmethod
+    def _field_flags(argv) -> dict:
+        """section.field -> option, for each option of argv's command that sets a field."""
+        parser = cli.build_parser().parse_args(argv).parser
+        return {a.dest: a.option_strings[0] for a in parser._actions if "." in a.dest}
+
+    def test_flags_map_to_config_fields(self):
+        assert self._field_flags(["make-data", "--out", "x"]) == {
+            "dataset.classes": "--classes", "dataset.per_class": "--per-class",
+            "dataset.test_per_class": "--test-per-class", "dataset.dim": "--dim",
+            "dataset.spread": "--spread", "dataset.seed": "--seed", "noise.kind": "--noise",
+            "noise.eta": "--eta", "noise.pair_map": "--pair-map", "noise.seed": "--noise-seed",
+        }
+        assert self._field_flags(["make-oracle", "--data", "d", "--out", "x"]) == {
+            "dataset.path": "--data", "oracle.accuracy": "--accuracy",
+            "oracle.confidence": "--confidence", "oracle.seed": "--seed",
+        }
+
+    def test_sidecar_write_that_fails_after_open_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        """The sidecar's write stops half way, as on a full disk, after its
+        file is open."""
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            named = isinstance(file, (str, os.PathLike)) and ".manifest.json" in Path(file).name
+            return HalfWritten(fh) if named else fh
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.setattr(io, "open", open_)  # what Path.open and Path.write_text call
+        with pytest.raises(OSError, match="No space left on device"):
+            cli.main(["make-data", "--per-class", "5", "--out", str(tmp_path / "ds.csv")])
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]
 
 
 class TestMakeOracle:
@@ -280,6 +400,53 @@ class TestMakeOracle:
         ds = data.load_dataset(ds_path)
         table = oracle.load_oracle_file(out, expected_ids=range(ds.n))
         assert table.n == ds.n
+
+    def test_negative_seed_exits_2_naming_flag_and_field(self, tmp_path, capsys):
+        ds_path = tmp_path / "ds.csv"
+        assert cli.main(["make-data", "--per-class", "5", "--out", str(ds_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "oracle" / "o.csv"
+        assert cli.main(["make-oracle", "--data", str(ds_path), "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed: oracle.seed must be >= 0 or null, got -1\n"
+        assert not (tmp_path / "oracle").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--accuracy", "nan"], "--accuracy: oracle.accuracy must be finite, got nan"),
+        (["--confidence", "inf"], "--confidence: oracle.confidence must be finite, got inf"),
+        (["--data", ""], "--data: dataset.path must be set when dataset.kind = file, got ''"),
+    ], ids=["accuracy", "confidence", "data"])
+    def test_rejected_flag_is_named_with_its_field(self, tmp_path, capsys, argv, message):
+        ds_path = tmp_path / "ds.csv"
+        assert cli.main(["make-data", "--per-class", "5", "--out", str(ds_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "oracle" / "o.csv"
+        assert cli.main(["make-oracle", "--data", str(ds_path), *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "oracle").exists()
+
+
+class TestDataCommandOutputs:
+    """--out is checked before anything is built: a target under a file or
+    onto a directory exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["make-data", "make-oracle"])
+    @pytest.mark.parametrize("target", ["under-a-file", "a-directory", "parent-of-a-new-dir"])
+    def test_bad_out_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command, target):
+        ds_path = tmp_path / "ds.csv"
+        assert cli.main(["make-data", "--per-class", "5", "--out", str(ds_path)]) == 0
+        (tmp_path / "F").write_text("a file\n")
+        (tmp_path / "D").mkdir()
+        before = run_files(tmp_path)
+        monkeypatch.setattr(driver, "build_dataset", lambda cfg: pytest.fail("the dataset was built"))
+        capsys.readouterr()
+        out = {"under-a-file": tmp_path / "F" / "x.csv", "a-directory": tmp_path / "D",
+               "parent-of-a-new-dir": tmp_path / "new" / ".."}[target]
+        argv = ["--data", str(ds_path)] if command == "make-oracle" else []
+        assert cli.main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert run_files(tmp_path) == before and list((tmp_path / "D").iterdir()) == []
+
 
 
 class TestTrainAndReport:

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from coforget.config import _DOMAINS, RunConfig, build_config
+from coforget.config import _DOMAINS, _SECTIONS, RunConfig, build_config, validate_config
 from coforget.errors import ConfigurationError
 
 VALID = {
@@ -108,6 +108,38 @@ def test_each_row_rejects_a_value_out_of_its_domain(field, value, needs):
     message = str(info.value)
     assert message.startswith(f"{field} must be "), message
     assert message.endswith(f", got {shown!r}"), message
+
+
+@pytest.mark.parametrize("field, value, needs", OUT_OF_DOMAIN,
+                         ids=[field for field, _, _ in OUT_OF_DOMAIN])
+def test_rejection_names_its_field_in_a_check_of_its_sections(field, value, needs):
+    """The error's `field` is the row's field, without a list index, and a
+    check of only the sections involved finds the same fault."""
+    name, _, _ = field.partition("[")
+    cfg = build_config(_with({}))
+    for key, item in {**needs, name: value}.items():
+        section, attr = key.split(".")
+        setattr(getattr(cfg, section), attr, item)
+    for sections in (_SECTIONS, {key.split(".")[0] for key in (*needs, name)}):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(field)} must be ") as info:
+            validate_config(cfg, sections)
+        assert info.value.field == name
+
+
+def test_data_sections_of_the_defaults_pass():
+    """make-data and make-oracle check only the sections they fill; the
+    defaults of the others (a null method.t_unl) fail a whole-config check."""
+    validate_config(RunConfig(), ("dataset", "noise", "oracle"))
+    with pytest.raises(ConfigurationError, match="method.t_unl"):
+        validate_config(RunConfig())
+
+
+def test_non_finite_value_names_its_field():
+    cfg = RunConfig()
+    cfg.noise.eta = float("nan")
+    with pytest.raises(ConfigurationError, match="noise.eta must be finite") as info:
+        validate_config(cfg, ("noise",))
+    assert info.value.field == "noise.eta"
 
 
 def test_every_row_has_a_case():

@@ -79,12 +79,6 @@ class TestMakeBlobs:
         te = noisy.test_ids()
         assert np.array_equal(noisy.observed_labels[te], noisy.true_labels[te])
 
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(InputError):
-            data.make_blobs(1, 10, 2, 1.0, 0)
-        with pytest.raises(InputError):
-            data.make_blobs(3, 10, 2, 0.0, 0)
-
 
 class TestTransitionMatrices:
     def test_symmetric_eta_zero_is_identity(self):

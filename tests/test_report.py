@@ -362,6 +362,24 @@ class TestBadRunFiles:
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
 
+    @pytest.mark.parametrize("damage, found", [
+        (lambda line: line + "\n", "4: blank line"),
+        (_set_cell(2, "\x0b0.5"), "3: character '\\x0b'"),
+    ], ids=["blank-line", "vt-padded-cell"])
+    def test_report_skips_metrics_that_numpy_alone_would_accept(self, quick_runs, tmp_path, caplog,
+                                                                 damage, found):
+        """metrics.csv is read as strictly as every other table: a blank
+        line or a \\x0b-padded cell skips its dir, naming path:line."""
+        bad = tmp_path / "bad"
+        _copy_run(quick_runs["unl-on"], bad)
+        path = _damage(bad, "metrics.csv", 3, damage)
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            report.write_report([bad, quick_runs["unl-off"]], tmp_path / "rep")
+        assert any("skipping" in r.getMessage() and f"{path}:{found}" in r.getMessage()
+                   for r in caplog.records)
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
+
     def test_cli_report_skips_dir_with_damaged_field_type(self, quick_runs, tmp_path, capsys,
                                                           caplog):
         bad = tmp_path / "bad"
