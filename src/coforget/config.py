@@ -20,7 +20,6 @@ NOISE_KINDS = ("none", "symmetric", "asymmetric", "instance")
 ORACLE_KINDS = ("synthetic", "file")
 DATASET_KINDS = ("blobs", "file")
 METHOD_KINDS = ("coforget", "naive-ce")
-MAX_ARRAY_CELLS = 2**31  # per array a run sizes, checked before any is allocated
 
 
 @dataclass
@@ -301,18 +300,6 @@ def validate_config(cfg: RunConfig, sections=_SECTIONS) -> None:
                 where = name if i is None else f"{name[:-2]}[{i}]"
                 raise ConfigurationError(f"{where} must be {domain}, got {show_value(item)}",
                                          field=name.removesuffix("[]"))
-    _check_array_sizes(cfg)
-
-
-def _check_array_sizes(cfg: RunConfig) -> None:
-    """Reject a blobs dataset past MAX_ARRAY_CELLS cells (a feature or a
-    one-hot row per sample) before make_blobs allocates it; driver.run
-    checks the rest against the dataset as built."""
-    ds = cfg.dataset
-    cells = ds.classes * (ds.per_class + ds.test_per_class) * max(ds.dim, ds.classes)
-    if _blobs(cfg) and cells > MAX_ARRAY_CELLS:
-        raise ConfigurationError("dataset.classes * (per_class + test_per_class) * max(dim, classes) "
-                                 "exceeds 2**31 array cells")
 
 
 # what yaml.safe_load raises on bad text: YAMLError, and from its constructors

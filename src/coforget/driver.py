@@ -18,11 +18,10 @@ one epoch's metric losses are the next epoch's co-divide input.
 Each arm returns its metrics, learners and forgetting rows, and ``run`` alone
 finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
 
-With a run directory, the pipeline keeps each co-teaching epoch's co-divide
-rows in one block and, after the last epoch, writes them as
-codivide_audit.npy: one CODIVIDE_RECORD row per epoch and pool sample,
-streamed one epoch at a time behind a header for the total row count, so no
-second whole-run copy is built. ``coforget export`` makes the CSV of it.
+With a run directory, each co-teaching epoch fills its CODIVIDE_RECORD rows,
+one per pool sample, in place in one block sized for every epoch; after the
+last epoch the filled rows are written, as they are, as codivide_audit.npy.
+``coforget export`` makes the CSV of it.
 """
 
 import dataclasses
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection
-from .config import MAX_ARRAY_CELLS, RunConfig, show_value, validate_config
+from .config import RunConfig, show_value, validate_config
 from .errors import ConfigurationError, StateError
 from .util import format_rows, output_dir, replacing, rng_for, write_csv, write_npy
 
@@ -47,9 +46,7 @@ CODIVIDE_RECORD = np.dtype([
     ("labeled_scratch", "?"), ("labeled_embed", "?"), ("observed", "<i8"), ("true", "<i8"),
 ])
 CODIVIDE_HEADER = ",".join(CODIVIDE_RECORD.names)
-# the fields the run fills per epoch; epoch and labels are added as each is written
-CODIVIDE_DTYPE = np.dtype([(name, CODIVIDE_RECORD[name]) for name in (
-    "id", "w_scratch", "w_embed", "labeled_scratch", "labeled_embed")])
+MAX_ARRAY_CELLS = 2**31  # per array a run sizes, checked before any is allocated
 CLEAN_JUDGE_THRESHOLD = 0.5  # selection-quality accounting, independent of tau_w
 LAST_WINDOW = 10
 ACC_KEYS = ("acc_scratch", "acc_embed", "acc_ens")
@@ -140,9 +137,19 @@ def build_dataset(cfg: RunConfig) -> data.Dataset:
                 f"dataset.path {dcfg.path}: {ds.n_classes} classes, whose C x C class "
                 f"matrices exceed 2**31 array cells")
     else:
-        ds = data.make_blobs(dcfg.classes, dcfg.per_class, dcfg.dim, dcfg.spread,
-                             _section_seed(dcfg.seed, cfg.run.seed, "dataset"),
-                             test_per_class=dcfg.test_per_class)
+        # a feature or a one-hot row per sample
+        cells = dcfg.classes * (dcfg.per_class + dcfg.test_per_class) * max(dcfg.dim, dcfg.classes)
+        if cells > MAX_ARRAY_CELLS:
+            raise ConfigurationError("dataset.classes * (per_class + test_per_class) * "
+                                     "max(dim, classes) exceeds 2**31 array cells")
+        # a spread near the float maximum overflows features, rejected below
+        with np.errstate(over="ignore"):
+            ds = data.make_blobs(dcfg.classes, dcfg.per_class, dcfg.dim, dcfg.spread,
+                                 _section_seed(dcfg.seed, cfg.run.seed, "dataset"),
+                                 test_per_class=dcfg.test_per_class)
+        if not np.all(np.isfinite(ds.features)):
+            raise ConfigurationError(f"dataset.spread {show_value(dcfg.spread)} makes features "
+                                     "that are not finite", field="dataset.spread")
     if ncfg.kind == "none":
         return ds
     transition = noise_matrix(ncfg, ds.n_classes)
@@ -306,17 +313,6 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
     return metrics, (scratch,), []
 
 
-def _codivide_record(epoch: int, row, ds: data.Dataset) -> np.ndarray:
-    """The CODIVIDE_RECORD rows of one co-teaching epoch's filled row."""
-    record = np.empty(row.shape[0], CODIVIDE_RECORD)
-    record["epoch"] = epoch
-    for name in CODIVIDE_DTYPE.names:
-        record[name] = row[name]
-    record["observed"] = ds.observed_labels[row["id"]]
-    record["true"] = ds.true_labels[row["id"]]
-    return record
-
-
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
                   out_path) -> tuple:
     seed = cfg.run.seed
@@ -344,14 +340,13 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     sets = references = None
     metrics = []
     forget_rows = []
-    codivide_epochs = []  # (epoch, the filled part of its codivide_rows row)
-    # audit rows of every co-teaching epoch in one block, kept only for a run
-    # directory: per-epoch arrays kept instead stay scattered over the heap
-    # and raise the memory peak of whatever runs next
-    codivide_rows = (
-        np.empty((max(sched.max_epoch - sched.warmup, 0), n_train), CODIVIDE_DTYPE)
-        if out_path is not None else None
-    )
+    # the co-divide rows of every co-teaching epoch, kept only for a run
+    # directory and filled in place up to n_codivide: per-epoch arrays kept
+    # instead stay scattered over the heap and raise the memory peak of
+    # whatever runs next
+    codivide = (np.empty(max(sched.max_epoch - sched.warmup, 0) * n_train, CODIVIDE_RECORD)
+                if out_path is not None else None)
+    n_codivide = 0
 
     def evaluate(losses, ids):
         """losses, with each None entry replaced by that network's per-sample
@@ -437,13 +432,16 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             ln = int(np.sum(noisy_pool)) - hn
             cs = int(np.sum(~noisy_pool))
             if out_path is not None:
-                row = codivide_rows[len(codivide_epochs), :current_pool.shape[0]]
-                row["id"] = current_pool
-                row["w_scratch"] = res.w_scratch
-                row["w_embed"] = res.w_embed
-                row["labeled_scratch"] = res.labeled_for_scratch
-                row["labeled_embed"] = res.labeled_for_embed
-                codivide_epochs.append((k, row))
+                rows = codivide[n_codivide:n_codivide + current_pool.shape[0]]
+                rows["epoch"] = k
+                rows["id"] = current_pool
+                rows["w_scratch"] = res.w_scratch
+                rows["w_embed"] = res.w_embed
+                rows["labeled_scratch"] = res.labeled_for_scratch
+                rows["labeled_embed"] = res.labeled_for_embed
+                rows["observed"] = ds.observed_labels[current_pool]
+                rows["true"] = ds.true_labels[current_pool]
+                n_codivide += current_pool.shape[0]
         _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
         y_test = ds.true_labels[test_ids]
         p_scratch, p_embed = (learner.predict(test_ids) for learner in nets)
@@ -457,8 +455,6 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         ))
 
     if out_path is not None:
-        write_npy(out_path / "codivide_audit.npy", CODIVIDE_RECORD,
-                  sum(row.shape[0] for _, row in codivide_epochs),
-                  (_codivide_record(k, row, ds) for k, row in codivide_epochs))
+        write_npy(out_path / "codivide_audit.npy", codivide[:n_codivide])
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return metrics, nets, forget_rows

@@ -245,25 +245,11 @@ def check_rows(path, first_lineno: int, checks) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_npy(path, dtype, n_rows: int, chunks) -> None:
-    """Write n_rows rows of the structured dtype as one 1-D array in a
-    version 1.0 .npy file (the bytes np.save writes), the rows coming as a
-    sequence of 1-D chunks of that dtype, so no whole-file array is built.
-    Chunks of another dtype or another row total raise ValueError."""
-    dtype = np.dtype(dtype)
+def write_npy(path, rows) -> None:
+    """Write rows, a 1-D structured array, as a version 1.0 .npy file: the
+    bytes np.save writes, its header taken from the array itself."""
     with replacing(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n_rows,),
-        })
-        written = 0
-        for chunk in chunks:
-            if chunk.dtype != dtype or chunk.ndim != 1:
-                raise ValueError(f"{path}: chunk of dtype {chunk.dtype}, shape {chunk.shape}, "
-                                 f"expected 1-D {dtype}")
-            fh.write(np.ascontiguousarray(chunk).data)
-            written += chunk.shape[0]
-        if written != n_rows:
-            raise ValueError(f"{path}: {written} rows written, header promises {n_rows}")
+        np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
 
 
 def read_npy(path, dtype, checks=lambda rows: ()):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,18 @@ class TestMakeData:
         rc = cli.main(["make-data", "--spread", spread, "--out", str(out)])
         assert rc == 2
         assert f"--spread: dataset.spread must be finite, got {spread}" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_overflowing_spread_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """A finite spread near the float maximum makes inf features."""
+        out = tmp_path / "data" / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["make-data", "--spread", "1e308", "--per-class", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dataset.spread 1e+308 makes features that are not finite" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("flag, value", [("--classes", "100000000000"),
@@ -553,6 +566,13 @@ class TestTrainAndReport:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_overflowing_spread_exits_2_before_the_run_dir(self, tmp_path, capsys):
+        rc = cli.main(["train", "--config", str(QUICK), "--override", "dataset.spread=1.0e+308",
+                       "--outdir", str(tmp_path / "sp")])
+        assert rc == 2
+        assert "dataset.spread 1e+308 makes features that are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "sp").exists()
 
     def test_unknown_activation_exits_2_before_the_run_dir(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(QUICK), "--override", "net_scratch.activation=sigmoid",

@@ -1,10 +1,15 @@
-"""Hypothesis fuzz of the two data commands' argv: `make-data` and
-`make-oracle` run through cli.main in this process, with in-domain sizes
-kept small and out-of-domain ints, non-finite floats, free --pair-map text
-and bad --out targets mixed in. Every argv must exit 0 or 2 (argparse's own
-exit counts as its code) with no other exception, and an exit of 2 must
-leave every file as it was."""
+"""Hypothesis fuzz of argv for the two data commands, `make-data` and
+`make-oracle`, and for the two commands that read run directories, `report`
+and `export`, all run through cli.main in this process. The data commands
+get in-domain sizes kept small and out-of-domain ints, non-finite floats,
+free --pair-map text and bad --out targets mixed in; the run-directory
+commands get copies of run directories trained once per module (one with a
+co-divide record whose bytes are damaged per example), missing paths, files,
+free --window text and bad --out targets. Every argv must exit 0 or 2
+(argparse's own exit counts as its code) with no other exception, and an
+exit of 2 must leave every file as it was."""
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -12,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coforget import cli
-from coforget.config import NOISE_KINDS
+from coforget import cli, driver
+from coforget.config import NOISE_KINDS, load_config
+
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -93,3 +100,83 @@ def test_make_data_exits_0_or_2_and_writes_nothing_on_2(draw, target):
 def test_make_oracle_exits_0_or_2_and_writes_nothing_on_2(dataset, draw, target, data_path):
     path = {"dataset": str(dataset), "missing": str(dataset.parent / "missing.csv"), "empty": ""}
     _check("make-oracle", ["--data", path[data_path], *_options(draw.draw, ORACLE_FLAGS)], target)
+
+
+RUN_KINDS = ["coforget", "naive", "damaged", "missing", "a-file"]
+WINDOWS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(-2, 30), st.integers(-2, 30)).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.text(max_size=8),
+)
+# the header is the first 128 bytes of the record; most flips land in its rows
+RECORD_DAMAGE = st.lists(st.tuples(st.one_of(st.integers(0, 127), st.integers(0, 10**6)),
+                                   st.integers(0, 255)), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """A quick coforget run dir and a naive-ce one, trained once."""
+    root = tmp_path_factory.mktemp("runs")
+    for name, overrides in {"coforget": [], "naive": ["method.kind=naive-ce"]}.items():
+        driver.run(load_config(QUICK, overrides), root / name)
+    return root
+
+
+def _run_paths(draw, runs, root, kinds) -> list:
+    """A path under root for each kind: a copy of a trained run dir, a copy
+    of the coforget one whose co-divide record has drawn bytes replaced or
+    is cut short, a path that does not exist, or a file."""
+    root.mkdir()
+    paths = []
+    for i, kind in enumerate(kinds):
+        path = root / f"{i}-{kind}"
+        if kind in ("coforget", "naive", "damaged"):
+            shutil.copytree(runs / ("naive" if kind == "naive" else "coforget"), path)
+        if kind == "damaged":
+            record = path / "codivide_audit.npy"
+            blob = bytearray(record.read_bytes())
+            for at, byte in draw(RECORD_DAMAGE, label="damage"):
+                blob[at % len(blob)] = byte
+            if draw(st.booleans(), label="cut"):
+                blob = blob[:draw(st.integers(0, len(blob) - 1), label="keep")]
+            record.write_bytes(bytes(blob))
+        elif kind == "a-file":
+            path.write_text("a file\n")
+        paths.append(path)
+    return paths
+
+
+@FUZZ
+@given(draw=st.data(), kinds=st.lists(st.sampled_from(RUN_KINDS), min_size=1, max_size=3),
+       window=WINDOWS, target=st.sampled_from(["new", "under-a-file", "a-directory"]))
+def test_report_exits_0_or_2_and_writes_no_report_on_2(runs, draw, kinds, window, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = _run_paths(draw.draw, runs, root / "runs", kinds)
+        (root / "F").write_text("a file\n")
+        (root / "D").mkdir()
+        out = {"new": root / "rep", "under-a-file": root / "F" / "rep", "a-directory": root / "D"}[target]
+        window_option = [] if window is None else [f"--window={window}"]
+        before = _files(root)
+        code = _exit_code(["report", *map(str, paths), "--out", str(out), *window_option])
+        assert code in (0, 2)
+        if code == 2:
+            assert _files(root) == before
+        else:
+            assert {p.name for p in out.iterdir()} == {"curves.csv", "summary.csv",
+                                                       "selection_quality.csv"}
+
+
+@FUZZ
+@given(draw=st.data(), kind=st.sampled_from(RUN_KINDS))
+def test_export_exits_0_or_2_and_writes_no_csv_on_2(runs, draw, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (path,) = _run_paths(draw.draw, runs, root / "runs", [kind])
+        before = _files(root)
+        code = _exit_code(["export", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert _files(root) == before
+        else:
+            assert (path / "codivide_audit.csv").is_file()

@@ -471,6 +471,40 @@ class TestPoolMap:
         assert util.usable_cpus() == 1
 
 
+def _disk_fills(monkeypatch, prefix: str, after: int) -> list:
+    """Make every file opened under a name starting with prefix take `after`
+    writes, then write half of the next one and raise ENOSPC, as a full disk
+    does; returns the list of what each write was given."""
+    real_open, writes = open, []
+
+    class DiskFills:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(data)
+            if len(writes) <= after:
+                return self.fh.write(data)
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        named = isinstance(file, (str, os.PathLike)) and Path(file).name.startswith(prefix)
+        return DiskFills(fh) if named else fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)  # what Path.open and Path.write_text call
+    return writes
+
+
 class TestNoHalfWrittenFile:
     """Every writer (CSV, .npy record, manifest, checkpoint) writes to a
     temporary name beside the target and moves it into place; a write that
@@ -486,18 +520,12 @@ class TestNoHalfWrittenFile:
             util.write_csv(tmp_path / "t.csv", ["a,b"], self._failing([[1, 2], [3.0, 4.0]]))
         assert list(tmp_path.iterdir()) == []
 
-    def test_npy_chunk_that_raises_leaves_nothing(self, tmp_path):
-        with pytest.raises(RuntimeError, match="injected fault"):
-            util.write_npy(tmp_path / "t.npy", RECORD, 4, self._failing(_record(2)))
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("chunks, n_rows", [
-        ([_record(2), _record(1)], 4),
-        ([np.zeros(2, [("a", "<i8"), ("w", "<f4")])], 2),
-    ], ids=["row-count", "dtype"])
-    def test_npy_chunks_that_break_the_header_leave_nothing(self, tmp_path, chunks, n_rows):
-        with pytest.raises(ValueError):
-            util.write_npy(tmp_path / "t.npy", RECORD, n_rows, chunks)
+    def test_npy_write_that_raises_after_the_header_leaves_nothing(self, tmp_path, monkeypatch):
+        """The record's header is written, then the disk fills on its rows."""
+        writes = _disk_fills(monkeypatch, "t.npy", after=1)
+        with pytest.raises(OSError, match="No space left on device"):
+            util.write_npy(tmp_path / "t.npy", _record(3))
+        assert writes[0].startswith(b"\x93NUMPY\x01\x00")
         assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_that_raises_mid_write_leaves_nothing(self, tmp_path):
@@ -510,30 +538,7 @@ class TestNoHalfWrittenFile:
     def test_manifest_that_raises_mid_write_leaves_nothing(self, tmp_path, monkeypatch):
         """The manifest's write stops half way, as on a full disk, after its
         file is open; the manifest is the run's first file."""
-        real_open = open
-
-        class HalfWritten:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[:len(text) // 2])
-                self.fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def open_(file, *args, **kwargs):
-            fh = real_open(file, *args, **kwargs)
-            named = isinstance(file, (str, os.PathLike)) and Path(file).name.startswith("manifest")
-            return HalfWritten(fh) if named else fh
-
-        monkeypatch.setattr(builtins, "open", open_)
-        monkeypatch.setattr(io, "open", open_)  # what Path.open and Path.write_text call
+        _disk_fills(monkeypatch, "manifest", after=0)
         cfg = driver.RunConfig()
         cfg.dataset.per_class, cfg.dataset.test_per_class, cfg.method.t_unl = 10, 5, 0.05
         with pytest.raises(OSError, match="No space left on device"):
@@ -552,7 +557,7 @@ class TestNpyRecord:
     def test_bytes_equal_np_save_and_round_trip(self, tmp_path):
         rows = np.concatenate([_record(3), _record(4, 3)])
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 7, iter([_record(3), _record(4, 3)]))
+        util.write_npy(path, rows)
         buf = io.BytesIO()
         np.save(buf, rows, allow_pickle=False)
         assert path.read_bytes() == buf.getvalue()
@@ -561,13 +566,13 @@ class TestNpyRecord:
 
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 0, [])
+        util.write_npy(path, _record(0))
         back = util.read_npy(path, RECORD)
         assert back.shape == (0,) and back.dtype == RECORD
 
     def test_truncation_at_every_byte_names_file(self, tmp_path):
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 3, [_record(3)])
+        util.write_npy(path, _record(3))
         blob = path.read_bytes()
         for keep in range(len(blob)):
             path.write_bytes(blob[:keep])
@@ -620,7 +625,7 @@ class TestNpyRecord:
         rows = _record(3)
         rows["w"][2] = w
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 3, [rows])
+        util.write_npy(path, rows)
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: row 2: w must lie"):
             _read_small(path)
 
@@ -629,7 +634,7 @@ class TestNpyRecord:
         repeat count gains a leading zero) is a comma dtype string that
         numpy's parser fails on with a SyntaxError, not a ValueError."""
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 3, [_record(3)])
+        util.write_npy(path, _record(3))
         blob = path.read_bytes()
         damages = []
         for at in (m.start() + 1 for m in re.finditer(rb"'[<|]", blob)):
@@ -677,7 +682,7 @@ class TestNpyRecord:
     @given(data=st.data())
     def test_damaged_bytes_raise_only_ingestion_errors(self, tmp_path, data):
         path = tmp_path / "r.npy"
-        util.write_npy(path, RECORD, 3, [_record(3)])
+        util.write_npy(path, _record(3))
         blob = path.read_bytes()
         damaged = bytearray(blob)
         if data.draw(st.booleans(), label="cut"):
