@@ -6,7 +6,8 @@ The co-divide is two boolean masks over the pool ids, one labeled set per
 network gated by its peer's clean probabilities; each network trains on
 what they select, and the epoch's result carries the same masks.
 
-Each network of the pair is one ``Learner``. The scratch network trains
+Each network of the pair is one ``Learner``, which keeps its last pool
+losses until its parameters or the pool change. The scratch network trains
 semi-supervised on labeled plus unlabeled samples; the embedding-backed
 network trains on labeled samples only (its adapter frozen until
 ``schedule.encoder_unfreeze``). Setting ``method.asymmetric`` to false gives
@@ -15,7 +16,7 @@ arm.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,19 +202,29 @@ def mixup(x_i, y_i, x_j, y_j, alpha, rng):
 class Learner:
     """One network of the pair: its architecture, the matrix of its inputs
     (row i is sample id i), and its current parameters and optimizer state.
-    Steps rebind theta and opt; they never write into those arrays."""
+    Steps rebind theta and opt and never write into those arrays, so a theta
+    object stands for one set of parameters, and ``losses`` relies on that."""
 
     arch: net.Architecture
     inputs: np.ndarray
     theta: np.ndarray
     opt: net.OptimizerState
+    _memo: tuple = field(default=(None, None, None, None), init=False, repr=False)
 
     def predict(self, ids) -> np.ndarray:
         return net.predict_proba(self.arch, self.theta, self.inputs[ids])
 
     def losses(self, ids, labels) -> np.ndarray:
-        """Per-sample cross-entropy of labels[ids] on the samples ids."""
-        return net.per_sample_ce(self.arch, self.theta, self.inputs[ids], labels[ids])
+        """Per-sample cross-entropy of labels[ids] on the samples ids, read-only.
+        The last result comes back while theta and labels are the objects it
+        was computed from and ids holds the same ids."""
+        theta, last_ids, last_labels, last = self._memo
+        if theta is self.theta and last_labels is labels and np.array_equal(last_ids, ids):
+            return last
+        last = net.per_sample_ce(self.arch, self.theta, self.inputs[ids], labels[ids])
+        last.setflags(write=False)
+        self._memo = (self.theta, ids, labels, last)
+        return last
 
     def step(self, grad, epoch, frozen_prefix=0) -> None:
         self.theta, self.opt = net.sgd_step(self.theta, grad, self.opt, epoch, frozen_prefix)
@@ -269,23 +280,21 @@ def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids,
         learner.step(grad, epoch, frozen_prefix)
 
 
-def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, loss_scratch,
-                  loss_embed, epoch, cfg: RunConfig, rng) -> CoteachResult:
+def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, cfg: RunConfig,
+                  rng) -> CoteachResult:
     """One epoch of cross-network training on the current pool; rebinds the
     theta and opt of each learner it updates.
 
-    loss_scratch and loss_embed are each network's per-sample cross-entropy
-    of the observed labels of pool_ids under its current parameters; the
-    GMM co-divide runs on them.
+    The GMM co-divide runs on each network's per-sample cross-entropy of the
+    observed labels of pool_ids under its current parameters, which
+    ``Learner.losses`` evaluates only when they are not the last it gave.
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
     if pool_ids.shape[0] == 0:
         raise InputError("training pool is empty")
-    if not (np.shape(loss_scratch) == np.shape(loss_embed) == pool_ids.shape):
-        raise InputError("both pool-loss arrays must align with the pool ids")
-    w_scratch = fit_gmm_1d(loss_scratch).clean_posterior
-    w_embed = fit_gmm_1d(loss_embed).clean_posterior
+    w_scratch, w_embed = (fit_gmm_1d(learner.losses(pool_ids, observed)).clean_posterior
+                          for learner in (scratch, embed))
     labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
 
     onehot = np.eye(scratch.arch.n_classes)[observed]

@@ -7,13 +7,9 @@ co-teaching epoch on the current retained pool (the full train set before
 the first selection). The two networks are the "scratch" net (an MLP on raw
 features) and the "embed" net (adapter plus head over the fixed oracle
 embeddings), each a ``coteach.Learner`` whose parameters and optimizer state
-the stages rebind.
-
-Each network's pool losses (per-sample CE of the observed labels on the
-current pool) stay valid until warmup, a forgetting pass with targets, an
-unskipped co-teaching update or a selection that leaves fewer than all train
-ids sets them to None; whatever is None is evaluated when next needed, so
-one epoch's metric losses are the next epoch's co-divide input.
+the stages rebind. Co-divide, selection and the metric row each ask a
+learner for its losses, and the learner evaluates them only when its
+parameters or the ids changed since it last did.
 
 Each arm returns its metrics, learners and forgetting rows, and ``run`` alone
 finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
@@ -269,6 +265,8 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        # an earlier run's metrics.csv would mark this run complete should it fail
+        (out_path / "metrics.csv").unlink(missing_ok=True)
         manifest = {
             "config": cfg.to_dict(),
             "config_hash": cfg.config_hash(),
@@ -335,7 +333,6 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
 
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
     current_pool = train_ids
-    losses = (None, None)  # see the module docstring
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
     sets = references = None
     metrics = []
@@ -348,26 +345,16 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                 if out_path is not None else None)
     n_codivide = 0
 
-    def evaluate(losses, ids):
-        """losses, with each None entry replaced by that network's per-sample
-        CE of the observed labels of ids under its current parameters."""
-        return tuple(learner.losses(ids, ds.observed_labels) if loss is None else loss
-                     for learner, loss in zip(nets, losses))
-
     for k in range(1, sched.max_epoch + 1):
         hn = ln = cs = 0
         if k <= sched.warmup:
             warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
                          k, cfg.optim.batch_size, rng_for(seed, f"warmup/{k}"))
-            losses = (None, None)
         else:
             selecting = method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
             if selecting or (method.unlearning and k == bootstrap_epoch):
-                # checkpoints cover every train id; the pool is a sorted subset
-                # of train_ids, so a pool of n_train ids is train_ids
-                if current_pool.shape[0] < n_train:
-                    losses = (None, None)
-                losses = evaluate(losses, train_ids)
+                # checkpoints cover every train id
+                losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in nets)
                 if k == bootstrap_epoch:
                     prev_losses = losses
             if selecting:
@@ -385,8 +372,6 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                     reference.setflags(write=False)
                 prev_losses = losses
                 current_pool = sets.retained
-                if current_pool.shape[0] < n_train:
-                    losses = (None, None)
                 logger.info(
                     "epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
                     k, len(sets.targets_scratch), len(sets.targets_embed), current_pool.shape[0],
@@ -415,15 +400,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                         k, frozen_prefix=frozen,
                     )
                     forget_rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
-                # a net without targets keeps its parameters
-                losses = tuple(None if ids else loss for ids, loss in zip(targets, losses))
-            losses = evaluate(losses, current_pool)
-            res = coteach.coteach_epoch(
-                scratch, embed, ds.observed_labels, current_pool, losses[0], losses[1],
-                k, cfg, rng_for(seed, f"coteach/{k}"),
-            )
-            losses = (losses[0] if res.skipped_scratch else None,
-                      losses[1] if res.skipped_embed else None)
+            res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, current_pool,
+                                        k, cfg, rng_for(seed, f"coteach/{k}"))
             judged_clean = (
                 (res.w_scratch >= CLEAN_JUDGE_THRESHOLD) & (res.w_embed >= CLEAN_JUDGE_THRESHOLD)
             )
@@ -447,10 +425,10 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
         p_scratch, p_embed = (learner.predict(test_ids) for learner in nets)
         accs = [float((p.argmax(axis=1) == y_test).mean())
                 for p in (p_scratch, p_embed, (p_scratch + p_embed) / 2.0)]
-        losses = evaluate(losses, current_pool)
         n_forget = (0, 0) if sets is None else (len(sets.targets_scratch), len(sets.targets_embed))
         metrics.append(EpochMetrics(
-            k, *accs, *(float(loss.mean()) for loss in losses), *n_forget,
+            k, *accs, *(float(learner.losses(current_pool, ds.observed_labels).mean())
+                        for learner in nets), *n_forget,
             current_pool.shape[0], hn, ln, cs,
         ))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import driver
-from .errors import IngestionError
+from .errors import ConfigurationError, IngestionError
 from .util import output_dir, read_csv, read_npy, write_csv
 
 logger = logging.getLogger("coforget")
@@ -135,15 +135,23 @@ def default_window(manifest: dict) -> tuple:
 
 def write_report(run_dirs, out_dir, window=None) -> dict:
     """Emit curves.csv, summary.csv and selection_quality.csv for the given
-    runs; incomplete run directories are skipped with a warning. Returns the
-    (best, last) accuracy dicts of driver.best_last_columns keyed by run id."""
+    runs; incomplete run directories are skipped with a warning, and two
+    runs with one run id (directory name) are a ConfigurationError. Returns
+    the (best, last) accuracy dicts of driver.best_last_columns keyed by run
+    id."""
     out_path = output_dir(out_dir)
-    runs = []
+    runs, dirs = [], {}
     for d in run_dirs:
         try:
             runs.append(load_run(d))
         except IngestionError as exc:
             logger.warning("skipping %s: %s", d, exc)
+            continue
+        run_id = runs[-1].run_id
+        if run_id in dirs:
+            raise ConfigurationError(f"run directories {dirs[run_id]} and {d} share the run id "
+                                     f"{run_id}; the report could not tell them apart")
+        dirs[run_id] = d
     if not runs:
         raise IngestionError("no completed run directories to report on")
     out_path.mkdir(parents=True, exist_ok=True)

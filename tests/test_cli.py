@@ -484,6 +484,31 @@ class TestTrainAndReport:
         assert (report_dir / "summary.csv").exists()
         assert (report_dir / "selection_quality.csv").exists()
 
+    @pytest.mark.parametrize("fails", ["mid-run", "on-input"])
+    def test_failed_rerun_leaves_no_dir_that_looks_complete(self, tmp_path, capsys, fails):
+        """A rerun into a completed run dir that fails once it has begun
+        leaves its own manifest and no metrics.csv, so report no longer takes
+        the dir for a complete run; one rejected on its inputs leaves the dir
+        as it was."""
+        run_dir = tmp_path / "run"
+        train = ["train", "--config", str(QUICK), "--outdir", str(run_dir)]
+        assert cli.main(train) == 0
+        before = run_files(run_dir)
+        overrides = {"mid-run": ["optim.lr_scratch=1.0e+300"],
+                     "on-input": ["oracle.kind=file", f"oracle.path={tmp_path / 'absent.csv'}"]}
+        assert cli.main([*train, *(f"--override={o}" for o in overrides[fails])]) == 2
+        report_code = cli.main(["report", str(run_dir), "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        if fails == "mid-run":
+            assert "non-finite values" in err
+            assert not (run_dir / "metrics.csv").exists()
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["config"]["optim"]["lr_scratch"] == 1e300
+            assert report_code == 2
+        else:
+            assert run_files(run_dir) == before
+            assert report_code == 0
+
     def test_train_override_seed_changes_results(self, tmp_path):
         cfg_path = write_config(tmp_path)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

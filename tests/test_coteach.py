@@ -219,16 +219,10 @@ class TestCoteachEpoch:
     def _run(self, epoch, params, seed=0):
         ds, emb, arch_s, theta_s, opt_s, arch_e, theta_e, opt_e = _epoch_fixture(seed)
         rng = np.random.default_rng(seed + 10)
-        pool = ds.train_ids()
-        y_pool = ds.observed_labels[pool]
         scratch = coteach.Learner(arch_s, ds.features, theta_s, opt_s)
         embed = coteach.Learner(arch_e, emb, theta_e, opt_e)
-        res = coteach.coteach_epoch(
-            scratch, embed, ds.observed_labels, pool,
-            net.per_sample_ce(arch_s, theta_s, ds.features[pool], y_pool),
-            net.per_sample_ce(arch_e, theta_e, emb[pool], y_pool),
-            epoch, params, rng,
-        )
+        res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, ds.train_ids(),
+                                    epoch, params, rng)
         # the result's fields next to the parameters the epoch left each net with
         res = SimpleNamespace(**vars(res), theta_scratch=scratch.theta, theta_embed=embed.theta)
         return res, theta_s, theta_e, arch_e
@@ -299,3 +293,54 @@ class TestCoteachEpoch:
         acc = (net.predict_proba(arch_s, theta_s, ds.features[te]).argmax(1)
                == ds.true_labels[te]).mean()
         assert acc >= 0.95
+
+
+class TestLearnerLosses:
+    """Learner.losses hands back its last array while theta and labels are
+    the objects it came from and ids hold the same ids, and evaluates afresh
+    after any of them changes."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """A learner, its dataset, the list of per_sample_ce calls, and the
+        uncounted per_sample_ce."""
+        ds, _, arch, theta, opt, *_ = _epoch_fixture()
+        calls, ce = [], net.per_sample_ce
+        monkeypatch.setattr(net, "per_sample_ce", lambda *args: calls.append(args) or ce(*args))
+        return coteach.Learner(arch, ds.features, theta, opt), ds, calls, ce
+
+    def test_same_array_for_the_same_theta_and_equal_ids(self, monkeypatch):
+        learner, ds, calls, _ = self._counted(monkeypatch)
+        ids = ds.train_ids()
+        first = learner.losses(ids, ds.observed_labels)
+        assert learner.losses(ids, ds.observed_labels) is first
+        assert learner.losses(ids.copy(), ds.observed_labels) is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", ["step", "rebound theta", "ids", "labels"])
+    def test_fresh_evaluation_after_a_change(self, monkeypatch, change):
+        learner, ds, calls, ce = self._counted(monkeypatch)
+        ids, labels = ds.train_ids(), ds.observed_labels
+        first = learner.losses(ids, labels)
+        if change == "step":
+            learner.step(np.ones_like(learner.theta), 1)
+        elif change == "rebound theta":
+            learner.theta = learner.theta.copy()
+        elif change == "ids":
+            ids = ids[::-1]
+        else:
+            labels = (labels + 1) % ds.n_classes
+        again = learner.losses(ids, labels)
+        assert again is not first and len(calls) == 2
+        np.testing.assert_array_equal(
+            again, ce(learner.arch, learner.theta, learner.inputs[ids], labels[ids]))
+
+    def test_result_is_read_only_and_equals_per_sample_ce(self):
+        ds, _, arch, theta, opt, *_ = _epoch_fixture()
+        learner = coteach.Learner(arch, ds.features, theta, opt)
+        ids = ds.train_ids()
+        losses = learner.losses(ids, ds.observed_labels)
+        assert not losses.flags.writeable
+        assert learner.theta.flags.writeable
+        np.testing.assert_array_equal(
+            losses, net.per_sample_ce(arch, theta, ds.features[ids], ds.observed_labels[ids]))

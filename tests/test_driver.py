@@ -445,9 +445,9 @@ class TestCodivideAudit:
 
 
 class _LossWatch:
-    """Counts net.per_sample_ce calls during a run, checks each pair of loss
-    arrays coteach_epoch receives against a fresh evaluation at that call's
-    parameters and pool, and keeps what unlearning_setup receives for
+    """Counts net.per_sample_ce calls during a run, checks the pool losses
+    each learner gives coteach_epoch against a fresh evaluation at that
+    call's parameters and pool, and keeps what unlearning_setup receives for
     check_selections, with the epoch of the last selection gate."""
 
     def __init__(self, monkeypatch):
@@ -483,7 +483,9 @@ class _LossWatch:
         return self._ce(*args, **kwargs)
 
     def coteach_epoch(self, *args):
-        scratch, embed, observed, pool, loss_s, loss_e, epoch = args[:7]
+        scratch, embed, observed, pool, epoch = args[:5]
+        # what co-divide will run on: the epoch's own calls get these again
+        loss_s, loss_e = (learner.losses(pool, observed) for learner in (scratch, embed))
         arch_s, x_s, theta_s = scratch.arch, scratch.inputs, scratch.theta
         arch_e, x_e, theta_e = embed.arch, embed.inputs, embed.theta
         self.nets = (((arch_s, x_s), (arch_e, x_e)), observed)
@@ -524,10 +526,11 @@ class _LossWatch:
 
 
 class TestPoolLosses:
-    """The pool losses the pipeline passes on are the ones a fresh
-    evaluation gives, and it evaluates them once per parameter change, not
-    once per use. The counts are those of the pipeline that cached losses by
-    value, on the same runs."""
+    """The pool losses co-divide, selection and the metric row get are the
+    ones a fresh evaluation gives, and each is evaluated once per parameter
+    or pool change, not once per use. The counts are those of the pipeline
+    that cached losses by value and of the driver that then tracked their
+    staleness itself, on the same runs; each learner's memo now holds them."""
 
     @pytest.mark.parametrize("config", ["quick", "desk"])
     def test_fewer_evaluations_same_bytes(self, monkeypatch, config):
@@ -549,6 +552,15 @@ class TestPoolLosses:
         driver.run(load_config(QUICK, overrides=[override]))
         assert watch.selections == []
         assert watch.evaluations == evaluations
+
+    def test_selection_that_keeps_every_train_id_keeps_the_losses(self, monkeypatch):
+        """With p_low = p_drop = 0 no sample is a target, so each selection
+        retains a new array equal to the train ids and no net forgets: the
+        run evaluates as often as one without unlearning."""
+        watch = _LossWatch(monkeypatch)
+        driver.run(load_config(QUICK, overrides=["method.p_low=0", "method.p_drop=0"]))
+        assert [epoch for epoch, *_ in watch.selections] == [12, 18, 24]
+        assert watch.evaluations == 48
 
     def test_skipped_update_keeps_that_nets_losses(self, monkeypatch):
         real = coteach.co_divide

@@ -1,24 +1,33 @@
 """Hypothesis fuzz of argv for the two data commands, `make-data` and
-`make-oracle`, and for the two commands that read run directories, `report`
-and `export`, all run through cli.main in this process. The data commands
-get in-domain sizes kept small and out-of-domain ints, non-finite floats,
-free --pair-map text and bad --out targets mixed in; the run-directory
-commands get copies of run directories trained once per module (one with a
-co-divide record whose bytes are damaged per example), missing paths, files,
-free --window text and bad --out targets. Every argv must exit 0 or 2
-(argparse's own exit counts as its code) with no other exception, and an
-exit of 2 must leave every file as it was."""
+`make-oracle`, for the two commands that read run directories, `report`
+and `export`, and for the two that train, `train` and `sweep`, all run
+through cli.main in this process. The data commands get in-domain sizes kept
+small and out-of-domain ints, non-finite floats, free --pair-map text and
+bad --out targets mixed in; the run-directory commands get copies of run
+directories trained once per module (one with a co-divide record whose
+bytes are damaged per example), missing paths, files, free --window text
+and bad --out targets; the training commands get --override values and
+--set axes drawn the same way over an 8-epoch quick.yaml, into fresh
+directories, files, or a copy of a completed run. Every argv must exit 0 or
+2 (argparse's own exit counts as its code), or 1 from a sweep whose members
+failed on a package error, with no other exception. An exit of 2 must leave
+every file of the data and run-directory commands as it was, and must leave
+no metrics.csv after a training command that is new, changed, or beside a
+manifest it was not written with."""
 
+import logging
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coforget import cli, driver
-from coforget.config import NOISE_KINDS, load_config
+from coforget.config import METHOD_KINDS, NOISE_KINDS, load_config
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
 
@@ -180,3 +189,128 @@ def test_export_exits_0_or_2_and_writes_no_csv_on_2(runs, draw, kind):
             assert _files(root) == before
         else:
             assert (path / "codivide_audit.csv").is_file()
+
+
+# free text without decimal digits, so that no size field gets a large int
+free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+# in-domain values keep a run to a few hundred samples and a few epochs;
+# --override and --set values are YAML, so the free text may be anything
+RUN_FIELDS = {
+    "dataset.classes": st.one_of(st.integers(2, 4), bad_ints),
+    "dataset.per_class": st.one_of(st.integers(1, 30), bad_ints),
+    "dataset.test_per_class": st.one_of(st.integers(0, 5), bad_ints),
+    "dataset.dim": st.one_of(st.integers(1, 4), bad_ints),
+    "dataset.spread": floats,
+    "noise.kind": st.sampled_from([*NOISE_KINDS, "bogus"]),
+    "noise.eta": floats,
+    "oracle.embed_dim": st.one_of(st.integers(1, 8), bad_ints),
+    "oracle.accuracy": floats,
+    "optim.lr_scratch": floats,
+    "optim.lr_embed": floats,
+    "optim.batch_size": st.one_of(st.integers(8, 64), bad_ints),
+    "schedule.max_epoch": st.one_of(st.integers(1, 6), bad_ints),
+    "schedule.warmup": st.one_of(st.integers(0, 4), bad_ints),
+    "schedule.start_unlearn": st.one_of(st.integers(1, 6), bad_ints),
+    "schedule.unlearn_period": st.one_of(st.integers(1, 3), bad_ints),
+    "schedule.encoder_unfreeze": st.one_of(st.integers(0, 6), bad_ints),
+    "method.kind": st.sampled_from([*METHOD_KINDS, "bogus"]),
+    "method.unlearning": st.sampled_from(["true", "false", "maybe"]),
+    "method.p_low": floats,
+    "method.t_unl": floats,
+    "run.seed": seeds,
+    "bogus.field": st.integers(0, 3),
+}
+FUZZ_RUNS = settings(max_examples=100, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """quick.yaml with 20 samples a class and 8 epochs that still select,
+    forget and co-teach."""
+    cfg = yaml.safe_load(QUICK.read_text())
+    cfg["dataset"]["per_class"] = 20
+    cfg["schedule"] = {"max_epoch": 8, "warmup": 2, "start_unlearn": 4, "encoder_unfreeze": 4,
+                       "unlearn_period": 2, "unlearn_duration": 1}
+    path = tmp_path_factory.mktemp("config") / "small.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def _run_values(draw, key):
+    # free text one time in four
+    return draw(st.one_of(*[RUN_FIELDS[key]] * 3, free_text), label=key)
+
+
+def _no_new_metrics(root, before):
+    """After an exit of 2: every metrics.csv under root was there before, as
+    it was, beside the manifest it was written with, so a run that had begun
+    took the one it found away."""
+    for metrics in root.rglob("metrics.csv"):
+        manifest = metrics.parent / "manifest.json"
+        assert before.get(metrics) == metrics.read_bytes()
+        assert before.get(manifest) == manifest.read_bytes()
+
+
+@FUZZ_RUNS
+@given(draw=st.data(), target=st.sampled_from(["new", "completed-run", "under-a-file"]))
+def test_train_exits_0_or_2_and_leaves_no_stale_metrics(runs, small, draw, target):
+    keys = draw.draw(st.lists(st.sampled_from(sorted(RUN_FIELDS)), unique=True, max_size=3),
+                     label="keys")
+    overrides = [f"--override={key}={_run_values(draw.draw, key)}" for key in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "F").write_text("a file\n")
+        if target == "completed-run":
+            shutil.copytree(runs / "coforget", root / "run")
+        out = root / "F" / "run" if target == "under-a-file" else root / "run"
+        before = _files(root)
+        code = _exit_code(["train", "--config", str(small), *overrides, "--outdir", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            _no_new_metrics(root, before)
+        else:
+            assert (out / "metrics.csv").is_file()
+
+
+class _Failures(logging.Handler):
+    """Records the coforget log's failed sweep members."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        if "sweep member" in record.getMessage():
+            self.records.append(record)
+
+
+@FUZZ_RUNS
+@given(draw=st.data(), target=st.sampled_from(["new", "under-a-file"]))
+def test_sweep_exits_0_2_or_1_with_failed_members(small, draw, target):
+    keys = draw.draw(st.lists(st.sampled_from(sorted(RUN_FIELDS)), unique=True, max_size=2),
+                     label="axes")
+    sets = [f"--set={key}=" + ",".join(str(_run_values(draw.draw, key))
+                                       for _ in range(draw.draw(st.integers(1, 2), label="n")))
+            for key in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "F").write_text("a file\n")
+        out = root / "F" / "sw" if target == "under-a-file" else root / "sw"
+        failures = _Failures()
+        logger = logging.getLogger("coforget")
+        logger.addHandler(failures)
+        try:
+            # one usable CPU: members run in this process, and none is forked
+            with mock.patch.object(cli, "usable_cpus", lambda: 1):
+                code = _exit_code(["sweep", "--config", str(small), *sets, "--outdir", str(out)])
+        finally:
+            logger.removeHandler(failures)
+        assert code in (0, 1, 2)
+        # a member fails only on a package error, whose log line has no traceback
+        assert not any(record.exc_info for record in failures.records)
+        assert (code == 1) == bool(failures.records)
+        if code == 2:
+            _no_new_metrics(root, {})
+        elif code == 0:
+            members = cli.sweep_grid([s.removeprefix("--set=") for s in sets])
+            assert len(list(out.glob("*/metrics.csv"))) == len(members)

@@ -527,3 +527,16 @@ class TestMultiRunReport:
         empty.mkdir()
         with pytest.raises(IngestionError):
             report.write_report([empty], tmp_path / "rep")
+
+    def test_two_runs_with_one_run_id_exit_2_naming_both(self, quick_runs, tmp_path, capsys):
+        """Two sweeps' `seed=1` members share a directory name, which is the
+        run id every report row carries."""
+        first, second = tmp_path / "a" / "seed=1", tmp_path / "b" / "seed=1"
+        for run_dir, arm in ((first, "unl-on"), (second, "unl-off")):
+            run_dir.parent.mkdir()
+            _copy_run(quick_runs[arm], run_dir)
+        rep = tmp_path / "rep"
+        assert cli.main(["report", str(first), str(second), "--out", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert f"run directories {first} and {second} share the run id seed=1" in err
+        assert not rep.exists()
