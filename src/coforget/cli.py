@@ -40,17 +40,13 @@ def _class_list(text: str) -> list:
 def _flag_config(args) -> RunConfig:
     """The RunConfig of a data command: each parsed value whose dest is a
     section.field sets that field, and the sections so set are checked by
-    their config table rows. A rejected value is named by its option."""
+    their config table rows."""
     cfg = RunConfig()
     values = {name: value for name, value in vars(args).items() if "." in name}
     for name, value in values.items():
         section, key = name.split(".")
         setattr(getattr(cfg, section), key, value)
-    try:
-        validate_config(cfg, dict.fromkeys(name.split(".")[0] for name in values))
-    except ConfigurationError as exc:
-        flag = next((a.option_strings[0] for a in args.parser._actions if a.dest == exc.field), None)
-        raise ConfigurationError(f"{flag}: {exc}" if flag else str(exc)) from None
+    validate_config(cfg, dict.fromkeys(name.split(".")[0] for name in values))
     return cfg
 
 
@@ -305,7 +301,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except PACKAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a data command's error names first the option that set the field at fault
+        field = getattr(exc, "field", None)
+        flag = next((a.option_strings[0] for a in (args.parser._actions if "parser" in args else ())
+                     if a.dest == field), None)
+        print(f"error: {flag + ': ' if flag else ''}{exc}", file=sys.stderr)
         return 2
 
 

@@ -77,7 +77,7 @@ def gmm_log_likelihoods(values, iterates) -> np.ndarray:
     return out
 
 
-def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLOOR) -> GmmFit:
+def fit_gmm_1d(losses) -> GmmFit:
     """EM fit of two Gaussians to a loss array; the low-mean component is
     treated as the clean one. Losses are min-max normalized first; a fully
     degenerate array (all values equal) yields 0.5 posteriors everywhere.
@@ -94,7 +94,7 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
         return GmmFit(
             weights=np.array([0.5, 0.5]),
             means=np.zeros(2),
-            variances=np.full(2, var_floor),
+            variances=np.full(2, GMM_VAR_FLOOR),
             clean_posterior=np.full(n, 0.5),
             normalized=np.zeros(n),
             iterates=np.empty((0, 6)),
@@ -106,10 +106,10 @@ def fit_gmm_1d(losses, max_iter=GMM_MAX_ITER, tol=GMM_TOL, var_floor=GMM_VAR_FLO
     mu0 = np.percentile(norm, [10.0, 90.0])
     if mu0[0] == mu0[1]:
         mu0 = np.array([0.0, 1.0])
-    var0 = np.full(2, max(float(norm.var()), var_floor))
+    var0 = np.full(2, max(float(norm.var()), GMM_VAR_FLOOR))
     pi0 = np.array([0.5, 0.5])
     pi, mu, var, resp0, iterates, n_iter = kernels.gmm_em_1d(
-        norm, pi0, mu0, var0, max_iter, tol, var_floor
+        norm, pi0, mu0, var0, GMM_MAX_ITER, GMM_TOL, GMM_VAR_FLOOR
     )
     if mu[0] == mu[1]:
         clean_post = np.full(n, 0.5)
@@ -183,8 +183,6 @@ def mixup(x_i, y_i, x_j, y_j, alpha, rng):
     lambda ~ Beta(alpha, alpha) folded to [0.5, 1] so the first argument
     dominates; one draw covers the whole batch.
     """
-    if alpha <= 0:
-        raise InputError(f"mixup alpha must be > 0, got {alpha}")
     rng = np.random.default_rng(rng)
     lam = float(rng.beta(alpha, alpha))
     lam = max(lam, 1.0 - lam)
@@ -291,8 +289,6 @@ def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, c
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    if pool_ids.shape[0] == 0:
-        raise InputError("training pool is empty")
     w_scratch, w_embed = (fit_gmm_1d(learner.losses(pool_ids, observed)).clean_posterior
                           for learner in (scratch, embed))
     labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)

@@ -100,27 +100,16 @@ def class_centroids(ds: Dataset) -> np.ndarray:
 
 def symmetric_matrix(n_classes: int, eta: float) -> np.ndarray:
     """1-eta on the diagonal, eta spread uniformly over the other classes."""
-    if not (0.0 <= eta < 1.0) or n_classes < 2:
-        raise InputError(f"need 0 <= eta < 1 and n_classes >= 2, got eta={eta}, C={n_classes}")
     t = np.full((n_classes, n_classes), eta / (n_classes - 1))
     np.fill_diagonal(t, 1.0 - eta)
     return t
 
 
 def asymmetric_matrix(n_classes: int, eta: float, pair_map) -> np.ndarray:
-    """All noise mass flows to one designated confusable class per class."""
-    if not (0.0 <= eta < 1.0) or n_classes < 2:
-        raise InputError(f"need 0 <= eta < 1 and n_classes >= 2, got eta={eta}, C={n_classes}")
-    pair_map = list(pair_map)
-    if len(pair_map) != n_classes:
-        raise InputError(f"pair_map must name a target for each of {n_classes} classes")
-    t = np.zeros((n_classes, n_classes))
-    for i, j in enumerate(pair_map):
-        j = int(j)
-        if j == i or not (0 <= j < n_classes):
-            raise InputError(f"pair_map[{i}]={j} must be a different valid class")
-        t[i, i] = 1.0 - eta
-        t[i, j] += eta
+    """All noise mass flows to one designated confusable class per class:
+    pair_map[i], another class, takes eta of class i's row."""
+    t = np.eye(n_classes) * (1.0 - eta)
+    t[np.arange(n_classes), pair_map] = eta
     return t
 
 

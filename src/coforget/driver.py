@@ -157,14 +157,27 @@ def build_dataset(cfg: RunConfig) -> data.Dataset:
 
 def noise_matrix(ncfg, n_classes: int):
     """The transition matrix a noise section draws observed labels from (the
-    identity without noise); None for instance noise, which has none."""
+    identity without noise); None for instance noise, which has none.
+    Symmetric and asymmetric noise need two classes (only a file dataset can
+    have fewer), and noise.pair_map another class for each class."""
     if ncfg.kind == "none":
         return np.eye(n_classes)
+    if ncfg.kind == "instance":
+        return None
+    if n_classes < 2:
+        raise ConfigurationError(f"noise.kind {ncfg.kind!r} needs a dataset of >= 2 classes, "
+                                 f"got {n_classes}", field="noise.kind")
     if ncfg.kind == "symmetric":
         return data.symmetric_matrix(n_classes, ncfg.eta)
-    if ncfg.kind == "asymmetric":
-        return data.asymmetric_matrix(n_classes, ncfg.eta, ncfg.pair_map)
-    return None
+    if len(ncfg.pair_map) != n_classes:
+        raise ConfigurationError(f"noise.pair_map must name a class for each of the dataset's "
+                                 f"{n_classes} classes, got {show_value(ncfg.pair_map)}",
+                                 field="noise.pair_map")
+    for i, j in enumerate(ncfg.pair_map):
+        if j == i or not 0 <= j < n_classes:
+            raise ConfigurationError(f"noise.pair_map[{i}] must be another class in "
+                                     f"[0, {n_classes}), got {show_value(j)}", field="noise.pair_map")
+    return data.asymmetric_matrix(n_classes, ncfg.eta, ncfg.pair_map)
 
 
 def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
@@ -176,6 +189,16 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
                 f"oracle file has {table.n_classes} classes, dataset has {ds.n_classes}"
             )
         return table
+    # the predicted class holds the confidence, so it must beat chance to be the argmax
+    chance = 1.0 / ds.n_classes
+    if not chance <= ocfg.accuracy <= 1.0:
+        raise ConfigurationError(f"oracle.accuracy must be in [1/C, 1] = [{chance:.4f}, 1] for the "
+                                 f"dataset's {ds.n_classes} classes, got {show_value(ocfg.accuracy)}",
+                                 field="oracle.accuracy")
+    if not chance < ocfg.confidence < 1.0:
+        raise ConfigurationError(f"oracle.confidence must be in (1/C, 1) = ({chance:.4f}, 1) for the "
+                                 f"dataset's {ds.n_classes} classes, got {show_value(ocfg.confidence)}",
+                                 field="oracle.confidence")
     return oracle.synthetic_oracle(
         ds, ocfg.accuracy, ocfg.confidence, _section_seed(ocfg.seed, cfg.run.seed, "oracle")
     )
@@ -254,6 +277,10 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     ds = build_dataset(cfg)
     if ds.test_ids().shape[0] == 0:
         raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
+    # blobs have per_class >= 1 train rows; a file may have none
+    if ds.train_ids().shape[0] == 0:
+        raise ConfigurationError(f"dataset.path {cfg.dataset.path}: runs need train rows, "
+                                 "the file has none", field="dataset.path")
     _check_array_sizes(cfg, ds)
     naive = cfg.method.kind == "naive-ce"
     if not naive and cfg.oracle.embed_dim < ds.n_classes:
@@ -277,10 +304,12 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         with replacing(out_path / "manifest.json", "w", newline="\n") as fh:
             fh.write(json.dumps(manifest, indent=2) + "\n")
 
-    if naive:
-        metrics, learners, forget_log = _run_naive(cfg, ds)
-    else:
-        metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path)
+    # a diverging step overflows to inf or nan quietly; _check_finite names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if naive:
+            metrics, learners, forget_log = _run_naive(cfg, ds)
+        else:
+            metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path)
 
     best, last = best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
     if out_path is not None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .errors import InputError
 
 KL_LOG_HEADER = "epoch,network,n_du,kl_before,kl_after"
 
@@ -27,10 +26,6 @@ class UnlearnBatchPlan:
 
 
 def make_unlearn_plan(target_ids, batch_size, t_unl, rng) -> UnlearnBatchPlan:
-    if batch_size < 1:
-        raise InputError(f"unlearning batch size must be >= 1, got {batch_size}")
-    if t_unl <= 0:
-        raise InputError(f"t_unl must be > 0, got {t_unl}")
     ids = np.asarray(sorted(target_ids), dtype=np.int64)
     if ids.shape[0]:
         ids = ids[np.random.default_rng(rng).permutation(ids.shape[0])]

@@ -238,10 +238,6 @@ class OptimizerState:
 
 
 def make_optimizer(arch, lr, momentum, weight_decay, decay_epoch, decay_factor=0.1):
-    if not (0.0 <= momentum < 1.0):
-        raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-    if lr <= 0 or weight_decay < 0:
-        raise ConfigurationError("learning rate must be > 0 and weight decay >= 0")
     return OptimizerState(
         lr=float(lr),
         momentum=float(momentum),

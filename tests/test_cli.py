@@ -264,8 +264,7 @@ class TestMakeData:
             rc = cli.main(["make-data", "--spread", "1e308", "--per-class", "5", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "dataset.spread 1e+308 makes features that are not finite" in err
-        assert "Traceback" not in err
+        assert err == "error: --spread: dataset.spread 1e+308 makes features that are not finite\n"
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("flag, value", [("--classes", "100000000000"),
@@ -330,8 +329,16 @@ class TestMakeData:
         (["--eta", "1"], "--eta: noise.eta must be in [0, 1), got 1.0"),
         (["--noise", "asymmetric"],
          "--pair-map: noise.pair_map must be a list when noise.kind = asymmetric, got None"),
+        # the class count a pair map must match is the dataset's, checked as it is built
+        (["--noise", "asymmetric", "--pair-map", "1,2"],
+         "--pair-map: noise.pair_map must name a class for each of the dataset's 3 classes, "
+         "got [1, 2]"),
+        (["--noise", "asymmetric", "--pair-map", "1,0,2"],
+         "--pair-map: noise.pair_map[2] must be another class in [0, 3), got 2"),
+        (["--noise", "asymmetric", "--pair-map", "1,2,3"],
+         "--pair-map: noise.pair_map[2] must be another class in [0, 3), got 3"),
     ], ids=["seed", "noise-seed", "classes", "per-class", "test-per-class", "dim", "spread", "eta",
-            "pair-map"])
+            "pair-map", "pair-map-too-short", "pair-map-self-target", "pair-map-past-the-classes"])
     def test_rejected_flag_is_named_with_its_field(self, tmp_path, capsys, argv, message):
         out = tmp_path / "data" / "ds.csv"
         assert cli.main(["make-data", *argv, "--out", str(out)]) == 2
@@ -427,7 +434,15 @@ class TestMakeOracle:
         (["--accuracy", "nan"], "--accuracy: oracle.accuracy must be finite, got nan"),
         (["--confidence", "inf"], "--confidence: oracle.confidence must be finite, got inf"),
         (["--data", ""], "--data: dataset.path must be set when dataset.kind = file, got ''"),
-    ], ids=["accuracy", "confidence", "data"])
+        # chance, 1/C, is the dataset's, checked as the oracle is built
+        (["--accuracy", "0.2"], "--accuracy: oracle.accuracy must be in [1/C, 1] = [0.3333, 1] "
+         "for the dataset's 3 classes, got 0.2"),
+        (["--confidence", "0.3"], "--confidence: oracle.confidence must be in (1/C, 1) = "
+         "(0.3333, 1) for the dataset's 3 classes, got 0.3"),
+        (["--confidence", "1"], "--confidence: oracle.confidence must be in (1/C, 1) = "
+         "(0.3333, 1) for the dataset's 3 classes, got 1.0"),
+    ], ids=["accuracy", "confidence", "data", "accuracy-below-chance", "confidence-at-chance",
+            "confidence-at-1"])
     def test_rejected_flag_is_named_with_its_field(self, tmp_path, capsys, argv, message):
         ds_path = tmp_path / "ds.csv"
         assert cli.main(["make-data", "--per-class", "5", "--out", str(ds_path)]) == 0
@@ -598,6 +613,72 @@ class TestTrainAndReport:
         assert rc == 2
         assert "dataset.spread 1e+308 makes features that are not finite" in capsys.readouterr().err
         assert not (tmp_path / "sp").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["noise.kind=asymmetric", "noise.pair_map=[1, 2]"],
+         "noise.pair_map must name a class for each of the dataset's 3 classes, got [1, 2]"),
+        (["noise.kind=asymmetric", "noise.pair_map=[1, 0, 2]"],
+         "noise.pair_map[2] must be another class in [0, 3), got 2"),
+        (["oracle.accuracy=0.2"],
+         "oracle.accuracy must be in [1/C, 1] = [0.3333, 1] for the dataset's 3 classes, got 0.2"),
+        (["oracle.confidence=0.3"], "oracle.confidence must be in (1/C, 1) = (0.3333, 1) "
+         "for the dataset's 3 classes, got 0.3"),
+    ], ids=["pair-map-too-short", "pair-map-self-target", "accuracy-below-chance",
+            "confidence-at-chance"])
+    def test_rules_of_the_dataset_as_built_exit_2_naming_the_field(self, tmp_path, capsys,
+                                                                    overrides, message):
+        rc = cli.main(["train", "--config", str(QUICK), *(f"--override={o}" for o in overrides),
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, pair_map", [("symmetric", None), ("asymmetric", [0])],
+                             ids=["symmetric", "asymmetric"])
+    def test_noise_on_a_one_class_file_dataset_exits_2_naming_noise_kind(self, tmp_path, capsys,
+                                                                          kind, pair_map):
+        labels = np.zeros(12, np.int64)
+        ds_path = tmp_path / "ds.csv"
+        data.save_dataset(data.Dataset(np.ones((12, 2)), labels, labels.copy(),
+                                       np.arange(12) >= 9, 1), ds_path)
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path),
+                                       "noise.kind": kind, "noise.pair_map": pair_map})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: noise.kind {kind!r} needs a dataset of >= 2 classes, got 1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method", ["coforget", "naive-ce"])
+    def test_dataset_file_without_train_rows_exits_2_before_the_run_dir(self, tmp_path, capsys,
+                                                                         method):
+        full = data.load_dataset(self._file_dataset(tmp_path, 4))
+        test = full.test_ids()
+        ds_path = tmp_path / "test-only.csv"
+        data.save_dataset(data.Dataset(full.features[test], full.true_labels[test],
+                                       full.observed_labels[test], full.is_test[test],
+                                       full.n_classes), ds_path)
+        capsys.readouterr()
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path),
+                                       "method.kind": method})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: dataset.path {ds_path}: runs need train rows, the file has none\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method, theta", [("coforget", "theta_scratch"), ("naive-ce", "theta")],
+                             ids=["coforget", "naive-ce"])
+    def test_diverging_run_prints_its_error_alone(self, tmp_path, method, theta):
+        """numpy's overflow warnings of a diverging step would come first."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "coforget", "train", "--config", str(QUICK),
+             "--override", "optim.lr_scratch=1.0e+300", "--override", f"method.kind={method}",
+             "--outdir", str(tmp_path / "run")],
+            env=cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: non-finite values in {theta} at epoch 1; aborting run\n"
 
     def test_unknown_activation_exits_2_before_the_run_dir(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(QUICK), "--override", "net_scratch.activation=sigmoid",

@@ -157,10 +157,6 @@ class TestMixup:
         _, y_hat, _ = coteach.mixup(np.zeros((10, 2)), y_i, np.ones((10, 2)), y_j, 4.0, rng)
         np.testing.assert_allclose(y_hat.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(InputError):
-            coteach.mixup(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.0, 0)
-
 
 class TestPhaseLosses:
     """Closed forms of the reference phase losses (tests/reference.py)."""

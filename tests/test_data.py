@@ -110,10 +110,6 @@ class TestTransitionMatrices:
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(t >= 0)
 
-    def test_self_pair_rejected(self):
-        with pytest.raises(InputError):
-            data.asymmetric_matrix(3, 0.3, [0, 2, 1])
-
 
 class TestInjection:
     def test_identity_matrix_changes_nothing(self):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coforget import data, net, oracle
-from coforget.errors import IngestionError, InputError
+from coforget.errors import IngestionError
 from test_data import PACKAGE_ERRORS, damaged
 
 
@@ -42,14 +42,6 @@ class TestSyntheticOracle:
         t2 = oracle.synthetic_oracle(blob_ds, 0.7, 0.6, 7)
         assert np.array_equal(t1.probs, t2.probs)
 
-    def test_parameter_ranges_enforced(self, blob_ds):
-        with pytest.raises(InputError):
-            oracle.synthetic_oracle(blob_ds, 0.1, 0.6, 0)  # below chance
-        with pytest.raises(InputError):
-            oracle.synthetic_oracle(blob_ds, 0.7, 0.2, 0)  # confidence below chance
-        with pytest.raises(InputError):
-            oracle.synthetic_oracle(blob_ds, 0.7, 1.0, 0)
-
 
 class TestEmbeddings:
     def test_deterministic(self, blob_ds):
@@ -63,11 +55,6 @@ class TestEmbeddings:
         emb = oracle.oracle_embeddings(blob_ds, table, 11, 3)
         assert emb.shape == (blob_ds.n, 11)
         assert np.all(np.isfinite(emb))
-
-    def test_width_below_class_count_rejected(self, blob_ds):
-        table = oracle.synthetic_oracle(blob_ds, 0.9, 0.8, 1)
-        with pytest.raises(InputError):
-            oracle.oracle_embeddings(blob_ds, table, 3, 0)
 
     def test_probe_on_embeddings_beats_raw_features(self):
         # overlapping blobs: raw features are ambiguous, a strong oracle's
