@@ -4,11 +4,17 @@ Each compiled kernel keeps its original Python source on .py_func, so both
 paths run in one process. Shapes mirror a real desk run (batch 128, an
 8-32-32-3 scratch net, a 16-32-16-3 embedding net, 900-sample GMM fits).
 
+The gmm_pair case times the co-divide's fit pairs of desk.yaml seed 1 (115
+co-teaching epochs, two fits each), per pair: both fits in this process,
+and the embed net's in a forked helper process while this one runs the
+scratch net's, as a run does when a second CPU is free.
+
 Usage:
     python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
 
 --json writes {"backend", "numpy", "python", "cases": {case: {"jit_us",
-"python_us"}}} to PATH as well as printing the table.
+"python_us"}}} to PATH as well as printing the table; the gmm_pair case
+holds {"serial_us", "helper_us"}.
 
 Run with COFORGET_DISABLE_NUMBA=1 to confirm the fallback is the only path;
 the two columns then match.
@@ -18,11 +24,14 @@ import argparse
 import json
 import platform
 import time
+from pathlib import Path
 
 import numpy as np
 
-from coforget import kernels
+from coforget import config, coteach, driver, kernels, util
 from coforget.net import Architecture, init_params
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
 
 
 def timeit(fn, args, repeats):
@@ -39,6 +48,49 @@ def bench_case(results, name, fn, args, repeats):
     ratio = slow / fast if fast > 0 else float("inf")
     print(f"{name:<38} {fast * 1e6:>10.1f} {slow * 1e6:>10.1f} {ratio:>8.1f}x")
     results[name] = {"jit_us": fast * 1e6, "python_us": slow * 1e6}
+
+
+def desk_fit_pairs():
+    """The (scratch, embed) losses of each co-teaching epoch's GMM fits in
+    desk.yaml seed 1, from a run that fits both in this process."""
+    fits, fit, cpus = [], coteach.fit_gmm_1d, util.usable_cpus
+
+    def record(losses):
+        fits.append(np.array(losses))
+        return fit(losses)
+
+    coteach.fit_gmm_1d, util.usable_cpus = record, lambda: 1
+    try:
+        driver.run(config.load_config(DESK, ["run.seed=1"]))
+    finally:
+        coteach.fit_gmm_1d, util.usable_cpus = fit, cpus
+    return list(zip(fits[0::2], fits[1::2]))
+
+
+def bench_pairs(results, pairs, passes):
+    """Time every pair both ways, alternating, `passes` times after one
+    untimed pass each."""
+    def serial():
+        for scratch, embed in pairs:
+            coteach.clean_posteriors(scratch, embed)
+
+    with util.forked_server(coteach.clean_posterior) as submit:
+        def helper():
+            for scratch, embed in pairs:
+                coteach.clean_posteriors(scratch, embed, submit)
+
+        took = {serial: 0.0, helper: 0.0}
+        for fn in took:
+            fn()
+        for _ in range(passes):
+            for fn in took:
+                start = time.perf_counter()
+                fn()
+                took[fn] += time.perf_counter() - start
+    serial_us, helper_us = (t / passes / len(pairs) * 1e6 for t in took.values())
+    print(f"{f'gmm pair, desk seed 1 ({len(pairs)} pairs)':<38} {serial_us:>10.1f} "
+          f"{helper_us:>10.1f} {serial_us / helper_us:>8.2f}x  (serial us, helper us)")
+    results["gmm_pair"] = {"serial_us": serial_us, "helper_us": helper_us}
 
 
 def main():
@@ -95,6 +147,7 @@ def main():
     bench_case(
         results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
     )
+    bench_pairs(results, desk_fit_pairs(), max(args.repeats // 400, 1))
 
     if args.json:
         doc = {

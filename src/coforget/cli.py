@@ -85,10 +85,13 @@ def cmd_make_oracle(args) -> int:
     cfg = _flag_config(args)
     out = _output_file(args.out)
     ds = driver.build_dataset(cfg)
+    train = ds.train_ids()
+    if train.shape[0] == 0:
+        raise ConfigurationError(f"dataset.path {cfg.dataset.path}: no train rows to measure the "
+                                 "oracle's accuracy on", field="dataset.path")
     table = driver.build_oracle(cfg, ds)
     out.parent.mkdir(parents=True, exist_ok=True)
     oracle.save_oracle_file(table, out)
-    train = ds.train_ids()
     acc = float((table.argmax()[train] == ds.true_labels[train]).mean())
     print(f"wrote {out} (empirical train accuracy {acc:.4f})")
     return 0

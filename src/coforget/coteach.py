@@ -130,6 +130,22 @@ def fit_gmm_1d(losses) -> GmmFit:
     )
 
 
+def clean_posterior(losses) -> np.ndarray:
+    """What the co-divide takes of a fit: fit_gmm_1d(losses).clean_posterior."""
+    return fit_gmm_1d(losses).clean_posterior
+
+
+def clean_posteriors(scratch_losses, embed_losses, submit=None) -> tuple:
+    """(w_scratch, w_embed), the clean_posterior of each net's losses. With
+    submit, the value of util.forked_server(clean_posterior), the embed
+    net's fit runs in that helper process while this process runs the
+    scratch net's; without it, both run here."""
+    if submit is None:
+        return clean_posterior(scratch_losses), clean_posterior(embed_losses)
+    embed_fit = submit(embed_losses)
+    return clean_posterior(scratch_losses), embed_fit()
+
+
 # ---------------------------------------------------------------------------
 # co-divide and pseudo-labels
 # ---------------------------------------------------------------------------
@@ -279,18 +295,19 @@ def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids,
 
 
 def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, cfg: RunConfig,
-                  rng) -> CoteachResult:
+                  rng, submit=None) -> CoteachResult:
     """One epoch of cross-network training on the current pool; rebinds the
     theta and opt of each learner it updates.
 
     The GMM co-divide runs on each network's per-sample cross-entropy of the
     observed labels of pool_ids under its current parameters, which
-    ``Learner.losses`` evaluates only when they are not the last it gave.
+    ``Learner.losses`` evaluates only when they are not the last it gave;
+    submit, if given, takes the embed net's fit (see clean_posteriors).
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    w_scratch, w_embed = (fit_gmm_1d(learner.losses(pool_ids, observed)).clean_posterior
-                          for learner in (scratch, embed))
+    w_scratch, w_embed = clean_posteriors(
+        *(learner.losses(pool_ids, observed) for learner in (scratch, embed)), submit)
     labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
 
     onehot = np.eye(scratch.arch.n_classes)[observed]

@@ -20,6 +20,7 @@ last epoch the filled rows are written, as they are, as codivide_audit.npy.
 ``coforget export`` makes the CSV of it.
 """
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coteach, data, forget, kernels, net, oracle, selection
+from . import __version__, coteach, data, forget, kernels, net, oracle, selection, util
 from .config import RunConfig, show_value, validate_config
 from .errors import ConfigurationError, StateError
 from .util import format_rows, output_dir, replacing, rng_for, write_csv, write_npy
@@ -275,14 +276,23 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     validate_config(cfg)
     out_path = output_dir(out_dir) if out_dir is not None else None
     ds = build_dataset(cfg)
+    naive = cfg.method.kind == "naive-ce"
     if ds.test_ids().shape[0] == 0:
-        raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)")
-    # blobs have per_class >= 1 train rows; a file may have none
-    if ds.train_ids().shape[0] == 0:
+        if cfg.dataset.kind == "file":
+            raise ConfigurationError(f"dataset.path {cfg.dataset.path}: runs need test rows, "
+                                     "the file has none", field="dataset.path")
+        raise ConfigurationError("runs need a test split (dataset.test_per_class >= 1)",
+                                 field="dataset.test_per_class")
+    # blobs have per_class >= 1 train rows of >= 2 classes; a file may have fewer
+    n_train = ds.train_ids().shape[0]
+    if n_train == 0:
         raise ConfigurationError(f"dataset.path {cfg.dataset.path}: runs need train rows, "
                                  "the file has none", field="dataset.path")
+    # co-divide fits a two-component GMM to the pool's losses
+    if n_train == 1 and not naive:
+        raise ConfigurationError(f"dataset.path {cfg.dataset.path}: co-divide needs >= 2 train "
+                                 "rows, the file has 1", field="dataset.path")
     _check_array_sizes(cfg, ds)
-    naive = cfg.method.kind == "naive-ce"
     if not naive and cfg.oracle.embed_dim < ds.n_classes:
         raise ConfigurationError(f"oracle.embed_dim must be >= the dataset's {ds.n_classes} "
                                  f"classes, got {show_value(cfg.oracle.embed_dim)}")
@@ -309,7 +319,12 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         if naive:
             metrics, learners, forget_log = _run_naive(cfg, ds)
         else:
-            metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path)
+            # with a CPU to spare, a helper process fits the embed net's GMMs
+            helper = (util.forked_server(coteach.clean_posterior) if util.usable_cpus() >= 2
+                      else contextlib.nullcontext())
+            with helper as submit:
+                metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path,
+                                                              submit)
 
     best, last = best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
     if out_path is not None:
@@ -341,7 +356,7 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
-                  out_path) -> tuple:
+                  out_path, submit) -> tuple:
     seed = cfg.run.seed
     sched, method = cfg.schedule, cfg.method
     # both dataset kinds number train samples 0..n_train-1, so ids index train arrays
@@ -405,8 +420,9 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                     "epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
                     k, len(sets.targets_scratch), len(sets.targets_embed), current_pool.shape[0],
                 )
-                if current_pool.shape[0] == 0:
-                    raise StateError(f"selection at epoch {k} left an empty training pool")
+                if current_pool.shape[0] < 2:
+                    raise StateError(f"selection at epoch {k} left {current_pool.shape[0]} "
+                                     "training pool samples, co-divide needs >= 2")
                 if out_path is not None:
                     selection.write_selection_audit(
                         out_path / f"selection_epoch_{k:04d}.csv", train_ids, sets, audit
@@ -430,7 +446,7 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                     )
                     forget_rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
             res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, current_pool,
-                                        k, cfg, rng_for(seed, f"coteach/{k}"))
+                                        k, cfg, rng_for(seed, f"coteach/{k}"), submit)
             judged_clean = (
                 (res.w_scratch >= CLEAN_JUDGE_THRESHOLD) & (res.w_embed >= CLEAN_JUDGE_THRESHOLD)
             )

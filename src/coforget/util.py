@@ -1,6 +1,6 @@
 """Small shared helpers: seeded RNG streams, output-directory checks, a
-map over forked worker processes, and the file formats, which this module
-owns.
+map over forked worker processes, a forked helper process, and the file
+formats, which this module owns.
 
 Every table the package writes goes through write_csv and every table it
 reads through read_csv. Cells are comma-separated and unquoted, one row per
@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tokenize
+import traceback
 import warnings
 import zlib
 from pathlib import Path
@@ -55,12 +56,38 @@ def output_dir(path) -> Path:
     return path
 
 
+# a pool_map worker's share of its parent's usable CPUs, set as it starts
+_cpu_share = None
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the platform
-    reports one (Linux), else every CPU."""
+    reports one (Linux), else every CPU. In a pool_map worker, its share of
+    its parent's: those CPUs // jobs, at least 1."""
+    if _cpu_share is not None:
+        return _cpu_share
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _take_cpu_share(share: int) -> None:
+    global _cpu_share
+    _cpu_share = share
+
+
+@contextlib.contextmanager
+def _forking():
+    """The block in which pool_map and forked_server fork their children.
+    Python 3.12+ warns (DeprecationWarning) from os.fork when this process
+    has other OS threads, and numpy's OpenBLAS keeps a pool of them.
+    OpenBLAS shuts that pool down before a fork (a pthread_atfork handler),
+    so a child inherits none of its locks. The warning is ignored here and
+    only here: where warnings show, it would print once per child."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        yield
 
 
 def pool_map(fn, items, jobs: int):
@@ -71,11 +98,12 @@ def pool_map(fn, items, jobs: int):
     process. Otherwise `jobs` forked worker processes run the items (fn must
     be module-level, items and results picklable) and each callable hands
     back a finished result; a worker's exception carries its remote
-    traceback as __cause__. A worker that dies (a segfault, the OOM killer)
-    fails its item and every unfinished one with StateError. Once the
-    generator returns, raises or is closed, the items not yet started are
-    cancelled and every worker has exited; a caller that may stop early
-    (a KeyboardInterrupt, even one raised by an item) closes it.
+    traceback as __cause__. Each worker's usable_cpus() is its share of this
+    process's. A worker that dies (a segfault, the OOM killer) fails its
+    item and every unfinished one with StateError. Once the generator
+    returns, raises or is closed, the items not yet started are cancelled
+    and every worker has exited; a caller that may stop early (a
+    KeyboardInterrupt, even one raised by an item) closes it.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -94,18 +122,13 @@ def pool_map(fn, items, jobs: int):
     # a forked worker inherits unwritten buffers, and would write them again
     sys.stdout.flush()
     sys.stderr.flush()
-    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_take_cpu_share,
+                               initargs=(max(usable_cpus() // jobs, 1),))
     try:
         futures = []
-        # Python 3.12+ warns (DeprecationWarning) from os.fork when this
-        # process has other OS threads, and numpy's OpenBLAS keeps a pool of
-        # them. OpenBLAS shuts that pool down before a fork (a pthread_atfork
-        # handler), so a worker inherits none of its locks. The workers are
-        # forked inside submit, so the warning is ignored there and only
-        # there: where warnings show, it would print once per worker.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        # the workers are forked inside submit
+        with _forking():
             for item in items:
                 try:
                     futures.append(pool.submit(fn, item))
@@ -117,6 +140,82 @@ def pool_map(fn, items, jobs: int):
             yield future.result
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+class _RemoteTraceback(Exception):
+    """The traceback a helper's exception had there, raised as its cause."""
+
+
+@contextlib.contextmanager
+def forked_server(fn):
+    """One forked helper process that runs fn on each item this process
+    submits, while this process goes on. The block's value is submit(item):
+    it sends item (picklable, as fn's result must be) and returns a
+    zero-argument callable that waits for fn(item) and returns it, or raises
+    its exception, of the same type and message, with the helper's traceback
+    as __cause__. The helper runs items in the order submitted, and their
+    callables are called once each, in that order. A helper that dies (a
+    segfault, the OOM killer) fails the call that meets it with StateError.
+    However the block ends, the helper is stopped and has exited after it.
+
+    The helper writes nothing to stdout or stderr and leaves through
+    os._exit, so it never writes the unwritten buffers it inherits, and
+    this process need not flush them before the fork.
+    """
+    # imported here: a run that forks no helper never pays for these
+    import signal
+    from multiprocessing.connection import Pipe
+
+    ours, theirs = Pipe()
+    with ours, theirs:
+        with _forking():
+            pid = os.fork()
+        if pid == 0:  # the helper, which ends here however _serve ends
+            try:
+                ours.close()  # else its own copy would keep the pipe open once this process's is closed
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+                _serve(fn, theirs)
+            finally:
+                os._exit(0)
+        try:
+            theirs.close()
+            yield functools.partial(_submit, ours)
+        finally:
+            # it may be running an item whose reply nobody will read; it holds
+            # nothing to clean up, and SIGKILL cannot be caught or ignored
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, conn) -> None:
+    """The helper's loop: reply to each item received with (True, fn(item))
+    or (False, exception, traceback text). recv raises EOFError, which ends
+    the loop, once the parent's end of the pipe is closed."""
+    while True:
+        item = conn.recv()
+        try:
+            reply = True, fn(item)
+        except Exception as exc:  # sent back to the caller, which raises it
+            reply = False, exc, traceback.format_exc()
+        conn.send(reply)
+
+
+def _submit(conn, item):
+    try:
+        conn.send(item)
+    except OSError:
+        raise StateError("the helper process died before it took an item") from None
+    return functools.partial(_reply, conn)
+
+
+def _reply(conn):
+    try:
+        ok, value, *trace = conn.recv()
+    except (EOFError, OSError):
+        raise StateError("the helper process died before it finished an item") from None
+    if ok:
+        return value
+    raise value from _RemoteTraceback(trace[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ def test_bench_kernels_json(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"backend", "numpy", "python", "cases"}
     assert doc["backend"] in ("numpy", "numba")
+    pair = doc["cases"].pop("gmm_pair")
+    assert set(pair) == {"serial_us", "helper_us"}
+    assert pair["serial_us"] > 0 and pair["helper_us"] > 0
     assert len(doc["cases"]) == 7
     for name, case in doc["cases"].items():
         assert set(case) == {"jit_us", "python_us"}, name

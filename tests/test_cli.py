@@ -452,6 +452,18 @@ class TestMakeOracle:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "oracle").exists()
 
+    def test_dataset_without_train_rows_exits_2_naming_data(self, tmp_path, capsys):
+        """The oracle's train accuracy would be a mean of nothing."""
+        labels = np.arange(6) % 3
+        ds_path = tmp_path / "test-only.csv"
+        data.save_dataset(data.Dataset(np.ones((6, 2)), labels, labels.copy(), np.ones(6, bool), 3),
+                          ds_path)
+        out = tmp_path / "oracle" / "o.csv"
+        assert cli.main(["make-oracle", "--data", str(ds_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --data: dataset.path {ds_path}: no train rows "
+                                           "to measure the oracle's accuracy on\n")
+        assert not (tmp_path / "oracle").exists()
+
 
 class TestDataCommandOutputs:
     """--out is checked before anything is built: a target under a file or
@@ -666,6 +678,25 @@ class TestTrainAndReport:
         assert capsys.readouterr().err == \
             f"error: dataset.path {ds_path}: runs need train rows, the file has none\n"
         assert not (tmp_path / "run").exists()
+
+    def test_dataset_file_with_one_train_row_exits_2_before_the_run_dir(self, tmp_path, capsys):
+        """Co-divide fits a GMM to two or more pool losses; a naive-ce run
+        of the file trains."""
+        full = data.load_dataset(self._file_dataset(tmp_path, 4))
+        keep = np.concatenate([full.train_ids()[:1], full.test_ids()])
+        ds_path = tmp_path / "one-train-row.csv"
+        data.save_dataset(data.Dataset(full.features[keep], full.true_labels[keep],
+                                       full.observed_labels[keep], full.is_test[keep],
+                                       full.n_classes), ds_path)
+        capsys.readouterr()
+        path = write_config(tmp_path, {"dataset.kind": "file", "dataset.path": str(ds_path)})
+        rc = cli.main(["train", "--config", str(path), "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: dataset.path {ds_path}: co-divide needs >= 2 train rows, the file has 1\n"
+        assert not (tmp_path / "run").exists()
+        assert cli.main(["train", "--config", str(path), "--override", "method.kind=naive-ce",
+                         "--outdir", str(tmp_path / "naive")]) == 0
 
     @pytest.mark.parametrize("method, theta", [("coforget", "theta_scratch"), ("naive-ce", "theta")],
                              ids=["coforget", "naive-ce"])

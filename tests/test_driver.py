@@ -1,16 +1,20 @@
-"""Schedule gates, warmup contract, determinism, ablation bisimulation."""
+"""Schedule gates, warmup contract, determinism, ablation bisimulation, and
+the helper process that fits the embed net's GMMs."""
 
+import dataclasses
 import hashlib
 import inspect
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coforget import cli, coteach, data, driver, forget, kernels, net, oracle, selection
+from coforget import cli, coteach, data, driver, forget, kernels, net, oracle, selection, util
 from coforget.config import RunConfig, load_config
-from coforget.errors import ConfigurationError
+from coforget.errors import ConfigurationError, StateError
 from coforget.util import fmt_float, rng_for
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.yaml"
@@ -329,9 +333,31 @@ class TestRun:
             np.testing.assert_array_equal(reference, theta)
         assert all(lrn.theta.flags.writeable for lrn in learners)
 
-    def test_missing_test_split_rejected(self):
-        with pytest.raises(ConfigurationError):
+    def test_missing_test_split_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError) as raised:
             driver.run(small_cfg(dataset__test_per_class=0))
+        assert raised.value.field == "dataset.test_per_class"
+        # a file's split is its own
+        labels = np.arange(6) % 3
+        path = tmp_path / "train-only.csv"
+        data.save_dataset(data.Dataset(np.ones((6, 2)), labels, labels.copy(), np.zeros(6, bool), 3),
+                          path)
+        with pytest.raises(ConfigurationError, match="runs need test rows") as raised:
+            driver.run(small_cfg(dataset__kind="file", dataset__path=str(path)))
+        assert raised.value.field == "dataset.path"
+
+    def test_selection_that_leaves_one_pool_sample_fails_its_epoch(self, monkeypatch):
+        """Co-divide fits a GMM to the pool's losses, which takes two."""
+        select = selection.unlearning_setup
+
+        def keep_one(*args):
+            sets, audit = select(*args)
+            return dataclasses.replace(sets, retained=sets.retained[:1]), audit
+
+        monkeypatch.setattr(selection, "unlearning_setup", keep_one)
+        with pytest.raises(StateError, match="^selection at epoch 12 left 1 training pool samples, "
+                                             "co-divide needs >= 2$"):
+            driver.run(load_config(QUICK))
 
     def test_non_finite_parameters_abort_with_epoch(self):
         from coforget.errors import StateError
@@ -590,6 +616,94 @@ class TestPoolLosses:
         assert rows.shape == (180, 8)
         assert not rows[:, drop].any()
         assert rows[:, header.index("low_loss_scratch")].any()
+
+
+def _children() -> set:
+    """The pids of this process's child processes."""
+    tasks = Path(f"/proc/{os.getpid()}/task")
+    return {int(pid) for task in tasks.iterdir() for pid in (task / "children").read_text().split()}
+
+
+def _dir_bytes(path) -> dict:
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*"))}
+
+
+class TestHelper:
+    """With a second usable CPU a run fits the embed net's GMMs in a forked
+    helper process: the same bytes as a run that fits both here, and no
+    helper outlives its run, however the run ends."""
+
+    @staticmethod
+    def _fits_here(monkeypatch, each=lambda n: None) -> list:
+        """The losses of each fit_gmm_1d call made in this process, after
+        each(number of such calls) ran; the helper inherits the wrapper but
+        counts its own calls."""
+        here, real, fits = os.getpid(), coteach.fit_gmm_1d, []
+
+        def fit(losses):
+            if os.getpid() == here:
+                fits.append(losses)
+                each(len(fits))
+            return real(losses)
+
+        monkeypatch.setattr(coteach, "fit_gmm_1d", fit)
+        return fits
+
+    @pytest.mark.parametrize("unlearning", ["true", "false"])
+    @pytest.mark.parametrize("config", ["quick", "desk"])
+    def test_helper_and_serial_runs_write_the_same_bytes(self, tmp_path, monkeypatch, config,
+                                                         unlearning):
+        cfg = load_config(QUICK.parent / f"{config}.yaml", [f"method.unlearning={unlearning}"])
+        fits = self._fits_here(monkeypatch)
+        dirs, fits_here = {}, {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            dirs[cpus] = _dir_bytes(driver.run(cfg, tmp_path / f"cpus{cpus}").out_dir)
+            fits_here[cpus] = len(fits)
+            fits.clear()
+        epochs = cfg.schedule.max_epoch - cfg.schedule.warmup
+        assert fits_here == {2: epochs, 1: 2 * epochs}
+        assert dirs[2] == dirs[1] and Path("metrics.csv") in dirs[1]
+
+    def test_helper_killed_mid_run_fails_the_run(self, tmp_path, monkeypatch):
+        here, real, calls = os.getpid(), coteach.fit_gmm_1d, []
+
+        def fit(losses):
+            if os.getpid() != here:
+                calls.append(1)  # the helper's own list
+                if len(calls) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(losses)
+
+        monkeypatch.setattr(coteach, "fit_gmm_1d", fit)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        before = _children()
+        with pytest.raises(StateError, match="helper process died"):
+            driver.run(load_config(QUICK), tmp_path / "run")
+        assert _children() == before
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt],
+                             ids=["completes", "stage-raises", "interrupted"])
+    def test_no_helper_outlives_its_run(self, monkeypatch, raised):
+        """A stage raises in this process's fit of epoch 5 of co-teaching,
+        while the helper holds that epoch's embed fit."""
+        before, alive = _children(), []
+
+        def each(n):
+            alive.append(_children() - before)
+            if raised and n == 5:
+                raise raised("stop")
+
+        self._fits_here(monkeypatch, each)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        if raised:
+            with pytest.raises(raised, match="stop"):
+                driver.run(load_config(QUICK))
+        else:
+            driver.run(load_config(QUICK))
+        assert alive and all(len(pids) == 1 for pids in alive)
+        assert _children() == before
 
 
 # SHA-256 of every file of quick.yaml seed-1 run dirs, per override, as the

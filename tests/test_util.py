@@ -2,8 +2,8 @@
 adversarial columns, the reader's faults, a differential fuzz of the dataset
 and oracle loaders against their frozen line-by-line versions, a check that
 no other module reads or writes CSV through numpy itself; the .npy record
-reader against damaged files; the forked worker-pool map; and writers that
-never leave a half-written file."""
+reader against damaged files; the forked worker-pool map and helper
+process; and writers that never leave a half-written file."""
 
 import ast
 import builtins
@@ -13,6 +13,9 @@ import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coforget import data, driver, net, oracle, util
-from coforget.errors import IngestionError, StateError
+from coforget.errors import ConfigurationError, IngestionError, StateError
 from coforget.util import fmt_float
 from test_data import BAD_CELLS, PACKAGE_ERRORS
 
@@ -469,6 +472,74 @@ class TestPoolMap:
         assert util.usable_cpus() == 7
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert util.usable_cpus() == 1
+
+    def test_worker_sees_its_share_of_the_cpus(self, monkeypatch):
+        """usable_cpus() // jobs, at least 1: with 5 CPUs, 2 workers get 2
+        each, and can each run a helper process; 3 workers get 1 each."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        shares = [outcome() for outcome in util.pool_map(_cpus_and_helper, range(4), 2)]
+        assert all(share == 2 and helper != worker for share, helper, worker in shares)
+        assert [outcome()[0] for outcome in util.pool_map(_cpus_and_helper, range(3), 3)] == [1, 1, 1]
+        assert util.usable_cpus() == 5
+        assert multiprocessing.active_children() == []
+
+
+def _cpus_and_helper(_):
+    with util.forked_server(_raise_or_pid) as submit:
+        helper = submit(0)()[1]
+    return util.usable_cpus(), helper, os.getpid()
+
+
+def _raise_or_pid(i):
+    if i < 0:
+        raise ConfigurationError(f"negative {i}", field="x")
+    return i, os.getpid()
+
+
+class TestForkedServer:
+    def test_replies_in_order_from_another_process(self):
+        with util.forked_server(_raise_or_pid) as submit:
+            replies = [submit(i) for i in range(3)]
+            outcomes = [reply() for reply in replies]
+        assert [i for i, _ in outcomes] == [0, 1, 2]
+        assert len({pid for _, pid in outcomes} | {os.getpid()}) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_exception_keeps_its_type_and_message(self):
+        with util.forked_server(_raise_or_pid) as submit:
+            with pytest.raises(ConfigurationError) as raised:
+                submit(-1)()
+            assert str(raised.value) == "negative -1" and raised.value.field == "x"
+            # with the traceback it had in the helper, which serves on
+            assert "_raise_or_pid" in str(raised.value.__cause__)
+            assert submit(4)()[0] == 4
+
+    def test_dead_helper_fails_with_state_error(self):
+        with util.forked_server(_exit_on_zero) as submit:
+            assert submit(1)() == 1
+            with pytest.raises(StateError, match="helper process died before it finished"):
+                submit(0)()
+            with pytest.raises(StateError, match="helper process died before it took"):
+                submit(1)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_busy_when_the_block_raises_is_stopped(self):
+        with pytest.raises(KeyboardInterrupt):
+            with util.forked_server(time.sleep) as submit:
+                submit(60)
+                raise KeyboardInterrupt
+        assert multiprocessing.active_children() == []
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    """multiprocessing and concurrent.futures load only when a pool or a
+    helper starts, so that neither adds to a command's start-up."""
+    code = ("import sys, coforget.cli, coforget.report; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _disk_fills(monkeypatch, prefix: str, after: int) -> list:
