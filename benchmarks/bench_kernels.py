@@ -6,8 +6,9 @@ paths run in one process. Shapes mirror a real desk run (batch 128, an
 
 The gmm_pair case times the co-divide's fit pairs of desk.yaml seed 1 (115
 co-teaching epochs, two fits each), per pair: both fits in this process,
-and the embed net's in a forked helper process while this one runs the
-scratch net's, as a run does when a second CPU is free.
+and the scratch net's in a forked helper process while this one runs the
+embed net's, as a run does when a second CPU is free (a run also trains the
+scratch net before it waits for the helper, which this case leaves out).
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
@@ -64,7 +65,8 @@ def desk_fit_pairs():
         driver.run(config.load_config(DESK, ["run.seed=1"]))
     finally:
         coteach.fit_gmm_1d, util.usable_cpus = fit, cpus
-    return list(zip(fits[0::2], fits[1::2]))
+    # each epoch fits the embed net's losses first
+    return list(zip(fits[1::2], fits[0::2]))
 
 
 def bench_pairs(results, pairs, passes):
@@ -72,12 +74,15 @@ def bench_pairs(results, pairs, passes):
     untimed pass each."""
     def serial():
         for scratch, embed in pairs:
-            coteach.clean_posteriors(scratch, embed)
+            coteach.clean_posterior(scratch)
+            coteach.clean_posterior(embed)
 
     with util.forked_server(coteach.clean_posterior) as submit:
         def helper():
             for scratch, embed in pairs:
-                coteach.clean_posteriors(scratch, embed, submit)
+                scratch_fit = submit(scratch)
+                coteach.clean_posterior(embed)
+                scratch_fit()
 
         took = {serial: 0.0, helper: 0.0}
         for fn in took:

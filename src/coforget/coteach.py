@@ -15,6 +15,7 @@ both networks the semi-supervised treatment, which is the symmetric ablation
 arm.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -133,17 +134,6 @@ def fit_gmm_1d(losses) -> GmmFit:
 def clean_posterior(losses) -> np.ndarray:
     """What the co-divide takes of a fit: fit_gmm_1d(losses).clean_posterior."""
     return fit_gmm_1d(losses).clean_posterior
-
-
-def clean_posteriors(scratch_losses, embed_losses, submit=None) -> tuple:
-    """(w_scratch, w_embed), the clean_posterior of each net's losses. With
-    submit, the value of util.forked_server(clean_posterior), the embed
-    net's fit runs in that helper process while this process runs the
-    scratch net's; without it, both run here."""
-    if submit is None:
-        return clean_posterior(scratch_losses), clean_posterior(embed_losses)
-    embed_fit = submit(embed_losses)
-    return clean_posterior(scratch_losses), embed_fit()
 
 
 # ---------------------------------------------------------------------------
@@ -301,33 +291,42 @@ def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, c
 
     The GMM co-divide runs on each network's per-sample cross-entropy of the
     observed labels of pool_ids under its current parameters, which
-    ``Learner.losses`` evaluates only when they are not the last it gave;
-    submit, if given, takes the embed net's fit (see clean_posteriors).
+    ``Learner.losses`` evaluates only when they are not the last it gave.
+    The scratch net trains on the samples the embed net's fit gates, so its
+    own fit is needed only once it has trained: submit, the value of
+    util.forked_server(clean_posterior), if given, runs that fit in a helper
+    process meanwhile.
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    w_scratch, w_embed = clean_posteriors(
-        *(learner.losses(pool_ids, observed) for learner in (scratch, embed)), submit)
-    labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
-
+    scratch_losses, embed_losses = (learner.losses(pool_ids, observed) for learner in (scratch, embed))
+    scratch_fit = (submit(scratch_losses) if submit
+                   else functools.partial(clean_posterior, scratch_losses))
+    w_embed = clean_posterior(embed_losses)
     onehot = np.eye(scratch.arch.n_classes)[observed]
 
-    skipped = []
-    # only the scratch net has unlabeled samples in asymmetric mode
-    for name, learner, peer, labeled, peer_w, unlabeled, frozen in (
-        ("scratch net", scratch, embed, labeled_for_scratch, w_embed, ~labeled_for_scratch, 0),
-        ("embedding net", embed, scratch, labeled_for_embed, w_scratch,
-         ~labeled_for_embed & (not method.asymmetric), adapter_prefix(embed, epoch, cfg.schedule)),
-    ):
-        skipped.append(not labeled.any())
-        if skipped[-1]:
+    def train(name, learner, peer, labeled, peer_w, unlabeled, frozen) -> bool:
+        """Train learner on its labeled and unlabeled samples; True when it has
+        no labeled sample and skips its update."""
+        if not labeled.any():
             logger.warning("epoch %d: no labeled samples for %s, skipping its update", epoch, name)
-        else:
-            _train_one_net(learner, peer, onehot, pool_ids[labeled], peer_w[labeled],
-                           pool_ids[unlabeled], cfg, epoch, rng, frozen)
+            return True
+        _train_one_net(learner, peer, onehot, pool_ids[labeled], peer_w[labeled],
+                       pool_ids[unlabeled], cfg, epoch, rng, frozen)
+        return False
+
+    # the scratch net's labeled set is co_divide's first mask, which needs only w_embed
+    labeled = w_embed >= method.tau_w
+    skipped_scratch = train("scratch net", scratch, embed, labeled, w_embed, ~labeled, 0)
+    w_scratch = scratch_fit()
+    labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
+    # only the scratch net has unlabeled samples in asymmetric mode
+    skipped_embed = train("embedding net", embed, scratch, labeled_for_embed, w_scratch,
+                          ~labeled_for_embed & (not method.asymmetric),
+                          adapter_prefix(embed, epoch, cfg.schedule))
 
     return CoteachResult(
         w_scratch=w_scratch, w_embed=w_embed,
         labeled_for_scratch=labeled_for_scratch, labeled_for_embed=labeled_for_embed,
-        skipped_scratch=skipped[0], skipped_embed=skipped[1],
+        skipped_scratch=skipped_scratch, skipped_embed=skipped_embed,
     )

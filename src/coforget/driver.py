@@ -319,7 +319,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         if naive:
             metrics, learners, forget_log = _run_naive(cfg, ds)
         else:
-            # with a CPU to spare, a helper process fits the embed net's GMMs
+            # with a CPU to spare, a helper process fits the scratch net's GMMs
             helper = (util.forked_server(coteach.clean_posterior) if util.usable_cpus() >= 2
                       else contextlib.nullcontext())
             with helper as submit:

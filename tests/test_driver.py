@@ -1,5 +1,5 @@
 """Schedule gates, warmup contract, determinism, ablation bisimulation, and
-the helper process that fits the embed net's GMMs."""
+the helper process that fits the scratch net's GMMs."""
 
 import dataclasses
 import hashlib
@@ -629,7 +629,7 @@ def _dir_bytes(path) -> dict:
 
 
 class TestHelper:
-    """With a second usable CPU a run fits the embed net's GMMs in a forked
+    """With a second usable CPU a run fits the scratch net's GMMs in a forked
     helper process: the same bytes as a run that fits both here, and no
     helper outlives its run, however the run ends."""
 
@@ -687,7 +687,7 @@ class TestHelper:
                              ids=["completes", "stage-raises", "interrupted"])
     def test_no_helper_outlives_its_run(self, monkeypatch, raised):
         """A stage raises in this process's fit of epoch 5 of co-teaching,
-        while the helper holds that epoch's embed fit."""
+        while the helper holds that epoch's scratch fit."""
         before, alive = _children(), []
 
         def each(n):
