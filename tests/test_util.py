@@ -30,6 +30,7 @@ from coforget import data, driver, net, oracle, util
 from coforget.errors import ConfigurationError, IngestionError, StateError
 from coforget.util import fmt_float
 from test_data import BAD_CELLS, PACKAGE_ERRORS
+from test_driver import _children
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coforget"
 
@@ -497,13 +498,17 @@ def _raise_or_pid(i):
 
 
 class TestForkedServer:
+    """The helper is this process's child while the block runs, and gone after it."""
+
     def test_replies_in_order_from_another_process(self):
+        before = _children()
         with util.forked_server(_raise_or_pid) as submit:
             replies = [submit(i) for i in range(3)]
             outcomes = [reply() for reply in replies]
+            assert _children() - before == {outcomes[0][1]}
         assert [i for i, _ in outcomes] == [0, 1, 2]
         assert len({pid for _, pid in outcomes} | {os.getpid()}) == 2
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
     def test_exception_keeps_its_type_and_message(self):
         with util.forked_server(_raise_or_pid) as submit:
@@ -515,20 +520,22 @@ class TestForkedServer:
             assert submit(4)()[0] == 4
 
     def test_dead_helper_fails_with_state_error(self):
+        before = _children()
         with util.forked_server(_exit_on_zero) as submit:
             assert submit(1)() == 1
             with pytest.raises(StateError, match="helper process died before it finished"):
                 submit(0)()
             with pytest.raises(StateError, match="helper process died before it took"):
                 submit(1)
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
     def test_helper_busy_when_the_block_raises_is_stopped(self):
+        before = _children()
         with pytest.raises(KeyboardInterrupt):
             with util.forked_server(time.sleep) as submit:
                 submit(60)
                 raise KeyboardInterrupt
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
 
 def test_importing_the_package_starts_no_process_machinery():
