@@ -213,7 +213,9 @@ def unlearn_value_grad(arch, theta, x, p_ref, t_unl):
     p, acts = _forward_probs(arch, theta, x)
     if p_ref.shape != p.shape:
         raise InputError(f"reference batch shape {p_ref.shape} != current {p.shape}")
-    t2 = float(t_unl) ** 2
+    # a numpy float, so that a t_unl whose square overflows gives inf, which
+    # the run's finiteness check names, not an OverflowError
+    t2 = np.float64(t_unl) ** 2
     loss = -t2 * float(np.sum(kl_rows(p_ref, p)))
     dp = np.where(p > EPS, t2 * p_ref / np.maximum(p, EPS), 0.0)
     return loss, _backward(arch, theta, acts, p, dp)
