@@ -445,6 +445,8 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
                         k, frozen_prefix=frozen,
                     )
                     forget_rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
+                    _check_finite(k, **{f"theta_{name}": learner.theta, f"losses_{name}":
+                                        learner.losses(current_pool, ds.observed_labels)})
             res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, current_pool,
                                         k, cfg, rng_for(seed, f"coteach/{k}"), submit)
             judged_clean = (

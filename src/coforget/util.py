@@ -71,79 +71,50 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _take_cpu_share(share: int) -> None:
-    global _cpu_share
-    _cpu_share = share
-
-
-@contextlib.contextmanager
-def _forking():
-    """The block in which pool_map and forked_server fork their children.
-    Python 3.12+ warns (DeprecationWarning) from os.fork when this process
-    has other OS threads, and numpy's OpenBLAS keeps a pool of them.
-    OpenBLAS shuts that pool down before a fork (a pthread_atfork handler),
-    so a child inherits none of its locks. The warning is ignored here and
-    only here: where warnings show, it would print once per child."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
-        yield
-
-
 def pool_map(fn, items, jobs: int):
     """Map fn over items, yielding in input order one zero-argument callable
-    per item that returns fn(item) or raises its exception.
-
-    With jobs <= 1 or at most one item, each callable runs fn in this
-    process. Otherwise `jobs` forked worker processes run the items (fn must
-    be module-level, items and results picklable) and each callable hands
-    back a finished result; a worker's exception carries its remote
-    traceback as __cause__. Each worker's usable_cpus() is its share of this
-    process's. A worker that dies (a segfault, the OOM killer) fails its
-    item and every unfinished one with StateError. Once the generator
-    returns, raises or is closed, the items not yet started are cancelled
-    and every worker has exited; a caller that may stop early (a
-    KeyboardInterrupt, even one raised by an item) closes it.
-    """
+    per item that returns fn(item) or raises its exception: in this process
+    with jobs <= 1 or at most one item, else in up to `jobs` workers forked
+    as forked_server's helper is, each taking the next item as it replies,
+    with usable_cpus() at its share of this process's. A worker that dies
+    fails its item and every unfinished one with StateError, and the others
+    are killed at once. Once the generator returns, raises or is closed,
+    every worker has been killed and reaped (fn must flush what it writes);
+    a caller that may stop early (a KeyboardInterrupt, even one raised by an
+    item) closes it."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         yield from (functools.partial(fn, item) for item in items)
         return
-    # imported here: concurrent.futures costs ~7 ms, which a serial run never pays
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def died():
-        future = Future()
-        future.set_exception(StateError("a worker process died before this item finished"))
-        return future
-
+    # imported here: a serial run never pays for it
+    from multiprocessing.connection import wait
     # a forked worker inherits unwritten buffers, and would write them again
     sys.stdout.flush()
     sys.stderr.flush()
-    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_take_cpu_share,
-                               initargs=(max(usable_cpus() // jobs, 1),))
-    try:
-        futures = []
-        # the workers are forked inside submit
-        with _forking():
-            for item in items:
+    share = max(usable_cpus() // jobs, 1)
+    replies = [None] * len(items)  # each item's reply, once it has one
+    todo = iter(range(len(items)))
+    busy = {}  # a busy worker's end of the pipe -> the index of its item
+
+    def take(conn):  # send conn's worker the next item, if any is left
+        for index in itertools.islice(todo, 1):
+            busy[conn] = index
+            conn.send(items[index])
+
+    with contextlib.ExitStack() as workers:
+        for _ in range(min(jobs, len(items))):
+            take(workers.enter_context(_forked(fn, share)))
+        for index in range(len(items)):
+            # an item still without a reply once no worker is busy is one a dead worker left
+            while replies[index] is None and busy:
                 try:
-                    futures.append(pool.submit(fn, item))
-                except BrokenProcessPool:  # a worker died while items were still being submitted
-                    futures.append(died())
-        for future in futures:
-            if isinstance(future.exception(), BrokenProcessPool):
-                future = died()
-            yield future.result
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-class _RemoteTraceback(Exception):
-    """The traceback a helper's exception had there, raised as its cause."""
+                    for conn in wait(list(busy)):
+                        replies[busy.pop(conn)] = conn.recv()
+                        take(conn)
+                except (EOFError, OSError):  # a worker died
+                    workers.close()
+                    busy.clear()
+            yield functools.partial(_unpack, replies[index])
 
 
 @contextlib.contextmanager
@@ -156,30 +127,47 @@ def forked_server(fn):
     as __cause__. The helper runs items in the order submitted, and their
     callables are called once each, in that order. A helper that dies (a
     segfault, the OOM killer) fails the call that meets it with StateError.
-    However the block ends, the helper is stopped and has exited after it.
-
-    The helper writes nothing to stdout or stderr and leaves through
-    os._exit, so it never writes the unwritten buffers it inherits, and
-    this process need not flush them before the fork.
+    However the block ends, the helper has been killed and reaped after it.
     """
-    # imported here: a run that forks no helper never pays for these
+    with _forked(fn, _cpu_share) as conn:  # with this process's usable_cpus()
+        yield functools.partial(_submit, conn)
+
+
+class _RemoteTraceback(Exception):
+    """The traceback a child's exception had there, raised as its cause."""
+
+
+@contextlib.contextmanager
+def _forked(fn, cpu_share):
+    """A forked child that runs _serve(fn) with usable_cpus() at cpu_share
+    and SIGINT ignored, an interrupt being this process's to handle; the
+    block's value is this process's end of the pipe, and the child is killed
+    and reaped after it. Python 3.12+ warns from os.fork when this process
+    has OS threads, as numpy's OpenBLAS does; it stops them before a fork
+    (pthread_atfork), so a child inherits none of its locks. The warning is
+    ignored here only: where warnings show, it would print once per child."""
+    global _cpu_share
+    # imported here: a run that forks no child never pays for these
     import signal
     from multiprocessing.connection import Pipe
 
     ours, theirs = Pipe()
-    with ours, theirs:
-        with _forking():
-            pid = os.fork()
-        if pid == 0:  # the helper, which ends here however _serve ends
-            try:
-                ours.close()  # else its own copy would keep the pipe open once this process's is closed
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-                _serve(fn, theirs)
-            finally:
-                os._exit(0)
+    with ours:
+        with theirs:  # the child's end, closed here once the child has its copy
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                        r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child, which ends here however _serve ends
+                try:
+                    ours.close()  # else its own copy would keep the pipe open once ours is closed
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    _cpu_share = cpu_share
+                    _serve(fn, theirs)
+                finally:
+                    os._exit(0)
         try:
-            theirs.close()
-            yield functools.partial(_submit, ours)
+            yield ours
         finally:
             # it may be running an item whose reply nobody will read; it holds
             # nothing to clean up, and SIGKILL cannot be caught or ignored
@@ -188,16 +176,27 @@ def forked_server(fn):
 
 
 def _serve(fn, conn) -> None:
-    """The helper's loop: reply to each item received with (True, fn(item))
-    or (False, exception, traceback text). recv raises EOFError, which ends
-    the loop, once the parent's end of the pipe is closed."""
+    """A child's loop: reply to each item with (True, fn(item)) or (False,
+    exception, traceback text), until recv raises EOFError once the parent's
+    end of the pipe is closed. The child leaves through os._exit or SIGKILL,
+    so it never writes the unwritten buffers it inherits."""
     while True:
         item = conn.recv()
         try:
             reply = True, fn(item)
-        except Exception as exc:  # sent back to the caller, which raises it
+        except BaseException as exc:  # sent back to the caller, which raises it
             reply = False, exc, traceback.format_exc()
         conn.send(reply)
+
+
+def _unpack(reply):
+    """The result in a child's reply, or its exception; None: the worker died."""
+    if reply is None:
+        raise StateError("a worker process died before this item finished")
+    ok, value, *trace = reply
+    if ok:
+        return value
+    raise value from _RemoteTraceback(trace[0])
 
 
 def _submit(conn, item):
@@ -210,12 +209,10 @@ def _submit(conn, item):
 
 def _reply(conn):
     try:
-        ok, value, *trace = conn.recv()
+        reply = conn.recv()
     except (EOFError, OSError):
         raise StateError("the helper process died before it finished an item") from None
-    if ok:
-        return value
-    raise value from _RemoteTraceback(trace[0])
+    return _unpack(reply)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import logging
-import multiprocessing
 import os
 import re
 import subprocess
@@ -22,6 +21,7 @@ import yaml
 from coforget import cli, data, driver, oracle, report
 from coforget.config import build_config, load_config, validate_config
 from coforget.errors import ConfigurationError
+from test_driver import _children
 
 SMALL_CONFIG = {
     "dataset": {"classes": 3, "per_class": 40, "test_per_class": 20, "dim": 4, "spread": 1.5},
@@ -711,6 +711,19 @@ class TestTrainAndReport:
         assert proc.returncode == 2
         assert proc.stderr == f"error: non-finite values in {theta} at epoch 1; aborting run\n"
 
+    @pytest.mark.parametrize("t_unl, values", [("1.0e+100", "losses_scratch"),
+                                               ("1.3407807929942597e+154", "theta_scratch")])
+    def test_overflowing_forgetting_step_names_its_net_and_epoch(self, tmp_path, capsys, t_unl,
+                                                                  values):
+        """At 1e100 the scratch net's theta stays finite and its logits
+        overflow; the same epoch's GMM fit would meet the losses first and
+        name neither the net nor the epoch."""
+        rc = cli.main(["train", "--config", str(QUICK), "--override", f"method.t_unl={t_unl}",
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: non-finite values in {values} at epoch 12; aborting run\n"
+
     def test_unknown_activation_exits_2_before_the_run_dir(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(QUICK), "--override", "net_scratch.activation=sigmoid",
                        "--outdir", str(tmp_path / "run")])
@@ -985,10 +998,11 @@ class TestSweep:
 
         monkeypatch.setattr(driver, "run", run)
         cfg_path = write_config(tmp_path)
+        before = _children()
         with pytest.raises(KeyboardInterrupt):
             cli.main(["sweep", "--config", str(cfg_path), "--set", "run.seed=1,2",
                       "--outdir", str(tmp_path / "sweep")])
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
     @staticmethod
     def _two_workers(monkeypatch):
@@ -1005,10 +1019,11 @@ class TestSweep:
         real_run = driver.run
         monkeypatch.setattr(driver, "run", run)
         self._two_workers(monkeypatch)
+        before = _children()
         with pytest.raises(KeyboardInterrupt):
             cli.main(["sweep", "--config", str(write_config(tmp_path)), "--set", "run.seed=1,2,3,4",
                       "--outdir", str(tmp_path / "sweep")])
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
     def test_dead_worker_fails_its_member_and_the_unfinished_ones(self, tmp_path, capsys, caplog,
                                                                   monkeypatch):
@@ -1021,13 +1036,14 @@ class TestSweep:
         real_run = driver.run
         monkeypatch.setattr(driver, "run", run)
         self._two_workers(monkeypatch)
+        before = _children()
         start = time.perf_counter()
         with caplog.at_level(logging.WARNING, logger="coforget"):
             rc = cli.main(["sweep", "--config", str(write_config(tmp_path)),
                            "--set", "run.seed=1,2,3", "--outdir", str(tmp_path / "sweep")])
         assert time.perf_counter() - start < 30
         assert rc == 1
-        assert multiprocessing.active_children() == []
+        assert _children() == before
         assert "3 of 3 sweep members failed: seed=1, seed=2, seed=3" in capsys.readouterr().err
         failed = [r for r in caplog.records if r.msg.startswith("sweep member")]
         assert [r.args[0] for r in failed] == ["seed=1", "seed=2", "seed=3"]

@@ -9,7 +9,6 @@ import ast
 import builtins
 import errno
 import io
-import multiprocessing
 import os
 import re
 import struct
@@ -414,6 +413,7 @@ def _exit_on_zero(i):
 class TestPoolMap:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_outcomes_in_input_order(self, jobs):
+        before = _children()
         outcomes = list(util.pool_map(_square_or_raise, range(6), jobs))
         assert len(outcomes) == 6
         pids = set()
@@ -428,7 +428,14 @@ class TestPoolMap:
                 assert square == i * i
                 pids.add(pid)
         assert (os.getpid() in pids) == (jobs == 1)
-        assert multiprocessing.active_children() == []
+        assert _children() == before
+
+    def test_fn_is_inherited_not_pickled(self):
+        offset = 10
+        outcomes = util.pool_map(lambda i: (i + offset, os.getpid()), range(4), 2)
+        replies = [outcome() for outcome in outcomes]
+        assert [i for i, _ in replies] == [10, 11, 12, 13]
+        assert os.getpid() not in {pid for _, pid in replies}
 
     def test_one_item_runs_in_this_process(self):
         (outcome,) = util.pool_map(_square_or_raise, [4], 2)
@@ -437,8 +444,9 @@ class TestPoolMap:
     def test_dead_worker_fails_every_unfinished_item(self):
         """Enough items that the pool often breaks while they are still
         being submitted; each item either finished or fails with StateError."""
+        before = _children()
         outcomes = list(util.pool_map(_exit_on_zero, range(1000), 2))
-        assert multiprocessing.active_children() == []
+        assert _children() == before
         assert len(outcomes) == 1000
         with pytest.raises(StateError, match="a worker process died before this item finished"):
             outcomes[0]()
@@ -462,9 +470,10 @@ class TestPoolMap:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
+        before = _children()
         assert [outcome()[0] for outcome in util.pool_map(_square_or_raise, [0, 2, 4], 2)] == [
             0, 4, 16]
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
     def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
         assert util.usable_cpus() >= 1
@@ -478,11 +487,12 @@ class TestPoolMap:
         """usable_cpus() // jobs, at least 1: with 5 CPUs, 2 workers get 2
         each, and can each run a helper process; 3 workers get 1 each."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        before = _children()
         shares = [outcome() for outcome in util.pool_map(_cpus_and_helper, range(4), 2)]
         assert all(share == 2 and helper != worker for share, helper, worker in shares)
         assert [outcome()[0] for outcome in util.pool_map(_cpus_and_helper, range(3), 3)] == [1, 1, 1]
         assert util.usable_cpus() == 5
-        assert multiprocessing.active_children() == []
+        assert _children() == before
 
 
 def _cpus_and_helper(_):
@@ -519,6 +529,19 @@ class TestForkedServer:
             assert "_raise_or_pid" in str(raised.value.__cause__)
             assert submit(4)()[0] == 4
 
+    def test_keyboard_interrupt_of_an_item_is_raised_here(self):
+        """The helper ignores SIGINT, but an item that raises
+        KeyboardInterrupt sends it back as any exception, and serves on."""
+        def interrupt_or_pid(i):
+            if i < 0:
+                raise KeyboardInterrupt
+            return _raise_or_pid(i)
+
+        with util.forked_server(interrupt_or_pid) as submit:
+            with pytest.raises(KeyboardInterrupt):
+                submit(-1)()
+            assert submit(4)()[0] == 4
+
     def test_dead_helper_fails_with_state_error(self):
         before = _children()
         with util.forked_server(_exit_on_zero) as submit:
@@ -539,14 +562,19 @@ class TestForkedServer:
 
 
 def test_importing_the_package_starts_no_process_machinery():
-    """multiprocessing and concurrent.futures load only when a pool or a
-    helper starts, so that neither adds to a command's start-up."""
-    code = ("import sys, coforget.cli, coforget.report; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    """multiprocessing loads only when a pool or a helper starts, so that it
+    adds nothing to a command's start-up, and concurrent.futures never."""
+    for code, loaded in [
+        ("import coforget.cli, coforget.report", []),
+        ("from coforget import util; assert [f() for f in util.pool_map(abs, [-1, -2], 2)] == [1, 2]",
+         ["multiprocessing"]),
+    ]:
+        code += "; import sys; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{loaded}\n"
 
 
 def _disk_fills(monkeypatch, prefix: str, after: int) -> list:
