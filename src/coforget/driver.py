@@ -1,23 +1,24 @@
-"""Full training schedule: warmup, preparation, and the periodic
-select -> forget -> co-teach cycle, with per-epoch metrics and audit trails.
+"""Full training schedule: warmup, then the periodic select -> forget ->
+co-teach cycle, with per-epoch metrics and audit trails.
 
-Epoch k (1-based) runs warmup while k <= warmup; afterwards each epoch may
-(re)select forgetting targets, apply a forgetting pass, and always runs one
-co-teaching epoch on the current retained pool (the full train set before
-the first selection). The two networks are the "scratch" net (an MLP on raw
-features) and the "embed" net (adapter plus head over the fixed oracle
-embeddings), each a ``coteach.Learner`` whose parameters and optimizer state
-the stages rebind. Co-divide, selection and the metric row each ask a
-learner for its losses, and the learner evaluates them only when its
-parameters or the ids changed since it last did.
+Epoch k (1-based) runs warmup while k <= warmup. Each later epoch runs these
+stages in order, on the current retained pool (the full train set before the
+first selection), each a function of plain values:
 
-Each arm returns its metrics, learners and forgetting rows, and ``run`` alone
-finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
+- ``_select``, on a selection epoch: the SelectionSets and each net's
+  read-only forgetting reference; it writes the selection audit file;
+- ``_forget``, on a forgetting epoch: the forgetting_log rows;
+- ``_coteach``: one co-teaching epoch, which fills its CODIVIDE_RECORD rows;
+- ``_evaluate``, after every epoch of either arm: the EpochMetrics row.
 
-With a run directory, each co-teaching epoch fills its CODIVIDE_RECORD rows,
-one per pool sample, in place in one block sized for every epoch; after the
-last epoch the filled rows are written, as they are, as codivide_audit.npy.
-``coforget export`` makes the CSV of it.
+The nets are the "scratch" net (an MLP on raw features) and the "embed" net
+(adapter plus head over the fixed oracle embeddings), each a
+``coteach.Learner`` whose parameters and optimizer state the stages rebind.
+Each arm returns its metrics, learners and forgetting rows, and ``run``
+alone finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
+With a run directory every epoch's co-divide rows fill one block in place,
+written after the last epoch as codivide_audit.npy; ``coforget export``
+makes the CSV of it.
 """
 
 import contextlib
@@ -52,15 +53,11 @@ NETS = ("scratch", "embed")  # the pair, in the order every stage visits it
 
 def gate_selection(k: int, e_start: int, e_up: int) -> bool:
     """Selection fires every e_up epochs once the unlearning stage begins."""
-    if k < 1:
-        raise ConfigurationError(f"epochs are 1-based, got {k}")
     return k >= e_start and k % e_up == 0
 
 
 def gate_forgetting(k: int, e_start: int, e_up: int, e_ud: int) -> bool:
     """Forgetting runs on the selection epoch and the e_ud epochs after it."""
-    if k < 1:
-        raise ConfigurationError(f"epochs are 1-based, got {k}")
     return k >= e_start and k % e_up <= e_ud
 
 
@@ -132,7 +129,7 @@ def build_dataset(cfg: RunConfig) -> data.Dataset:
         if ds.n_classes**2 > MAX_ARRAY_CELLS:
             raise ConfigurationError(
                 f"dataset.path {dcfg.path}: {ds.n_classes} classes, whose C x C class "
-                f"matrices exceed 2**31 array cells")
+                f"matrices exceed 2**31 array cells", field="dataset.path")
     else:
         # a feature or a one-hot row per sample
         cells = dcfg.classes * (dcfg.per_class + dcfg.test_per_class) * max(dcfg.dim, dcfg.classes)
@@ -186,9 +183,8 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
     if ocfg.kind == "file":
         table = oracle.load_oracle_file(ocfg.path, expected_ids=range(ds.n))
         if table.n_classes != ds.n_classes:
-            raise ConfigurationError(
-                f"oracle file has {table.n_classes} classes, dataset has {ds.n_classes}"
-            )
+            raise ConfigurationError(f"oracle.path {ocfg.path}: the file has {table.n_classes} classes, "
+                                     f"the dataset has {ds.n_classes}", field="oracle.path")
         return table
     # the predicted class holds the confidence, so it must beat chance to be the argmax
     chance = 1.0 / ds.n_classes
@@ -295,7 +291,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     _check_array_sizes(cfg, ds)
     if not naive and cfg.oracle.embed_dim < ds.n_classes:
         raise ConfigurationError(f"oracle.embed_dim must be >= the dataset's {ds.n_classes} "
-                                 f"classes, got {show_value(cfg.oracle.embed_dim)}")
+                                 f"classes, got {show_value(cfg.oracle.embed_dim)}", field="oracle.embed_dim")
     # every input file is read before the run directory is made, so a bad
     # one leaves no directory behind
     oracle_table = None if naive else build_oracle(cfg, ds)
@@ -336,150 +332,153 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
     return RunResult(metrics, best, last, learners, forget_log, out_path)
 
 
+def noisy_judged_clean(rows) -> tuple:
+    """The noisy (observed label not the true one) and the judged-clean (both
+    nets' clean probabilities >= CLEAN_JUDGE_THRESHOLD) masks of CODIVIDE_RECORD rows."""
+    return (rows["observed"] != rows["true"],
+            (rows["w_scratch"] >= CLEAN_JUDGE_THRESHOLD) & (rows["w_embed"] >= CLEAN_JUDGE_THRESHOLD))
+
+
+def _evaluate(k: int, ds: data.Dataset, learners, pool, sets, rows) -> EpochMetrics:
+    """Epoch k's metric row: test accuracies of each learner and their average,
+    mean pool losses, target-set sizes (0 while sets is None) and hn/ln/cs of
+    the epoch's co-divide rows. A net in NETS the arm lacks reads nan."""
+    test_ids = ds.test_ids()
+    y_test = ds.true_labels[test_ids]
+    probs = [learner.predict(test_ids) for learner in learners]
+    accs = [float((p.argmax(axis=1) == y_test).mean()) for p in (*probs, sum(probs) / len(probs))]
+    losses = [float(learner.losses(pool, ds.observed_labels).mean()) for learner in learners]
+    lacking = [float("nan")] * (len(NETS) - len(learners))
+    n_forget = (0, 0) if sets is None else (len(sets.targets_scratch), len(sets.targets_embed))
+    noisy, judged = noisy_judged_clean(rows)
+    hn = int(np.sum(noisy & judged))
+    return EpochMetrics(k, *accs[:-1], *lacking, accs[-1], *losses, *lacking, *n_forget,
+                        pool.shape[0], hn, int(np.sum(noisy)) - hn, int(np.sum(~noisy)))
+
+
 def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
     """Baseline arm: plain supervised cross-entropy on the observed labels."""
-    seed = cfg.run.seed
-    train_ids, test_ids = ds.train_ids(), ds.test_ids()
+    train_ids = ds.train_ids()
     scratch = _learner(cfg, "scratch", ds.features, ds.n_classes)
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
     metrics = []
     for k in range(1, cfg.schedule.max_epoch + 1):
-        _ce_epoch(scratch, onehot, train_ids, rng_for(seed, f"naive/{k}"), k, cfg.optim.batch_size)
+        _ce_epoch(scratch, onehot, train_ids, rng_for(cfg.run.seed, f"naive/{k}"), k, cfg.optim.batch_size)
         _check_finite(k, theta=scratch.theta)
-        acc = float((scratch.predict(test_ids).argmax(axis=1) == ds.true_labels[test_ids]).mean())
-        loss = float(scratch.losses(train_ids, ds.observed_labels).mean())
-        metrics.append(
-            EpochMetrics(k, acc, float("nan"), acc, loss, float("nan"),
-                         0, 0, train_ids.shape[0], 0, 0, 0)
-        )
+        metrics.append(_evaluate(k, ds, (scratch,), train_ids, None, np.empty(0, CODIVIDE_RECORD)))
     return metrics, (scratch,), []
+
+
+def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, learners, losses,
+            prev_losses, out_path) -> tuple:
+    """Selection at epoch k from each net's train-id losses now and at the previous
+    checkpoint: the SelectionSets and each net's theta as its read-only forgetting
+    reference. Writes the selection audit; a pool of under two samples fails the run."""
+    train_ids = ds.train_ids()
+    sets, audit = selection.unlearning_setup(
+        train_ids, ds.observed_labels[train_ids], (losses[0], prev_losses[0]),
+        (losses[1], prev_losses[1]), oracle_table.argmax()[train_ids], cfg.method,
+    )
+    # forgetting pushes each net away from these read-only copies; theta
+    # stays writable, as numba types mlp_backward's zeros_like(theta) after it
+    references = tuple(learner.theta.copy() for learner in learners)
+    for reference in references:
+        reference.setflags(write=False)
+    pool = sets.retained
+    logger.info("epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
+                k, len(sets.targets_scratch), len(sets.targets_embed), pool.shape[0])
+    if pool.shape[0] < 2:
+        raise StateError(f"selection at epoch {k} left {pool.shape[0]} "
+                         "training pool samples, co-divide needs >= 2")
+    if out_path is not None:
+        selection.write_selection_audit(out_path / f"selection_epoch_{k:04d}.csv", train_ids, sets, audit)
+    return sets, references
+
+
+def _forget(k: int, cfg: RunConfig, ds: data.Dataset, learners, sets, references, pool) -> list:
+    """One forgetting pass per net over its targets, away from its reference:
+    the forgetting_log rows. A net whose theta or pool losses overflow fails here."""
+    method, rows = cfg.method, []
+    for name, learner, ids, reference, frozen in zip(
+        NETS, learners, (sets.targets_scratch, sets.targets_embed), references,
+        (0, coteach.adapter_prefix(learners[1], k, cfg.schedule)),
+    ):
+        plan = forget.make_unlearn_plan(
+            ids, method.batch_unlearn, method.t_unl, rng_for(cfg.run.seed, f"forget/{k}/{name}")
+        )
+        learner.theta, learner.opt, stats = forget.apply_unlearning(
+            learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
+            k, frozen_prefix=frozen,
+        )
+        rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
+        # the losses stay in the learner's memo for the co-teaching epoch
+        _check_finite(k, **{f"theta_{name}": learner.theta,
+                            f"losses_{name}": learner.losses(pool, ds.observed_labels)})
+    return rows
+
+
+def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, learners, pool, submit, rows) -> None:
+    """One co-teaching epoch on pool, filling rows with its co-divide rows."""
+    res = coteach.coteach_epoch(*learners, ds.observed_labels, pool, k, cfg,
+                                rng_for(cfg.run.seed, f"coteach/{k}"), submit)
+    for name, values in zip(CODIVIDE_RECORD.names, (
+        k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
+        ds.observed_labels[pool], ds.true_labels[pool],
+    )):
+        rows[name] = values
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
                   out_path, submit) -> tuple:
-    seed = cfg.run.seed
     sched, method = cfg.schedule, cfg.method
     # both dataset kinds number train samples 0..n_train-1, so ids index train arrays
-    train_ids, test_ids = ds.train_ids(), ds.test_ids()
-    n_train = train_ids.shape[0]
-
+    train_ids = pool = ds.train_ids()
     emb = oracle.oracle_embeddings(
-        ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, seed, "embeddings")
+        ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, cfg.run.seed, "embeddings")
     )
-    oracle_argmax_train = oracle_table.argmax()[train_ids]
-    nets = scratch, embed = tuple(
+    learners = scratch, embed = tuple(
         _learner(cfg, name, inputs, ds.n_classes) for name, inputs in zip(NETS, (ds.features, emb))
     )
-
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
     soft_targets = 0.5 * oracle_table.probs + 0.5 * onehot
-    noisy_train = ds.observed_labels[train_ids] != ds.true_labels[train_ids]
 
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
-    current_pool = train_ids
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
     sets = references = None
-    metrics = []
-    forget_rows = []
-    # the co-divide rows of every co-teaching epoch, kept only for a run
-    # directory and filled in place up to n_codivide: per-epoch arrays kept
-    # instead stay scattered over the heap and raise the memory peak of
-    # whatever runs next
-    codivide = (np.empty(max(sched.max_epoch - sched.warmup, 0) * n_train, CODIVIDE_RECORD)
+    metrics, forget_rows = [], []
+    # with a run directory, one block that every co-teaching epoch's rows fill
+    # in place up to n_codivide: per-epoch arrays kept instead stay scattered
+    # over the heap and raise the memory peak of whatever runs next
+    codivide = (np.empty(max(sched.max_epoch - sched.warmup, 0) * train_ids.shape[0], CODIVIDE_RECORD)
                 if out_path is not None else None)
     n_codivide = 0
+    rows = np.empty(0, CODIVIDE_RECORD)  # warmup epochs have none
 
     for k in range(1, sched.max_epoch + 1):
-        hn = ln = cs = 0
         if k <= sched.warmup:
             warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
-                         k, cfg.optim.batch_size, rng_for(seed, f"warmup/{k}"))
+                         k, cfg.optim.batch_size, rng_for(cfg.run.seed, f"warmup/{k}"))
         else:
-            selecting = method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
-            if selecting or (method.unlearning and k == bootstrap_epoch):
-                # checkpoints cover every train id
-                losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in nets)
-                if k == bootstrap_epoch:
-                    prev_losses = losses
-            if selecting:
-                # on a bootstrap epoch the previous checkpoint is this one,
-                # which makes every loss drop zero
-                sets, audit = selection.unlearning_setup(
-                    train_ids, ds.observed_labels[train_ids],
-                    (losses[0], prev_losses[0]), (losses[1], prev_losses[1]),
-                    oracle_argmax_train, method,
-                )
-                # forgetting pushes each net away from these read-only copies; theta
-                # stays writable, as numba types mlp_backward's zeros_like(theta) after it
-                references = tuple(learner.theta.copy() for learner in nets)
-                for reference in references:
-                    reference.setflags(write=False)
-                prev_losses = losses
-                current_pool = sets.retained
-                logger.info(
-                    "epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
-                    k, len(sets.targets_scratch), len(sets.targets_embed), current_pool.shape[0],
-                )
-                if current_pool.shape[0] < 2:
-                    raise StateError(f"selection at epoch {k} left {current_pool.shape[0]} "
-                                     "training pool samples, co-divide needs >= 2")
-                if out_path is not None:
-                    selection.write_selection_audit(
-                        out_path / f"selection_epoch_{k:04d}.csv", train_ids, sets, audit
-                    )
-            if (
-                method.unlearning
-                and sets is not None
-                and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period, sched.unlearn_duration)
-            ):
-                targets = (sets.targets_scratch, sets.targets_embed)
-                for name, learner, ids, reference, frozen in zip(
-                    NETS, nets, targets, references,
-                    (0, coteach.adapter_prefix(embed, k, sched)),
-                ):
-                    plan = forget.make_unlearn_plan(
-                        ids, method.batch_unlearn, method.t_unl, rng_for(seed, f"forget/{k}/{name}")
-                    )
-                    learner.theta, learner.opt, stats = forget.apply_unlearning(
-                        learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
-                        k, frozen_prefix=frozen,
-                    )
-                    forget_rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
-                    _check_finite(k, **{f"theta_{name}": learner.theta, f"losses_{name}":
-                                        learner.losses(current_pool, ds.observed_labels)})
-            res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, current_pool,
-                                        k, cfg, rng_for(seed, f"coteach/{k}"), submit)
-            judged_clean = (
-                (res.w_scratch >= CLEAN_JUDGE_THRESHOLD) & (res.w_embed >= CLEAN_JUDGE_THRESHOLD)
-            )
-            noisy_pool = noisy_train[current_pool]
-            hn = int(np.sum(noisy_pool & judged_clean))
-            ln = int(np.sum(noisy_pool)) - hn
-            cs = int(np.sum(~noisy_pool))
-            if out_path is not None:
-                rows = codivide[n_codivide:n_codivide + current_pool.shape[0]]
-                rows["epoch"] = k
-                rows["id"] = current_pool
-                rows["w_scratch"] = res.w_scratch
-                rows["w_embed"] = res.w_embed
-                rows["labeled_scratch"] = res.labeled_for_scratch
-                rows["labeled_embed"] = res.labeled_for_embed
-                rows["observed"] = ds.observed_labels[current_pool]
-                rows["true"] = ds.true_labels[current_pool]
-                n_codivide += current_pool.shape[0]
+            # checkpoints cover every train id; on a selection epoch the
+            # bootstrap checkpoint is its own, which makes every loss drop zero
+            if method.unlearning and k == bootstrap_epoch:
+                prev_losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in learners)
+            if method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period):
+                losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in learners)
+                sets, references = _select(k, cfg, ds, oracle_table, learners, losses, prev_losses,
+                                           out_path)
+                prev_losses, pool = losses, sets.retained
+            if sets is not None and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period,
+                                                    sched.unlearn_duration):
+                forget_rows += _forget(k, cfg, ds, learners, sets, references, pool)
+            rows = (np.empty(pool.shape[0], CODIVIDE_RECORD) if codivide is None
+                    else codivide[n_codivide:n_codivide + pool.shape[0]])
+            n_codivide += rows.shape[0]
+            _coteach(k, cfg, ds, learners, pool, submit, rows)
         _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
-        y_test = ds.true_labels[test_ids]
-        p_scratch, p_embed = (learner.predict(test_ids) for learner in nets)
-        accs = [float((p.argmax(axis=1) == y_test).mean())
-                for p in (p_scratch, p_embed, (p_scratch + p_embed) / 2.0)]
-        n_forget = (0, 0) if sets is None else (len(sets.targets_scratch), len(sets.targets_embed))
-        metrics.append(EpochMetrics(
-            k, *accs, *(float(learner.losses(current_pool, ds.observed_labels).mean())
-                        for learner in nets), *n_forget,
-            current_pool.shape[0], hn, ln, cs,
-        ))
+        metrics.append(_evaluate(k, ds, learners, pool, sets, rows))
 
     if out_path is not None:
         write_npy(out_path / "codivide_audit.npy", codivide[:n_codivide])
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
-    return metrics, nets, forget_rows
+    return metrics, learners, forget_rows

@@ -77,6 +77,7 @@ def oracle_embeddings(ds: Dataset, oracle: OracleTable, embed_dim: int, seed) ->
 
 _ORACLE_MAGIC = "# coforget oracle v1: line2 = C; rows = id,p0..p{C-1}"
 _ROW_TOL = 1e-6
+_IDS_SHOWN = 5  # ids a missing or unexpected id error lists
 
 
 def save_oracle_file(table: OracleTable, path) -> None:
@@ -115,7 +116,8 @@ def load_oracle_file(path, expected_ids=None) -> OracleTable:
         for which, diff in (("missing", np.setdiff1d(expected, ids)),
                             ("unexpected", np.setdiff1d(ids, expected))):
             if diff.size:
-                raise IngestionError(f"{path}: {which} sample ids {diff.tolist()}")
+                raise IngestionError(f"{path}: {diff.size} {which} sample id(s), "
+                                     f"the first {diff[:_IDS_SHOWN].tolist()}")
     if not np.array_equal(ids[order], np.arange(ids.shape[0])):
         raise IngestionError(f"{path}: sample ids must be contiguous from 0")
     return OracleTable(probs[order])

@@ -103,16 +103,14 @@ def _read_columns(path: Path, required) -> dict:
 
 
 def selection_quality(codivide: dict, window) -> dict:
-    """Count noisy samples judged clean by both networks (clean probability
-    at least driver.CLEAN_JUDGE_THRESHOLD) at least once in the epoch window,
-    versus noisy samples never so judged, plus clean samples.
+    """Count noisy samples judged clean (driver.noisy_judged_clean) at least
+    once in the epoch window, versus noisy samples never so judged, plus
+    clean samples.
     """
     lo, hi = window
     in_window = (codivide["epoch"] >= lo) & (codivide["epoch"] <= hi)
     ids = codivide["id"][in_window].astype(np.int64)
-    noisy = codivide["observed"][in_window] != codivide["true"][in_window]
-    threshold = driver.CLEAN_JUDGE_THRESHOLD
-    judged = (codivide["w_scratch"][in_window] >= threshold) & (codivide["w_embed"][in_window] >= threshold)
+    noisy, judged = (mask[in_window] for mask in driver.noisy_judged_clean(codivide))
     # per distinct sample id: noisy as of its last row in the window, and
     # judged clean if both networks judged it so in any epoch of the window
     sample_ids, last_row, row_sample = np.unique(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MethodCfg
-from .errors import InputError, StateError
+from .errors import InputError
 from .util import write_csv
 
 
@@ -27,11 +27,6 @@ class SelectionSets:
     targets_scratch: frozenset
     targets_embed: frozenset
     retained: np.ndarray
-
-    def __post_init__(self):
-        union = self.targets_scratch | self.targets_embed
-        if union & set(self.retained.tolist()):
-            raise StateError("retained pool overlaps the unlearning targets")
 
 
 def quantile_threshold(values, alpha: float) -> float:
@@ -56,8 +51,6 @@ def cond_loss_drop(losses_now, losses_prev, p_drop: float) -> set:
     below the p_drop quantile of all changes."""
     losses_now = np.asarray(losses_now, dtype=np.float64)
     losses_prev = np.asarray(losses_prev, dtype=np.float64)
-    if losses_now.shape != losses_prev.shape:
-        raise InputError("current and previous loss arrays must align")
     delta = losses_now - losses_prev
     thr = quantile_threshold(delta, p_drop)
     return set(np.flatnonzero(delta < thr).tolist())
@@ -67,8 +60,6 @@ def cond_oracle_consistent(oracle_argmax, observed_labels) -> set:
     """Samples whose observed label matches the zero-shot oracle's argmax."""
     oracle_argmax = np.asarray(oracle_argmax, dtype=np.int64)
     observed_labels = np.asarray(observed_labels, dtype=np.int64)
-    if oracle_argmax.shape != observed_labels.shape:
-        raise InputError("oracle table does not cover the label array")
     return set(np.flatnonzero(oracle_argmax == observed_labels).tolist())
 
 

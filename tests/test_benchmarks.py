@@ -91,3 +91,15 @@ def test_perfbench_tracer_counts_quick_run():
         "selection.targets": 127, "forget.targets": 253, "forget.steps": 14,
         "coteach.labeled_scratch": 1910,
     }
+    # the naive-ce arm: one net, and no co-teaching, selection or forgetting
+    tracer = tracer_mod.Tracer()
+    tracer.install(pkg)
+    try:
+        pkg["driver"].run(pkg["config"].load_config(ROOT / "configs" / "quick.yaml",
+                                                    ["run.seed=1", "method.kind=naive-ce"]))
+    finally:
+        tracer.restore()
+    assert {name: tracer.calls[name] for name in calls} == {
+        "coteach.coteach_epoch": 0, "net.per_sample_ce": 24, "net.predict_proba": 48,
+        "net.sgd_step": 144, "selection.unlearning_setup": 0,
+    }

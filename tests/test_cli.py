@@ -464,6 +464,18 @@ class TestMakeOracle:
                                            "to measure the oracle's accuracy on\n")
         assert not (tmp_path / "oracle").exists()
 
+    def test_dataset_of_too_many_classes_exits_2_naming_data(self, tmp_path, capsys):
+        """A header-only file of 50000 classes: its C x C class matrices
+        would exceed 2**31 cells."""
+        ds_path = tmp_path / "big.csv"
+        ds_path.write_text(data._DS_MAGIC + "\n50000,2,0\n")
+        out = tmp_path / "oracle" / "o.csv"
+        assert cli.main(["make-oracle", "--data", str(ds_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --data: dataset.path {ds_path}: 50000 classes, whose C x C class matrices "
+            "exceed 2**31 array cells\n")
+        assert not (tmp_path / "oracle").exists()
+
 
 class TestDataCommandOutputs:
     """--out is checked before anything is built: a target under a file or
@@ -795,6 +807,41 @@ class TestTrainAndReport:
         err = capsys.readouterr().err
         assert f"dataset.path {ds_path}: 200000 classes" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def _train_on_oracle(tmp_path, probs) -> int:
+        """Train quick.yaml (270 samples, 3 classes) on an oracle file of probs."""
+        oracle_path = tmp_path / "o.csv"
+        oracle.save_oracle_file(oracle.OracleTable(np.array(probs, dtype=np.float64)), oracle_path)
+        return cli.main(["train", "--config", str(QUICK), "--override", "oracle.kind=file",
+                         "--override", f"oracle.path={oracle_path}", "--outdir", str(tmp_path / "run")])
+
+    def test_oracle_file_of_other_classes_exits_2_naming_it(self, tmp_path, capsys):
+        assert self._train_on_oracle(tmp_path, [[0.5, 0.5]] * 270) == 2
+        assert capsys.readouterr().err == \
+            f"error: oracle.path {tmp_path / 'o.csv'}: the file has 2 classes, the dataset has 3\n"
+        assert not (tmp_path / "run").exists()
+        cfg = load_config(QUICK, ["oracle.kind=file", f"oracle.path={tmp_path / 'o.csv'}"])
+        with pytest.raises(ConfigurationError) as raised:
+            driver.run(cfg)
+        assert raised.value.field == "oracle.path"
+
+    def test_oracle_file_missing_ids_gives_a_count_and_the_first_ids(self, tmp_path, capsys):
+        """A 100-row file against 270 samples: 170 ids missing, five listed."""
+        assert self._train_on_oracle(tmp_path, [[0.5, 0.25, 0.25]] * 100) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'o.csv'}: 170 missing sample id(s), "
+                                           "the first [100, 101, 102, 103, 104]\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_embed_dim_below_the_class_count_names_its_field(self, tmp_path, capsys):
+        rc = cli.main(["train", "--config", str(QUICK), "--override", "oracle.embed_dim=2",
+                       "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: oracle.embed_dim must be >= the dataset's 3 classes, got 2\n"
+        with pytest.raises(ConfigurationError) as raised:
+            driver.run(load_config(QUICK, ["oracle.embed_dim=2"]))
+        assert raised.value.field == "oracle.embed_dim"
 
     def test_test_rows_first_exit_2_naming_the_line(self, tmp_path, capsys):
         labels = np.array([0, 1, 2, 0, 1, 2])

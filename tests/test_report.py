@@ -129,6 +129,28 @@ class TestSelectionQuality:
             assert report.selection_quality(audit, window) == _reference_selection_quality(audit, window)
 
 
+class TestSharedRule:
+    """The metric row's hn/ln/cs and report.selection_quality count with one
+    noisy/judged-clean rule: over a single epoch the report's tally of the
+    written record is that epoch's metric row."""
+
+    @pytest.mark.parametrize("unlearning", ["true", "false"])
+    @pytest.mark.parametrize("config", ["quick", "desk"])
+    def test_metric_rows_match_the_report_per_epoch(self, tmp_path, config, unlearning):
+        cfg = load_config(QUICK.parent / f"{config}.yaml", [f"method.unlearning={unlearning}"])
+        res = driver.run(cfg, tmp_path / "run")
+        record = report.load_run(tmp_path / "run").codivide
+        warmup = cfg.schedule.warmup
+        assert [(m.hn, m.ln, m.cs) for m in res.metrics[:warmup]] == [(0, 0, 0)] * warmup
+        mismatches = []
+        for m in res.metrics[warmup:]:
+            q = report.selection_quality(record, (m.epoch, m.epoch))
+            assert q["hn"] + q["ln"] + q["cs"] == m.n_pool
+            if (m.hn, m.ln, m.cs) != (q["hn"], q["ln"], q["cs"]):
+                mismatches.append(m.epoch)
+        assert len(res.metrics) > warmup and mismatches == []
+
+
 @pytest.fixture(scope="module")
 def quick_runs(tmp_path_factory):
     """Run dirs of configs/quick.yaml: unlearning on and off, a naive-ce arm
