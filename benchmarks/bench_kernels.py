@@ -4,24 +4,27 @@ Each compiled kernel keeps its original Python source on .py_func, so both
 paths run in one process. Shapes mirror a real desk run (batch 128, an
 8-32-32-3 scratch net, a 16-32-16-3 embedding net, 900-sample GMM fits).
 
-The gmm_pair case times the co-divide's fit pairs of desk.yaml seed 1 (115
-co-teaching epochs, two fits each), per pair: both fits in this process,
-and the scratch net's in a forked helper process while this one runs the
-embed net's, as a run does when a second CPU is free (a run also trains the
-scratch net before it waits for the helper, which this case leaves out).
+The coteach_epoch case times the co-teaching epochs of desk.yaml seed 1
+(115 of them), per epoch: both nets' halves (GMM fit, then training) in
+this process, and the embed net's half in a forked helper process while this
+one runs the scratch net's, as a run does when a second CPU is free. Each
+epoch starts from the learners that run had then, with no pool losses kept,
+and leaves out what a run's helper also takes over (forgetting, the epoch's
+evaluation and checkpoint losses) and the items it sends ahead.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
 
 --json writes {"backend", "numpy", "python", "cases": {case: {"jit_us",
-"python_us"}}} to PATH as well as printing the table; the gmm_pair case
-holds {"serial_us", "helper_us"}.
+"python_us"}}} to PATH as well as printing the table; the coteach_epoch
+case holds {"serial_us", "helper_us"}.
 
 Run with COFORGET_DISABLE_NUMBA=1 to confirm the fallback is the only path;
 the two columns then match.
 """
 
 import argparse
+import copy
 import json
 import platform
 import time
@@ -51,51 +54,65 @@ def bench_case(results, name, fn, args, repeats):
     results[name] = {"jit_us": fast * 1e6, "python_us": slow * 1e6}
 
 
-def desk_fit_pairs():
-    """The (scratch, embed) losses of each co-teaching epoch's GMM fits in
-    desk.yaml seed 1, from a run that fits both in this process."""
-    fits, fit, cpus = [], coteach.fit_gmm_1d, util.usable_cpus
+def _clone(learner):
+    """A learner at the same parameters and optimizer state, which steps
+    rebind and never write into, with no losses kept."""
+    return coteach.Learner(learner.arch, learner.inputs, learner.theta, learner.opt)
 
-    def record(losses):
-        fits.append(np.array(losses))
-        return fit(losses)
 
-    coteach.fit_gmm_1d, util.usable_cpus = record, lambda: 1
+def desk_epochs():
+    """The coteach_epoch arguments of each co-teaching epoch of desk.yaml
+    seed 1, the learners as that epoch started, from a serial run."""
+    epochs, epoch, cpus = [], coteach.coteach_epoch, util.usable_cpus
+
+    def record(scratch, embed, observed, pool_ids, k, cfg, rng, embed_half=None):
+        epochs.append((_clone(scratch), _clone(embed), observed, pool_ids, k, cfg, copy.deepcopy(rng)))
+        return epoch(scratch, embed, observed, pool_ids, k, cfg, rng, embed_half)
+
+    coteach.coteach_epoch, util.usable_cpus = record, lambda: 1
     try:
         driver.run(config.load_config(DESK, ["run.seed=1"]))
     finally:
-        coteach.fit_gmm_1d, util.usable_cpus = fit, cpus
-    # each epoch fits the embed net's losses first
-    return list(zip(fits[1::2], fits[0::2]))
+        coteach.coteach_epoch, util.usable_cpus = epoch, cpus
+    return epochs
 
 
-def bench_pairs(results, pairs, passes):
-    """Time every pair both ways, alternating, `passes` times after one
+class _Replay(coteach.EmbedHalf):
+    """The embed net's half, starting each epoch's fit from the embed
+    learner that epoch started with."""
+
+    def __init__(self, epochs):
+        scratch, embed, observed, *_, cfg, _ = epochs[0]
+        super().__init__(embed, scratch, observed, cfg)
+        self.starts = {k: embed for _, embed, _, _, k, _, _ in epochs}
+
+    def fit(self, epoch, pool_ids):
+        self.embed = _clone(self.starts[epoch])
+        return super().fit(epoch, pool_ids)
+
+
+def bench_epochs(results, epochs, passes):
+    """Time every epoch both ways, alternating, `passes` times after one
     untimed pass each."""
-    def serial():
-        for scratch, embed in pairs:
-            coteach.clean_posterior(scratch)
-            coteach.clean_posterior(embed)
+    def replay(submit):
+        for scratch, embed, observed, pool_ids, k, cfg, rng in epochs:
+            coteach.coteach_epoch(_clone(scratch), _clone(embed), observed, pool_ids, k, cfg,
+                                  copy.deepcopy(rng), submit)
 
-    with util.forked_server(coteach.clean_posterior) as submit:
-        def helper():
-            for scratch, embed in pairs:
-                scratch_fit = submit(scratch)
-                coteach.clean_posterior(embed)
-                scratch_fit()
-
-        took = {serial: 0.0, helper: 0.0}
-        for fn in took:
-            fn()
+    half = _Replay(epochs)
+    with util.forked_server(half) as submit:
+        took = {None: 0.0, submit: 0.0}
+        for way in took:
+            replay(way)
         for _ in range(passes):
-            for fn in took:
+            for way in took:
                 start = time.perf_counter()
-                fn()
-                took[fn] += time.perf_counter() - start
-    serial_us, helper_us = (t / passes / len(pairs) * 1e6 for t in took.values())
-    print(f"{f'gmm pair, desk seed 1 ({len(pairs)} pairs)':<38} {serial_us:>10.1f} "
+                replay(way)
+                took[way] += time.perf_counter() - start
+    serial_us, helper_us = (t / passes / len(epochs) * 1e6 for t in took.values())
+    print(f"{f'coteach epoch, desk seed 1 ({len(epochs)})':<38} {serial_us:>10.1f} "
           f"{helper_us:>10.1f} {serial_us / helper_us:>8.2f}x  (serial us, helper us)")
-    results["gmm_pair"] = {"serial_us": serial_us, "helper_us": helper_us}
+    results["coteach_epoch"] = {"serial_us": serial_us, "helper_us": helper_us}
 
 
 def main():
@@ -152,7 +169,7 @@ def main():
     bench_case(
         results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
     )
-    bench_pairs(results, desk_fit_pairs(), max(args.repeats // 400, 1))
+    bench_epochs(results, desk_epochs(), max(args.repeats // 400, 1))
 
     if args.json:
         doc = {

@@ -13,6 +13,13 @@ network trains on labeled samples only (its adapter frozen until
 ``schedule.encoder_unfreeze``). Setting ``method.asymmetric`` to false gives
 both networks the semi-supervised treatment, which is the symmetric ablation
 arm.
+
+An epoch splits into one half per network. The embed network's half is an
+``EmbedHalf``, which a helper process that owns the embed learner can serve
+while the calling process runs the scratch network's half: both nets draw
+from the epoch's one generator, the scratch net first, so the calling
+process makes the scratch net's draws before it trains and sends the
+generator on to the embed half.
 """
 
 import functools
@@ -189,9 +196,16 @@ def mixup(x_i, y_i, x_j, y_j, alpha, rng):
     lambda ~ Beta(alpha, alpha) folded to [0.5, 1] so the first argument
     dominates; one draw covers the whole batch.
     """
-    rng = np.random.default_rng(rng)
+    return _mix(x_i, y_i, x_j, y_j, _mixup_lambda(alpha, np.random.default_rng(rng)))
+
+
+def _mixup_lambda(alpha, rng) -> float:
+    """Mixup's lambda: one Beta(alpha, alpha) draw from rng, folded to [0.5, 1]."""
     lam = float(rng.beta(alpha, alpha))
-    lam = max(lam, 1.0 - lam)
+    return max(lam, 1.0 - lam)
+
+
+def _mix(x_i, y_i, x_j, y_j, lam):
     x_hat = lam * np.asarray(x_i, dtype=np.float64) + (1.0 - lam) * np.asarray(x_j, dtype=np.float64)
     y_hat = lam * np.asarray(y_i, dtype=np.float64) + (1.0 - lam) * np.asarray(y_j, dtype=np.float64)
     return x_hat, y_hat, lam
@@ -250,33 +264,58 @@ class CoteachResult:
     skipped_embed: bool
 
 
+def _batches(rng, n_labeled, n_unlabeled, batch_size, alpha):
+    """One net's training pass, batch by batch, with every random draw it
+    makes, in the order it makes them: the order of its labeled samples,
+    that of its unlabeled ones when it has any, then per batch of batch_size
+    labeled samples the permutation that pairs the batch's rows (its labeled
+    samples, then as many unlabeled ones when there are any) with their
+    Mixup partners, and Mixup's lambda. Yields (labeled indices, unlabeled
+    indices or None, that permutation, lambda) per batch, the indices into
+    the pass's labeled and unlabeled ids. A net with no labeled sample skips
+    its update and draws nothing. The pass draws nothing else, so its draws
+    may all be made before it trains."""
+    if not n_labeled:
+        return
+    order = rng.permutation(n_labeled)
+    unl_order = rng.permutation(n_unlabeled) if n_unlabeled else None
+    for start in range(0, n_labeled, batch_size):
+        lab = order[start:start + batch_size]
+        unl = (unl_order[np.arange(start, start + lab.shape[0]) % n_unlabeled]
+               if n_unlabeled else None)
+        rows = lab.shape[0] * (2 if n_unlabeled else 1)
+        yield lab, unl, rng.permutation(rows), _mixup_lambda(alpha, rng)
+
+
 def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids, labeled_w,
                    unlabeled_ids, cfg: RunConfig, epoch, rng, frozen_prefix):
     """Mini-batch pass over the labeled set, pairing in unlabeled batches of
     the same size when present; Mixup partners come from the combined pool.
     The peer's predictions guess the unlabeled samples' labels.
     """
-    method, b = cfg.method, cfg.optim.batch_size
-    order = rng.permutation(labeled_ids.shape[0])
-    lab_ids = labeled_ids[order]
-    lab_w = labeled_w[order]
-    n_unl = unlabeled_ids.shape[0]
-    unl_ids = unlabeled_ids[rng.permutation(n_unl)] if n_unl else unlabeled_ids
-    for i in range((lab_ids.shape[0] + b - 1) // b):
-        ids_x = lab_ids[i * b:(i + 1) * b]
-        w_x = lab_w[i * b:(i + 1) * b]
-        refined = refine_label(targets_onehot[ids_x], w_x, learner.predict(ids_x), method.t_sharp)
-        if n_unl:
-            ids_u = unl_ids[np.arange(i * b, i * b + ids_x.shape[0]) % n_unl]
+    batches = _batches(rng, labeled_ids.shape[0], unlabeled_ids.shape[0], cfg.optim.batch_size,
+                       cfg.method.mixup_alpha)
+    _train_batches(learner, peer, targets_onehot, labeled_ids, labeled_w, unlabeled_ids, cfg, epoch,
+                   batches, frozen_prefix)
+
+
+def _train_batches(learner: Learner, peer: Learner, targets_onehot, labeled_ids, labeled_w,
+                   unlabeled_ids, cfg: RunConfig, epoch, batches, frozen_prefix):
+    """_train_one_net's pass over batches, the _batches of its labeled and
+    unlabeled ids."""
+    method = cfg.method
+    for lab, unl, perm, lam in batches:
+        ids_x = labeled_ids[lab]
+        refined = refine_label(targets_onehot[ids_x], labeled_w[lab], learner.predict(ids_x),
+                               method.t_sharp)
+        if unl is not None:
+            ids_u = unlabeled_ids[unl]
             guessed = guess_label(learner.predict(ids_u), peer.predict(ids_u), method.t_sharp)
             pool_x = np.concatenate([learner.inputs[ids_x], learner.inputs[ids_u]])
             pool_y = np.concatenate([refined, guessed])
         else:
             pool_x, pool_y = learner.inputs[ids_x], refined
-        perm = rng.permutation(pool_x.shape[0])
-        mixed_x, mixed_y, _ = mixup(
-            pool_x, pool_y, pool_x[perm], pool_y[perm], method.mixup_alpha, rng
-        )
+        mixed_x, mixed_y, _ = _mix(pool_x, pool_y, pool_x[perm], pool_y[perm], lam)
         _, grad = net.semi_value_grad(
             learner.arch, learner.theta, mixed_x, mixed_y, ids_x.shape[0],
             method.lambda_u, method.reg_coef,
@@ -284,49 +323,85 @@ def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids,
         learner.step(grad, epoch, frozen_prefix)
 
 
-def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, cfg: RunConfig,
-                  rng, submit=None) -> CoteachResult:
-    """One epoch of cross-network training on the current pool; rebinds the
-    theta and opt of each learner it updates.
+class EmbedHalf:
+    """The embed net's half of each co-teaching epoch, served to the items
+    coteach_epoch sends it, in this process or in a forked helper that owns
+    the embed learner: ("fit", epoch, pool_ids) gives the clean
+    probabilities of its fit to its pool losses and the theta they come
+    from; ("train", epoch, pool_ids, labeled, w_scratch, rng, scratch_theta)
+    trains it on labeled, co_divide's mask for it, drawing from rng, the
+    epoch's generator past the scratch net's draws. scratch supplies the
+    scratch net's architecture and inputs; symmetric-mode training reads it
+    at scratch_theta, its trained parameters (None in asymmetric mode)."""
 
-    The GMM co-divide runs on each network's per-sample cross-entropy of the
-    observed labels of pool_ids under its current parameters, which
-    ``Learner.losses`` evaluates only when they are not the last it gave.
-    The scratch net trains on the samples the embed net's fit gates, so its
-    own fit is needed only once it has trained: submit, the value of
-    util.forked_server(clean_posterior), if given, runs that fit in a helper
-    process meanwhile.
+    def __init__(self, embed: Learner, scratch: Learner, observed, cfg: RunConfig):
+        self.embed, self.scratch, self.observed, self.cfg = embed, scratch, observed, cfg
+        self.onehot = np.eye(embed.arch.n_classes)[observed]
+
+    def __call__(self, item):
+        stage, *args = item
+        return getattr(self, stage)(*args)
+
+    def fit(self, epoch, pool_ids) -> tuple:
+        return clean_posterior(self.embed.losses(pool_ids, self.observed)), self.embed.theta
+
+    def train(self, epoch, pool_ids, labeled, w_scratch, rng, scratch_theta) -> None:
+        cfg = self.cfg
+        # only in symmetric mode has the embed net unlabeled samples
+        unlabeled = ~labeled & (not cfg.method.asymmetric)
+        peer = (None if scratch_theta is None else
+                Learner(self.scratch.arch, self.scratch.inputs, scratch_theta, self.scratch.opt))
+        _train_one_net(self.embed, peer, self.onehot, pool_ids[labeled], w_scratch[labeled],
+                       pool_ids[unlabeled], cfg, epoch, rng,
+                       adapter_prefix(self.embed, epoch, cfg.schedule))
+
+
+def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, cfg: RunConfig,
+                  rng, embed_half=None) -> CoteachResult:
+    """One epoch of cross-network training on the current pool, in two
+    halves, one per net: each net's GMM fit to its per-sample cross-entropy
+    of the observed labels of pool_ids (``Learner.losses`` evaluates it only
+    when it is not the last it gave), one co_divide of the two fits, then
+    each net's training on the samples its peer's fit marks clean. This
+    process runs the scratch net's half, rebinding its theta and opt.
+
+    The embed net's half is an EmbedHalf's: embed_half(item) sends it an
+    item and returns a zero-argument callable for the reply, as
+    util.forked_server does for a helper process that owns the embed
+    learner, where the two halves run at once. By default an EmbedHalf over
+    embed runs each item in this process when its reply is read, after the
+    scratch net's part of that step, and trains embed. The scratch net's
+    unlabeled guesses read the embed net before its training, at the theta
+    its fit came from. In symmetric mode the embed net's training reads the
+    trained scratch net, so it waits for the scratch net's.
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    scratch_losses, embed_losses = (learner.losses(pool_ids, observed) for learner in (scratch, embed))
-    scratch_fit = (submit(scratch_losses) if submit
-                   else functools.partial(clean_posterior, scratch_losses))
-    w_embed = clean_posterior(embed_losses)
-    onehot = np.eye(scratch.arch.n_classes)[observed]
-
-    def train(name, learner, peer, labeled, peer_w, unlabeled, frozen) -> bool:
-        """Train learner on its labeled and unlabeled samples; True when it has
-        no labeled sample and skips its update."""
+    if embed_half is None:
+        embed_half = functools.partial(functools.partial, EmbedHalf(embed, scratch, observed, cfg))
+    fitted = embed_half(("fit", epoch, pool_ids))
+    w_scratch = clean_posterior(scratch.losses(pool_ids, observed))
+    w_embed, embed_theta = fitted()
+    masks = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
+    for name, labeled in zip(("scratch net", "embedding net"), masks):
         if not labeled.any():
             logger.warning("epoch %d: no labeled samples for %s, skipping its update", epoch, name)
-            return True
-        _train_one_net(learner, peer, onehot, pool_ids[labeled], peer_w[labeled],
-                       pool_ids[unlabeled], cfg, epoch, rng, frozen)
-        return False
-
-    # the scratch net's labeled set is co_divide's first mask, which needs only w_embed
-    labeled = w_embed >= method.tau_w
-    skipped_scratch = train("scratch net", scratch, embed, labeled, w_embed, ~labeled, 0)
-    w_scratch = scratch_fit()
-    labeled_for_scratch, labeled_for_embed = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
-    # only the scratch net has unlabeled samples in asymmetric mode
-    skipped_embed = train("embedding net", embed, scratch, labeled_for_embed, w_scratch,
-                          ~labeled_for_embed & (not method.asymmetric),
-                          adapter_prefix(embed, epoch, cfg.schedule))
-
+    labeled, unlabeled = masks[0], ~masks[0]
+    # the scratch net's draws come first from the epoch's one generator: made
+    # here and now, they leave rng where the embed net's begin
+    batches = list(_batches(rng, np.count_nonzero(labeled), np.count_nonzero(unlabeled),
+                            cfg.optim.batch_size, method.mixup_alpha))
+    train = ("train", epoch, pool_ids, masks[1], w_scratch, rng)
+    if method.asymmetric:
+        trained = embed_half((*train, None))
+    _train_batches(scratch, Learner(embed.arch, embed.inputs, embed_theta, embed.opt),
+                   np.eye(scratch.arch.n_classes)[observed], pool_ids[labeled], w_embed[labeled],
+                   pool_ids[unlabeled], cfg, epoch, batches, 0)
+    if not method.asymmetric:
+        trained = embed_half((*train, scratch.theta))
+    trained()
     return CoteachResult(
         w_scratch=w_scratch, w_embed=w_embed,
-        labeled_for_scratch=labeled_for_scratch, labeled_for_embed=labeled_for_embed,
-        skipped_scratch=skipped_scratch, skipped_embed=skipped_embed,
+        labeled_for_scratch=masks[0], labeled_for_embed=masks[1],
+        skipped_scratch=not masks[0].any(), skipped_embed=not masks[1].any(),
     )

@@ -5,15 +5,22 @@ Epoch k (1-based) runs warmup while k <= warmup. Each later epoch runs these
 stages in order, on the current retained pool (the full train set before the
 first selection), each a function of plain values:
 
-- ``_select``, on a selection epoch: the SelectionSets and each net's
-  read-only forgetting reference; it writes the selection audit file;
-- ``_forget``, on a forgetting epoch: the forgetting_log rows;
+- ``_select``, on a selection epoch: the SelectionSets, from each net's
+  train-id losses; it writes the selection audit file;
+- ``_forget``, on a forgetting epoch, once per net: its forgetting_log row;
 - ``_coteach``: one co-teaching epoch, which fills its CODIVIDE_RECORD rows;
-- ``_evaluate``, after every epoch of either arm: the EpochMetrics row.
+- ``_evaluate``, after every epoch of either arm: the EpochMetrics row, from
+  each net's ``_scores``.
 
 The nets are the "scratch" net (an MLP on raw features) and the "embed" net
 (adapter plus head over the fixed oracle embeddings), each a
 ``coteach.Learner`` whose parameters and optimizer state the stages rebind.
+From the first co-teaching epoch on, the embed net's half of each stage (its
+losses, forgetting, GMM fit, training, check and scores) is an
+``_EmbedServer`` item: in a forked helper process when a second CPU is free,
+so that the two halves run at once, else in the run's process. The run's
+process does the scratch net's half, every selection, co-divide, log line and
+file write, and reads each of the helper's replies after its own half.
 Each arm returns its metrics, learners and forgetting rows, and ``run``
 alone finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
 With a run directory every epoch's co-divide rows fill one block in place,
@@ -23,6 +30,7 @@ makes the CSV of it.
 
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -315,12 +323,7 @@ def run(cfg: RunConfig, out_dir=None) -> RunResult:
         if naive:
             metrics, learners, forget_log = _run_naive(cfg, ds)
         else:
-            # with a CPU to spare, a helper process fits the scratch net's GMMs
-            helper = (util.forked_server(coteach.clean_posterior) if util.usable_cpus() >= 2
-                      else contextlib.nullcontext())
-            with helper as submit:
-                metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path,
-                                                              submit)
+            metrics, learners, forget_log = _run_pipeline(cfg, ds, oracle_table, out_path)
 
     best, last = best_last_columns({key: [getattr(m, key) for m in metrics] for key in ACC_KEYS})
     if out_path is not None:
@@ -339,16 +342,21 @@ def noisy_judged_clean(rows) -> tuple:
             (rows["w_scratch"] >= CLEAN_JUDGE_THRESHOLD) & (rows["w_embed"] >= CLEAN_JUDGE_THRESHOLD))
 
 
-def _evaluate(k: int, ds: data.Dataset, learners, pool, sets, rows) -> EpochMetrics:
-    """Epoch k's metric row: test accuracies of each learner and their average,
-    mean pool losses, target-set sizes (0 while sets is None) and hn/ln/cs of
-    the epoch's co-divide rows. A net in NETS the arm lacks reads nan."""
-    test_ids = ds.test_ids()
-    y_test = ds.true_labels[test_ids]
-    probs = [learner.predict(test_ids) for learner in learners]
+def _scores(ds: data.Dataset, learner: coteach.Learner, pool) -> tuple:
+    """A net's part of a metric row: its test-set probabilities and its mean
+    loss over pool."""
+    return learner.predict(ds.test_ids()), float(learner.losses(pool, ds.observed_labels).mean())
+
+
+def _evaluate(k: int, ds: data.Dataset, scores, pool, sets, rows) -> EpochMetrics:
+    """Epoch k's metric row from the _scores of each net the arm has: test
+    accuracies of each net and of their average, mean pool losses,
+    target-set sizes (0 while sets is None) and hn/ln/cs of the epoch's
+    co-divide rows. A net in NETS the arm lacks reads nan."""
+    y_test = ds.true_labels[ds.test_ids()]
+    probs, losses = zip(*scores)
     accs = [float((p.argmax(axis=1) == y_test).mean()) for p in (*probs, sum(probs) / len(probs))]
-    losses = [float(learner.losses(pool, ds.observed_labels).mean()) for learner in learners]
-    lacking = [float("nan")] * (len(NETS) - len(learners))
+    lacking = [float("nan")] * (len(NETS) - len(scores))
     n_forget = (0, 0) if sets is None else (len(sets.targets_scratch), len(sets.targets_embed))
     noisy, judged = noisy_judged_clean(rows)
     hn = int(np.sum(noisy & judged))
@@ -365,25 +373,21 @@ def _run_naive(cfg: RunConfig, ds: data.Dataset) -> tuple:
     for k in range(1, cfg.schedule.max_epoch + 1):
         _ce_epoch(scratch, onehot, train_ids, rng_for(cfg.run.seed, f"naive/{k}"), k, cfg.optim.batch_size)
         _check_finite(k, theta=scratch.theta)
-        metrics.append(_evaluate(k, ds, (scratch,), train_ids, None, np.empty(0, CODIVIDE_RECORD)))
+        metrics.append(_evaluate(k, ds, [_scores(ds, scratch, train_ids)], train_ids, None,
+                                 np.empty(0, CODIVIDE_RECORD)))
     return metrics, (scratch,), []
 
 
-def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, learners, losses,
-            prev_losses, out_path) -> tuple:
-    """Selection at epoch k from each net's train-id losses now and at the previous
-    checkpoint: the SelectionSets and each net's theta as its read-only forgetting
-    reference. Writes the selection audit; a pool of under two samples fails the run."""
+def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, losses, prev_losses,
+            out_path) -> selection.SelectionSets:
+    """Selection at epoch k from each net's train-id losses now and at the
+    previous checkpoint. Writes the selection audit; a pool of under two
+    samples fails the run."""
     train_ids = ds.train_ids()
     sets, audit = selection.unlearning_setup(
         train_ids, ds.observed_labels[train_ids], (losses[0], prev_losses[0]),
         (losses[1], prev_losses[1]), oracle_table.argmax()[train_ids], cfg.method,
     )
-    # forgetting pushes each net away from these read-only copies; theta
-    # stays writable, as numba types mlp_backward's zeros_like(theta) after it
-    references = tuple(learner.theta.copy() for learner in learners)
-    for reference in references:
-        reference.setflags(write=False)
     pool = sets.retained
     logger.info("epoch %d: selected %d (scratch) / %d (embed) unlearning targets, pool %d",
                 k, len(sets.targets_scratch), len(sets.targets_embed), pool.shape[0])
@@ -392,47 +396,74 @@ def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, learners, lo
                          "training pool samples, co-divide needs >= 2")
     if out_path is not None:
         selection.write_selection_audit(out_path / f"selection_epoch_{k:04d}.csv", train_ids, sets, audit)
-    return sets, references
+    return sets
 
 
-def _forget(k: int, cfg: RunConfig, ds: data.Dataset, learners, sets, references, pool) -> list:
-    """One forgetting pass per net over its targets, away from its reference:
-    the forgetting_log rows. A net whose theta or pool losses overflow fails here."""
-    method, rows = cfg.method, []
-    for name, learner, ids, reference, frozen in zip(
-        NETS, learners, (sets.targets_scratch, sets.targets_embed), references,
-        (0, coteach.adapter_prefix(learners[1], k, cfg.schedule)),
-    ):
-        plan = forget.make_unlearn_plan(
-            ids, method.batch_unlearn, method.t_unl, rng_for(cfg.run.seed, f"forget/{k}/{name}")
-        )
-        learner.theta, learner.opt, stats = forget.apply_unlearning(
-            learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
-            k, frozen_prefix=frozen,
-        )
-        rows.append((k, name, stats.n_targets, stats.kl_before, stats.kl_after))
-        # the losses stay in the learner's memo for the co-teaching epoch
-        _check_finite(k, **{f"theta_{name}": learner.theta,
-                            f"losses_{name}": learner.losses(pool, ds.observed_labels)})
-    return rows
+def _reference(learner: coteach.Learner) -> np.ndarray:
+    """A read-only copy of the learner's theta, which forgetting pushes it
+    away from; theta stays writable, as numba types mlp_backward's
+    zeros_like(theta) after it."""
+    reference = learner.theta.copy()
+    reference.setflags(write=False)
+    return reference
 
 
-def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, learners, pool, submit, rows) -> None:
-    """One co-teaching epoch on pool, filling rows with its co-divide rows."""
-    res = coteach.coteach_epoch(*learners, ds.observed_labels, pool, k, cfg,
-                                rng_for(cfg.run.seed, f"coteach/{k}"), submit)
-    for name, values in zip(CODIVIDE_RECORD.names, (
-        k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
-        ds.observed_labels[pool], ds.true_labels[pool],
-    )):
-        rows[name] = values
+def _forget(k: int, cfg: RunConfig, ds: data.Dataset, name: str, learner: coteach.Learner,
+            targets, reference, pool, frozen_prefix) -> tuple:
+    """One forgetting pass of the net called name over its targets, away from
+    its reference: its forgetting_log row. Its theta or pool losses
+    overflowing fails the run here."""
+    method = cfg.method
+    plan = forget.make_unlearn_plan(
+        targets, method.batch_unlearn, method.t_unl, rng_for(cfg.run.seed, f"forget/{k}/{name}")
+    )
+    learner.theta, learner.opt, stats = forget.apply_unlearning(
+        learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
+        k, frozen_prefix=frozen_prefix,
+    )
+    # the losses stay in the learner's memo for the co-teaching epoch
+    _check_finite(k, **{f"theta_{name}": learner.theta,
+                        f"losses_{name}": learner.losses(pool, ds.observed_labels)})
+    return k, name, stats.n_targets, stats.kl_before, stats.kl_after
+
+
+class _EmbedServer(coteach.EmbedHalf):
+    """The embed net's half of every stage from the first co-teaching epoch
+    on, in the process that owns the embed learner: co-teaching's items, and
+    ("losses", k) its train-id losses at a checkpoint, ("select", k, sets)
+    the selection it then forgets by, ("forget", k) its forgetting pass and
+    forgetting_log row, ("evaluate", k) its end-of-epoch finiteness check
+    and _scores, and ("finish",) its theta and optimizer state. It writes
+    and logs nothing."""
+
+    def __init__(self, cfg: RunConfig, ds: data.Dataset, scratch, embed):
+        super().__init__(embed, scratch, ds.observed_labels, cfg)
+        self.ds, self.train_ids = ds, ds.train_ids()
+        self.pool, self.sets, self.reference = self.train_ids, None, None
+
+    def losses(self, k):
+        return self.embed.losses(self.train_ids, self.observed)
+
+    def select(self, k, sets) -> None:
+        self.pool, self.sets, self.reference = sets.retained, sets, _reference(self.embed)
+
+    def forget(self, k):
+        return _forget(k, self.cfg, self.ds, "embed", self.embed, self.sets.targets_embed,
+                       self.reference, self.pool, coteach.adapter_prefix(self.embed, k, self.cfg.schedule))
+
+    def evaluate(self, k):
+        _check_finite(k, theta_embed=self.embed.theta)
+        return _scores(self.ds, self.embed, self.pool)
+
+    def finish(self):
+        return self.embed.theta, self.embed.opt
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
-                  out_path, submit) -> tuple:
-    sched, method = cfg.schedule, cfg.method
+                  out_path) -> tuple:
+    sched = cfg.schedule
     # both dataset kinds number train samples 0..n_train-1, so ids index train arrays
-    train_ids = pool = ds.train_ids()
+    train_ids = ds.train_ids()
     emb = oracle.oracle_embeddings(
         ds, oracle_table, cfg.oracle.embed_dim, _section_seed(None, cfg.run.seed, "embeddings")
     )
@@ -441,44 +472,146 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     )
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
     soft_targets = 0.5 * oracle_table.probs + 0.5 * onehot
+    metrics, forget_rows = [], []
+    codivide = np.empty(0, CODIVIDE_RECORD)  # warmup epochs have no co-divide rows
+    for k in range(1, min(sched.warmup, sched.max_epoch) + 1):
+        warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
+                     k, cfg.optim.batch_size, rng_for(cfg.run.seed, f"warmup/{k}"))
+        _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
+        metrics.append(_evaluate(k, ds, [_scores(ds, learner, train_ids) for learner in learners],
+                                 train_ids, None, codivide))
 
+    if sched.max_epoch > sched.warmup:
+        # from the first co-teaching epoch on, the embed net's half of each
+        # stage runs in a helper process when a second CPU is free, forked
+        # here: it inherits the warmed-up embed learner, and none of the
+        # co-divide block allocated after it. Without one it runs in this
+        # process, each item when its reply is read.
+        half = _EmbedServer(cfg, ds, scratch, embed)
+        with (util.forked_server(half) if util.usable_cpus() >= 2
+              else contextlib.nullcontext(functools.partial(functools.partial, half))) as submit:
+            submit = _Ahead(submit)
+            codivide = _coteach_epochs(cfg, ds, oracle_table, scratch, embed, submit, out_path,
+                                       metrics, forget_rows)
+            embed.theta, embed.opt = submit(("finish",))()
+
+    if out_path is not None:
+        write_npy(out_path / "codivide_audit.npy", codivide)
+        write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
+    return metrics, learners, forget_rows
+
+
+class _Ahead:
+    """The embed half's submit, which can send items before they are due,
+    so that the embed half goes on to them while this process works: send
+    sends them at once, and after an epoch's training item it sends the
+    items of after_train. Called later with one of them (the same stage and
+    epoch), it returns that item's pending reply. Each reply is still taken
+    in the order sent."""
+
+    def __init__(self, submit):
+        self.submit, self.after_train, self.pending = submit, (), {}
+
+    def __call__(self, item):
+        reply = self.pending.pop(item[:2], None) or self.submit(item)
+        if item[0] == "train":
+            self.send(self.after_train)
+        return reply
+
+    def send(self, items) -> None:
+        self.pending.update((item[:2], self.submit(item)) for item in items)
+
+
+def _leading_items(k: int, cfg: RunConfig, bootstrap_epoch: int, sets, pool) -> list:
+    """The items epoch k sends the embed half before it needs this process's
+    part, as known once epoch k - 1 has trained: its checkpoint losses, then,
+    unless it selects, its forgetting pass and its fit; after the last
+    epoch, the finish."""
+    if k > cfg.schedule.max_epoch:
+        return [("finish",)]
+    checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
+    if selecting:
+        return [("losses", k)]
+    return [("losses", k)] * checkpoint + _divide_items(k, cfg, sets, pool)
+
+
+def _divide_items(k: int, cfg: RunConfig, sets, pool) -> list:
+    """Epoch k's forgetting pass, if it forgets, and its fit, once its
+    selection stands."""
+    return [("forget", k)] * _forgets(k, cfg, sets) + [("fit", k, pool)]
+
+
+def _checkpoints(k: int, cfg: RunConfig, bootstrap_epoch: int) -> tuple:
+    """Whether epoch k takes each net's train-id losses, and whether it
+    selects from them. Checkpoints cover every train id; on a selection epoch
+    the bootstrap checkpoint is its own, which makes every loss drop zero."""
+    sched, method = cfg.schedule, cfg.method
+    selecting = method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
+    return selecting or (method.unlearning and k == bootstrap_epoch), selecting
+
+
+def _forgets(k: int, cfg: RunConfig, sets) -> bool:
+    """Whether epoch k forgets, given the selection that stands."""
+    sched = cfg.schedule
+    return sets is not None and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period,
+                                                sched.unlearn_duration)
+
+
+def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, scratch, embed, submit,
+                    out_path, metrics, forget_rows) -> np.ndarray:
+    """The co-teaching epochs, appending to metrics and forget_rows: the
+    scratch net's half of each stage here, the embed net's through submit,
+    whose reply is read after this process's half and its checks, so a
+    failing run raises the error a serial run would. Returns the co-divide
+    rows with a run directory, else none."""
+    sched = cfg.schedule
+    train_ids = pool = ds.train_ids()
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
-    sets = references = None
-    metrics, forget_rows = [], []
+    sets = reference = None
     # with a run directory, one block that every co-teaching epoch's rows fill
     # in place up to n_codivide: per-epoch arrays kept instead stay scattered
     # over the heap and raise the memory peak of whatever runs next
-    codivide = (np.empty(max(sched.max_epoch - sched.warmup, 0) * train_ids.shape[0], CODIVIDE_RECORD)
-                if out_path is not None else None)
+    codivide = (np.empty((sched.max_epoch - sched.warmup) * train_ids.shape[0], CODIVIDE_RECORD)
+                if out_path is not None else np.empty(0, CODIVIDE_RECORD))
     n_codivide = 0
-    rows = np.empty(0, CODIVIDE_RECORD)  # warmup epochs have none
+    submit.send(_leading_items(sched.warmup + 1, cfg, bootstrap_epoch, sets, pool))
+    for k in range(sched.warmup + 1, sched.max_epoch + 1):
+        checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
+        if checkpoint:
+            embed_losses = submit(("losses", k))
+            losses = (scratch.losses(train_ids, ds.observed_labels), embed_losses())
+            if k == bootstrap_epoch:
+                prev_losses = losses
+        if selecting:
+            sets = _select(k, cfg, ds, oracle_table, losses, prev_losses, out_path)
+            prev_losses, pool, reference = losses, sets.retained, _reference(scratch)
+            selected = submit(("select", k, sets))
+            submit.send(_divide_items(k, cfg, sets, pool))
+            selected()
+        if _forgets(k, cfg, sets):
+            forgotten = submit(("forget", k))
+            forget_rows.append(_forget(k, cfg, ds, "scratch", scratch, sets.targets_scratch,
+                                       reference, pool, 0))
+            forget_rows.append(forgotten())
+        rows = (np.empty(pool.shape[0], CODIVIDE_RECORD) if out_path is None
+                else codivide[n_codivide:n_codivide + pool.shape[0]])
+        n_codivide += rows.shape[0]
+        submit.after_train = [("evaluate", k), *_leading_items(k + 1, cfg, bootstrap_epoch, sets, pool)]
+        _coteach(k, cfg, ds, scratch, embed, pool, submit, rows)
+        embed_scores = submit(("evaluate", k))
+        _check_finite(k, theta_scratch=scratch.theta)
+        scores = _scores(ds, scratch, pool)
+        metrics.append(_evaluate(k, ds, (scores, embed_scores()), pool, sets, rows))
+    return codivide[:n_codivide]
 
-    for k in range(1, sched.max_epoch + 1):
-        if k <= sched.warmup:
-            warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
-                         k, cfg.optim.batch_size, rng_for(cfg.run.seed, f"warmup/{k}"))
-        else:
-            # checkpoints cover every train id; on a selection epoch the
-            # bootstrap checkpoint is its own, which makes every loss drop zero
-            if method.unlearning and k == bootstrap_epoch:
-                prev_losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in learners)
-            if method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period):
-                losses = tuple(learner.losses(train_ids, ds.observed_labels) for learner in learners)
-                sets, references = _select(k, cfg, ds, oracle_table, learners, losses, prev_losses,
-                                           out_path)
-                prev_losses, pool = losses, sets.retained
-            if sets is not None and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period,
-                                                    sched.unlearn_duration):
-                forget_rows += _forget(k, cfg, ds, learners, sets, references, pool)
-            rows = (np.empty(pool.shape[0], CODIVIDE_RECORD) if codivide is None
-                    else codivide[n_codivide:n_codivide + pool.shape[0]])
-            n_codivide += rows.shape[0]
-            _coteach(k, cfg, ds, learners, pool, submit, rows)
-        _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
-        metrics.append(_evaluate(k, ds, learners, pool, sets, rows))
 
-    if out_path is not None:
-        write_npy(out_path / "codivide_audit.npy", codivide[:n_codivide])
-        write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
-    return metrics, learners, forget_rows
+def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, scratch, embed, pool, submit, rows) -> None:
+    """One co-teaching epoch on pool, filling rows with its co-divide rows."""
+    res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, pool, k, cfg,
+                                rng_for(cfg.run.seed, f"coteach/{k}"), submit)
+    for name, values in zip(CODIVIDE_RECORD.names, (
+        k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
+        ds.observed_labels[pool], ds.true_labels[pool],
+    )):
+        rows[name] = values

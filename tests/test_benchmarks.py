@@ -26,9 +26,9 @@ def test_bench_kernels_json(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"backend", "numpy", "python", "cases"}
     assert doc["backend"] in ("numpy", "numba")
-    pair = doc["cases"].pop("gmm_pair")
-    assert set(pair) == {"serial_us", "helper_us"}
-    assert pair["serial_us"] > 0 and pair["helper_us"] > 0
+    epoch = doc["cases"].pop("coteach_epoch")
+    assert set(epoch) == {"serial_us", "helper_us"}
+    assert epoch["serial_us"] > 0 and epoch["helper_us"] > 0
     assert len(doc["cases"]) == 7
     for name, case in doc["cases"].items():
         assert set(case) == {"jit_us", "python_us"}, name
@@ -41,7 +41,7 @@ def _load_tracer():
     spec.loader.exec_module(tracer)
     pkg = {name: importlib.import_module(f"coforget.{name}") for name in (
         "cli", "config", "coteach", "data", "driver", "forget", "kernels", "net", "oracle",
-        "report", "selection",
+        "report", "selection", "util",
     )}
     return tracer, pkg
 
@@ -65,11 +65,15 @@ def test_perfbench_sweep_seam_exists():
         "coforget.cli.subprocess.run is gone"
 
 
-def test_perfbench_tracer_counts_quick_run():
+def test_perfbench_tracer_counts_quick_run(monkeypatch):
     """The tracer's count hooks read arguments and results of the package's
     boundaries; a refactor that changes what a traced call returns, or stops
-    routing a call through its traced attribute, changes these counts."""
+    routing a call through its traced attribute, changes these counts. The
+    tracer sees one process, so the run is serial;
+    test_perfbench_tracer_counts_sum_over_the_helper counts a run with the
+    helper."""
     tracer_mod, pkg = _load_tracer()
+    monkeypatch.setattr(pkg["util"], "usable_cpus", lambda: 1)
     tracer = tracer_mod.Tracer()
     tracer.install(pkg)
     try:
@@ -103,3 +107,53 @@ def test_perfbench_tracer_counts_quick_run():
         "coteach.coteach_epoch": 0, "net.per_sample_ce": 24, "net.predict_proba": 48,
         "net.sgd_step": 144, "selection.unlearning_setup": 0,
     }
+
+
+def test_perfbench_tracer_counts_sum_over_the_helper(tmp_path, monkeypatch):
+    """With the helper the traced calls split between the run's process and
+    the helper, which inherits the tracer as the run forks it (after
+    warmup) and writes its totals at its last item: the run's totals plus
+    the helper's, less what both held at the fork, are the serial counts."""
+    tracer_mod, pkg = _load_tracer()
+    driver, here = pkg["driver"], os.getpid()
+    monkeypatch.setattr(pkg["util"], "usable_cpus", lambda: 2)
+    tracer = tracer_mod.Tracer()
+    server, at_fork = driver._EmbedServer, {}
+
+    class Traced(server):
+        def __init__(self, *args):
+            at_fork.update(tracer.snapshot())
+            super().__init__(*args)
+
+        def finish(self):
+            if os.getpid() != here:
+                (tmp_path / "helper.json").write_text(json.dumps(tracer.snapshot()))
+            return super().finish()
+
+    monkeypatch.setattr(driver, "_EmbedServer", Traced)
+    tracer.install(pkg)
+    try:
+        driver.run(pkg["config"].load_config(ROOT / "configs" / "quick.yaml", ["run.seed=1"]))
+    finally:
+        tracer.restore()
+    run, helper = tracer.snapshot(), json.loads((tmp_path / "helper.json").read_text())
+
+    def total(key, name):
+        return run[key].get(name, 0) + helper[key].get(name, 0) - at_fork[key].get(name, 0)
+
+    assert {name: total("calls", name) for name in (
+        "coteach.coteach_epoch", "net.per_sample_ce", "net.predict_proba", "net.sgd_step",
+        "selection.unlearning_setup",
+    )} == {
+        "coteach.coteach_epoch": 21, "net.per_sample_ce": 66, "net.predict_proba": 444,
+        "net.sgd_step": 188, "selection.unlearning_setup": 3,
+    }
+    assert {name: total("counts", name) for name in (
+        "selection.targets", "forget.targets", "forget.steps", "coteach.labeled_scratch",
+    )} == {
+        "selection.targets": 127, "forget.targets": 253, "forget.steps": 14,
+        "coteach.labeled_scratch": 1910,
+    }
+    # the embed net's training and forgetting ran in the helper
+    assert helper["calls"]["net.sgd_step"] > at_fork["calls"]["net.sgd_step"]
+    assert helper["counts"]["forget.targets"] > at_fork["counts"].get("forget.targets", 0)

@@ -1,9 +1,11 @@
 """Schedule gates, warmup contract, determinism, ablation bisimulation, and
-the helper process that fits the scratch net's GMMs."""
+the helper process that runs the embed net's half of each co-teaching
+epoch."""
 
 import dataclasses
 import hashlib
 import inspect
+import logging
 import os
 import re
 import signal
@@ -326,6 +328,9 @@ class TestRun:
         monkeypatch.setattr(driver, "_learner", learner)
         monkeypatch.setattr(selection, "unlearning_setup", unlearning_setup)
         monkeypatch.setattr(forget, "apply_unlearning", apply_unlearning)
+        # every net's selection and forgetting in this process, where the
+        # wrappers can see both
+        monkeypatch.setattr(util, "usable_cpus", lambda: 1)
         driver.run(load_config(QUICK))
         assert len(references) > 2
         for reference, theta, shared in references:
@@ -491,6 +496,10 @@ class _LossWatch:
         monkeypatch.setattr(coteach, "coteach_epoch", self.coteach_epoch)
         monkeypatch.setattr(selection, "unlearning_setup", self.unlearning_setup)
         monkeypatch.setattr(driver, "gate_selection", self.gate_selection)
+        # its checks read both learners in this process, so the run is serial;
+        # TestPoolLosses::test_helper_and_run_evaluate_as_often_as_a_serial_run
+        # counts the evaluations of a run with the helper
+        monkeypatch.setattr(util, "usable_cpus", lambda: 1)
 
     def learner(self, *args):
         self.learners.append(self._learner(*args))
@@ -617,6 +626,41 @@ class TestPoolLosses:
         assert not rows[:, drop].any()
         assert rows[:, header.index("low_loss_scratch")].any()
 
+    @pytest.mark.parametrize("overrides, evaluations", [
+        ([], 66),
+        (["method.unlearning=false"], 48),
+        (["method.p_low=0", "method.p_drop=0"], 48),
+        (["skip-embed", "method.unlearning=false"], 27),
+        (["schedule.warmup=5", "schedule.start_unlearn=6", "schedule.unlearn_period=6",
+          "schedule.unlearn_duration=2"], 74),
+        (["desk"], 368),
+    ], ids=["quick", "unlearning-off", "keep-every-id", "skipped-update", "bootstrap", "desk"])
+    def test_helper_and_run_evaluate_as_often_as_a_serial_run(self, tmp_path, monkeypatch,
+                                                              overrides, evaluations):
+        """With the helper each net's losses are evaluated in the process
+        that owns it; the two processes' counts sum to the serial counts of
+        the tests above, each process appending one line per evaluation."""
+        log, here, ce = tmp_path / "evaluations", os.getpid(), net.per_sample_ce
+
+        def per_sample_ce(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return ce(*args)
+
+        monkeypatch.setattr(net, "per_sample_ce", per_sample_ce)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        if "skip-embed" in overrides:
+            real = coteach.co_divide
+            monkeypatch.setattr(coteach, "co_divide", lambda *args: (
+                real(*args)[0], np.zeros(np.shape(args[0]), bool),
+            ))
+        config = QUICK.parent / ("desk.yaml" if "desk" in overrides else "quick.yaml")
+        driver.run(load_config(config, [o for o in overrides if "=" in o]))
+        pids = log.read_text().split()
+        assert len(pids) == evaluations
+        # the helper's, but for the skipped run, whose embed net never changes
+        assert len(set(pids)) == (1 if "skip-embed" in overrides else 2) and str(here) in pids
+
 
 def _children() -> set:
     """The pids of this process's child processes."""
@@ -629,9 +673,10 @@ def _dir_bytes(path) -> dict:
 
 
 class TestHelper:
-    """With a second usable CPU a run fits the scratch net's GMMs in a forked
-    helper process: the same bytes as a run that fits both here, and no
-    helper outlives its run, however the run ends."""
+    """With a second usable CPU a forked helper process runs the embed net's
+    half of each co-teaching epoch: the same bytes, log and errors as a run
+    that runs both halves here, and no helper outlives its run, however the
+    run ends."""
 
     @staticmethod
     def _fits_here(monkeypatch, each=lambda n: None) -> list:
@@ -649,11 +694,17 @@ class TestHelper:
         monkeypatch.setattr(coteach, "fit_gmm_1d", fit)
         return fits
 
-    @pytest.mark.parametrize("unlearning", ["true", "false"])
-    @pytest.mark.parametrize("config", ["quick", "desk"])
+    @pytest.mark.parametrize("config, override", [
+        pytest.param(config, override, id=f"{config}-{name}")
+        for config in ("quick", "desk")
+        for name, override in (("true", "method.unlearning=true"),
+                               ("false", "method.unlearning=false"),
+                               ("asymmetric-false", "method.asymmetric=false"))
+        if config == "quick" or "unlearning" in override
+    ])
     def test_helper_and_serial_runs_write_the_same_bytes(self, tmp_path, monkeypatch, config,
-                                                         unlearning):
-        cfg = load_config(QUICK.parent / f"{config}.yaml", [f"method.unlearning={unlearning}"])
+                                                         override):
+        cfg = load_config(QUICK.parent / f"{config}.yaml", [override])
         fits = self._fits_here(monkeypatch)
         dirs, fits_here = {}, {}
         for cpus in (2, 1):
@@ -664,6 +715,74 @@ class TestHelper:
         epochs = cfg.schedule.max_epoch - cfg.schedule.warmup
         assert fits_here == {2: epochs, 1: 2 * epochs}
         assert dirs[2] == dirs[1] and Path("metrics.csv") in dirs[1]
+
+    def test_skipped_update_writes_the_same_bytes_and_log(self, tmp_path, monkeypatch, caplog):
+        """A co-divide that gives the embed net no labeled samples: the run's
+        process logs the helper's skipped updates as a serial run does."""
+        real = coteach.co_divide
+        monkeypatch.setattr(coteach, "co_divide", lambda *args: (
+            real(*args)[0], np.zeros(np.shape(args[0]), bool),
+        ))
+        cfg = load_config(QUICK, ["method.unlearning=false"])
+        dirs, logs = {}, {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="coforget"):
+                dirs[cpus] = _dir_bytes(driver.run(cfg, tmp_path / f"cpus{cpus}").out_dir)
+            logs[cpus] = [(r.levelname, r.getMessage()) for r in caplog.records]
+        epochs = cfg.schedule.max_epoch - cfg.schedule.warmup
+        skips = [("WARNING", f"epoch {k}: no labeled samples for embedding net, skipping its update")
+                 for k in range(cfg.schedule.warmup + 1, cfg.schedule.max_epoch + 1)]
+        assert [r for r in logs[1] if r[0] == "WARNING"] == skips and len(skips) == epochs
+        assert logs[2] == logs[1]
+        assert dirs[2] == dirs[1]
+
+    def test_embed_half_failure_gives_the_serial_error(self, tmp_path, monkeypatch, capsys):
+        """The embed net's learning rate overflows once it decays at epoch 5
+        (the scratch net's stays small): its end-of-epoch check fails in the
+        helper, and the run prints the serial run's error line and exit code."""
+        overrides = ["--override", "optim.decay_epoch=5", "--override", "optim.decay_factor=1.0e+300",
+                     "--override", "optim.lr_scratch=1.0e-300"]
+        outcomes = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            before = _children()
+            rc = cli.main(["train", "--config", str(QUICK), *overrides,
+                           "--outdir", str(tmp_path / f"cpus{cpus}")])
+            outcomes[cpus] = rc, capsys.readouterr().err
+            assert _children() == before
+            assert not (tmp_path / f"cpus{cpus}" / "metrics.csv").exists()
+        assert outcomes[2] == outcomes[1] == (
+            2, "error: non-finite values in theta_embed at epoch 5; aborting run\n")
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        with pytest.raises(StateError) as raised:
+            driver.run(load_config(QUICK, [o for o in overrides if o != "--override"]))
+        assert isinstance(raised.value.__cause__, util._RemoteTraceback)
+
+    @pytest.mark.parametrize("max_epoch", [24, 3], ids=["coteaching", "warmup-only"])
+    def test_helper_forks_at_the_first_coteaching_epoch(self, monkeypatch, max_epoch):
+        """No child runs during warmup, and a run without a co-teaching
+        epoch forks none."""
+        before, seen, warmup = _children(), [], driver.warmup_epoch
+        forks, server = [], util.forked_server
+
+        def watched(*args):
+            seen.append(_children() - before)
+            return warmup(*args)
+
+        def forked_server(fn):
+            forks.append(fn)
+            return server(fn)
+
+        monkeypatch.setattr(driver, "warmup_epoch", watched)
+        monkeypatch.setattr(util, "forked_server", forked_server)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        cfg = load_config(QUICK, [f"schedule.max_epoch={max_epoch}", "schedule.encoder_unfreeze=3"])
+        driver.run(cfg)
+        assert seen == [set()] * cfg.schedule.warmup
+        assert len(forks) == (max_epoch > cfg.schedule.warmup)
+        assert _children() == before
 
     def test_helper_killed_mid_run_fails_the_run(self, tmp_path, monkeypatch):
         here, real, calls = os.getpid(), coteach.fit_gmm_1d, []
