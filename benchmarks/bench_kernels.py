@@ -12,12 +12,17 @@ epoch starts from the learners that run had then, with no pool losses kept,
 and leaves out what a run's helper also takes over (forgetting, the epoch's
 evaluation and checkpoint losses) and the items it sends ahead.
 
+The written_run case is the traced peak (tracemalloc, KiB) of one serial
+desk.yaml seed 1 run that writes its run directory, after the untraced run
+the coteach_epoch case records its epochs from. It is a run of its own: the
+recording keeps every epoch's learners, which would count in its peak.
+
 Usage:
     python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
 
 --json writes {"backend", "numpy", "python", "cases": {case: {"jit_us",
 "python_us"}}} to PATH as well as printing the table; the coteach_epoch
-case holds {"serial_us", "helper_us"}.
+case holds {"serial_us", "helper_us"} and the written_run case {"peak_kib"}.
 
 Run with COFORGET_DISABLE_NUMBA=1 to confirm the fallback is the only path;
 the two columns then match.
@@ -27,7 +32,9 @@ import argparse
 import copy
 import json
 import platform
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +122,24 @@ def bench_epochs(results, epochs, passes):
     results["coteach_epoch"] = {"serial_us": serial_us, "helper_us": helper_us}
 
 
+def bench_written_run(results):
+    """The traced peak of one serial desk seed 1 run into a run directory."""
+    cpus = util.usable_cpus
+    util.usable_cpus = lambda: 1
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            tracemalloc.start()
+            try:
+                driver.run(config.load_config(DESK, ["run.seed=1"]), Path(tmp) / "run")
+                peak_kib = tracemalloc.get_traced_memory()[1] / 1024
+            finally:
+                tracemalloc.stop()
+    finally:
+        util.usable_cpus = cpus
+    print(f"{'written desk run, seed 1':<38} {peak_kib:>10.1f} KiB traced peak")
+    results["written_run"] = {"peak_kib": peak_kib}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=2000)
@@ -170,6 +195,7 @@ def main():
         results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
     )
     bench_epochs(results, desk_epochs(), max(args.repeats // 400, 1))
+    bench_written_run(results)
 
     if args.json:
         doc = {

@@ -8,7 +8,7 @@ first selection), each a function of plain values:
 - ``_select``, on a selection epoch: the SelectionSets, from each net's
   train-id losses; it writes the selection audit file;
 - ``_forget``, on a forgetting epoch, once per net: its forgetting_log row;
-- ``_coteach``: one co-teaching epoch, which fills its CODIVIDE_RECORD rows;
+- ``_coteach``: one co-teaching epoch, which returns its CODIVIDE_RECORD rows;
 - ``_evaluate``, after every epoch of either arm: the EpochMetrics row, from
   each net's ``_scores``.
 
@@ -23,9 +23,10 @@ process does the scratch net's half, every selection, co-divide, log line and
 file write, and reads each of the helper's replies after its own half.
 Each arm returns its metrics, learners and forgetting rows, and ``run``
 alone finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
-With a run directory every epoch's co-divide rows fill one block in place,
-written after the last epoch as codivide_audit.npy; ``coforget export``
-makes the CSV of it.
+Each co-teaching epoch fills its own co-divide rows; with a run directory
+they are appended to a util.npy_writer as the run goes, so a run holds one
+epoch's rows whatever its schedule, and codivide_audit.npy is written once
+the last epoch ends; ``coforget export`` makes the CSV of it.
 """
 
 import contextlib
@@ -41,7 +42,7 @@ import numpy as np
 from . import __version__, coteach, data, forget, kernels, net, oracle, selection, util
 from .config import RunConfig, show_value, validate_config
 from .errors import ConfigurationError, StateError
-from .util import format_rows, output_dir, replacing, rng_for, write_csv, write_npy
+from .util import format_rows, npy_writer, output_dir, replacing, rng_for, write_csv
 
 logger = logging.getLogger("coforget")
 
@@ -52,7 +53,7 @@ CODIVIDE_RECORD = np.dtype([
     ("labeled_scratch", "?"), ("labeled_embed", "?"), ("observed", "<i8"), ("true", "<i8"),
 ])
 CODIVIDE_HEADER = ",".join(CODIVIDE_RECORD.names)
-MAX_ARRAY_CELLS = 2**31  # per array a run sizes, checked before any is allocated
+MAX_ARRAY_CELLS = 2**31  # per array or record a run sizes, checked before the run starts
 CLEAN_JUDGE_THRESHOLD = 0.5  # selection-quality accounting, independent of tau_w
 LAST_WINDOW = 10
 ACC_KEYS = ("acc_scratch", "acc_embed", "acc_ens")
@@ -210,9 +211,9 @@ def build_oracle(cfg: RunConfig, ds: data.Dataset) -> oracle.OracleTable:
 
 
 def _check_array_sizes(cfg: RunConfig, ds: data.Dataset) -> None:
-    """Reject a run whose config and dataset as built size an array past
-    MAX_ARRAY_CELLS cells: the co-divide audit block, the oracle embeddings
-    and their projection, or a layer's weights."""
+    """Reject a run whose config and dataset as built size an array or
+    record past MAX_ARRAY_CELLS cells: the co-divide record file, the oracle
+    embeddings and their projection, or a layer's weights."""
     sched, embed_dim, n_classes = cfg.schedule, cfg.oracle.embed_dim, ds.n_classes
     sized = {
         "co-divide audit: (schedule.max_epoch - warmup) * dataset train samples":
@@ -473,30 +474,34 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     onehot = np.eye(ds.n_classes)[ds.observed_labels]
     soft_targets = 0.5 * oracle_table.probs + 0.5 * onehot
     metrics, forget_rows = [], []
-    codivide = np.empty(0, CODIVIDE_RECORD)  # warmup epochs have no co-divide rows
     for k in range(1, min(sched.warmup, sched.max_epoch) + 1):
         warmup_epoch(scratch, embed, onehot, soft_targets, train_ids,
                      k, cfg.optim.batch_size, rng_for(cfg.run.seed, f"warmup/{k}"))
         _check_finite(k, theta_scratch=scratch.theta, theta_embed=embed.theta)
         metrics.append(_evaluate(k, ds, [_scores(ds, learner, train_ids) for learner in learners],
-                                 train_ids, None, codivide))
+                                 train_ids, None, np.empty(0, CODIVIDE_RECORD)))
 
-    if sched.max_epoch > sched.warmup:
-        # from the first co-teaching epoch on, the embed net's half of each
-        # stage runs in a helper process when a second CPU is free, forked
-        # here: it inherits the warmed-up embed learner, and none of the
-        # co-divide block allocated after it. Without one it runs in this
-        # process, each item when its reply is read.
-        half = _EmbedServer(cfg, ds, scratch, embed)
-        with (util.forked_server(half) if util.usable_cpus() >= 2
-              else contextlib.nullcontext(functools.partial(functools.partial, half))) as submit:
-            submit = _Ahead(submit)
-            codivide = _coteach_epochs(cfg, ds, oracle_table, scratch, embed, submit, out_path,
-                                       metrics, forget_rows)
-            embed.theta, embed.opt = submit(("finish",))()
+    # each co-teaching epoch's co-divide rows, written as codivide_audit.npy
+    # once the block ends (a warmup-only run's has none); without a run
+    # directory they are dropped
+    with (npy_writer(out_path / "codivide_audit.npy", CODIVIDE_RECORD) if out_path is not None
+          else contextlib.nullcontext(lambda rows: None)) as append:
+        if sched.max_epoch > sched.warmup:
+            # from the first co-teaching epoch on, the embed net's half of
+            # each stage runs in a helper process when a second CPU is free,
+            # forked here: it inherits the warmed-up embed learner and the
+            # record's staged file, still empty, which only this process
+            # appends to. Without one it runs in this process, each item
+            # when its reply is read.
+            half = _EmbedServer(cfg, ds, scratch, embed)
+            with (util.forked_server(half) if util.usable_cpus() >= 2
+                  else contextlib.nullcontext(functools.partial(functools.partial, half))) as submit:
+                submit = _Ahead(submit)
+                _coteach_epochs(cfg, ds, oracle_table, scratch, embed, submit, out_path, append,
+                                metrics, forget_rows)
+                embed.theta, embed.opt = submit(("finish",))()
 
     if out_path is not None:
-        write_npy(out_path / "codivide_audit.npy", codivide)
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return metrics, learners, forget_rows
 
@@ -558,23 +563,17 @@ def _forgets(k: int, cfg: RunConfig, sets) -> bool:
 
 
 def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, scratch, embed, submit,
-                    out_path, metrics, forget_rows) -> np.ndarray:
-    """The co-teaching epochs, appending to metrics and forget_rows: the
-    scratch net's half of each stage here, the embed net's through submit,
-    whose reply is read after this process's half and its checks, so a
-    failing run raises the error a serial run would. Returns the co-divide
-    rows with a run directory, else none."""
+                    out_path, append, metrics, forget_rows) -> None:
+    """The co-teaching epochs, appending to metrics and forget_rows and
+    passing each epoch's co-divide rows to append: the scratch net's half of
+    each stage here, the embed net's through submit, whose reply is read
+    after this process's half and its checks, so a failing run raises the
+    error a serial run would."""
     sched = cfg.schedule
     train_ids = pool = ds.train_ids()
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
     prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
     sets = reference = None
-    # with a run directory, one block that every co-teaching epoch's rows fill
-    # in place up to n_codivide: per-epoch arrays kept instead stay scattered
-    # over the heap and raise the memory peak of whatever runs next
-    codivide = (np.empty((sched.max_epoch - sched.warmup) * train_ids.shape[0], CODIVIDE_RECORD)
-                if out_path is not None else np.empty(0, CODIVIDE_RECORD))
-    n_codivide = 0
     submit.send(_leading_items(sched.warmup + 1, cfg, bootstrap_epoch, sets, pool))
     for k in range(sched.warmup + 1, sched.max_epoch + 1):
         checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
@@ -594,24 +593,23 @@ def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, scratch, emb
             forget_rows.append(_forget(k, cfg, ds, "scratch", scratch, sets.targets_scratch,
                                        reference, pool, 0))
             forget_rows.append(forgotten())
-        rows = (np.empty(pool.shape[0], CODIVIDE_RECORD) if out_path is None
-                else codivide[n_codivide:n_codivide + pool.shape[0]])
-        n_codivide += rows.shape[0]
         submit.after_train = [("evaluate", k), *_leading_items(k + 1, cfg, bootstrap_epoch, sets, pool)]
-        _coteach(k, cfg, ds, scratch, embed, pool, submit, rows)
+        rows = _coteach(k, cfg, ds, scratch, embed, pool, submit)
+        append(rows)
         embed_scores = submit(("evaluate", k))
         _check_finite(k, theta_scratch=scratch.theta)
         scores = _scores(ds, scratch, pool)
         metrics.append(_evaluate(k, ds, (scores, embed_scores()), pool, sets, rows))
-    return codivide[:n_codivide]
 
 
-def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, scratch, embed, pool, submit, rows) -> None:
-    """One co-teaching epoch on pool, filling rows with its co-divide rows."""
+def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, scratch, embed, pool, submit) -> np.ndarray:
+    """One co-teaching epoch on pool: its CODIVIDE_RECORD rows."""
     res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, pool, k, cfg,
                                 rng_for(cfg.run.seed, f"coteach/{k}"), submit)
+    rows = np.empty(pool.shape[0], CODIVIDE_RECORD)
     for name, values in zip(CODIVIDE_RECORD.names, (
         k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
         ds.observed_labels[pool], ds.true_labels[pool],
     )):
         rows[name] = values
+    return rows

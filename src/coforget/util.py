@@ -6,10 +6,10 @@ Every table the package writes goes through write_csv and every table it
 reads through read_csv. Cells are comma-separated and unquoted, one row per
 "\\n"-terminated line: a float is repr of a Python float, an int is decimal,
 a bool is 0 or 1, a str is as is. A columnar record is one 1-D structured
-array in a version 1.0 .npy file, written by write_npy and read by read_npy.
-These writers, and the run's manifest and checkpoints, write to a temporary
-name beside the target and move it into place, so no file is ever left
-half written.
+array in a version 1.0 .npy file, written by npy_writer, which stages its
+rows as they come in an unnamed file, and read by read_npy. These writers,
+and the run's manifest and checkpoints, write to a temporary name beside
+the target and move it into place, so no file is ever left half written.
 """
 
 import contextlib
@@ -17,7 +17,9 @@ import functools
 import itertools
 import math
 import os
+import shutil
 import sys
+import tempfile
 import tokenize
 import traceback
 import warnings
@@ -341,16 +343,37 @@ def check_rows(path, first_lineno: int, checks) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_npy(path, rows) -> None:
-    """Write rows, a 1-D structured array, as a version 1.0 .npy file: the
-    bytes np.save writes, its header taken from the array itself."""
-    with replacing(path, "wb") as fh:
-        np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
+@contextlib.contextmanager
+def npy_writer(path, dtype):
+    """A version 1.0 .npy file of the 1-D array of the structured dtype
+    whose rows the block appends: its value is append(rows), which takes a
+    contiguous 1-D array of dtype. The rows are staged in an unnamed
+    temporary file beside path, so a killed process leaves nothing behind;
+    once the block ends, the header for their count and then the rows go to
+    path through replacing, the bytes np.save writes of their concatenation
+    (no appends: zero rows). If the block raises, nothing is written."""
+    dtype, path = np.dtype(dtype), Path(path)
+    n_rows = 0
+
+    def append(rows) -> None:
+        nonlocal n_rows
+        if rows.dtype != dtype or rows.ndim != 1:
+            raise ValueError(f"rows of {path} must be a 1-D {dtype}, got {rows.ndim}-D {rows.dtype}")
+        staged.write(rows.view(np.uint8))
+        n_rows += rows.shape[0]
+
+    with tempfile.TemporaryFile(dir=path.parent) as staged:
+        yield append
+        staged.seek(0)
+        with replacing(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n_rows,)})
+            shutil.copyfileobj(staged, fh)
 
 
 def read_npy(path, dtype, checks=lambda rows: ()):
     """The 1-D array of the structured dtype in a .npy file written by
-    write_npy. The magic and header are read without unpickling anything;
+    npy_writer. The magic and header are read without unpickling anything;
     the header's dtype must equal dtype exactly, its shape be 1-D and its
     order C, and header plus rows must fill the file to the byte, all before
     the rows are allocated. A file that fails any of this, or a row that

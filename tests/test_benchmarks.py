@@ -29,6 +29,8 @@ def test_bench_kernels_json(tmp_path):
     epoch = doc["cases"].pop("coteach_epoch")
     assert set(epoch) == {"serial_us", "helper_us"}
     assert epoch["serial_us"] > 0 and epoch["helper_us"] > 0
+    written = doc["cases"].pop("written_run")
+    assert set(written) == {"peak_kib"} and written["peak_kib"] > 0
     assert len(doc["cases"]) == 7
     for name, case in doc["cases"].items():
         assert set(case) == {"jit_us", "python_us"}, name

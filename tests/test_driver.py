@@ -9,6 +9,7 @@ import logging
 import os
 import re
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -461,7 +462,7 @@ class TestCodivideAudit:
 
     def test_record_rows_are_the_filled_pool_rows(self, tmp_path):
         """The record holds one row per co-teaching epoch and pool sample,
-        n_pool rows per epoch in order, and nothing of the unfilled block."""
+        n_pool rows per epoch in order, and nothing else."""
         res = driver.run(load_config(QUICK), tmp_path / "run")
         rows = np.load(tmp_path / "run" / "codivide_audit.npy", allow_pickle=False)
         assert rows.dtype == driver.CODIVIDE_RECORD
@@ -473,6 +474,48 @@ class TestCodivideAudit:
     def test_out_dir_does_not_change_metrics(self, tmp_path):
         cfg = load_config(QUICK)
         assert driver.run(cfg, tmp_path / "run").metrics == driver.run(cfg).metrics
+
+    def test_written_run_holds_one_epochs_rows(self, tmp_path, monkeypatch):
+        """A written run's traced peak (tracemalloc, serial, after one
+        untraced run) grows from schedule.max_epoch 24 to 96 by less than a
+        quarter of what its record grows by: each epoch's rows go to the
+        record's staged file as the run goes."""
+        monkeypatch.setattr(util, "usable_cpus", lambda: 1)
+        driver.run(load_config(QUICK), tmp_path / "untraced")
+        peaks, sizes = {}, {}
+        for max_epoch in (24, 96):
+            out = tmp_path / f"epochs{max_epoch}"
+            tracemalloc.start()
+            try:
+                driver.run(load_config(QUICK, [f"schedule.max_epoch={max_epoch}"]), out)
+                peaks[max_epoch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes[max_epoch] = (out / "codivide_audit.npy").stat().st_size
+        record_growth = sizes[96] - sizes[24]
+        assert record_growth > 400 * 1024
+        assert peaks[96] - peaks[24] < record_growth / 4
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("raised", [RuntimeError, KeyboardInterrupt])
+    def test_run_that_raises_leaves_no_record(self, tmp_path, monkeypatch, raised, cpus):
+        """A stage raises at epoch 15, after the selection of epoch 12: the
+        run dir holds what it held then, the manifest and that selection's
+        audit, and no record, staged or written."""
+        out, real, seen = tmp_path / "run", driver._evaluate, []
+
+        def evaluate(k, *args):
+            if k == 15:
+                seen.append(sorted(path.name for path in out.iterdir()))
+                raise raised("stop")
+            return real(k, *args)
+
+        monkeypatch.setattr(driver, "_evaluate", evaluate)
+        monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+        with pytest.raises(raised, match="stop"):
+            driver.run(load_config(QUICK), out)
+        assert seen == [["manifest.json", "selection_epoch_0012.csv"]]
+        assert sorted(path.name for path in out.iterdir()) == seen[0]
 
 
 class _LossWatch:
@@ -806,7 +849,7 @@ class TestHelper:
                              ids=["completes", "stage-raises", "interrupted"])
     def test_no_helper_outlives_its_run(self, monkeypatch, raised):
         """A stage raises in this process's fit of epoch 5 of co-teaching,
-        while the helper holds that epoch's scratch fit."""
+        while the helper holds the embed net's half of that epoch."""
         before, alive = _children(), []
 
         def each(n):

@@ -386,6 +386,19 @@ def _header(descr=RECORD.descr, fortran_order=False, shape=(3,)) -> str:
     return f"{{'descr': {descr!r}, 'fortran_order': {fortran_order!r}, 'shape': {shape!r}, }}"
 
 
+def _write_record(path, *chunks) -> None:
+    """util.npy_writer's file of RECORD rows, each chunk one append."""
+    with util.npy_writer(path, RECORD) as append:
+        for rows in chunks:
+            append(rows)
+
+
+def _np_save_bytes(rows) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=False)
+    return buf.getvalue()
+
+
 def _read_small(path):
     """util.read_npy of RECORD rows, asserting it never traced more than a
     megabyte of allocations, whatever the file's header promises."""
@@ -627,11 +640,23 @@ class TestNoHalfWrittenFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_npy_write_that_raises_after_the_header_leaves_nothing(self, tmp_path, monkeypatch):
-        """The record's header is written, then the disk fills on its rows."""
+        """The record's header is written, then the disk fills on its rows;
+        neither the target nor the staged rows leave a file."""
         writes = _disk_fills(monkeypatch, "t.npy", after=1)
         with pytest.raises(OSError, match="No space left on device"):
-            util.write_npy(tmp_path / "t.npy", _record(3))
-        assert writes[0].startswith(b"\x93NUMPY\x01\x00")
+            _write_record(tmp_path / "t.npy", _record(3), _record(2, 3))
+        assert writes[0].startswith(b"\x93NUMPY\x01\x00") and len(writes) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raised", [RuntimeError, KeyboardInterrupt])
+    def test_npy_block_that_raises_writes_nothing(self, tmp_path, raised):
+        """The staged rows have no name while the block runs, and a block
+        that raises leaves no file at all."""
+        with pytest.raises(raised, match="stop"):
+            with util.npy_writer(tmp_path / "t.npy", RECORD) as append:
+                append(_record(3))
+                assert list(tmp_path.iterdir()) == []
+                raise raised("stop")
         assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_that_raises_mid_write_leaves_nothing(self, tmp_path):
@@ -661,24 +686,36 @@ class TestNoHalfWrittenFile:
 
 class TestNpyRecord:
     def test_bytes_equal_np_save_and_round_trip(self, tmp_path):
-        rows = np.concatenate([_record(3), _record(4, 3)])
+        """Several appends, an empty one among them, write the bytes np.save
+        writes of their concatenation."""
+        chunks = [_record(3), _record(0), _record(4, 3), _record(1, 7)]
+        rows = np.concatenate(chunks)
         path = tmp_path / "r.npy"
-        util.write_npy(path, rows)
-        buf = io.BytesIO()
-        np.save(buf, rows, allow_pickle=False)
-        assert path.read_bytes() == buf.getvalue()
+        _write_record(path, *chunks)
+        assert path.read_bytes() == _np_save_bytes(rows)
         back = util.read_npy(path, RECORD)
         assert back.dtype == RECORD and back.tobytes() == rows.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["r.npy"]
 
     def test_zero_rows(self, tmp_path):
+        """No append writes the zero-row record."""
         path = tmp_path / "r.npy"
-        util.write_npy(path, _record(0))
+        _write_record(path)
+        assert path.read_bytes() == _np_save_bytes(_record(0))
         back = util.read_npy(path, RECORD)
         assert back.shape == (0,) and back.dtype == RECORD
 
+    @pytest.mark.parametrize("rows", [_record(4)[::2], _record(3).reshape(3, 1),
+                                      np.zeros(3, [("a", "<i8"), ("w", "<f8")])],
+                             ids=["strided", "2-d", "other-dtype"])
+    def test_append_takes_contiguous_rows_of_its_dtype_only(self, tmp_path, rows):
+        with pytest.raises(ValueError):
+            _write_record(tmp_path / "r.npy", _record(2), rows)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncation_at_every_byte_names_file(self, tmp_path):
         path = tmp_path / "r.npy"
-        util.write_npy(path, _record(3))
+        _write_record(path, _record(3))
         blob = path.read_bytes()
         for keep in range(len(blob)):
             path.write_bytes(blob[:keep])
@@ -731,7 +768,7 @@ class TestNpyRecord:
         rows = _record(3)
         rows["w"][2] = w
         path = tmp_path / "r.npy"
-        util.write_npy(path, rows)
+        _write_record(path, rows)
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: row 2: w must lie"):
             _read_small(path)
 
@@ -740,7 +777,7 @@ class TestNpyRecord:
         repeat count gains a leading zero) is a comma dtype string that
         numpy's parser fails on with a SyntaxError, not a ValueError."""
         path = tmp_path / "r.npy"
-        util.write_npy(path, _record(3))
+        _write_record(path, _record(3))
         blob = path.read_bytes()
         damages = []
         for at in (m.start() + 1 for m in re.finditer(rb"'[<|]", blob)):
@@ -788,7 +825,7 @@ class TestNpyRecord:
     @given(data=st.data())
     def test_damaged_bytes_raise_only_ingestion_errors(self, tmp_path, data):
         path = tmp_path / "r.npy"
-        util.write_npy(path, _record(3))
+        _write_record(path, _record(3))
         blob = path.read_bytes()
         damaged = bytearray(blob)
         if data.draw(st.booleans(), label="cut"):
