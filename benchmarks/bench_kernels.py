@@ -17,12 +17,17 @@ desk.yaml seed 1 run that writes its run directory, after the untraced run
 the coteach_epoch case records its epochs from. It is a run of its own: the
 recording keeps every epoch's learners, which would count in its peak.
 
+The report case times write_report over the run directory the written_run
+case writes (its default window: epochs 6 to 30), per call, after one
+untimed call, and takes the traced peak of one more call.
+
 Usage:
     python benchmarks/bench_kernels.py [--repeats 2000] [--json PATH]
 
 --json writes {"backend", "numpy", "python", "cases": {case: {"jit_us",
 "python_us"}}} to PATH as well as printing the table; the coteach_epoch
-case holds {"serial_us", "helper_us"} and the written_run case {"peak_kib"}.
+case holds {"serial_us", "helper_us"}, the written_run case {"peak_kib"} and
+the report case {"call_us", "peak_kib"}.
 
 Run with COFORGET_DISABLE_NUMBA=1 to confirm the fallback is the only path;
 the two columns then match.
@@ -39,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coforget import config, coteach, driver, kernels, util
+from coforget import config, coteach, driver, kernels, report, util
 from coforget.net import Architecture, init_params
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
@@ -122,22 +127,33 @@ def bench_epochs(results, epochs, passes):
     results["coteach_epoch"] = {"serial_us": serial_us, "helper_us": helper_us}
 
 
-def bench_written_run(results):
-    """The traced peak of one serial desk seed 1 run into a run directory."""
+def traced_peak_kib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def bench_written_run(results, run_dir):
+    """The traced peak of one serial desk seed 1 run into run_dir."""
     cpus = util.usable_cpus
     util.usable_cpus = lambda: 1
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            tracemalloc.start()
-            try:
-                driver.run(config.load_config(DESK, ["run.seed=1"]), Path(tmp) / "run")
-                peak_kib = tracemalloc.get_traced_memory()[1] / 1024
-            finally:
-                tracemalloc.stop()
+        peak_kib = traced_peak_kib(driver.run, config.load_config(DESK, ["run.seed=1"]), run_dir)
     finally:
         util.usable_cpus = cpus
     print(f"{'written desk run, seed 1':<38} {peak_kib:>10.1f} KiB traced peak")
     results["written_run"] = {"peak_kib": peak_kib}
+
+
+def bench_report(results, run_dir, out_dir, repeats):
+    """write_report over run_dir: microseconds per call and a call's traced peak."""
+    call_us = timeit(report.write_report, ([run_dir], out_dir), repeats) * 1e6
+    peak_kib = traced_peak_kib(report.write_report, [run_dir], out_dir)
+    print(f"{'report, desk seed 1':<38} {call_us:>10.1f} us per call, {peak_kib:.1f} KiB traced peak")
+    results["report"] = {"call_us": call_us, "peak_kib": peak_kib}
 
 
 def main():
@@ -195,7 +211,9 @@ def main():
         results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
     )
     bench_epochs(results, desk_epochs(), max(args.repeats // 400, 1))
-    bench_written_run(results)
+    with tempfile.TemporaryDirectory() as tmp:
+        bench_written_run(results, Path(tmp) / "run")
+        bench_report(results, Path(tmp) / "run", Path(tmp) / "report", max(args.repeats // 20, 5))
 
     if args.json:
         doc = {

@@ -7,7 +7,8 @@ reads through read_csv. Cells are comma-separated and unquoted, one row per
 "\\n"-terminated line: a float is repr of a Python float, an int is decimal,
 a bool is 0 or 1, a str is as is. A columnar record is one 1-D structured
 array in a version 1.0 .npy file, written by npy_writer, which stages its
-rows as they come in an unnamed file, and read by read_npy. These writers,
+rows as they come in an unnamed file, and read whole by read_npy or a
+chunk at a time by npy_record, every row checked either way. These writers,
 and the run's manifest and checkpoints, write to a temporary name beside
 the target and move it into place, so no file is ever left half written.
 """
@@ -254,10 +255,11 @@ def replacing(path, mode: str, **kwargs):
 def write_csv(path, head, chunks) -> None:
     """Write the head lines (column names, or a preamble), then the rows of
     each chunk, a sequence of columns as format_rows takes them. A large
-    table comes in chunks, so that no whole-file string is built."""
+    table comes in chunks, so that no whole-file string is built; nothing
+    holds a chunk's text once it is written, while the next is formatted."""
     with replacing(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in head))
-        fh.writelines(text + "\n" for text in map(format_rows, chunks) if text)
+        fh.writelines(map("{}\n".format, filter(None, map(format_rows, chunks))))
 
 
 # a blank line, which np.loadtxt skips, and what str.splitlines() breaks lines
@@ -342,6 +344,8 @@ def check_rows(path, first_lineno: int, checks) -> None:
 # .npy records
 # ---------------------------------------------------------------------------
 
+RECORD_CHUNK = 1 << 11  # rows of a .npy record read and checked at a time
+
 
 @contextlib.contextmanager
 def npy_writer(path, dtype):
@@ -371,43 +375,89 @@ def npy_writer(path, dtype):
             shutil.copyfileobj(staged, fh)
 
 
+@contextlib.contextmanager
+def npy_record(path, dtype):
+    """A .npy record written by npy_writer, open for reading a chunk at a
+    time. The block's value is (its row count, chunks) once the file passes
+    read_npy's checks of its magic, header and size. chunks(checks, at)
+    reads the rows of each RECORD_CHUNK-row chunk in turn, or only of the
+    chunks at the ascending indices at, checks them as read_npy does, and
+    yields each as a view of one reused buffer that the next overwrites."""
+    dtype = np.dtype(dtype)
+    with _npy_open(path, dtype) as (fh, n_rows):
+        body, buffer = fh.tell(), np.empty(min(n_rows, RECORD_CHUNK), dtype)
+
+        def chunks(checks=lambda rows: (), at=None):
+            starts = range(0, n_rows, RECORD_CHUNK)
+            for start in starts if at is None else (starts[index] for index in at):
+                fh.seek(body + start * dtype.itemsize)
+                rows = buffer[:min(RECORD_CHUNK, n_rows - start)]
+                _read_rows(path, fh, rows, start, checks)
+                yield rows
+
+        yield n_rows, chunks
+
+
 def read_npy(path, dtype, checks=lambda rows: ()):
     """The 1-D array of the structured dtype in a .npy file written by
-    npy_writer. The magic and header are read without unpickling anything;
-    the header's dtype must equal dtype exactly, its shape be 1-D and its
-    order C, and header plus rows must fill the file to the byte, all before
-    the rows are allocated. A file that fails any of this, or a row that
-    fails one of checks(rows), a list of (good-row mask, reason), raises
-    IngestionError naming the file."""
+    npy_writer, read and checked RECORD_CHUNK rows at a time. The magic and
+    header are read without unpickling anything; the header's dtype must
+    equal dtype exactly, its shape be 1-D and its order C, and header plus
+    rows must fill the file to the byte, all before the rows are allocated.
+    A file that fails any of this, or a row that fails a check, raises
+    IngestionError naming the file and the row's index in it; checks(rows)
+    gives a (good-row mask, reason) pair for each check, or only for those
+    that some of rows fail."""
     dtype = np.dtype(dtype)
+    with _npy_open(path, dtype) as (fh, n_rows):
+        rows = np.empty(n_rows, dtype)
+        for start in range(0, n_rows, RECORD_CHUNK):
+            _read_rows(path, fh, rows[start:start + RECORD_CHUNK], start, checks)
+    return rows
+
+
+@contextlib.contextmanager
+def _npy_open(path, dtype):
+    """(the file, at its first row, and its row count) of a .npy record
+    whose magic, header and size pass read_npy's checks."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            try:
-                version = np.lib.format.read_magic(fh)
-                if version != (1, 0):
-                    raise ValueError(f"format version {version}, expected (1, 0)")
-                shape, fortran_order, file_dtype = np.lib.format.read_array_header_1_0(fh)
-            # numpy parses the header with ast.literal_eval (TypeError on an
-            # unhashable key) and retries an unparsable one through tokenize;
-            # a damaged field type such as ',i8' for '<i8' reads as a comma
-            # dtype string, whose parser raises SyntaxError from literal_eval
-            except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
-                raise IngestionError(f"{path}: not a .npy record ({exc})") from None
-            if file_dtype != dtype or len(shape) != 1 or fortran_order:
-                raise IngestionError(
-                    f"{path}: holds a {'Fortran' if fortran_order else 'C'}-ordered array of "
-                    f"shape {shape} and dtype {file_dtype}, expected a C-ordered 1-D {dtype}")
-            n_rows, body = shape[0], fh.tell()
-            if body + n_rows * dtype.itemsize != size:
-                raise IngestionError(f"{path}: header promises {n_rows} rows of {dtype.itemsize} "
-                                     f"bytes after {body} header bytes, file holds {size} bytes")
-            rows = np.empty(n_rows, dtype)
-            if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
-                raise IngestionError(f"{path}: file shrank while read")
+        fh = open(path, "rb")
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read record ({exc})") from None
+    with fh:
+        try:
+            size = os.fstat(fh.fileno()).st_size
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"format version {version}, expected (1, 0)")
+            shape, fortran_order, file_dtype = np.lib.format.read_array_header_1_0(fh)
+        except OSError as exc:
+            raise IngestionError(f"{path}: cannot read record ({exc})") from None
+        # numpy parses the header with ast.literal_eval (TypeError on an
+        # unhashable key) and retries an unparsable one through tokenize;
+        # a damaged field type such as ',i8' for '<i8' reads as a comma
+        # dtype string, whose parser raises SyntaxError from literal_eval
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+            raise IngestionError(f"{path}: not a .npy record ({exc})") from None
+        if file_dtype != dtype or len(shape) != 1 or fortran_order:
+            raise IngestionError(
+                f"{path}: holds a {'Fortran' if fortran_order else 'C'}-ordered array of "
+                f"shape {shape} and dtype {file_dtype}, expected a C-ordered 1-D {dtype}")
+        n_rows, body = shape[0], fh.tell()
+        if body + n_rows * dtype.itemsize != size:
+            raise IngestionError(f"{path}: header promises {n_rows} rows of {dtype.itemsize} "
+                                 f"bytes after {body} header bytes, file holds {size} bytes")
+        yield fh, n_rows
+
+
+def _read_rows(path, fh, rows, start: int, checks) -> None:
+    """Fill rows, the file's rows from index start on, and check them."""
+    try:
+        read = fh.readinto(rows.view(np.uint8))
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read record ({exc})") from None
+    if read != rows.nbytes:
+        raise IngestionError(f"{path}: file shrank while read")
     for ok, reason in checks(rows):
         if not ok.all():
-            raise IngestionError(f"{path}: row {np.argmin(ok)}: {reason}")
-    return rows
+            raise IngestionError(f"{path}: row {start + np.argmin(ok)}: {reason}")

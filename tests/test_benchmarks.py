@@ -31,6 +31,9 @@ def test_bench_kernels_json(tmp_path):
     assert epoch["serial_us"] > 0 and epoch["helper_us"] > 0
     written = doc["cases"].pop("written_run")
     assert set(written) == {"peak_kib"} and written["peak_kib"] > 0
+    report = doc["cases"].pop("report")
+    assert set(report) == {"call_us", "peak_kib"}
+    assert report["call_us"] > 0 and report["peak_kib"] > 0
     assert len(doc["cases"]) == 7
     for name, case in doc["cases"].items():
         assert set(case) == {"jit_us", "python_us"}, name

@@ -5,13 +5,14 @@ replaced, and damaged run files, the co-divide record included."""
 import logging
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from coforget import cli, driver, report
+from coforget import cli, driver, report, util
 from coforget.config import load_config
 from coforget.errors import IngestionError
 
@@ -229,8 +230,9 @@ class TestReadRunDir:
                 report.export_codivide(run_dir)
         monkeypatch.setattr(report, "_read_columns",
                             lambda path, required: _reference_read_csv_columns(path))
-        monkeypatch.setattr(report, "read_npy", lambda path, dtype, checks:
-                            _reference_read_csv_columns(path.with_suffix(".csv")))
+        monkeypatch.setattr(report, "_window_rows", lambda path, window: (
+            (columns := _reference_read_csv_columns(path.with_suffix(".csv"))),
+            columns["epoch"].shape[0]))
         monkeypatch.setattr(report, "selection_quality", _reference_selection_quality)
         report.write_report(dirs, tmp_path / "old")
         for name in ("curves.csv", "summary.csv", "selection_quality.csv"):
@@ -428,6 +430,144 @@ class TestBadRunFiles:
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert "no completed run directories" in err and "Traceback" not in err
+
+
+def _long_record(path, damage=None, shuffle=False):
+    """Write, through util.npy_writer in two appends, a co-divide record of
+    two util.RECORD_CHUNK chunks and part of a third: epochs 4 on, 150
+    samples each. damage(rows) changes rows first; shuffle puts the rows
+    out of epoch order. Returns the rows written."""
+    n = 2 * util.RECORD_CHUNK + 100
+    rows = np.zeros(n, driver.CODIVIDE_RECORD)
+    index = np.arange(n)
+    rows["epoch"], rows["id"] = 4 + index // 150, index % 150
+    rows["w_scratch"], rows["w_embed"] = index * 7 % 9 / 8, index * 5 % 9 / 8
+    rows["labeled_scratch"], rows["labeled_embed"] = rows["w_embed"] >= 0.5, rows["w_scratch"] >= 0.5
+    rows["observed"], rows["true"] = rows["id"] % 3, rows["id"] // 3 % 3
+    if shuffle:
+        rows = rows[np.random.default_rng(0).permutation(n)]
+    if damage is not None:
+        damage(rows)
+    with util.npy_writer(path, driver.CODIVIDE_RECORD) as append:
+        append(rows[:n // 3])
+        append(rows[n // 3:])
+    return rows
+
+
+def _set_row(field, row, value):
+    def damage(rows):
+        rows[field][row] = value
+    return damage
+
+
+class TestChunkedRecord:
+    """A record longer than one chunk, read a chunk at a time: every row is
+    checked and named by its index in the file, and report keeps only its
+    window's rows. The quick manifest's window is (4, 12)."""
+
+    def _run_dir(self, quick_runs, root, name="run", **record):
+        run_dir = root / name
+        _copy_run(quick_runs["unl-on"], run_dir)
+        return run_dir, _long_record(run_dir / "codivide_audit.npy", **record)
+
+    @pytest.mark.parametrize("window", [None, report.default_window], ids=["whole", "window"])
+    def test_bad_weight_in_last_chunk_names_its_row(self, quick_runs, tmp_path, window):
+        last = 2 * util.RECORD_CHUNK + 99
+        run_dir, _ = self._run_dir(quick_runs, tmp_path, damage=_set_row("w_embed", last, 1.5))
+        path = run_dir / "codivide_audit.npy"
+        with pytest.raises(IngestionError,
+                           match=rf"{re.escape(str(path))}: row {last}: w_embed must lie in \[0, 1\]"):
+            report.load_run(run_dir, window)
+
+    @pytest.mark.parametrize("window", [None, (4, 5)], ids=["default", "window"])
+    def test_bad_row_outside_window_skips_dir(self, quick_runs, tmp_path, caplog, window):
+        row = util.RECORD_CHUNK + 5
+        bad, rows = self._run_dir(quick_runs, tmp_path, "bad", damage=_set_row("id", row, -1))
+        assert rows["epoch"][row] > 12
+        with caplog.at_level(logging.WARNING, logger="coforget"):
+            report.write_report([bad, quick_runs["unl-off"]], tmp_path / "rep", window)
+        assert any("skipping" in r.getMessage()
+                   and f"codivide_audit.npy: row {row}: id must be non-negative" in r.getMessage()
+                   for r in caplog.records)
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
+
+    def test_no_row_in_window_gives_zero_row(self, quick_runs, tmp_path):
+        run_dir, rows = self._run_dir(quick_runs, tmp_path)
+        assert rows["epoch"].max() < 500
+        report.write_report([run_dir], tmp_path / "rep", (500, 600))
+        assert (tmp_path / "rep" / "selection_quality.csv").read_text() == (
+            "run_id,window_start,window_end,hn,ln,cs\nrun,500,600,0,0,0\n")
+
+    @pytest.mark.parametrize("window", [None, (1, 5)], ids=["default", "window"])
+    def test_zero_row_record_gives_no_row(self, quick_runs, tmp_path, window):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        with util.npy_writer(run_dir / "codivide_audit.npy", driver.CODIVIDE_RECORD):
+            pass
+        report.write_report([run_dir], tmp_path / "rep", window)
+        assert (tmp_path / "rep" / "selection_quality.csv").read_text() == (
+            "run_id,window_start,window_end,hn,ln,cs\n")
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["in-order", "shuffled"])
+    @pytest.mark.parametrize("window", [(4, 12), (20, 40), (1, 3), (4, 500)])
+    def test_window_rows_in_any_epoch_order(self, quick_runs, tmp_path, window, shuffle):
+        """The window's rows are chosen by their epoch field in every chunk,
+        in file order, whatever the order of epochs in the file."""
+        run_dir, rows = self._run_dir(quick_runs, tmp_path, shuffle=shuffle)
+        run = report.load_run(run_dir, lambda manifest: window)
+        lo, hi = window
+        assert run.window == window and run.record_rows == rows.shape[0]
+        assert run.codivide.dtype == driver.CODIVIDE_RECORD
+        assert run.codivide.tobytes() == rows[(rows["epoch"] >= lo) & (rows["epoch"] <= hi)].tobytes()
+        assert report.selection_quality(run.codivide, window) == report.selection_quality(rows, window)
+
+
+@pytest.fixture(scope="module")
+def epoch_runs(tmp_path_factory):
+    """Run dirs of configs/quick.yaml at schedule.max_epoch 24 and 96."""
+    root = tmp_path_factory.mktemp("epochs")
+    for max_epoch in (24, 96):
+        driver.run(load_config(QUICK, [f"schedule.max_epoch={max_epoch}"]), root / str(max_epoch))
+    return {max_epoch: root / str(max_epoch) for max_epoch in (24, 96)}
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordMemory:
+    """The report and export hold a chunk of the co-divide record, not the
+    whole record, so their traced peaks (tracemalloc, after one untraced
+    call) do not follow the record's growth from schedule.max_epoch 24 to 96."""
+
+    def test_report_peak_grows_less_than_a_quarter_of_the_record(self, epoch_runs, tmp_path):
+        report.write_report([epoch_runs[24]], tmp_path / "untraced")
+        peaks = {max_epoch: _traced_peak(report.write_report, [run_dir], tmp_path / str(max_epoch))
+                 for max_epoch, run_dir in epoch_runs.items()}
+        sizes = {max_epoch: (run_dir / "codivide_audit.npy").stat().st_size
+                 for max_epoch, run_dir in epoch_runs.items()}
+        record_growth = sizes[96] - sizes[24]
+        assert record_growth > 400 * 1024
+        assert peaks[96] - peaks[24] < record_growth / 4
+
+    def test_export_peak_does_not_grow(self, epoch_runs, tmp_path):
+        """Export's peak is one chunk's text: both records are longer than
+        a chunk, so it barely moves while the record grows fourfold."""
+        dirs = {max_epoch: shutil.copytree(run_dir, tmp_path / str(max_epoch))
+                for max_epoch, run_dir in epoch_runs.items()}
+        report.export_codivide(dirs[24])
+        peaks = {max_epoch: _traced_peak(report.export_codivide, run_dir)
+                 for max_epoch, run_dir in dirs.items()}
+        sizes = {max_epoch: (run_dir / "codivide_audit.npy").stat().st_size
+                 for max_epoch, run_dir in dirs.items()}
+        assert sizes[24] > util.RECORD_CHUNK * driver.CODIVIDE_RECORD.itemsize
+        assert peaks[96] - peaks[24] < (sizes[96] - sizes[24]) / 16
 
 
 def _keep_columns(path, names):
