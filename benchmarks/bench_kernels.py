@@ -9,7 +9,7 @@ The coteach_epoch case times the co-teaching epochs of desk.yaml seed 1
 this process, and the embed net's half in a forked helper process while this
 one runs the scratch net's, as a run does when a second CPU is free. Each
 epoch starts from the learners that run had then, with no pool losses kept,
-and leaves out what a run's helper also takes over (forgetting, the epoch's
+and leaves out the run's other stage items (forgetting, the epoch's
 evaluation and checkpoint losses) and the items it sends ahead.
 
 The written_run case is the traced peak (tracemalloc, KiB) of one serial
@@ -73,47 +73,54 @@ def _clone(learner):
 
 
 def desk_epochs():
-    """The coteach_epoch arguments of each co-teaching epoch of desk.yaml
-    seed 1, the learners as that epoch started, from a serial run."""
-    epochs, epoch, cpus = [], coteach.coteach_epoch, util.usable_cpus
+    """The dataset and config of desk.yaml seed 1, and per co-teaching epoch
+    of a serial run of it the learners as that epoch started and its
+    coteach_epoch pool, epoch and generator."""
+    epochs, epoch, cpus, make = [], coteach.coteach_epoch, util.usable_cpus, driver._learner
+    learners, cfg = [], config.load_config(DESK, ["run.seed=1"])
 
-    def record(scratch, embed, observed, pool_ids, k, cfg, rng, embed_half=None):
-        epochs.append((_clone(scratch), _clone(embed), observed, pool_ids, k, cfg, copy.deepcopy(rng)))
-        return epoch(scratch, embed, observed, pool_ids, k, cfg, rng, embed_half)
+    def learner(*args):
+        learners.append(make(*args))
+        return learners[-1]
 
-    coteach.coteach_epoch, util.usable_cpus = record, lambda: 1
+    def record(halves, pool_ids, k, cfg, rng):
+        epochs.append((tuple(map(_clone, learners)), pool_ids, k, copy.deepcopy(rng)))
+        return epoch(halves, pool_ids, k, cfg, rng)
+
+    coteach.coteach_epoch, util.usable_cpus, driver._learner = record, lambda: 1, learner
     try:
-        driver.run(config.load_config(DESK, ["run.seed=1"]))
+        driver.run(cfg)
     finally:
-        coteach.coteach_epoch, util.usable_cpus = epoch, cpus
-    return epochs
+        coteach.coteach_epoch, util.usable_cpus, driver._learner = epoch, cpus, make
+    return driver.build_dataset(cfg), cfg, epochs
 
 
-class _Replay(coteach.EmbedHalf):
-    """The embed net's half, starting each epoch's fit from the embed
-    learner that epoch started with."""
+class _Replay:
+    """A net's half that starts each epoch's fit from the learner that epoch
+    started with."""
 
-    def __init__(self, epochs):
-        scratch, embed, observed, *_, cfg, _ = epochs[0]
-        super().__init__(embed, scratch, observed, cfg)
-        self.starts = {k: embed for _, embed, _, _, k, _, _ in epochs}
+    def __init__(self, half, starts):
+        self.half, self.starts = half, starts
 
-    def fit(self, epoch, pool_ids):
-        self.embed = _clone(self.starts[epoch])
-        return super().fit(epoch, pool_ids)
+    def __call__(self, item):
+        if item[0] == "fit":
+            self.half.learner = _clone(self.starts[item[1]])
+        return self.half(item)
 
 
-def bench_epochs(results, epochs, passes):
+def bench_epochs(results, ds, cfg, epochs, passes):
     """Time every epoch both ways, alternating, `passes` times after one
     untimed pass each."""
-    def replay(submit):
-        for scratch, embed, observed, pool_ids, k, cfg, rng in epochs:
-            coteach.coteach_epoch(_clone(scratch), _clone(embed), observed, pool_ids, k, cfg,
-                                  copy.deepcopy(rng), submit)
+    def replay(halves):
+        for _, pool_ids, k, rng in epochs:
+            coteach.coteach_epoch(halves, pool_ids, k, cfg, copy.deepcopy(rng))
 
-    half = _Replay(epochs)
-    with util.forked_server(half) as submit:
-        took = {None: 0.0, submit: 0.0}
+    scratch, embed = epochs[0][0]
+    halves = [_Replay(half, {k: learners[i] for learners, _, k, _ in epochs})
+              for i, half in enumerate(driver._net_halves(cfg, ds, scratch, embed))]
+    serial = tuple(map(driver._in_process, halves))
+    with util.forked_server(halves[1]) as submit:
+        took = {serial: 0.0, (serial[0], submit): 0.0}
         for way in took:
             replay(way)
         for _ in range(passes):
@@ -210,7 +217,7 @@ def main():
     bench_case(
         results, "gmm em, 900 losses", kernels.gmm_em_1d, gmm_args, max(args.repeats // 10, 20)
     )
-    bench_epochs(results, desk_epochs(), max(args.repeats // 400, 1))
+    bench_epochs(results, *desk_epochs(), max(args.repeats // 400, 1))
     with tempfile.TemporaryDirectory() as tmp:
         bench_written_run(results, Path(tmp) / "run")
         bench_report(results, Path(tmp) / "run", Path(tmp) / "report", max(args.repeats // 20, 5))

@@ -14,22 +14,22 @@ network trains on labeled samples only (its adapter frozen until
 both networks the semi-supervised treatment, which is the symmetric ablation
 arm.
 
-An epoch splits into one half per network. The embed network's half is an
-``EmbedHalf``, which a helper process that owns the embed learner can serve
-while the calling process runs the scratch network's half: both nets draw
-from the epoch's one generator, the scratch net first, so the calling
-process makes the scratch net's draws before it trains and sends the
-generator on to the embed half.
+An epoch splits into one half per network, each served as items by the
+process that owns that network's learner (driver._NetHalf): the calling
+process sends each stage's item to both halves and reads the scratch net's
+reply first. The scratch net draws first from the epoch's one generator:
+the calling process gives it a copy, drains the scratch net's draws from
+the generator itself and sends that on to the embed net.
 """
 
-import functools
+import copy
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, net
-from .config import RunConfig, ScheduleCfg
+from .config import RunConfig
 from .errors import InputError
 
 logger = logging.getLogger("coforget")
@@ -138,11 +138,6 @@ def fit_gmm_1d(losses) -> GmmFit:
     )
 
 
-def clean_posterior(losses) -> np.ndarray:
-    """What the co-divide takes of a fit: fit_gmm_1d(losses).clean_posterior."""
-    return fit_gmm_1d(losses).clean_posterior
-
-
 # ---------------------------------------------------------------------------
 # co-divide and pseudo-labels
 # ---------------------------------------------------------------------------
@@ -248,12 +243,6 @@ class Learner:
         self.theta, self.opt = net.sgd_step(self.theta, grad, self.opt, epoch, frozen_prefix)
 
 
-def adapter_prefix(embed: Learner, epoch: int, schedule: ScheduleCfg) -> int:
-    """Leading parameters of the embed net that stay put at this epoch: its
-    first layer (the adapter) before schedule.encoder_unfreeze, none after."""
-    return embed.arch.first_layer_params() if epoch < schedule.encoder_unfreeze else 0
-
-
 @dataclass
 class CoteachResult:
     w_scratch: np.ndarray            # aligned to pool_ids
@@ -287,22 +276,12 @@ def _batches(rng, n_labeled, n_unlabeled, batch_size, alpha):
         yield lab, unl, rng.permutation(rows), _mixup_lambda(alpha, rng)
 
 
-def _train_one_net(learner: Learner, peer: Learner, targets_onehot, labeled_ids, labeled_w,
-                   unlabeled_ids, cfg: RunConfig, epoch, rng, frozen_prefix):
-    """Mini-batch pass over the labeled set, pairing in unlabeled batches of
-    the same size when present; Mixup partners come from the combined pool.
-    The peer's predictions guess the unlabeled samples' labels.
-    """
-    batches = _batches(rng, labeled_ids.shape[0], unlabeled_ids.shape[0], cfg.optim.batch_size,
-                       cfg.method.mixup_alpha)
-    _train_batches(learner, peer, targets_onehot, labeled_ids, labeled_w, unlabeled_ids, cfg, epoch,
-                   batches, frozen_prefix)
-
-
 def _train_batches(learner: Learner, peer: Learner, targets_onehot, labeled_ids, labeled_w,
                    unlabeled_ids, cfg: RunConfig, epoch, batches, frozen_prefix):
-    """_train_one_net's pass over batches, the _batches of its labeled and
-    unlabeled ids."""
+    """A net's mini-batch pass over batches, the _batches of its labeled and
+    unlabeled ids; Mixup partners come from the combined pool, and the peer's
+    predictions guess the unlabeled samples' labels. The first frozen_prefix
+    parameters stay put."""
     method = cfg.method
     for lab, unl, perm, lam in batches:
         ids_x = labeled_ids[lab]
@@ -323,83 +302,45 @@ def _train_batches(learner: Learner, peer: Learner, targets_onehot, labeled_ids,
         learner.step(grad, epoch, frozen_prefix)
 
 
-class EmbedHalf:
-    """The embed net's half of each co-teaching epoch, served to the items
-    coteach_epoch sends it, in this process or in a forked helper that owns
-    the embed learner: ("fit", epoch, pool_ids) gives the clean
-    probabilities of its fit to its pool losses and the theta they come
-    from; ("train", epoch, pool_ids, labeled, w_scratch, rng, scratch_theta)
-    trains it on labeled, co_divide's mask for it, drawing from rng, the
-    epoch's generator past the scratch net's draws. scratch supplies the
-    scratch net's architecture and inputs; symmetric-mode training reads it
-    at scratch_theta, its trained parameters (None in asymmetric mode)."""
-
-    def __init__(self, embed: Learner, scratch: Learner, observed, cfg: RunConfig):
-        self.embed, self.scratch, self.observed, self.cfg = embed, scratch, observed, cfg
-        self.onehot = np.eye(embed.arch.n_classes)[observed]
-
-    def __call__(self, item):
-        stage, *args = item
-        return getattr(self, stage)(*args)
-
-    def fit(self, epoch, pool_ids) -> tuple:
-        return clean_posterior(self.embed.losses(pool_ids, self.observed)), self.embed.theta
-
-    def train(self, epoch, pool_ids, labeled, w_scratch, rng, scratch_theta) -> None:
-        cfg = self.cfg
-        # only in symmetric mode has the embed net unlabeled samples
-        unlabeled = ~labeled & (not cfg.method.asymmetric)
-        peer = (None if scratch_theta is None else
-                Learner(self.scratch.arch, self.scratch.inputs, scratch_theta, self.scratch.opt))
-        _train_one_net(self.embed, peer, self.onehot, pool_ids[labeled], w_scratch[labeled],
-                       pool_ids[unlabeled], cfg, epoch, rng,
-                       adapter_prefix(self.embed, epoch, cfg.schedule))
-
-
-def coteach_epoch(scratch: Learner, embed: Learner, observed, pool_ids, epoch, cfg: RunConfig,
-                  rng, embed_half=None) -> CoteachResult:
+def coteach_epoch(halves, pool_ids, epoch, cfg: RunConfig, rng) -> CoteachResult:
     """One epoch of cross-network training on the current pool, in two
-    halves, one per net: each net's GMM fit to its per-sample cross-entropy
-    of the observed labels of pool_ids (``Learner.losses`` evaluates it only
-    when it is not the last it gave), one co_divide of the two fits, then
-    each net's training on the samples its peer's fit marks clean. This
-    process runs the scratch net's half, rebinding its theta and opt.
+    halves, scratch net first: each net's GMM fit to its per-sample
+    cross-entropy of the observed labels of pool_ids, one co_divide of the
+    two fits, then each net's training on the samples its peer's fit marks
+    clean, the scratch net's always with its unlabeled samples too.
 
-    The embed net's half is an EmbedHalf's: embed_half(item) sends it an
-    item and returns a zero-argument callable for the reply, as
-    util.forked_server does for a helper process that owns the embed
-    learner, where the two halves run at once. By default an EmbedHalf over
-    embed runs each item in this process when its reply is read, after the
-    scratch net's part of that step, and trains embed. The scratch net's
-    unlabeled guesses read the embed net before its training, at the theta
-    its fit came from. In symmetric mode the embed net's training reads the
-    trained scratch net, so it waits for the scratch net's.
+    halves[i](item) sends net i's half an item and returns a zero-argument
+    callable for its reply, as util.forked_server does. ("fit", epoch,
+    pool_ids) replies with the clean probabilities of the net's fit and the
+    theta they come from; ("train", epoch, pool_ids, labeled, w_peer, rng,
+    peer_theta) trains it on co_divide's mask for it, drawing from rng, and
+    replies with its theta. The scratch net's unlabeled guesses read the
+    embed net at its fit's theta; in symmetric mode the embed net's read the
+    trained scratch net, so it trains after it, and in asymmetric mode it
+    has no unlabeled samples and gets no peer_theta.
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    if embed_half is None:
-        embed_half = functools.partial(functools.partial, EmbedHalf(embed, scratch, observed, cfg))
-    fitted = embed_half(("fit", epoch, pool_ids))
-    w_scratch = clean_posterior(scratch.losses(pool_ids, observed))
-    w_embed, embed_theta = fitted()
+    fitted = [half(("fit", epoch, pool_ids)) for half in halves]
+    (w_scratch, _), (w_embed, embed_theta) = (reply() for reply in fitted)
     masks = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
     for name, labeled in zip(("scratch net", "embedding net"), masks):
         if not labeled.any():
             logger.warning("epoch %d: no labeled samples for %s, skipping its update", epoch, name)
-    labeled, unlabeled = masks[0], ~masks[0]
-    # the scratch net's draws come first from the epoch's one generator: made
-    # here and now, they leave rng where the embed net's begin
-    batches = list(_batches(rng, np.count_nonzero(labeled), np.count_nonzero(unlabeled),
-                            cfg.optim.batch_size, method.mixup_alpha))
+    # the scratch net's draws come first from the epoch's one generator: it
+    # draws from a copy, and the embed net from rng drained of those draws
+    scratch_rng = copy.deepcopy(rng)
+    for _ in _batches(rng, np.count_nonzero(masks[0]), np.count_nonzero(~masks[0]),
+                      cfg.optim.batch_size, method.mixup_alpha):
+        pass
+    trained = halves[0](("train", epoch, pool_ids, masks[0], w_embed, scratch_rng, embed_theta))
     train = ("train", epoch, pool_ids, masks[1], w_scratch, rng)
     if method.asymmetric:
-        trained = embed_half((*train, None))
-    _train_batches(scratch, Learner(embed.arch, embed.inputs, embed_theta, embed.opt),
-                   np.eye(scratch.arch.n_classes)[observed], pool_ids[labeled], w_embed[labeled],
-                   pool_ids[unlabeled], cfg, epoch, batches, 0)
+        embed_trained = halves[1]((*train, None))
+    scratch_theta = trained()
     if not method.asymmetric:
-        trained = embed_half((*train, scratch.theta))
-    trained()
+        embed_trained = halves[1]((*train, scratch_theta))
+    embed_trained()
     return CoteachResult(
         w_scratch=w_scratch, w_embed=w_embed,
         labeled_for_scratch=masks[0], labeled_for_embed=masks[1],

@@ -7,7 +7,7 @@ first selection), each a function of plain values:
 
 - ``_select``, on a selection epoch: the SelectionSets, from each net's
   train-id losses; it writes the selection audit file;
-- ``_forget``, on a forgetting epoch, once per net: its forgetting_log row;
+- on a forgetting epoch, each net's forgetting pass: its forgetting_log row;
 - ``_coteach``: one co-teaching epoch, which returns its CODIVIDE_RECORD rows;
 - ``_evaluate``, after every epoch of either arm: the EpochMetrics row, from
   each net's ``_scores``.
@@ -15,12 +15,12 @@ first selection), each a function of plain values:
 The nets are the "scratch" net (an MLP on raw features) and the "embed" net
 (adapter plus head over the fixed oracle embeddings), each a
 ``coteach.Learner`` whose parameters and optimizer state the stages rebind.
-From the first co-teaching epoch on, the embed net's half of each stage (its
-losses, forgetting, GMM fit, training, check and scores) is an
-``_EmbedServer`` item: in a forked helper process when a second CPU is free,
+From the first co-teaching epoch on, each net's half of each stage (its
+losses, forgetting, GMM fit, training, check and scores) is a ``_NetHalf``
+item: the embed net's in a forked helper process when a second CPU is free,
 so that the two halves run at once, else in the run's process. The run's
-process does the scratch net's half, every selection, co-divide, log line and
-file write, and reads each of the helper's replies after its own half.
+process sends each item to both halves, reads the scratch net's reply first,
+and does every selection, co-divide, log line and file write.
 Each arm returns its metrics, learners and forgetting rows, and ``run``
 alone finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
 Each co-teaching epoch fills its own co-divide rows; with a run directory
@@ -400,64 +400,88 @@ def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, losses, prev
     return sets
 
 
-def _reference(learner: coteach.Learner) -> np.ndarray:
-    """A read-only copy of the learner's theta, which forgetting pushes it
-    away from; theta stays writable, as numba types mlp_backward's
-    zeros_like(theta) after it."""
-    reference = learner.theta.copy()
-    reference.setflags(write=False)
-    return reference
+class _NetHalf:
+    """One net's half of every stage from the first co-teaching epoch on,
+    served by the process that owns the net's learner: ("losses", k) its
+    train-id losses at a checkpoint, ("select", k, sets) the selection it
+    then forgets by, ("forget", k) its forgetting pass and forgetting_log
+    row, coteach_epoch's ("fit", ...) and ("train", ...), ("evaluate", k) its
+    end-of-epoch finiteness check and _scores, and ("finish",) its theta and
+    optimizer state. It writes and logs nothing. Its per-net facts: name, in
+    NETS, names its targets, checks and forgetting seed; peer is the other
+    net's learner, whose architecture and inputs its guesses read; semi says
+    whether it has unlabeled samples; its first layer (the adapter) stays put
+    before epoch unfreeze."""
 
+    def __init__(self, cfg: RunConfig, ds: data.Dataset, name, learner, peer, semi, unfreeze):
+        self.cfg, self.ds, self.name, self.learner, self.peer = cfg, ds, name, learner, peer
+        self.semi, self.unfreeze = semi, unfreeze
+        self.onehot = np.eye(ds.n_classes)[ds.observed_labels]
+        self.pool = self.train_ids = ds.train_ids()
 
-def _forget(k: int, cfg: RunConfig, ds: data.Dataset, name: str, learner: coteach.Learner,
-            targets, reference, pool, frozen_prefix) -> tuple:
-    """One forgetting pass of the net called name over its targets, away from
-    its reference: its forgetting_log row. Its theta or pool losses
-    overflowing fails the run here."""
-    method = cfg.method
-    plan = forget.make_unlearn_plan(
-        targets, method.batch_unlearn, method.t_unl, rng_for(cfg.run.seed, f"forget/{k}/{name}")
-    )
-    learner.theta, learner.opt, stats = forget.apply_unlearning(
-        learner.arch, learner.theta, learner.opt, reference, plan, learner.inputs,
-        k, frozen_prefix=frozen_prefix,
-    )
-    # the losses stay in the learner's memo for the co-teaching epoch
-    _check_finite(k, **{f"theta_{name}": learner.theta,
-                        f"losses_{name}": learner.losses(pool, ds.observed_labels)})
-    return k, name, stats.n_targets, stats.kl_before, stats.kl_after
+    def __call__(self, item):
+        stage, *args = item
+        return getattr(self, stage)(*args)
 
-
-class _EmbedServer(coteach.EmbedHalf):
-    """The embed net's half of every stage from the first co-teaching epoch
-    on, in the process that owns the embed learner: co-teaching's items, and
-    ("losses", k) its train-id losses at a checkpoint, ("select", k, sets)
-    the selection it then forgets by, ("forget", k) its forgetting pass and
-    forgetting_log row, ("evaluate", k) its end-of-epoch finiteness check
-    and _scores, and ("finish",) its theta and optimizer state. It writes
-    and logs nothing."""
-
-    def __init__(self, cfg: RunConfig, ds: data.Dataset, scratch, embed):
-        super().__init__(embed, scratch, ds.observed_labels, cfg)
-        self.ds, self.train_ids = ds, ds.train_ids()
-        self.pool, self.sets, self.reference = self.train_ids, None, None
+    def _frozen(self, k) -> int:
+        return self.learner.arch.first_layer_params() if k < self.unfreeze else 0
 
     def losses(self, k):
-        return self.embed.losses(self.train_ids, self.observed)
+        return self.learner.losses(self.train_ids, self.ds.observed_labels)
 
     def select(self, k, sets) -> None:
-        self.pool, self.sets, self.reference = sets.retained, sets, _reference(self.embed)
+        # forgetting's reference, read-only; theta stays writable for numba's zeros_like(theta)
+        self.pool, self.targets = sets.retained, getattr(sets, f"targets_{self.name}")
+        self.reference = self.learner.theta.copy()
+        self.reference.setflags(write=False)
 
-    def forget(self, k):
-        return _forget(k, self.cfg, self.ds, "embed", self.embed, self.sets.targets_embed,
-                       self.reference, self.pool, coteach.adapter_prefix(self.embed, k, self.cfg.schedule))
+    def forget(self, k) -> tuple:
+        """One forgetting pass over its targets: its forgetting_log row. Its
+        theta or pool losses overflowing fails the run here."""
+        learner, method = self.learner, self.cfg.method
+        plan = forget.make_unlearn_plan(self.targets, method.batch_unlearn, method.t_unl,
+                                        rng_for(self.cfg.run.seed, f"forget/{k}/{self.name}"))
+        learner.theta, learner.opt, stats = forget.apply_unlearning(
+            learner.arch, learner.theta, learner.opt, self.reference, plan, learner.inputs, k,
+            frozen_prefix=self._frozen(k))
+        # the losses stay in the learner's memo for the co-teaching epoch
+        _check_finite(k, **{f"theta_{self.name}": learner.theta,
+                            f"losses_{self.name}": learner.losses(self.pool, self.ds.observed_labels)})
+        return k, self.name, stats.n_targets, stats.kl_before, stats.kl_after
+
+    def fit(self, k, pool_ids) -> tuple:
+        losses = self.learner.losses(pool_ids, self.ds.observed_labels)
+        return coteach.fit_gmm_1d(losses).clean_posterior, self.learner.theta
+
+    def train(self, k, pool_ids, labeled, w_peer, rng, peer_theta):
+        unlabeled = ~labeled & self.semi
+        peer = None if peer_theta is None else dataclasses.replace(self.peer, theta=peer_theta)
+        batches = coteach._batches(rng, np.count_nonzero(labeled), np.count_nonzero(unlabeled),
+                                   self.cfg.optim.batch_size, self.cfg.method.mixup_alpha)
+        coteach._train_batches(self.learner, peer, self.onehot, pool_ids[labeled], w_peer[labeled],
+                               pool_ids[unlabeled], self.cfg, k, batches, self._frozen(k))
+        return self.learner.theta
 
     def evaluate(self, k):
-        _check_finite(k, theta_embed=self.embed.theta)
-        return _scores(self.ds, self.embed, self.pool)
+        _check_finite(k, **{f"theta_{self.name}": self.learner.theta})
+        return _scores(self.ds, self.learner, self.pool)
 
     def finish(self):
-        return self.embed.theta, self.embed.opt
+        return self.learner.theta, self.learner.opt
+
+
+def _net_halves(cfg: RunConfig, ds: data.Dataset, scratch, embed) -> tuple:
+    """The _NetHalf of each net in NETS. The scratch net always has unlabeled
+    samples; the embed net has them only in symmetric mode, and its adapter
+    stays put before schedule.encoder_unfreeze."""
+    return (_NetHalf(cfg, ds, "scratch", scratch, embed, True, 0),
+            _NetHalf(cfg, ds, "embed", embed, scratch, not cfg.method.asymmetric,
+                     cfg.schedule.encoder_unfreeze))
+
+
+def _in_process(half):
+    """half's submit in this process: each item runs when its reply is read."""
+    return functools.partial(functools.partial, half)
 
 
 def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleTable,
@@ -487,19 +511,17 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
     with (npy_writer(out_path / "codivide_audit.npy", CODIVIDE_RECORD) if out_path is not None
           else contextlib.nullcontext(lambda rows: None)) as append:
         if sched.max_epoch > sched.warmup:
-            # from the first co-teaching epoch on, the embed net's half of
-            # each stage runs in a helper process when a second CPU is free,
-            # forked here: it inherits the warmed-up embed learner and the
-            # record's staged file, still empty, which only this process
-            # appends to. Without one it runs in this process, each item
-            # when its reply is read.
-            half = _EmbedServer(cfg, ds, scratch, embed)
-            with (util.forked_server(half) if util.usable_cpus() >= 2
-                  else contextlib.nullcontext(functools.partial(functools.partial, half))) as submit:
-                submit = _Ahead(submit)
-                _coteach_epochs(cfg, ds, oracle_table, scratch, embed, submit, out_path, append,
-                                metrics, forget_rows)
-                embed.theta, embed.opt = submit(("finish",))()
+            # from the first co-teaching epoch on, the embed net's half runs
+            # in a helper process when a second CPU is free, forked here: it
+            # inherits the warmed-up embed learner and the record's staged
+            # file, still empty, which only this process appends to
+            scratch_half, embed_half = _net_halves(cfg, ds, scratch, embed)
+            with (util.forked_server(embed_half) if util.usable_cpus() >= 2
+                  else contextlib.nullcontext(_in_process(embed_half))) as submit:
+                halves = (_Ahead(_in_process(scratch_half)), _Ahead(submit))
+                _coteach_epochs(cfg, ds, oracle_table, halves, out_path, append, metrics, forget_rows)
+                for learner, (theta, opt) in zip(learners, _replies(halves, ("finish",))):
+                    learner.theta, learner.opt = theta, opt
 
     if out_path is not None:
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
@@ -507,10 +529,10 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
 
 
 class _Ahead:
-    """The embed half's submit, which can send items before they are due,
-    so that the embed half goes on to them while this process works: send
-    sends them at once, and after an epoch's training item it sends the
-    items of after_train. Called later with one of them (the same stage and
+    """A net's half's submit, which can send items before they are due, so
+    that a helper serving the half goes on to them while this process
+    works: send sends them at once, and after an epoch's training item it
+    sends the items of after_train. Called later with one of them (the same stage and
     epoch), it returns that item's pending reply. Each reply is still taken
     in the order sent."""
 
@@ -562,50 +584,47 @@ def _forgets(k: int, cfg: RunConfig, sets) -> bool:
                                                 sched.unlearn_duration)
 
 
-def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, scratch, embed, submit,
-                    out_path, append, metrics, forget_rows) -> None:
+def _replies(halves, item) -> list:
+    """Send item to each half, then read their replies, the scratch net's first."""
+    return [reply() for reply in [half(item) for half in halves]]
+
+
+def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, halves, out_path, append,
+                    metrics, forget_rows) -> None:
     """The co-teaching epochs, appending to metrics and forget_rows and
-    passing each epoch's co-divide rows to append: the scratch net's half of
-    each stage here, the embed net's through submit, whose reply is read
-    after this process's half and its checks, so a failing run raises the
-    error a serial run would."""
+    passing each epoch's co-divide rows to append: each stage sends its item
+    to both halves and reads the scratch net's reply first, so a failing run
+    raises the error a serial run would."""
     sched = cfg.schedule
-    train_ids = pool = ds.train_ids()
+    pool = ds.train_ids()
     bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
-    prev_losses = None  # the (scratch, embed) losses of the previous checkpoint
-    sets = reference = None
-    submit.send(_leading_items(sched.warmup + 1, cfg, bootstrap_epoch, sets, pool))
+    prev_losses = sets = None  # prev_losses: each net's losses at the previous checkpoint
+    for half in halves:
+        half.send(_leading_items(sched.warmup + 1, cfg, bootstrap_epoch, sets, pool))
     for k in range(sched.warmup + 1, sched.max_epoch + 1):
         checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
         if checkpoint:
-            embed_losses = submit(("losses", k))
-            losses = (scratch.losses(train_ids, ds.observed_labels), embed_losses())
+            losses = _replies(halves, ("losses", k))
             if k == bootstrap_epoch:
                 prev_losses = losses
         if selecting:
             sets = _select(k, cfg, ds, oracle_table, losses, prev_losses, out_path)
-            prev_losses, pool, reference = losses, sets.retained, _reference(scratch)
-            selected = submit(("select", k, sets))
-            submit.send(_divide_items(k, cfg, sets, pool))
-            selected()
+            prev_losses, pool = losses, sets.retained
+            for half in halves:
+                half.send([("select", k, sets), *_divide_items(k, cfg, sets, pool)])
+            _replies(halves, ("select", k, sets))
         if _forgets(k, cfg, sets):
-            forgotten = submit(("forget", k))
-            forget_rows.append(_forget(k, cfg, ds, "scratch", scratch, sets.targets_scratch,
-                                       reference, pool, 0))
-            forget_rows.append(forgotten())
-        submit.after_train = [("evaluate", k), *_leading_items(k + 1, cfg, bootstrap_epoch, sets, pool)]
-        rows = _coteach(k, cfg, ds, scratch, embed, pool, submit)
+            forget_rows.extend(_replies(halves, ("forget", k)))
+        for half in halves:
+            half.after_train = [("evaluate", k), *_leading_items(k + 1, cfg, bootstrap_epoch, sets, pool)]
+        rows = _coteach(k, cfg, ds, pool, halves)
         append(rows)
-        embed_scores = submit(("evaluate", k))
-        _check_finite(k, theta_scratch=scratch.theta)
-        scores = _scores(ds, scratch, pool)
-        metrics.append(_evaluate(k, ds, (scores, embed_scores()), pool, sets, rows))
+        metrics.append(_evaluate(k, ds, _replies(halves, ("evaluate", k)), pool, sets, rows))
 
 
-def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, scratch, embed, pool, submit) -> np.ndarray:
+def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, pool, halves) -> np.ndarray:
     """One co-teaching epoch on pool: its CODIVIDE_RECORD rows."""
-    res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, pool, k, cfg,
-                                rng_for(cfg.run.seed, f"coteach/{k}"), submit)
+    res = coteach.coteach_epoch(halves, pool, k, cfg, rng_for(cfg.run.seed, f"coteach/{k}"))
     rows = np.empty(pool.shape[0], CODIVIDE_RECORD)
     for name, values in zip(CODIVIDE_RECORD.names, (
         k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,

@@ -123,7 +123,7 @@ def test_perfbench_tracer_counts_sum_over_the_helper(tmp_path, monkeypatch):
     driver, here = pkg["driver"], os.getpid()
     monkeypatch.setattr(pkg["util"], "usable_cpus", lambda: 2)
     tracer = tracer_mod.Tracer()
-    server, at_fork = driver._EmbedServer, {}
+    server, at_fork = driver._NetHalf, {}
 
     class Traced(server):
         def __init__(self, *args):
@@ -135,7 +135,7 @@ def test_perfbench_tracer_counts_sum_over_the_helper(tmp_path, monkeypatch):
                 (tmp_path / "helper.json").write_text(json.dumps(tracer.snapshot()))
             return super().finish()
 
-    monkeypatch.setattr(driver, "_EmbedServer", Traced)
+    monkeypatch.setattr(driver, "_NetHalf", Traced)
     tracer.install(pkg)
     try:
         driver.run(pkg["config"].load_config(ROOT / "configs" / "quick.yaml", ["run.seed=1"]))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coforget import coteach, data, net, oracle
+from coforget import coteach, data, driver, net, oracle
 from coforget.config import RunConfig
 from coforget.errors import InputError
 
@@ -217,8 +217,9 @@ class TestCoteachEpoch:
         rng = np.random.default_rng(seed + 10)
         scratch = coteach.Learner(arch_s, ds.features, theta_s, opt_s)
         embed = coteach.Learner(arch_e, emb, theta_e, opt_e)
-        res = coteach.coteach_epoch(scratch, embed, ds.observed_labels, ds.train_ids(),
-                                    epoch, params, rng)
+        # both nets' halves in this process, as a run without a second CPU has them
+        halves = [driver._in_process(half) for half in driver._net_halves(params, ds, scratch, embed)]
+        res = coteach.coteach_epoch(halves, ds.train_ids(), epoch, params, rng)
         # the result's fields next to the parameters the epoch left each net with
         res = SimpleNamespace(**vars(res), theta_scratch=scratch.theta, theta_embed=embed.theta)
         return res, theta_s, theta_e, arch_e
@@ -279,10 +280,12 @@ class TestCoteachEpoch:
         labeled = ds.train_ids()[clean]
         scratch = coteach.Learner(arch_s, ds.features, theta_s, opt_s)
         for epoch in range(1, 31):
-            coteach._train_one_net(
+            batches = coteach._batches(rng, labeled.size, 0, params.optim.batch_size,
+                                       params.method.mixup_alpha)
+            coteach._train_batches(
                 scratch, None, onehot,
                 labeled, np.ones(labeled.size), np.empty(0, dtype=np.int64),
-                params, epoch, rng, 0,
+                params, epoch, batches, 0,
             )
         theta_s = scratch.theta
         te = ds.test_ids()

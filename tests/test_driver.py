@@ -520,9 +520,10 @@ class TestCodivideAudit:
 
 class _LossWatch:
     """Counts net.per_sample_ce calls during a run, checks the pool losses
-    each learner gives coteach_epoch against a fresh evaluation at that
-    call's parameters and pool, and keeps what unlearning_setup receives for
-    check_selections, with the epoch of the last selection gate."""
+    each learner _learner made gives coteach_epoch against a fresh
+    evaluation at that call's parameters and pool, and keeps what
+    unlearning_setup receives for check_selections, with the epoch of the
+    last selection gate."""
 
     def __init__(self, monkeypatch):
         self.evaluations = 0
@@ -531,10 +532,12 @@ class _LossWatch:
         self.nets = None       # ((arch, inputs) per net, observed labels)
         self.epoch = None      # the epoch driver.gate_selection last saw
         self.learners = []     # the learners driver._learner made, in NETS order
-        self._ce, self._coteach, self._select, self._gate, self._learner = (
+        self.ds = None         # the dataset driver.build_dataset made
+        self._ce, self._coteach, self._select, self._gate, self._learner, self._build = (
             net.per_sample_ce, coteach.coteach_epoch, selection.unlearning_setup,
-            driver.gate_selection, driver._learner)
+            driver.gate_selection, driver._learner, driver.build_dataset)
         monkeypatch.setattr(driver, "_learner", self.learner)
+        monkeypatch.setattr(driver, "build_dataset", self.build_dataset)
         monkeypatch.setattr(net, "per_sample_ce", self.per_sample_ce)
         monkeypatch.setattr(coteach, "coteach_epoch", self.coteach_epoch)
         monkeypatch.setattr(selection, "unlearning_setup", self.unlearning_setup)
@@ -547,6 +550,10 @@ class _LossWatch:
     def learner(self, *args):
         self.learners.append(self._learner(*args))
         return self.learners[-1]
+
+    def build_dataset(self, *args):
+        self.ds = self._build(*args)
+        return self.ds
 
     def gate_selection(self, k, *args):
         self.epoch = k
@@ -561,7 +568,8 @@ class _LossWatch:
         return self._ce(*args, **kwargs)
 
     def coteach_epoch(self, *args):
-        scratch, embed, observed, pool, epoch = args[:5]
+        pool, epoch = args[1:3]
+        (scratch, embed), observed = self.learners, self.ds.observed_labels
         # what co-divide will run on: the epoch's own calls get these again
         loss_s, loss_e = (learner.losses(pool, observed) for learner in (scratch, embed))
         arch_s, x_s, theta_s = scratch.arch, scratch.inputs, scratch.theta
@@ -917,6 +925,19 @@ GOLDEN_QUICK_SEED1 = {
         "selection_epoch_0012.csv": "476c4158736bab45f0461e44a79061c81631db90624e450fec03d7a37fac0b3e",
         "selection_epoch_0018.csv": "220ddfb514e09548aa02cf4c21414fd8b7a232c8136d5802b301866f2b200d47",
         "selection_epoch_0024.csv": "be7320016c1444dd493abd8a9002a7ab68869b3ae32906b81a0e175f0a1ec64e",
+    },
+    # the embed net's adapter still frozen through the forgetting of epochs
+    # 12-14: the only golden that covers its frozen prefix there
+    "schedule.encoder_unfreeze=16": {
+        "checkpoint_embed.ckpt": "7ca905a438f438c40712131292e518aed167304e97d26da6237de742f07f7c18",
+        "checkpoint_scratch.ckpt": "29a21ae42eb5c935306078b7093571b098608bf80da93ba4da7108ffc6cb09f0",
+        "codivide_audit.npy": "feeab5ef0ecab24c13937f950ec1f807a23cbcb448e37453188f9771a58fa8da",
+        "forgetting_log.csv": "1f6044120aa7b488f892aa2e04101d6fab47d359d36e9ecb1cf4dc4d172347f0",
+        "manifest.json": "2cc79ca857fcec363e801f0b551fb77dc904b7028b3b3f10035d2d45e63a9761",
+        "metrics.csv": "515ace89ff5abb3f2e0cf04d3ed7ef417e3890ef3c750d4487ce8047c9bca5ad",
+        "selection_epoch_0012.csv": "405dd244ea4f82e46049d04d566c3c250f6375fc55c15d25db934d3117f6dc56",
+        "selection_epoch_0018.csv": "80d25d264e1581f702e9af511dba0054a7cdc2424e2751cf6795cb97d9c4783c",
+        "selection_epoch_0024.csv": "b22aa895582ae755cf797ff36f444db6a4130a6e8c3444cb6c216b8bd796b0e3",
     },
 }
 
