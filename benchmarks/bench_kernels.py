@@ -5,12 +5,13 @@ paths run in one process. Shapes mirror a real desk run (batch 128, an
 8-32-32-3 scratch net, a 16-32-16-3 embedding net, 900-sample GMM fits).
 
 The coteach_epoch case times the co-teaching epochs of desk.yaml seed 1
-(115 of them), per epoch: both nets' halves (GMM fit, then training) in
-this process, and the embed net's half in a forked helper process while this
-one runs the scratch net's, as a run does when a second CPU is free. Each
-epoch starts from the learners that run had then, with no pool losses kept,
-and leaves out the run's other stage items (forgetting, the epoch's
-evaluation and checkpoint losses) and the items it sends ahead.
+(115 of them), per epoch: both nets' GMM fits, the co-divide and both
+trainings, with both nets' halves in this process, and with the embed net's
+half in a forked helper process while this one runs the scratch net's, as a
+run does when a second CPU is free. Each epoch starts from the learners and
+pool that run had then, with no pool losses kept, and leaves out the run's
+other stages (forgetting, the epoch's evaluation and checkpoint losses):
+each half's advance item does nothing.
 
 The written_run case is the traced peak (tracemalloc, KiB) of one serial
 desk.yaml seed 1 run that writes its run directory, after the untraced run
@@ -83,9 +84,9 @@ def desk_epochs():
         learners.append(make(*args))
         return learners[-1]
 
-    def record(halves, pool_ids, k, cfg, rng):
+    def record(halves, pool_ids, k, cfg, rng, fits):
         epochs.append((tuple(map(_clone, learners)), pool_ids, k, copy.deepcopy(rng)))
-        return epoch(halves, pool_ids, k, cfg, rng)
+        return epoch(halves, pool_ids, k, cfg, rng, fits)
 
     coteach.coteach_epoch, util.usable_cpus, driver._learner = record, lambda: 1, learner
     try:
@@ -96,16 +97,20 @@ def desk_epochs():
 
 
 class _Replay:
-    """A net's half that starts each epoch's fit from the learner that epoch
-    started with."""
+    """A net's half whose ("fit", k) item starts epoch k from the learner and
+    pool that epoch started with and replies with the half's fit; its advance
+    items do nothing."""
 
     def __init__(self, half, starts):
         self.half, self.starts = half, starts
 
     def __call__(self, item):
-        if item[0] == "fit":
-            self.half.learner = _clone(self.starts[item[1]])
-        return self.half(item)
+        stage, k = item[:2]
+        if stage == "fit":
+            learner, self.half.pool = self.starts[k]
+            self.half.learner = _clone(learner)
+            return self.half._divide(k)[1]  # no selection stands, so it only fits
+        return None if stage == "advance" else self.half(item)
 
 
 def bench_epochs(results, ds, cfg, epochs, passes):
@@ -113,10 +118,13 @@ def bench_epochs(results, ds, cfg, epochs, passes):
     untimed pass each."""
     def replay(halves):
         for _, pool_ids, k, rng in epochs:
-            coteach.coteach_epoch(halves, pool_ids, k, cfg, copy.deepcopy(rng))
+            fits = [reply() for reply in [half(("fit", k)) for half in halves]]
+            res = coteach.coteach_epoch(halves, pool_ids, k, cfg, copy.deepcopy(rng), fits)
+            for reply in res.advanced:
+                reply()
 
     scratch, embed = epochs[0][0]
-    halves = [_Replay(half, {k: learners[i] for learners, _, k, _ in epochs})
+    halves = [_Replay(half, {k: (learners[i], pool_ids) for learners, pool_ids, k, _ in epochs})
               for i, half in enumerate(driver._net_halves(cfg, ds, scratch, embed))]
     serial = tuple(map(driver._in_process, halves))
     with util.forked_server(halves[1]) as submit:

@@ -15,11 +15,12 @@ both networks the semi-supervised treatment, which is the symmetric ablation
 arm.
 
 An epoch splits into one half per network, each served as items by the
-process that owns that network's learner (driver._NetHalf): the calling
-process sends each stage's item to both halves and reads the scratch net's
-reply first. The scratch net draws first from the epoch's one generator:
-the calling process gives it a copy, drains the scratch net's draws from
-the generator itself and sends that on to the embed net.
+process that owns that network's learner (driver._NetHalf), which runs its
+own GMM fit before the epoch: the calling process co-divides the two fits,
+sends each half its training item and reads the scratch net's reply first.
+The scratch net draws first from the epoch's one generator: the calling
+process gives it a copy, drains the scratch net's draws from the generator
+itself and sends that on to the embed net.
 """
 
 import copy
@@ -251,6 +252,7 @@ class CoteachResult:
     labeled_for_embed: np.ndarray
     skipped_scratch: bool
     skipped_embed: bool
+    advanced: tuple                  # each half's pending reply to ("advance", epoch)
 
 
 def _batches(rng, n_labeled, n_unlabeled, batch_size, alpha):
@@ -302,27 +304,27 @@ def _train_batches(learner: Learner, peer: Learner, targets_onehot, labeled_ids,
         learner.step(grad, epoch, frozen_prefix)
 
 
-def coteach_epoch(halves, pool_ids, epoch, cfg: RunConfig, rng) -> CoteachResult:
+def coteach_epoch(halves, pool_ids, epoch, cfg: RunConfig, rng, fits) -> CoteachResult:
     """One epoch of cross-network training on the current pool, in two
-    halves, scratch net first: each net's GMM fit to its per-sample
-    cross-entropy of the observed labels of pool_ids, one co_divide of the
-    two fits, then each net's training on the samples its peer's fit marks
-    clean, the scratch net's always with its unlabeled samples too.
+    halves, scratch net first: one co_divide of the two nets' fits, then each
+    net's training on the samples its peer's fit marks clean, the scratch
+    net's always with its unlabeled samples too.
 
     halves[i](item) sends net i's half an item and returns a zero-argument
-    callable for its reply, as util.forked_server does. ("fit", epoch,
-    pool_ids) replies with the clean probabilities of the net's fit and the
-    theta they come from; ("train", epoch, pool_ids, labeled, w_peer, rng,
-    peer_theta) trains it on co_divide's mask for it, drawing from rng, and
-    replies with its theta. The scratch net's unlabeled guesses read the
-    embed net at its fit's theta; in symmetric mode the embed net's read the
-    trained scratch net, so it trains after it, and in asymmetric mode it
-    has no unlabeled samples and gets no peer_theta.
+    callable for its reply, as util.forked_server does; fits[i] is net i's
+    fit to its pool losses: its clean probabilities and the theta they come
+    from. ("train", epoch, labeled, w_peer, rng, peer_theta) trains a net on
+    co_divide's mask for it, drawing from rng, and replies with its theta;
+    ("advance", epoch) goes right behind it, so a half goes on to its next
+    stages while the other trains, and the result holds its pending reply.
+    The scratch net's unlabeled guesses read the embed net at its fit's
+    theta; in symmetric mode the embed net's read the trained scratch net,
+    so it trains after it, and in asymmetric mode it has no unlabeled
+    samples and gets no peer_theta.
     """
     method = cfg.method
     pool_ids = np.asarray(pool_ids, dtype=np.int64)
-    fitted = [half(("fit", epoch, pool_ids)) for half in halves]
-    (w_scratch, _), (w_embed, embed_theta) = (reply() for reply in fitted)
+    (w_scratch, _), (w_embed, embed_theta) = fits
     masks = co_divide(pool_ids, w_scratch, w_embed, method.tau_w)
     for name, labeled in zip(("scratch net", "embedding net"), masks):
         if not labeled.any():
@@ -333,16 +335,20 @@ def coteach_epoch(halves, pool_ids, epoch, cfg: RunConfig, rng) -> CoteachResult
     for _ in _batches(rng, np.count_nonzero(masks[0]), np.count_nonzero(~masks[0]),
                       cfg.optim.batch_size, method.mixup_alpha):
         pass
-    trained = halves[0](("train", epoch, pool_ids, masks[0], w_embed, scratch_rng, embed_theta))
-    train = ("train", epoch, pool_ids, masks[1], w_scratch, rng)
-    if method.asymmetric:
-        embed_trained = halves[1]((*train, None))
-    scratch_theta = trained()
-    if not method.asymmetric:
-        embed_trained = halves[1]((*train, scratch_theta))
-    embed_trained()
+
+    def send(half, *train):  # a training item, then the half's advance right behind it
+        return half(("train", epoch, *train)), half(("advance", epoch))
+
+    scratch = send(halves[0], masks[0], w_embed, scratch_rng, embed_theta)
+    train = masks[1], w_scratch, rng
+    embed = send(halves[1], *train, None) if method.asymmetric else None
+    scratch_theta = scratch[0]()
+    if embed is None:
+        embed = send(halves[1], *train, scratch_theta)
+    embed[0]()
     return CoteachResult(
         w_scratch=w_scratch, w_embed=w_embed,
         labeled_for_scratch=masks[0], labeled_for_embed=masks[1],
         skipped_scratch=not masks[0].any(), skipped_embed=not masks[1].any(),
+        advanced=(scratch[1], embed[1]),
     )

@@ -8,19 +8,22 @@ first selection), each a function of plain values:
 - ``_select``, on a selection epoch: the SelectionSets, from each net's
   train-id losses; it writes the selection audit file;
 - on a forgetting epoch, each net's forgetting pass: its forgetting_log row;
-- ``_coteach``: one co-teaching epoch, which returns its CODIVIDE_RECORD rows;
+- each net's GMM fit, then one co-teaching epoch (``coteach.coteach_epoch``),
+  whose co-divide fills the epoch's CODIVIDE_RECORD rows;
 - ``_evaluate``, after every epoch of either arm: the EpochMetrics row, from
   each net's ``_scores``.
 
 The nets are the "scratch" net (an MLP on raw features) and the "embed" net
 (adapter plus head over the fixed oracle embeddings), each a
 ``coteach.Learner`` whose parameters and optimizer state the stages rebind.
-From the first co-teaching epoch on, each net's half of each stage (its
-losses, forgetting, GMM fit, training, check and scores) is a ``_NetHalf``
-item: the embed net's in a forked helper process when a second CPU is free,
-so that the two halves run at once, else in the run's process. The run's
-process sends each item to both halves, reads the scratch net's reply first,
-and does every selection, co-divide, log line and file write.
+From the first co-teaching epoch on, each net's stages (its checkpoint
+losses, forgetting, GMM fit, training, check and scores) run in a
+``_NetHalf``, on the schedule the half works out itself: the embed net's in
+a forked helper process when a second CPU is free, so that the two halves
+run at once, else in the run's process. The run's process sends a half only
+what the half cannot compute (the selection, the co-divide masks, the
+peer's theta, the generator), reads the scratch net's reply first, and does
+every selection, co-divide, log line and file write.
 Each arm returns its metrics, learners and forgetting rows, and ``run``
 alone finishes a run from them: Best/Last, the checkpoints, then metrics.csv.
 Each co-teaching epoch fills its own co-divide rows; with a run directory
@@ -401,13 +404,13 @@ def _select(k: int, cfg: RunConfig, ds: data.Dataset, oracle_table, losses, prev
 
 
 class _NetHalf:
-    """One net's half of every stage from the first co-teaching epoch on,
-    served by the process that owns the net's learner: ("losses", k) its
-    train-id losses at a checkpoint, ("select", k, sets) the selection it
-    then forgets by, ("forget", k) its forgetting pass and forgetting_log
-    row, coteach_epoch's ("fit", ...) and ("train", ...), ("evaluate", k) its
-    end-of-epoch finiteness check and _scores, and ("finish",) its theta and
-    optimizer state. It writes and logs nothing. Its per-net facts: name, in
+    """One net's half of every co-teaching epoch, served by the process that
+    owns the net's learner. It runs each of its net's stages in schedule
+    order as soon as it can, so its items carry only what it cannot compute:
+    ("head", k), sent once, at the first co-teaching epoch; ("select", k,
+    sets), the selection it forgets by; coteach_epoch's ("train", k, ...);
+    and ("advance", k), which ends epoch k. Its replies hold None for a stage
+    that did not run. It writes and logs nothing. Its per-net facts: name, in
     NETS, names its targets, checks and forgetting seed; peer is the other
     net's learner, whose architecture and inputs its guesses read; semi says
     whether it has unlabeled samples; its first layer (the adapter) stays put
@@ -418,6 +421,9 @@ class _NetHalf:
         self.semi, self.unfreeze = semi, unfreeze
         self.onehot = np.eye(ds.n_classes)[ds.observed_labels]
         self.pool = self.train_ids = ds.train_ids()
+        self.targets = None  # its targets, once a selection stands
+        sched = cfg.schedule
+        self.bootstrap = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
 
     def __call__(self, item):
         stage, *args = item
@@ -426,16 +432,35 @@ class _NetHalf:
     def _frozen(self, k) -> int:
         return self.learner.arch.first_layer_params() if k < self.unfreeze else 0
 
-    def losses(self, k):
-        return self.learner.losses(self.train_ids, self.ds.observed_labels)
+    def head(self, k) -> tuple:
+        """(its train-id losses if epoch k takes a checkpoint, else None, then
+        its _divide, or None twice if k selects): a selection epoch takes a
+        checkpoint, and so does the bootstrap epoch, the first selection's
+        previous one."""
+        sched, unlearning = self.cfg.schedule, self.cfg.method.unlearning
+        selecting = unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
+        losses = (self.learner.losses(self.train_ids, self.ds.observed_labels)
+                  if selecting or (unlearning and k == self.bootstrap) else None)
+        return (losses, None, None) if selecting else (losses, *self._divide(k))
 
-    def select(self, k, sets) -> None:
+    def select(self, k, sets) -> tuple:
         # forgetting's reference, read-only; theta stays writable for numba's zeros_like(theta)
         self.pool, self.targets = sets.retained, getattr(sets, f"targets_{self.name}")
         self.reference = self.learner.theta.copy()
         self.reference.setflags(write=False)
+        return self._divide(k)
 
-    def forget(self, k) -> tuple:
+    def _divide(self, k) -> tuple:
+        """Epoch k's forgetting_log row if it forgets, else None, then its
+        fit: the clean probabilities of a GMM fit to its pool losses and the
+        theta they come from."""
+        sched = self.cfg.schedule
+        row = self._forget(k) if self.targets is not None and gate_forgetting(
+            k, sched.start_unlearn, sched.unlearn_period, sched.unlearn_duration) else None
+        losses = self.learner.losses(self.pool, self.ds.observed_labels)
+        return row, (coteach.fit_gmm_1d(losses).clean_posterior, self.learner.theta)
+
+    def _forget(self, k) -> tuple:
         """One forgetting pass over its targets: its forgetting_log row. Its
         theta or pool losses overflowing fails the run here."""
         learner, method = self.learner, self.cfg.method
@@ -444,27 +469,26 @@ class _NetHalf:
         learner.theta, learner.opt, stats = forget.apply_unlearning(
             learner.arch, learner.theta, learner.opt, self.reference, plan, learner.inputs, k,
             frozen_prefix=self._frozen(k))
-        # the losses stay in the learner's memo for the co-teaching epoch
+        # the losses stay in the learner's memo for the fit
         _check_finite(k, **{f"theta_{self.name}": learner.theta,
                             f"losses_{self.name}": learner.losses(self.pool, self.ds.observed_labels)})
         return k, self.name, stats.n_targets, stats.kl_before, stats.kl_after
 
-    def fit(self, k, pool_ids) -> tuple:
-        losses = self.learner.losses(pool_ids, self.ds.observed_labels)
-        return coteach.fit_gmm_1d(losses).clean_posterior, self.learner.theta
-
-    def train(self, k, pool_ids, labeled, w_peer, rng, peer_theta):
+    def train(self, k, labeled, w_peer, rng, peer_theta):
         unlabeled = ~labeled & self.semi
         peer = None if peer_theta is None else dataclasses.replace(self.peer, theta=peer_theta)
         batches = coteach._batches(rng, np.count_nonzero(labeled), np.count_nonzero(unlabeled),
                                    self.cfg.optim.batch_size, self.cfg.method.mixup_alpha)
-        coteach._train_batches(self.learner, peer, self.onehot, pool_ids[labeled], w_peer[labeled],
-                               pool_ids[unlabeled], self.cfg, k, batches, self._frozen(k))
+        coteach._train_batches(self.learner, peer, self.onehot, self.pool[labeled], w_peer[labeled],
+                               self.pool[unlabeled], self.cfg, k, batches, self._frozen(k))
         return self.learner.theta
 
-    def evaluate(self, k):
+    def advance(self, k) -> tuple:
+        """(its _scores after epoch k's finiteness check, then epoch k + 1's
+        head, or after the last epoch its finish)."""
         _check_finite(k, **{f"theta_{self.name}": self.learner.theta})
-        return _scores(self.ds, self.learner, self.pool)
+        scores = _scores(self.ds, self.learner, self.pool)
+        return scores, self.finish() if k == self.cfg.schedule.max_epoch else self.head(k + 1)
 
     def finish(self):
         return self.learner.theta, self.learner.opt
@@ -518,70 +542,14 @@ def _run_pipeline(cfg: RunConfig, ds: data.Dataset, oracle_table: oracle.OracleT
             scratch_half, embed_half = _net_halves(cfg, ds, scratch, embed)
             with (util.forked_server(embed_half) if util.usable_cpus() >= 2
                   else contextlib.nullcontext(_in_process(embed_half))) as submit:
-                halves = (_Ahead(_in_process(scratch_half)), _Ahead(submit))
-                _coteach_epochs(cfg, ds, oracle_table, halves, out_path, append, metrics, forget_rows)
-                for learner, (theta, opt) in zip(learners, _replies(halves, ("finish",))):
+                finished = _coteach_epochs(cfg, ds, oracle_table, (_in_process(scratch_half), submit),
+                                           out_path, append, metrics, forget_rows)
+                for learner, (theta, opt) in zip(learners, finished):
                     learner.theta, learner.opt = theta, opt
 
     if out_path is not None:
         write_csv(out_path / "forgetting_log.csv", [forget.KL_LOG_HEADER], [list(zip(*forget_rows))])
     return metrics, learners, forget_rows
-
-
-class _Ahead:
-    """A net's half's submit, which can send items before they are due, so
-    that a helper serving the half goes on to them while this process
-    works: send sends them at once, and after an epoch's training item it
-    sends the items of after_train. Called later with one of them (the same stage and
-    epoch), it returns that item's pending reply. Each reply is still taken
-    in the order sent."""
-
-    def __init__(self, submit):
-        self.submit, self.after_train, self.pending = submit, (), {}
-
-    def __call__(self, item):
-        reply = self.pending.pop(item[:2], None) or self.submit(item)
-        if item[0] == "train":
-            self.send(self.after_train)
-        return reply
-
-    def send(self, items) -> None:
-        self.pending.update((item[:2], self.submit(item)) for item in items)
-
-
-def _leading_items(k: int, cfg: RunConfig, bootstrap_epoch: int, sets, pool) -> list:
-    """The items epoch k sends the embed half before it needs this process's
-    part, as known once epoch k - 1 has trained: its checkpoint losses, then,
-    unless it selects, its forgetting pass and its fit; after the last
-    epoch, the finish."""
-    if k > cfg.schedule.max_epoch:
-        return [("finish",)]
-    checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
-    if selecting:
-        return [("losses", k)]
-    return [("losses", k)] * checkpoint + _divide_items(k, cfg, sets, pool)
-
-
-def _divide_items(k: int, cfg: RunConfig, sets, pool) -> list:
-    """Epoch k's forgetting pass, if it forgets, and its fit, once its
-    selection stands."""
-    return [("forget", k)] * _forgets(k, cfg, sets) + [("fit", k, pool)]
-
-
-def _checkpoints(k: int, cfg: RunConfig, bootstrap_epoch: int) -> tuple:
-    """Whether epoch k takes each net's train-id losses, and whether it
-    selects from them. Checkpoints cover every train id; on a selection epoch
-    the bootstrap checkpoint is its own, which makes every loss drop zero."""
-    sched, method = cfg.schedule, cfg.method
-    selecting = method.unlearning and gate_selection(k, sched.start_unlearn, sched.unlearn_period)
-    return selecting or (method.unlearning and k == bootstrap_epoch), selecting
-
-
-def _forgets(k: int, cfg: RunConfig, sets) -> bool:
-    """Whether epoch k forgets, given the selection that stands."""
-    sched = cfg.schedule
-    return sets is not None and gate_forgetting(k, sched.start_unlearn, sched.unlearn_period,
-                                                sched.unlearn_duration)
 
 
 def _replies(halves, item) -> list:
@@ -590,45 +558,37 @@ def _replies(halves, item) -> list:
 
 
 def _coteach_epochs(cfg: RunConfig, ds: data.Dataset, oracle_table, halves, out_path, append,
-                    metrics, forget_rows) -> None:
+                    metrics, forget_rows) -> tuple:
     """The co-teaching epochs, appending to metrics and forget_rows and
-    passing each epoch's co-divide rows to append: each stage sends its item
-    to both halves and reads the scratch net's reply first, so a failing run
-    raises the error a serial run would."""
+    passing each epoch's co-divide rows to append; returns each half's
+    finish. It selects on an epoch whose heads bring no fit, and reads the
+    scratch net's reply first, so a failing run raises a serial run's error."""
     sched = cfg.schedule
     pool = ds.train_ids()
-    bootstrap_epoch = max(sched.start_unlearn - sched.unlearn_period, sched.warmup + 1)
     prev_losses = sets = None  # prev_losses: each net's losses at the previous checkpoint
-    for half in halves:
-        half.send(_leading_items(sched.warmup + 1, cfg, bootstrap_epoch, sets, pool))
+    heads = _replies(halves, ("head", sched.warmup + 1))
     for k in range(sched.warmup + 1, sched.max_epoch + 1):
-        checkpoint, selecting = _checkpoints(k, cfg, bootstrap_epoch)
-        if checkpoint:
-            losses = _replies(halves, ("losses", k))
-            if k == bootstrap_epoch:
-                prev_losses = losses
-        if selecting:
-            sets = _select(k, cfg, ds, oracle_table, losses, prev_losses, out_path)
+        losses, forgot, fits = zip(*heads)
+        if fits[0] is None:
+            sets = _select(k, cfg, ds, oracle_table, losses, prev_losses or losses, out_path)
             prev_losses, pool = losses, sets.retained
-            for half in halves:
-                half.send([("select", k, sets), *_divide_items(k, cfg, sets, pool)])
-            _replies(halves, ("select", k, sets))
-        if _forgets(k, cfg, sets):
-            forget_rows.extend(_replies(halves, ("forget", k)))
-        for half in halves:
-            half.after_train = [("evaluate", k), *_leading_items(k + 1, cfg, bootstrap_epoch, sets, pool)]
-        rows = _coteach(k, cfg, ds, pool, halves)
+            forgot, fits = zip(*_replies(halves, ("select", k, sets)))
+        elif losses[0] is not None:  # the bootstrap checkpoint
+            prev_losses = losses
+        forget_rows.extend(row for row in forgot if row is not None)
+        res = coteach.coteach_epoch(halves, pool, k, cfg, rng_for(cfg.run.seed, f"coteach/{k}"), fits)
+        rows = np.empty(pool.shape[0], CODIVIDE_RECORD)
+        for name, values in zip(CODIVIDE_RECORD.names, (
+            k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
+            ds.observed_labels[pool], ds.true_labels[pool],
+        )):
+            rows[name] = values
         append(rows)
-        metrics.append(_evaluate(k, ds, _replies(halves, ("evaluate", k)), pool, sets, rows))
-
-
-def _coteach(k: int, cfg: RunConfig, ds: data.Dataset, pool, halves) -> np.ndarray:
-    """One co-teaching epoch on pool: its CODIVIDE_RECORD rows."""
-    res = coteach.coteach_epoch(halves, pool, k, cfg, rng_for(cfg.run.seed, f"coteach/{k}"))
-    rows = np.empty(pool.shape[0], CODIVIDE_RECORD)
-    for name, values in zip(CODIVIDE_RECORD.names, (
-        k, pool, res.w_scratch, res.w_embed, res.labeled_for_scratch, res.labeled_for_embed,
-        ds.observed_labels[pool], ds.true_labels[pool],
-    )):
-        rows[name] = values
-    return rows
+        # the halves' next stages hold the run's memory peak (a checkpoint), so
+        # neither this epoch's fits and result nor its scores are kept for it
+        advanced = res.advanced
+        del heads, fits, res
+        heads = [reply() for reply in advanced]  # each half's (scores, next head)
+        metrics.append(_evaluate(k, ds, [scores for scores, _ in heads], pool, sets, rows))
+        heads = [head for _, head in heads]
+    return heads

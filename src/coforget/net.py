@@ -287,13 +287,16 @@ def save_checkpoint(path, arch: Architecture, theta: np.ndarray) -> None:
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. A bad magic line or
     header, a cut or padded payload, or a non-finite parameter raises
-    IngestionError naming the file."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != _CKPT_MAGIC:
-            raise IngestionError(f"{path}: not a parameter checkpoint (bad magic {magic!r})")
-        header = fh.readline()
-        payload = fh.read()
+    IngestionError naming the file, as does one that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.readline().rstrip(b"\n")
+            if magic != _CKPT_MAGIC:
+                raise IngestionError(f"{path}: not a parameter checkpoint (bad magic {magic!r})")
+            header = fh.readline()
+            payload = fh.read()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read checkpoint ({exc})") from None
     try:
         meta = json.loads(header.decode("ascii"))
         widths = meta["widths"]

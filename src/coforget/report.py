@@ -55,6 +55,8 @@ def load_run(run_dir, window=None) -> RunData:
     try:
         manifest = json.loads(manifest_path.read_text())
         default_window(manifest)
+    except OSError as exc:
+        raise IngestionError(f"{manifest_path}: cannot read the run manifest ({exc})") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise IngestionError(
             f"{manifest_path}: not a run manifest, need a JSON object with integer "

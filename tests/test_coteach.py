@@ -219,7 +219,11 @@ class TestCoteachEpoch:
         embed = coteach.Learner(arch_e, emb, theta_e, opt_e)
         # both nets' halves in this process, as a run without a second CPU has them
         halves = [driver._in_process(half) for half in driver._net_halves(params, ds, scratch, embed)]
-        res = coteach.coteach_epoch(halves, ds.train_ids(), epoch, params, rng)
+        # the epoch's heads: it is too early for a checkpoint or a selection,
+        # so each is its net's fit alone
+        losses, forgot, fits = zip(*driver._replies(halves, ("head", epoch)))
+        assert losses == forgot == (None, None)
+        res = coteach.coteach_epoch(halves, ds.train_ids(), epoch, params, rng, fits)
         # the result's fields next to the parameters the epoch left each net with
         res = SimpleNamespace(**vars(res), theta_scratch=scratch.theta, theta_embed=embed.theta)
         return res, theta_s, theta_e, arch_e

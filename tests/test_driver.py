@@ -2,6 +2,7 @@
 the helper process that runs the embed net's half of each co-teaching
 epoch."""
 
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -68,6 +69,35 @@ class TestGates:
 
     def test_forgetting_never_before_start(self):
         assert not any(driver.gate_forgetting(k, 60, 10, 5) for k in range(1, 60))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["schedule.unlearn_duration=0"],
+        ["schedule.warmup=5", "schedule.start_unlearn=6", "schedule.unlearn_period=6",
+         "schedule.unlearn_duration=2"],
+        ["schedule.start_unlearn=30"],
+        ["schedule.start_unlearn=13"],
+    ], ids=["quick", "no-duration", "bootstrap-selects", "never-selects", "forgets-before-selecting"])
+    def test_written_run_follows_the_gates(self, tmp_path, monkeypatch, overrides, cpus):
+        """Each net's half works the schedule out itself: a written run's
+        selection audits and forgetting_log rows fall on the epochs the gates
+        name, forgetting only from the first selection on (the last case's
+        window opens at epoch 13, its first selection is at 18)."""
+        monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+        cfg = load_config(QUICK, overrides)
+        sched, out = cfg.schedule, tmp_path / "run"
+        driver.run(cfg, out)
+        epochs = range(sched.warmup + 1, sched.max_epoch + 1)
+        selecting = [k for k in epochs if driver.gate_selection(k, sched.start_unlearn, sched.unlearn_period)]
+        forgetting = [k for k in epochs if selecting and k >= selecting[0] and driver.gate_forgetting(
+            k, sched.start_unlearn, sched.unlearn_period, sched.unlearn_duration)]
+        assert sorted(int(path.stem.removeprefix("selection_epoch_"))
+                      for path in out.glob("selection_epoch_*.csv")) == selecting
+        header, *rows = (out / "forgetting_log.csv").read_text().splitlines()
+        assert header == forget.KL_LOG_HEADER
+        assert [row.split(",")[:2] for row in rows] == [[str(k), name] for k in forgetting
+                                                         for name in driver.NETS]
 
 
 def _warmup_step(feats, emb, onehot_obs, soft_targets, train_ids,
@@ -810,6 +840,54 @@ class TestHelper:
         with pytest.raises(StateError) as raised:
             driver.run(load_config(QUICK, [o for o in overrides if o != "--override"]))
         assert isinstance(raised.value.__cause__, util._RemoteTraceback)
+
+    @pytest.mark.parametrize("asymmetric", [True, False], ids=["asymmetric", "symmetric"])
+    def test_each_half_advances_right_behind_its_training(self, monkeypatch, asymmetric):
+        """Each half gets ("head", k) once, then only select, train and
+        advance items, and each epoch's advance goes out right behind its
+        train, before this process reads a train reply the half's advance
+        does not wait on: so the helper goes on to its next stages while this
+        process trains the scratch net. The symmetric arm's embed net trains
+        on the trained scratch net, so only its own advance can follow that
+        read."""
+        events = []  # (what, the half's name, the item's stage and epoch)
+
+        def logged(name, submit):
+            def send(item):
+                events.append(("submit", name, item[:2]))
+                reply = submit(item)
+
+                def read():
+                    events.append(("read", name, item[:2]))
+                    return reply()
+                return read
+            return send
+
+        in_process, server = driver._in_process, util.forked_server
+
+        @contextlib.contextmanager
+        def forked_server(half):
+            with server(half) as submit:
+                yield logged(half.name, submit)
+
+        monkeypatch.setattr(driver, "_in_process", lambda half: logged(half.name, in_process(half)))
+        monkeypatch.setattr(util, "forked_server", forked_server)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        cfg = load_config(QUICK, [f"method.asymmetric={str(asymmetric).lower()}"])
+        driver.run(cfg)
+        sched = cfg.schedule
+        epochs = range(sched.warmup + 1, sched.max_epoch + 1)
+        for name in driver.NETS:
+            sent = [item for what, half, item in events if what == "submit" and half == name]
+            assert sent[0] == ("head", sched.warmup + 1)
+            assert {stage for stage, _ in sent[1:]} == {"select", "train", "advance"}
+            trains = [i for i, item in enumerate(sent) if item[0] == "train"]
+            assert [sent[i] for i in trains] == [("train", k) for k in epochs]
+            assert [sent[i + 1] for i in trains] == [("advance", k) for k in epochs]
+        for k in epochs:
+            first_read = next(i for i, e in enumerate(events) if e[0] == "read" and e[2] == ("train", k))
+            for name in driver.NETS if asymmetric else ("scratch",):
+                assert events.index(("submit", name, ("advance", k))) < first_read, (name, k)
 
     @pytest.mark.parametrize("max_epoch", [24, 3], ids=["coteaching", "warmup-only"])
     def test_helper_forks_at_the_first_coteaching_epoch(self, monkeypatch, max_epoch):

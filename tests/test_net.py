@@ -400,6 +400,14 @@ class TestCheckpoints:
         with pytest.raises(IngestionError):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_checkpoint_names_file(self, tmp_path, kind):
+        path = tmp_path / "net.ckpt"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: cannot read checkpoint"):
+            net.load_checkpoint(path)
+
     @staticmethod
     def _saved(tmp_path, theta=None):
         arch = net.Architecture((3, 4, 2))

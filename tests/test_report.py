@@ -616,6 +616,15 @@ class TestBadManifestAndColumns:
         with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: not a run manifest"):
             report.load_run(run_dir)
 
+    def test_unreadable_manifest_names_file(self, quick_runs, tmp_path):
+        run_dir = tmp_path / "run"
+        _copy_run(quick_runs["unl-on"], run_dir)
+        path = run_dir / "manifest.json"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(IngestionError, match=rf"{re.escape(str(path))}: cannot read the run manifest"):
+            report.load_run(run_dir)
+
     @pytest.mark.parametrize("damage", sorted(COLUMN_DAMAGES))
     def test_missing_columns_name_file(self, quick_runs, tmp_path, damage):
         file_name, keep = COLUMN_DAMAGES[damage]
@@ -633,6 +642,10 @@ class TestBadManifestAndColumns:
             bad.append(tmp_path / name)
             _copy_run(quick_runs["unl-on"], bad[-1])
             (bad[-1] / "manifest.json").write_text(MANIFEST_DAMAGES[name])
+        bad.append(tmp_path / "manifest-directory")
+        _copy_run(quick_runs["unl-on"], bad[-1])
+        (bad[-1] / "manifest.json").unlink()
+        (bad[-1] / "manifest.json").mkdir()
         for name, (file_name, keep) in COLUMN_DAMAGES.items():
             bad.append(tmp_path / name)
             _copy_run(quick_runs["unl-on"], bad[-1])
@@ -644,11 +657,15 @@ class TestBadManifestAndColumns:
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in summary[1:]] == ["unl-off"]
 
-    @pytest.mark.parametrize("damage", ["not-json", "empty-object", "metrics-first-three"])
+    @pytest.mark.parametrize("damage", ["not-json", "empty-object", "manifest-directory",
+                                        "metrics-first-three"])
     def test_cli_exits_2(self, quick_runs, tmp_path, capsys, damage):
         bad = tmp_path / "bad"
         _copy_run(quick_runs["unl-on"], bad)
-        if damage in MANIFEST_DAMAGES:
+        if damage == "manifest-directory":
+            (bad / "manifest.json").unlink()
+            (bad / "manifest.json").mkdir()
+        elif damage in MANIFEST_DAMAGES:
             (bad / "manifest.json").write_text(MANIFEST_DAMAGES[damage])
         else:
             file_name, keep = COLUMN_DAMAGES[damage]
