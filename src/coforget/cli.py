@@ -138,6 +138,8 @@ def _parse_window(text):
         raise ConfigurationError(f"--window must look like START:END, got {text!r}") from None
     if not 1 <= lo <= hi:
         raise ConfigurationError(f"--window needs 1 <= START <= END, got {text!r}")
+    if hi >= 2**63:  # the report writes the window as int64
+        raise ConfigurationError(f"--window needs END <= {2**63 - 1}, got {text!r}")
     return lo, hi
 
 

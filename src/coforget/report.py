@@ -3,11 +3,12 @@ noisy-judged-clean accounting computed from run directories.
 
 A run directory is read from its manifest, its metrics.csv and its co-divide
 record, codivide_audit.npy, whose every row is read and checked a chunk at
-a time (util.npy_record). The report keeps only the record's rows of its
-epoch window, so it never holds the whole record; load_run without a
-window reads it whole (util.read_npy). A directory from before that record,
-holding only codivide_audit.csv, loads without co-divide rows.
-export_codivide writes the record as that CSV, one chunk at a time.
+a time by util.npy_record, the one reader of the record. load_run keeps
+only the record's rows of its epoch window, the manifest's default or the
+one it is given, so it never holds the whole record. A directory from
+before that record, holding only codivide_audit.csv, loads without
+co-divide rows. export_codivide writes the record as that CSV, one chunk
+at a time.
 
 All outputs are plot-ready CSV; nothing is rendered.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import driver
 from .errors import ConfigurationError, IngestionError
-from .util import npy_record, output_dir, read_csv, read_npy, write_csv
+from .util import npy_record, output_dir, read_csv, write_csv
 
 logger = logging.getLogger("coforget")
 
@@ -35,18 +36,18 @@ class RunData:
     run_id: str
     manifest: dict
     metrics: dict          # column name -> np.ndarray
-    codivide: np.ndarray | None  # the driver.CODIVIDE_RECORD rows, None if absent
-    window: tuple | None = None  # (lo, hi) if codivide holds only the rows of epochs lo to hi
+    codivide: np.ndarray | None  # the record's rows of epochs lo to hi, None if absent
+    window: tuple          # (lo, hi)
     record_rows: int = 0   # the whole record's row count
 
 
 def load_run(run_dir, window=None) -> RunData:
     """A completed run directory: its manifest, its metrics.csv columns and
     its co-divide record (None for the naive-ce arm, or for a directory that
-    predates the record). With window, a function of the manifest that
-    gives (lo, hi), such as default_window, the record keeps only the rows
-    of epochs lo to hi, though every row is read and checked. A file that is
-    missing or damaged raises IngestionError naming it."""
+    predates the record). The record keeps only the rows of epochs lo to
+    hi, window being (lo, hi) or else default_window(manifest), though
+    every row is read and checked. A file that is missing or damaged raises
+    IngestionError naming it."""
     path = Path(run_dir)
     manifest_path = path / "manifest.json"
     metrics_path = path / "metrics.csv"
@@ -54,7 +55,7 @@ def load_run(run_dir, window=None) -> RunData:
         raise IngestionError(f"{path}: not a completed run directory (need manifest.json and metrics.csv)")
     try:
         manifest = json.loads(manifest_path.read_text())
-        default_window(manifest)
+        default = default_window(manifest)  # checks the manifest whatever the window
     except OSError as exc:
         raise IngestionError(f"{manifest_path}: cannot read the run manifest ({exc})") from None
     except (ValueError, KeyError, TypeError) as exc:
@@ -69,18 +70,13 @@ def load_run(run_dir, window=None) -> RunData:
     if not np.all((np.abs(epoch) < 2**53) & (epoch == np.trunc(epoch))):
         raise IngestionError(f"{metrics_path}: epochs must be whole numbers")
     codivide_path = path / "codivide_audit.npy"
+    window = window or default
     codivide, record_rows = None, 0
-    if window is not None:
-        window = window(manifest)
-    if not codivide_path.exists():
-        if (path / "codivide_audit.csv").exists():
-            logger.warning("%s: co-divide CSV of an older run, not read; "
-                           "its selection quality is not reported", path / "codivide_audit.csv")
-    elif window is None:
-        codivide = read_npy(codivide_path, driver.CODIVIDE_RECORD, _codivide_checks)
-        record_rows = codivide.shape[0]
-    else:
+    if codivide_path.exists():
         codivide, record_rows = _window_rows(codivide_path, window)
+    elif (path / "codivide_audit.csv").exists():
+        logger.warning("%s: co-divide CSV of an older run, not read; "
+                       "its selection quality is not reported", path / "codivide_audit.csv")
     return RunData(path.name, manifest, metrics, codivide, window, record_rows)
 
 
@@ -175,11 +171,17 @@ def selection_quality(codivide: np.ndarray, window) -> dict:
 
 
 def default_window(manifest: dict) -> tuple:
+    """(warmup + 1, start_unlearn) of the manifest's schedule, the epochs
+    after warmup and before unlearning begins; a ValueError if either
+    bound is outside int64, the type the report writes them as."""
     sched = manifest["config"]["schedule"]
     warmup, start = sched["warmup"], sched["start_unlearn"]
     if type(warmup) is not int or type(start) is not int:
         raise TypeError(f"schedule epochs must be integers, got {warmup!r}, {start!r}")
-    return (warmup + 1, start)
+    window = (warmup + 1, start)
+    if not all(-2**63 <= bound < 2**63 for bound in window):
+        raise ValueError(f"window {window} from the schedule is outside int64")
+    return window
 
 
 def write_report(run_dirs, out_dir, window=None) -> dict:
@@ -192,7 +194,7 @@ def write_report(run_dirs, out_dir, window=None) -> dict:
     runs, dirs = [], {}
     for d in run_dirs:
         try:
-            runs.append(load_run(d, default_window if window is None else lambda manifest: window))
+            runs.append(load_run(d, window))
         except IngestionError as exc:
             logger.warning("skipping %s: %s", d, exc)
             continue

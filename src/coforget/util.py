@@ -7,10 +7,10 @@ reads through read_csv. Cells are comma-separated and unquoted, one row per
 "\\n"-terminated line: a float is repr of a Python float, an int is decimal,
 a bool is 0 or 1, a str is as is. A columnar record is one 1-D structured
 array in a version 1.0 .npy file, written by npy_writer, which stages its
-rows as they come in an unnamed file, and read whole by read_npy or a
-chunk at a time by npy_record, every row checked either way. These writers,
-and the run's manifest and checkpoints, write to a temporary name beside
-the target and move it into place, so no file is ever left half written.
+rows as they come in an unnamed file, and read by npy_record alone, a
+checked chunk at a time. These writers, and the run's manifest and
+checkpoints, write to a temporary name beside the target and move it into
+place, so no file is ever left half written.
 """
 
 import contextlib
@@ -378,48 +378,18 @@ def npy_writer(path, dtype):
 @contextlib.contextmanager
 def npy_record(path, dtype):
     """A .npy record written by npy_writer, open for reading a chunk at a
-    time. The block's value is (its row count, chunks) once the file passes
-    read_npy's checks of its magic, header and size. chunks(checks, at)
-    reads the rows of each RECORD_CHUNK-row chunk in turn, or only of the
-    chunks at the ascending indices at, checks them as read_npy does, and
-    yields each as a view of one reused buffer that the next overwrites."""
+    time; its block's value is (its row count, chunks). As the block starts,
+    the magic and header are read without unpickling anything: the header's
+    dtype must equal dtype exactly, its shape be 1-D and its order C, and
+    header plus rows must fill the file to the byte, all before any row is
+    allocated. chunks(checks, at) reads the rows of each RECORD_CHUNK-row
+    chunk in turn, or only of the chunks at the ascending indices at, and
+    yields each as a view of one reused buffer that the next overwrites;
+    checks(rows) gives a (good-row mask, reason) pair for each check, or
+    only for those that some of rows fail. A file that fails any of this,
+    or a row that fails a check, raises IngestionError naming the file and
+    the row's index in it."""
     dtype = np.dtype(dtype)
-    with _npy_open(path, dtype) as (fh, n_rows):
-        body, buffer = fh.tell(), np.empty(min(n_rows, RECORD_CHUNK), dtype)
-
-        def chunks(checks=lambda rows: (), at=None):
-            starts = range(0, n_rows, RECORD_CHUNK)
-            for start in starts if at is None else (starts[index] for index in at):
-                fh.seek(body + start * dtype.itemsize)
-                rows = buffer[:min(RECORD_CHUNK, n_rows - start)]
-                _read_rows(path, fh, rows, start, checks)
-                yield rows
-
-        yield n_rows, chunks
-
-
-def read_npy(path, dtype, checks=lambda rows: ()):
-    """The 1-D array of the structured dtype in a .npy file written by
-    npy_writer, read and checked RECORD_CHUNK rows at a time. The magic and
-    header are read without unpickling anything; the header's dtype must
-    equal dtype exactly, its shape be 1-D and its order C, and header plus
-    rows must fill the file to the byte, all before the rows are allocated.
-    A file that fails any of this, or a row that fails a check, raises
-    IngestionError naming the file and the row's index in it; checks(rows)
-    gives a (good-row mask, reason) pair for each check, or only for those
-    that some of rows fail."""
-    dtype = np.dtype(dtype)
-    with _npy_open(path, dtype) as (fh, n_rows):
-        rows = np.empty(n_rows, dtype)
-        for start in range(0, n_rows, RECORD_CHUNK):
-            _read_rows(path, fh, rows[start:start + RECORD_CHUNK], start, checks)
-    return rows
-
-
-@contextlib.contextmanager
-def _npy_open(path, dtype):
-    """(the file, at its first row, and its row count) of a .npy record
-    whose magic, header and size pass read_npy's checks."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -447,17 +417,22 @@ def _npy_open(path, dtype):
         if body + n_rows * dtype.itemsize != size:
             raise IngestionError(f"{path}: header promises {n_rows} rows of {dtype.itemsize} "
                                  f"bytes after {body} header bytes, file holds {size} bytes")
-        yield fh, n_rows
+        buffer = np.empty(min(n_rows, RECORD_CHUNK), dtype)
 
+        def chunks(checks=lambda rows: (), at=None):
+            starts = range(0, n_rows, RECORD_CHUNK)
+            for start in starts if at is None else (starts[index] for index in at):
+                fh.seek(body + start * dtype.itemsize)
+                rows = buffer[:min(RECORD_CHUNK, n_rows - start)]
+                try:
+                    read = fh.readinto(rows.view(np.uint8))
+                except OSError as exc:
+                    raise IngestionError(f"{path}: cannot read record ({exc})") from None
+                if read != rows.nbytes:
+                    raise IngestionError(f"{path}: file shrank while read")
+                for ok, reason in checks(rows):
+                    if not ok.all():
+                        raise IngestionError(f"{path}: row {start + np.argmin(ok)}: {reason}")
+                yield rows
 
-def _read_rows(path, fh, rows, start: int, checks) -> None:
-    """Fill rows, the file's rows from index start on, and check them."""
-    try:
-        read = fh.readinto(rows.view(np.uint8))
-    except OSError as exc:
-        raise IngestionError(f"{path}: cannot read record ({exc})") from None
-    if read != rows.nbytes:
-        raise IngestionError(f"{path}: file shrank while read")
-    for ok, reason in checks(rows):
-        if not ok.all():
-            raise IngestionError(f"{path}: row {start + np.argmin(ok)}: {reason}")
+        yield n_rows, chunks

@@ -958,6 +958,17 @@ class TestTrainAndReport:
         assert f"--window needs 1 <= START <= END, got {window!r}" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("window", ["1:9223372036854775808", "1:99999999999999999999"],
+                             ids=["2**63", "past-uint64"])
+    def test_report_rejects_window_past_int64(self, tmp_path, capsys, window):
+        """The report writes the window as int64, so a larger END exits 2
+        before any report file is written."""
+        rc = cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "rep"),
+                       "--window", window])
+        assert rc == 2
+        assert f"--window needs END <= {2**63 - 1}, got {window!r}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestSweep:
     def test_two_member_sweep(self, tmp_path):

@@ -140,7 +140,7 @@ class TestSharedRule:
     def test_metric_rows_match_the_report_per_epoch(self, tmp_path, config, unlearning):
         cfg = load_config(QUICK.parent / f"{config}.yaml", [f"method.unlearning={unlearning}"])
         res = driver.run(cfg, tmp_path / "run")
-        record = report.load_run(tmp_path / "run").codivide
+        record = report.load_run(tmp_path / "run", (1, cfg.schedule.max_epoch)).codivide
         warmup = cfg.schedule.warmup
         assert [(m.hn, m.ln, m.cs) for m in res.metrics[:warmup]] == [(0, 0, 0)] * warmup
         mismatches = []
@@ -177,8 +177,9 @@ class TestReadRunDir:
     def test_columns_equal_row_by_row_parser(self, quick_runs, tmp_path):
         """metrics.csv columns equal the old parser's, and the record's
         columns equal the old parser's on the CSV `coforget export` writes."""
+        every_epoch = (1, load_config(QUICK).schedule.max_epoch)
         for name, run_dir in _copy_dirs(quick_runs, tmp_path).items():
-            run = report.load_run(run_dir)
+            run = report.load_run(run_dir, every_epoch)
             reference = _reference_read_csv_columns(run_dir / "metrics.csv")
             assert list(run.metrics) == list(reference)
             for col, values in reference.items():
@@ -470,7 +471,7 @@ class TestChunkedRecord:
         _copy_run(quick_runs["unl-on"], run_dir)
         return run_dir, _long_record(run_dir / "codivide_audit.npy", **record)
 
-    @pytest.mark.parametrize("window", [None, report.default_window], ids=["whole", "window"])
+    @pytest.mark.parametrize("window", [(1, 2**63 - 1), None], ids=["whole", "window"])
     def test_bad_weight_in_last_chunk_names_its_row(self, quick_runs, tmp_path, window):
         last = 2 * util.RECORD_CHUNK + 99
         run_dir, _ = self._run_dir(quick_runs, tmp_path, damage=_set_row("w_embed", last, 1.5))
@@ -510,12 +511,14 @@ class TestChunkedRecord:
             "run_id,window_start,window_end,hn,ln,cs\n")
 
     @pytest.mark.parametrize("shuffle", [False, True], ids=["in-order", "shuffled"])
-    @pytest.mark.parametrize("window", [(4, 12), (20, 40), (1, 3), (4, 500)])
+    @pytest.mark.parametrize("window", [(4, 12), (20, 40), (1, 3), (4, 500), None])
     def test_window_rows_in_any_epoch_order(self, quick_runs, tmp_path, window, shuffle):
         """The window's rows are chosen by their epoch field in every chunk,
-        in file order, whatever the order of epochs in the file."""
+        in file order, whatever the order of epochs in the file; no window
+        is the manifest's default."""
         run_dir, rows = self._run_dir(quick_runs, tmp_path, shuffle=shuffle)
-        run = report.load_run(run_dir, lambda manifest: window)
+        run = report.load_run(run_dir, window)
+        window = window or (4, 12)
         lo, hi = window
         assert run.window == window and run.record_rows == rows.shape[0]
         assert run.codivide.dtype == driver.CODIVIDE_RECORD
@@ -591,6 +594,9 @@ MANIFEST_DAMAGES = {
     "schedule-not-mapping": '{"config": {"schedule": [3, 12]}}',
     "no-start-unlearn": '{"config": {"schedule": {"warmup": 3}}}',
     "non-integer-warmup": '{"config": {"schedule": {"warmup": "3", "start_unlearn": 12}}}',
+    # the window is (warmup + 1, start_unlearn), written as int64
+    "warmup-past-int64": '{"config": {"schedule": {"warmup": %d, "start_unlearn": 12}}}' % (2**63 - 1),
+    "start-unlearn-past-int64": '{"config": {"schedule": {"warmup": 3, "start_unlearn": %d}}}' % 2**64,
     "not-utf8": b"\xff\xfe{",
 }
 

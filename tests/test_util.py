@@ -350,15 +350,18 @@ class TestLoadersAgreeWithRowLoops:
 
 
 def test_only_util_calls_numpy_text_io():
-    """The CSV format stays in util: no other module calls np.loadtxt or
-    np.savetxt."""
-    callers = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name in ("loadtxt", "savetxt"):
-                callers.add(path.name)
-    assert callers == {"util.py"}
+    """The CSV and .npy formats stay in util: no other module calls
+    np.loadtxt or np.savetxt, or reads or writes a .npy file (np.load,
+    np.save, np.memmap or np.lib.format's magic and header functions)."""
+    for names in (("loadtxt", "savetxt"), ("read_magic", "read_array_header_1_0",
+                                           "write_array_header_1_0", "load", "save", "memmap")):
+        callers = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in names:
+                    callers.add(path.name)
+        assert callers == {"util.py"}, names
 
 
 RECORD = np.dtype([("a", "<i8"), ("w", "<f8"), ("flag", "?")])
@@ -399,12 +402,19 @@ def _np_save_bytes(rows) -> bytes:
     return buf.getvalue()
 
 
+def _read_all(path, checks=lambda rows: ()):
+    """Every RECORD row of the file, read and checked through util.npy_record."""
+    with util.npy_record(path, RECORD) as (_, chunks):
+        return np.concatenate([np.empty(0, RECORD), *(rows.copy() for rows in chunks(checks))])
+
+
 def _read_small(path):
-    """util.read_npy of RECORD rows, asserting it never traced more than a
-    megabyte of allocations, whatever the file's header promises."""
+    """_read_all of RECORD rows with their weight check, asserting it never
+    traced more than a megabyte of allocations, whatever the file's header
+    promises."""
     tracemalloc.start()
     try:
-        return util.read_npy(path, RECORD, _weights_in_unit_interval)
+        return _read_all(path, _weights_in_unit_interval)
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -693,7 +703,7 @@ class TestNpyRecord:
         path = tmp_path / "r.npy"
         _write_record(path, *chunks)
         assert path.read_bytes() == _np_save_bytes(rows)
-        back = util.read_npy(path, RECORD)
+        back = _read_all(path)
         assert back.dtype == RECORD and back.tobytes() == rows.tobytes()
         assert [p.name for p in tmp_path.iterdir()] == ["r.npy"]
 
@@ -702,7 +712,7 @@ class TestNpyRecord:
         path = tmp_path / "r.npy"
         _write_record(path)
         assert path.read_bytes() == _np_save_bytes(_record(0))
-        back = util.read_npy(path, RECORD)
+        back = _read_all(path)
         assert back.shape == (0,) and back.dtype == RECORD
 
     @pytest.mark.parametrize("rows", [_record(4)[::2], _record(3).reshape(3, 1),
@@ -794,7 +804,7 @@ class TestNpyRecord:
 
     def test_missing_file_names_it(self, tmp_path):
         with pytest.raises(IngestionError, match=r"absent\.npy: cannot read record"):
-            util.read_npy(tmp_path / "absent.npy", RECORD)
+            _read_all(tmp_path / "absent.npy")
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
